@@ -11,7 +11,6 @@ deterministically.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -171,19 +170,32 @@ def _solver_steps(config: dict) -> int:
     return int(config.get("solver", {}).get("steps_per_year", 1008))
 
 
-_SIM_FIELDS = {f.name for f in dataclasses.fields(sim_mod.SimConfig)}
+# the keys a config's "simulation" block may carry, with the type of each
+# scalar one; the other SimConfig fields are library-only
+_SIM_TYPES = {"n_paths": int, "steps": int, "seed": int, "dt": (int, float),
+              "antithetic": bool, "dump_paths": bool}
+_SIM_KEYS = {*_SIM_TYPES, "measure", "strategy", "route", "bench_weights"}
 
 
 def _sim_config(config: dict, seed_override: int | None, **kwargs) -> sim_mod.SimConfig:
     sim_cfg = dict(config.get("simulation", {}))
-    sim_cfg.pop("dump_paths", None)
-    unknown = sorted(set(sim_cfg) - _SIM_FIELDS)
+    unknown = sorted(set(sim_cfg) - _SIM_KEYS)
     if unknown:
         raise ConfigError(f"unknown simulation config keys: {unknown}")
+    for key, kind in _SIM_TYPES.items():
+        value = sim_cfg.get(key)
+        # bool is an int subclass: booleans are neither counts nor seeds
+        if key in sim_cfg and (isinstance(value, bool) != (kind is bool)
+                               or not isinstance(value, kind)):
+            raise ConfigError(f"simulation.{key} has an invalid value {value!r}")
+    sim_cfg.pop("dump_paths", None)
     if seed_override is not None:
         sim_cfg["seed"] = seed_override
-    if "bench_weights" in sim_cfg and sim_cfg["bench_weights"] is not None:
-        sim_cfg["bench_weights"] = np.asarray(sim_cfg["bench_weights"], dtype=float)
+    if sim_cfg.get("bench_weights") is not None:
+        try:
+            sim_cfg["bench_weights"] = np.asarray(sim_cfg["bench_weights"], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("simulation.bench_weights must be a list of numbers") from None
     sim_cfg.update(kwargs)
     return sim_mod.SimConfig(**sim_cfg)
 
@@ -311,7 +323,8 @@ def cmd_simulate(config: dict, out: OutputWriter, args) -> int:
             overrides[key] = value
     if getattr(args, "antithetic", False):
         overrides["antithetic"] = True
-    cfg = _sim_config(config, args.seed, **overrides)
+    dump_paths = config.get("simulation", {}).get("dump_paths", False)
+    cfg = _sim_config(config, args.seed, store_paths=dump_paths, **overrides)
     vc = None
     if cfg.strategy == "optimal" or cfg.measure != "physical":
         vc = valuefn.solve_value_coefficients(validated, _solver_steps(config))
@@ -338,7 +351,7 @@ def cmd_simulate(config: dict, out: OutputWriter, args) -> int:
         summary["kl_from_log_density"] = kl.from_log_density
         summary["kl_from_tilt_norm"] = kl.from_tilt_norm
     out.write_json("sim_summary.json", summary)
-    if config.get("simulation", {}).get("dump_paths", False):
+    if dump_paths:
         sim_mod.save_paths_binary(bundle, out.outdir / "paths.bin")
         out.record("paths.bin")
     out.finish()
@@ -439,7 +452,7 @@ def cmd_experiment(config: dict, out: OutputWriter, args) -> int:
         bench_weights = np.asarray(config["estimation"]["bench_weights"], dtype=float)
     sim_kwargs = dict(
         measure="physical", antithetic=bool(config.get("simulation", {}).get("antithetic", False)),
-        store_paths=True, store_controls=False, track_densities=False,
+        store_paths=True, track_densities=False,
     )
     runs = [
         ("benchmark", dict(strategy="benchmark", bench_weights=bench_weights)),
@@ -643,7 +656,7 @@ def run_verification(config: dict, seed: int, inject_corruption: bool = False) -
 def cmd_verify(config: dict, out: OutputWriter, args) -> int:
     inject = bool(args.inject_corruption
                   or config.get("verify", {}).get("inject_corruption", False))
-    seed = args.seed if args.seed is not None else int(config.get("simulation", {}).get("seed", 0))
+    seed = _sim_config(config, args.seed).seed
     rows = run_verification(config, seed, inject_corruption=inject)
 
     width = max(len(r["invariant"]) for r in rows)

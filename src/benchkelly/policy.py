@@ -28,6 +28,7 @@ from .model import ValidatedModel
 from .valuefn import ValueCoefficients, value_function
 
 CROSS_CHECK_TOL = 1e-10
+ROUTES = ("direct", "twostep")
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,12 @@ class PolicyAction:
 
 def _drift_vec(block, x):
     return block.asset_drift + block.asset_factor_loading @ x
+
+
+def benchmark_tracking(model: ValidatedModel, t: float) -> np.ndarray:
+    """Benchmark-tracking portfolio (SS')^{-1} Sigma Xi at time t."""
+    gram = model.gram_blocks(t)
+    return gram.ss_solve(gram.s_xi)
 
 
 def optimal_h(
@@ -144,7 +151,7 @@ def fractional_kelly(
 
     ce_grad = value_function(vc, t, x).ce_gradient
     kelly = gram.ss_solve(_drift_vec(block, x))
-    bench_track = gram.ss_solve(gram.s_xi)
+    bench_track = benchmark_tracking(model, t)
     hedge = gram.ss_solve(gram.sl @ ce_grad)
     allocation = kf * kelly + (1.0 - kf) * bench_track - (1.0 - kf) * hedge
 
@@ -185,22 +192,25 @@ def fractional_kelly(
 
 
 # ---------------------------------------------------------------------------
-# Batch evaluators over a state matrix X of shape (paths, n); the simulator
-# uses these so there is a single source of policy arithmetic.
+# Batch evaluators over a state matrix X of shape (paths, n); simulate_paths
+# takes every allocation and tilt from here.  The value gradient enters as
+# ce_grad (valuefn.batch_ce_gradient), evaluated once per step by the caller.
+# Transposed factors are contiguous copies: matmul against a transposed view
+# of these small matrices takes a slower BLAS path.
 # ---------------------------------------------------------------------------
 
 def batch_kelly(model: ValidatedModel, t: float, X: np.ndarray) -> np.ndarray:
     block = model.coefficients(t)
     gram = model.gram_blocks(t)
-    rhs = block.asset_drift + X @ block.asset_factor_loading.T
+    rhs = block.asset_drift + X @ np.ascontiguousarray(block.asset_factor_loading.T)
     return gram.ss_solve(rhs.T).T
 
 
 def batch_allocation(
     model: ValidatedModel,
-    vc: ValueCoefficients,
     t: float,
     X: np.ndarray,
+    ce_grad: np.ndarray,
     route: str = "direct",
 ) -> np.ndarray:
     block = model.coefficients(t)
@@ -208,39 +218,36 @@ def batch_allocation(
     theta = model.theta
     if theta == 0.0:
         return batch_kelly(model, t, X)
-    quad, lin, _ = vc.at(t)
-    ce_grad = X @ quad.T + lin
+    sl_t = np.ascontiguousarray(gram.sl.T)
     if route == "direct":
-        correction = (-theta * ce_grad) @ gram.sl.T
+        correction = (-theta * ce_grad) @ sl_t
     elif route == "twostep":
-        correction = -theta * (ce_grad @ gram.sl.T)
+        correction = -theta * (ce_grad @ sl_t)
     else:
         raise ValueError(f"unknown route '{route}'")
-    rhs = block.asset_drift + X @ block.asset_factor_loading.T + theta * gram.s_xi + correction
+    afl_t = np.ascontiguousarray(block.asset_factor_loading.T)
+    rhs = block.asset_drift + X @ afl_t + theta * gram.s_xi + correction
     return gram.ss_solve(rhs.T).T / (theta + 1.0)
 
 
-def batch_gamma(
-    model: ValidatedModel,
-    vc: ValueCoefficients,
-    t: float,
-    X: np.ndarray,
-    H: np.ndarray,
-) -> np.ndarray:
-    """Adverse tilt along a batch, from the gradient and the applied allocation."""
+def batch_tracking(model: ValidatedModel, t: float, H: np.ndarray) -> np.ndarray:
+    """Tracking error Sigma' h - Xi of each allocation row of H."""
     block = model.coefficients(t)
-    theta = model.theta
-    quad, lin, _ = vc.at(t)
-    grad = -theta * (X @ quad.T + lin)
-    return grad @ block.factor_vol - theta * (H @ block.asset_vol - block.bench_vol)
+    return H @ block.asset_vol - block.bench_vol
 
 
-def batch_nu(
-    model: ValidatedModel,
-    vc: ValueCoefficients,
-    t: float,
-    X: np.ndarray,
-) -> np.ndarray:
-    block = model.coefficients(t)
-    quad, lin, _ = vc.at(t)
-    return -model.theta * ((X @ quad.T + lin) @ block.factor_vol)
+def batch_value_tilt(model: ValidatedModel, t: float, ce_grad: np.ndarray) -> np.ndarray:
+    """Lambda' Du along a batch: the value-gradient part of the adverse tilt,
+    which is also the tilt of the link density between the two measures."""
+    return (-model.theta * ce_grad) @ model.coefficients(t).factor_vol
+
+
+def batch_gamma(model: ValidatedModel, value_tilt: np.ndarray, track: np.ndarray) -> np.ndarray:
+    """Adverse tilt along a batch from its two parts, batch_value_tilt and
+    batch_tracking, which a caller has at hand once per step."""
+    return value_tilt - model.theta * track
+
+
+def batch_nu(model: ValidatedModel, t: float, ce_grad: np.ndarray) -> np.ndarray:
+    """Transformed-measure tilt along a batch: -theta Lambda' DCE."""
+    return -model.theta * (ce_grad @ model.coefficients(t).factor_vol)

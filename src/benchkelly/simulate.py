@@ -19,15 +19,16 @@ maps stream i to paths (2i, 2i+1) with mirrored increments.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from . import policy
 from .errors import ConfigError, MeasureMismatch, NonfiniteState
 from .model import ValidatedModel
-from .valuefn import ValueCoefficients
+from .valuefn import ValueCoefficients, batch_ce_gradient
 
 MEASURES = ("physical", "tilted_gamma", "tilted_h")
 STRATEGIES = ("optimal", "kelly", "benchmark", "custom")
@@ -55,8 +56,6 @@ class SimConfig:
     custom_policy: Callable | None = None  # (t, X[batch,n]) -> H[batch,m]
     custom_tilt: Callable | None = None    # (t, X, H) -> gamma[batch,d]
     store_paths: bool = True
-    # per-step controls are bulky; stored only when this is also set
-    store_controls: bool = True
     # density accumulation can be switched off for pure criterion estimation
     # under the physical measure; tilted measures always track densities
     track_densities: bool = True
@@ -87,9 +86,6 @@ class PathBundle:
     tilt_sq_integral: np.ndarray      # (paths,) 0.5 * sum |gamma|^2 dt
     states: np.ndarray | None = None        # (paths, steps+1, n)
     log_excess: np.ndarray | None = None    # (paths, steps+1), starts at 0
-    applied_h: np.ndarray | None = None     # (paths, steps, m)
-    applied_gamma: np.ndarray | None = None  # (paths, steps, d)
-    meta: dict = field(default_factory=dict)
 
 
 def _validate_config(model: ValidatedModel, vc, cfg: SimConfig) -> None:
@@ -107,6 +103,12 @@ def _validate_config(model: ValidatedModel, vc, cfg: SimConfig) -> None:
         raise ConfigError(f"unknown measure '{cfg.measure}'; choose from {MEASURES}")
     if cfg.strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy '{cfg.strategy}'; choose from {STRATEGIES}")
+    if cfg.route not in policy.ROUTES:
+        raise ConfigError(f"unknown route '{cfg.route}'; choose from {policy.ROUTES}")
+    if cfg.bench_weights is not None and np.shape(cfg.bench_weights) != (model.m,):
+        raise ConfigError(
+            f"bench_weights must have shape ({model.m},), got {np.shape(cfg.bench_weights)}"
+        )
     if cfg.antithetic and cfg.n_paths % 2 != 0:
         raise ConfigError("antithetic pairing needs an even n_paths")
     if cfg.strategy == "optimal" and vc is None:
@@ -136,38 +138,24 @@ def _block_noise(seed: int, first_path: int, count: int, steps: int, d: int,
     return out
 
 
-class _StepContext:
-    """Per-time-step coefficients shared across all path blocks."""
+class _SegmentContext:
+    """One coefficient segment's blocks, built once per segment.
 
-    __slots__ = (
-        "t", "block", "gram", "quad_t", "lin", "have_value", "h_const",
-        "afl_t", "fmr_t", "sl_t", "lam", "lam_t",
-    )
+    Lambda' and B' are kept as contiguous copies: the strided noise slice
+    times a transposed view would leave BLAS.
+    """
 
-    def __init__(self, model: ValidatedModel, vc, cfg: SimConfig, t: float):
-        self.t = t
+    __slots__ = ("block", "gram", "lam_t", "fmr_t", "h_bench")
+
+    def __init__(self, model: ValidatedModel, cfg: SimConfig, t: float):
         self.block = model.coefficients(t)
         self.gram = model.gram_blocks(t)
-        # contiguous transposed copies for the batch matmuls
-        self.afl_t = np.ascontiguousarray(self.block.asset_factor_loading.T)
+        self.lam_t = np.ascontiguousarray(self.block.factor_vol.T)
         self.fmr_t = np.ascontiguousarray(self.block.factor_mean_reversion.T)
-        self.sl_t = np.ascontiguousarray(self.gram.sl.T)
-        self.lam = self.block.factor_vol
-        self.lam_t = np.ascontiguousarray(self.lam.T)
-        self.have_value = vc is not None
-        if self.have_value:
-            quad, lin, _ = vc.at(t)
-            self.quad_t = np.ascontiguousarray(quad.T)
-            self.lin = lin
-        else:
-            self.quad_t = None
-            self.lin = None
-        self.h_const = None
+        self.h_bench = None
         if cfg.strategy == "benchmark":
-            if cfg.bench_weights is not None:
-                self.h_const = np.asarray(cfg.bench_weights, dtype=float)
-            else:
-                self.h_const = self.gram.ss_solve(self.gram.s_xi)
+            self.h_bench = (policy.benchmark_tracking(model, t) if cfg.bench_weights is None
+                            else np.asarray(cfg.bench_weights, dtype=float))
 
 
 # overflow inside a diverging path is expected right before NonfiniteState fires
@@ -179,8 +167,8 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
     The log excess return starts at 0 (wealth normalized to the benchmark at
     the start).  All density log-increments are accumulated from the same
     increments that drive the state, expressed under the sampling measure.
-    The policy/tilt arithmetic matches the batch evaluators in policy.py
-    (pinned by tests).
+    Every allocation and tilt comes from the batch evaluators in policy.py,
+    fed one certainty-equivalent gradient per step.
     """
     _validate_config(model, vc, cfg)
     n, m, d = model.n, model.m, model.d
@@ -189,8 +177,8 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
     sq_dt = np.sqrt(dt)
     n_paths, steps = cfg.n_paths, cfg.steps
     track_densities = cfg.track_densities or cfg.measure != "physical"
-
-    ctxs = [_StepContext(model, vc, cfg, j * dt) for j in range(steps)]
+    need_grad = vc is not None and (cfg.strategy == "optimal" or track_densities)
+    segments: dict[int, _SegmentContext] = {}
 
     terminal_state = np.empty((n_paths, n))
     terminal_r = np.empty(n_paths)
@@ -199,13 +187,10 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
     log_link = np.zeros(n_paths)
     log_link_alt = np.zeros(n_paths)
     tilt_sq = np.zeros(n_paths)
-    states = log_excess = applied_h = applied_gamma = None
+    states = log_excess = None
     if cfg.store_paths:
         states = np.empty((n_paths, steps + 1, n))
         log_excess = np.empty((n_paths, steps + 1))
-        if cfg.store_controls:
-            applied_h = np.empty((n_paths, steps, m))
-            applied_gamma = np.empty((n_paths, steps, d))
 
     block_paths = int(max(MIN_BLOCK_PATHS, NOISE_BUFFER_BYTES // (steps * d * 8)))
     if cfg.antithetic and block_paths % 2 != 0:
@@ -229,36 +214,25 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
             log_excess[sl, 0] = 0.0
 
         for j in range(steps):
-            ctx = ctxs[j]
-            block = ctx.block
-            gram = ctx.gram
+            t = j * dt
+            seg = model.segment_index(t)
+            if seg not in segments:
+                segments[seg] = _SegmentContext(model, cfg, t)
+            ctx = segments[seg]
+            block, gram, lam_t, fmr_t = ctx.block, ctx.gram, ctx.lam_t, ctx.fmr_t
             dw = dW[:, j, :]
-            lam = ctx.lam
+            ce_grad = batch_ce_gradient(vc, t, X) if need_grad else None
 
-            # value-gradient pieces shared by policy, tilt and densities
-            need_grad = ctx.have_value and (cfg.strategy == "optimal" or track_densities)
-            if need_grad:
-                ce_grad = X @ ctx.quad_t + ctx.lin
-                grad_lam = (-theta * ce_grad) @ lam   # Lambda' Du per path
-            else:
-                ce_grad = grad_lam = None
-
-            if ctx.h_const is not None:
-                H = np.broadcast_to(ctx.h_const, (count, m))
+            if cfg.strategy == "benchmark":
+                H = np.broadcast_to(ctx.h_bench, (count, m))
             elif cfg.strategy == "custom":
-                H = cfg.custom_policy(ctx.t, X)
-            elif cfg.strategy == "kelly" or theta == 0.0:
-                rhs = block.asset_drift + X @ ctx.afl_t
-                H = gram.ss_solve(rhs.T).T
+                H = cfg.custom_policy(t, X)
+            elif cfg.strategy == "kelly":
+                H = policy.batch_kelly(model, t, X)
             else:  # optimal
-                if cfg.route == "direct":
-                    correction = (-theta * ce_grad) @ ctx.sl_t
-                else:
-                    correction = -theta * (ce_grad @ ctx.sl_t)
-                rhs = block.asset_drift + X @ ctx.afl_t + theta * gram.s_xi + correction
-                H = gram.ss_solve(rhs.T).T / (theta + 1.0)
+                H = policy.batch_allocation(model, t, X, ce_grad, cfg.route)
 
-            track = H @ block.asset_vol - block.bench_vol  # Sigma' h - Xi per path
+            track = policy.batch_tracking(model, t, H)
             track_dw = (track * dw).sum(axis=1)
             ell = (
                 -0.5 * ((H @ gram.ss) * H).sum(axis=1)
@@ -269,10 +243,11 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
             )
 
             if track_densities:
+                value_tilt = None if ce_grad is None else policy.batch_value_tilt(model, t, ce_grad)
                 if cfg.custom_tilt is not None:
-                    G = cfg.custom_tilt(ctx.t, X, H)
-                elif grad_lam is not None and theta > 0.0:
-                    G = grad_lam - theta * track
+                    G = cfg.custom_tilt(t, X, H)
+                elif value_tilt is not None and theta > 0.0:
+                    G = policy.batch_gamma(model, value_tilt, track)
                 else:
                     G = np.zeros((count, d))
                 g_dw = (G * dw).sum(axis=1)
@@ -280,14 +255,14 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
                 track_sq = (track * track).sum(axis=1)
 
             if cfg.measure == "physical":
-                drift_x = block.factor_drift + X @ ctx.fmr_t
+                drift_x = block.factor_drift + X @ fmr_t
                 drift_r = ell
                 if track_densities:
                     d_log_tilt = g_dw - 0.5 * dt * g_sq
                     d_log_alloc = -theta * track_dw - 0.5 * theta**2 * dt * track_sq
                     dwh = dw + (theta * dt) * track
             elif cfg.measure == "tilted_gamma":
-                drift_x = block.factor_drift + X @ ctx.fmr_t + G @ ctx.lam_t
+                drift_x = block.factor_drift + X @ fmr_t + G @ lam_t
                 drift_r = ell + (track * G).sum(axis=1)
                 d_log_tilt = g_dw + 0.5 * dt * g_sq
                 d_log_alloc = (
@@ -297,22 +272,23 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
                 )
                 dwh = dw + dt * (G + theta * track)
             else:  # tilted_h
-                drift_x = block.factor_drift + X @ ctx.fmr_t - theta * (track @ ctx.lam_t)
+                drift_x = block.factor_drift + X @ fmr_t - theta * (track @ lam_t)
                 drift_r = ell - theta * track_sq
                 d_log_tilt = g_dw - theta * dt * (G * track).sum(axis=1) - 0.5 * dt * g_sq
                 d_log_alloc = -theta * track_dw + 0.5 * theta**2 * dt * track_sq
                 dwh = dw
 
             if track_densities:
-                if ctx.have_value:
-                    link_alt = -theta * (ce_grad @ lam)   # via the transformed-measure tilt
-                    b_link += (grad_lam * dwh).sum(axis=1) - 0.5 * dt * (grad_lam * grad_lam).sum(axis=1)
-                    b_link_alt += (link_alt * dwh).sum(axis=1) - 0.5 * dt * (link_alt * link_alt).sum(axis=1)
+                if ce_grad is not None:
+                    # the link density by both routes' tilts
+                    nu = policy.batch_nu(model, t, ce_grad)
+                    b_link += (value_tilt * dwh).sum(axis=1) - 0.5 * dt * (value_tilt * value_tilt).sum(axis=1)
+                    b_link_alt += (nu * dwh).sum(axis=1) - 0.5 * dt * (nu * nu).sum(axis=1)
                 b_tilt += d_log_tilt
                 b_alloc += d_log_alloc
                 b_tilt_sq += 0.5 * dt * g_sq
 
-            X = X + drift_x * dt + dw @ ctx.lam_t
+            X = X + drift_x * dt + dw @ lam_t
             R = R + drift_r * dt + track_dw
 
             if not (np.isfinite(X).all() and np.isfinite(R).all()):
@@ -323,9 +299,6 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
             if cfg.store_paths:
                 states[sl, j + 1] = X
                 log_excess[sl, j + 1] = R
-                if cfg.store_controls:
-                    applied_h[sl, j] = H
-                    applied_gamma[sl, j] = G if track_densities else 0.0
 
         terminal_state[sl] = X
         terminal_r[sl] = R
@@ -349,9 +322,6 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
         tilt_sq_integral=tilt_sq,
         states=states,
         log_excess=log_excess,
-        applied_h=applied_h,
-        applied_gamma=applied_gamma,
-        meta={"seed": cfg.seed, "theta": theta},
     )
 
 

@@ -232,6 +232,13 @@ def value_function(vc: ValueCoefficients, t: float, x: np.ndarray) -> ValueEval:
     )
 
 
+def batch_ce_gradient(vc: ValueCoefficients, t: float, X: np.ndarray) -> np.ndarray:
+    """Certainty-equivalent gradient at time t for each row of X (paths, n)."""
+    quad, lin, _ = vc.at(t)
+    # a contiguous copy: matmul against the transposed view is slower
+    return X @ np.ascontiguousarray(quad.T) + lin
+
+
 def riccati_residual(
     vc: ValueCoefficients, model: ValidatedModel, t: float,
     relative: bool = False,

@@ -262,3 +262,60 @@ def test_seed_override_changes_results(workdir):
     t1 = (out1 / "terminals.csv").read_text()
     t2 = (out2 / "terminals.csv").read_text()
     assert t1 != t2
+
+
+@pytest.mark.parametrize("simulation", [
+    {"strategy": "custom", "custom_policy": "x"},    # library-only SimConfig field
+    {"store_paths": False},
+    {"n_paths": "ten"},
+    {"steps": 12.5},
+    {"dt": "daily"},
+    {"seed": True},
+    {"antithetic": "no"},
+    {"dump_paths": 1},
+    {"route": "bogus"},
+    {"strategy": "benchmark", "bench_weights": [0.5, 0.5]},  # one asset
+    {"strategy": "benchmark", "bench_weights": "equal"},
+])
+def test_simulate_rejects_bad_simulation_config(workdir, capsys, simulation):
+    config = json.loads((workdir / "config.json").read_text())
+    config["simulation"].update(simulation)
+    (workdir / "bad.json").write_text(json.dumps(config))
+    code = run(workdir, "simulate", "--config", str(workdir / "bad.json"),
+               "--out", str(workdir / "o"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ERROR CONFIG:")
+    assert "Traceback" not in err
+
+
+def test_verify_rejects_bad_simulation_seed(workdir, capsys):
+    config = json.loads((workdir / "config.json").read_text())
+    config["simulation"]["seed"] = "forty-two"
+    (workdir / "bad.json").write_text(json.dumps(config))
+    code = run(workdir, "verify", "--config", str(workdir / "bad.json"),
+               "--out", str(workdir / "o"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ERROR CONFIG:")
+
+
+def test_simulate_stores_paths_only_for_dump(workdir, monkeypatch):
+    import benchkelly.simulate as sim_mod
+
+    stored = []
+    real = sim_mod.simulate_paths
+
+    def spy(model, vc, cfg):
+        stored.append(cfg.store_paths)
+        return real(model, vc, cfg)
+
+    monkeypatch.setattr(sim_mod, "simulate_paths", spy)
+    config = json.loads((workdir / "config.json").read_text())
+    config["simulation"]["dump_paths"] = False
+    (workdir / "nodump.json").write_text(json.dumps(config))
+    out = workdir / "nodump"
+    assert run(workdir, "simulate", "--config", str(workdir / "nodump.json"),
+               "--out", str(out)) == 0
+    assert stored == [False]
+    assert not (out / "paths.bin").exists()

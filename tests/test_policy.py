@@ -9,12 +9,14 @@ from benchkelly.policy import (
     batch_gamma,
     batch_kelly,
     batch_nu,
+    batch_tracking,
+    batch_value_tilt,
     fractional_kelly,
     optimal_gamma,
     optimal_h,
     optimal_nu,
 )
-from benchkelly.valuefn import solve_value_coefficients, value_function
+from benchkelly.valuefn import batch_ce_gradient, solve_value_coefficients, value_function
 
 from conftest import make_random_spec, make_scalar_spec
 
@@ -216,14 +218,18 @@ def test_batch_evaluators_match_pointwise(solved_random):
     for vm, vc, rng in solved_random:
         t = float(rng.uniform(0, vm.horizon))
         X = rng.standard_normal((7, vm.n))
-        H = batch_allocation(vm, vc, t, X)
-        H2 = batch_allocation(vm, vc, t, X, route="twostep")
-        G = batch_gamma(vm, vc, t, X, H)
-        NU = batch_nu(vm, vc, t, X)
+        ce_grad = batch_ce_gradient(vc, t, X)
+        H = batch_allocation(vm, t, X, ce_grad)
+        H2 = batch_allocation(vm, t, X, ce_grad, route="twostep")
+        VT = batch_value_tilt(vm, t, ce_grad)
+        G = batch_gamma(vm, VT, batch_tracking(vm, t, H))
+        NU = batch_nu(vm, t, ce_grad)
         K = batch_kelly(vm, t, X)
         for i, x in enumerate(X):
             assert np.abs(H[i] - optimal_h(vm, vc, t, x)).max() < 1e-13 * (1 + np.abs(H[i]).max())
             assert np.abs(H2[i] - optimal_h(vm, vc, t, x, "twostep")).max() < 1e-13 * (1 + np.abs(H[i]).max())
             assert np.abs(G[i] - optimal_gamma(vm, vc, t, x)).max() < 1e-12 * (1 + np.abs(G[i]).max())
             assert np.abs(NU[i] - optimal_nu(vm, vc, t, x)).max() < 1e-13 * (1 + np.abs(NU[i]).max())
+            lam_grad = vm.coefficients(t).factor_vol.T @ value_function(vc, t, x).gradient
+            assert np.abs(VT[i] - lam_grad).max() < 1e-13 * (1 + np.abs(VT[i]).max())
             assert np.abs(K[i] - fractional_kelly(vm, vc, t, x).kelly).max() < 1e-13 * (1 + np.abs(K[i]).max())

@@ -4,7 +4,13 @@ import pytest
 import benchkelly.simulate as sim_mod
 from benchkelly.errors import ConfigError, MeasureMismatch, NonfiniteState
 from benchkelly.model import ModelSpec, validate_model
-from benchkelly.policy import batch_kelly
+from benchkelly.policy import (
+    batch_allocation,
+    batch_gamma,
+    batch_kelly,
+    batch_tracking,
+    batch_value_tilt,
+)
 from benchkelly.simulate import (
     SimConfig,
     kl_estimate,
@@ -15,7 +21,7 @@ from benchkelly.simulate import (
     save_terminals_csv,
     simulate_paths,
 )
-from benchkelly.valuefn import solve_value_coefficients
+from benchkelly.valuefn import batch_ce_gradient, solve_value_coefficients, value_function
 
 from conftest import make_scalar_spec
 
@@ -252,6 +258,9 @@ def test_nonfinite_state_detected(scalar_model, scalar_vc):
     dict(strategy="oracle"),
     dict(antithetic=True, n_paths=7),
     dict(strategy="custom"),                  # no custom_policy
+    dict(route="bogus"),
+    dict(strategy="benchmark", bench_weights=np.array([0.5, 0.5])),  # m == 1
+    dict(strategy="benchmark", bench_weights=np.array([[1.0]])),
 ])
 def test_config_validation(scalar_model, scalar_vc, bad):
     base = dict(n_paths=10, steps=10, dt=1 / 252, seed=0, strategy="optimal")
@@ -298,21 +307,33 @@ def test_terminal_csv_round_trip(tmp_path, scalar_model, scalar_vc):
     assert np.array_equal(values, bundle.terminal_log_excess)
 
 
-def test_applied_controls_match_policy_module(scalar_model, scalar_vc):
-    # the simulator's inlined policy arithmetic must track the policy module
-    from benchkelly.policy import batch_allocation, batch_gamma
+@pytest.mark.parametrize("measure", ["physical", "tilted_gamma", "tilted_h"])
+def test_optimal_strategy_is_the_policy_module(twofactor_model, twofactor_vc, measure):
+    # the optimal strategy and adverse tilt are the batch evaluators, bit for bit
+    vm, vc = twofactor_model, twofactor_vc
 
-    cfg = SimConfig(n_paths=16, steps=12, dt=1 / 252, seed=6, strategy="optimal",
-                    store_paths=True)
-    bundle = simulate_paths(scalar_model, scalar_vc, cfg)
-    for j in range(cfg.steps):
-        t = j * cfg.dt
-        X = bundle.states[:, j]
-        H = batch_allocation(scalar_model, scalar_vc, t, X)
-        scale = 1.0 + np.abs(H).max()
-        assert np.abs(bundle.applied_h[:, j] - H).max() < 1e-14 * scale
-        G = batch_gamma(scalar_model, scalar_vc, t, X, H)
-        assert np.abs(bundle.applied_gamma[:, j] - G).max() < 1e-14 * (1.0 + np.abs(G).max())
+    def policy(t, X):
+        return batch_allocation(vm, t, X, batch_ce_gradient(vc, t, X))
+
+    def tilt(t, X, H):
+        value_tilt = batch_value_tilt(vm, t, batch_ce_gradient(vc, t, X))
+        return batch_gamma(vm, value_tilt, batch_tracking(vm, t, H))
+
+    base = dict(n_paths=64, steps=40, dt=1 / 252, seed=6, measure=measure, store_paths=True)
+    optimal = simulate_paths(vm, vc, SimConfig(strategy="optimal", **base))
+    custom = simulate_paths(vm, vc, SimConfig(strategy="custom", custom_policy=policy,
+                                              custom_tilt=tilt, **base))
+    for name in ("states", "log_excess", "log_density_tilt", "log_density_alloc",
+                 "log_density_link", "log_density_link_alt", "tilt_sq_integral"):
+        assert getattr(optimal, name).tobytes() == getattr(custom, name).tobytes(), name
+
+
+def _applied_controls(model, vc, t, X):
+    """The optimal allocation and adverse tilt the simulator applied at states X."""
+    ce_grad = batch_ce_gradient(vc, t, X)
+    H = batch_allocation(model, t, X, ce_grad)
+    G = batch_gamma(model, batch_value_tilt(model, t, ce_grad), batch_tracking(model, t, H))
+    return H, G
 
 
 def _batch_running_payoff(model, t, X, H, G):
@@ -344,12 +365,9 @@ def test_game_value_matches_tilted_expectation(twofactor_model, twofactor_vc):
     )
     total = np.zeros(bundle.config.n_paths)
     for j in range(steps):
-        total += theta * dt * _batch_running_payoff(
-            vm, j * dt, bundle.states[:, j], bundle.applied_h[:, j],
-            bundle.applied_gamma[:, j],
-        )
-    from benchkelly.valuefn import value_function
-
+        X = bundle.states[:, j]
+        H, G = _applied_controls(vm, vc, j * dt, X)
+        total += theta * dt * _batch_running_payoff(vm, j * dt, X, H, G)
     u0 = value_function(vc, 0.0, vm.x0).log_criterion
     se = total.std(ddof=1) / np.sqrt(len(total))
     assert abs(total.mean() - u0) < 3.0 * se + 5e-4  # MC band plus Euler bias allowance
@@ -359,7 +377,6 @@ def test_transformed_measure_criterion_matches_value(twofactor_model, twofactor_
     # under the allocation-induced measure, ln E[exp(theta * accumulated
     # transformed payoff)] at the candidate allocation equals the value
     from benchkelly.game import running_payoff_g1
-    from benchkelly.valuefn import value_function
 
     vm, vc = twofactor_model, twofactor_vc
     theta = vm.theta
@@ -374,8 +391,8 @@ def test_transformed_measure_criterion_matches_value(twofactor_model, twofactor_
         t = j * dt
         block = vm.coefficients(t)
         gram = vm.gram_blocks(t)
-        H = bundle.applied_h[:, j]
         X = bundle.states[:, j]
+        H, _ = _applied_controls(vm, vc, t, X)
         g1 = (
             0.5 * (theta + 1.0) * ((H @ gram.ss) * H).sum(axis=1)
             - (H * (block.asset_drift + X @ block.asset_factor_loading.T)).sum(axis=1)
