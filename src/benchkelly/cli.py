@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -97,6 +98,79 @@ class OutputWriter:
 # Config handling
 # ---------------------------------------------------------------------------
 
+def _number(value) -> bool:
+    # bool is an int subclass: a switch is not a number
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and math.isfinite(value))
+
+
+def _same(value):
+    return value
+
+
+def _one_of(choices: tuple) -> tuple:
+    return f"one of {list(choices)}", lambda v: isinstance(v, str) and v in choices, _same
+
+
+# value kinds: (what the value must be, its check, the reader's conversion)
+_COUNT = ("an integer >= 1", lambda v: _number(v) and isinstance(v, int) and v >= 1, int)
+_INTEGER = ("an integer", lambda v: _number(v) and isinstance(v, int), int)
+_NUMBER = ("a finite number", _number, float)
+_POSITIVE = ("a positive number", lambda v: _number(v) and v > 0, float)
+_FRACTION = ("a number in (0, 1)", lambda v: _number(v) and 0 < v < 1, float)
+_SWITCH = ("true or false", lambda v: isinstance(v, bool), _same)
+_TEXT = ("a string", lambda v: isinstance(v, str), _same)
+_VECTOR = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_number, v)),
+           lambda v: np.asarray(v, dtype=float))
+
+CLI_STRATEGIES = ("optimal", "kelly", "benchmark")
+
+# every key a config block may carry: key -> (kind, default when absent);
+# a None default leaves the choice to the reader (the simulation keys
+# default to SimConfig's fields)
+_CONFIG = {
+    "solver": {"steps_per_year": (_COUNT, 1008), "residual_tol": (_POSITIVE, 1e-3)},
+    "simulation": {
+        "n_paths": (_COUNT, None), "steps": (_COUNT, None), "dt": (_POSITIVE, None),
+        "seed": (_INTEGER, None), "measure": (_one_of(sim_mod.MEASURES), None),
+        "strategy": (_one_of(CLI_STRATEGIES), None),
+        "route": (_one_of(policy_mod.ROUTES), None), "antithetic": (_SWITCH, None),
+        "bench_weights": (_VECTOR, None), "dump_paths": (_SWITCH, False),
+    },
+    "metrics": {"level": (_FRACTION, 0.95),
+                "downside_denominator": (_one_of(("below", "full")), "below")},
+    "verify": {"probes": (_COUNT, 2000), "sim_paths": (_COUNT, 4000),
+               "lattice_times": (_COUNT, 3), "lattice_states": (_COUNT, 3),
+               "inject_corruption": (_SWITCH, False)},
+    "policy": {"t": (_NUMBER, 0.0), "x": (_VECTOR, None)},
+    "estimation": {"panel": (_TEXT, None), "bench_weights": (_VECTOR, None),
+                   "date_column": (_TEXT, "date"), "asset_prefix": (_TEXT, "asset:"),
+                   "factor_prefix": (_TEXT, "factor:"), "dt": (_POSITIVE, estimate.DEFAULT_DT)},
+}
+
+
+def _check_config(config: dict) -> None:
+    """Reject unknown keys and ill-typed values in every block of _CONFIG."""
+    for block, table in _CONFIG.items():
+        values = config.get(block, {})
+        if not isinstance(values, dict):
+            raise ConfigError(f"config '{block}' must be an object")
+        unknown = sorted(set(values) - set(table))
+        if unknown:
+            raise ConfigError(f"unknown {block} config keys: {unknown}")
+        for key, value in values.items():
+            (expected, check, _), _ = table[key]
+            if not check(value):
+                raise ConfigError(f"{block}.{key} must be {expected}, got {value!r}")
+
+
+def _setting(config: dict, block: str, key: str):
+    """A block's checked value, converted, or the table's default when absent."""
+    (_, _, convert), default = _CONFIG[block][key]
+    values = config.get(block, {})
+    return convert(values[key]) if key in values else default
+
+
 def load_run_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
@@ -110,6 +184,7 @@ def load_run_config(path: str | Path) -> dict:
     has_est = "estimation" in config
     if has_model == has_est:
         raise ConfigError("config must supply exactly one of 'model' or 'estimation'")
+    _check_config(config)
     return config
 
 
@@ -147,13 +222,9 @@ def build_model(config: dict) -> tuple[model_mod.ModelSpec, estimate.EstimationR
             raise ConfigError(f"estimation config missing '{key}'")
     if "theta" not in config or "horizon_years" not in config:
         raise ConfigError("estimation mode needs top-level 'theta' and 'horizon_years'")
-    schema = estimate.PanelSchema(
-        bench_weights=np.asarray(est_cfg["bench_weights"], dtype=float),
-        date_column=est_cfg.get("date_column", "date"),
-        asset_prefix=est_cfg.get("asset_prefix", "asset:"),
-        factor_prefix=est_cfg.get("factor_prefix", "factor:"),
-        dt=float(est_cfg.get("dt", estimate.DEFAULT_DT)),
-    )
+    schema = estimate.PanelSchema(**{
+        key: _setting(config, "estimation", key)
+        for key in ("bench_weights", "date_column", "asset_prefix", "factor_prefix", "dt")})
     panel_path = _resolve(config, est_cfg["panel"])
     if not panel_path.exists():
         raise ConfigError(f"panel file not found: {panel_path}")
@@ -166,36 +237,14 @@ def build_model(config: dict) -> tuple[model_mod.ModelSpec, estimate.EstimationR
     return report.model_spec, report
 
 
-def _solver_steps(config: dict) -> int:
-    return int(config.get("solver", {}).get("steps_per_year", 1008))
-
-
-# the keys a config's "simulation" block may carry, with the type of each
-# scalar one; the other SimConfig fields are library-only
-_SIM_TYPES = {"n_paths": int, "steps": int, "seed": int, "dt": (int, float),
-              "antithetic": bool, "dump_paths": bool}
-_SIM_KEYS = {*_SIM_TYPES, "measure", "strategy", "route", "bench_weights"}
-
-
 def _sim_config(config: dict, seed_override: int | None, **kwargs) -> sim_mod.SimConfig:
+    """SimConfig from the checked simulation block; kwargs override it."""
     sim_cfg = dict(config.get("simulation", {}))
-    unknown = sorted(set(sim_cfg) - _SIM_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown simulation config keys: {unknown}")
-    for key, kind in _SIM_TYPES.items():
-        value = sim_cfg.get(key)
-        # bool is an int subclass: booleans are neither counts nor seeds
-        if key in sim_cfg and (isinstance(value, bool) != (kind is bool)
-                               or not isinstance(value, kind)):
-            raise ConfigError(f"simulation.{key} has an invalid value {value!r}")
     sim_cfg.pop("dump_paths", None)
     if seed_override is not None:
         sim_cfg["seed"] = seed_override
-    if sim_cfg.get("bench_weights") is not None:
-        try:
-            sim_cfg["bench_weights"] = np.asarray(sim_cfg["bench_weights"], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("simulation.bench_weights must be a list of numbers") from None
+    if "bench_weights" in sim_cfg:
+        sim_cfg["bench_weights"] = _setting(config, "simulation", "bench_weights")
     sim_cfg.update(kwargs)
     return sim_mod.SimConfig(**sim_cfg)
 
@@ -235,7 +284,7 @@ def cmd_estimate(config: dict, out: OutputWriter, args) -> int:
 def _solve_from_config(config: dict):
     spec, _ = build_model(config)
     validated = model_mod.validate_model(spec)
-    vc = valuefn.solve_value_coefficients(validated, _solver_steps(config))
+    vc = valuefn.solve_value_coefficients(validated, _setting(config, "solver", "steps_per_year"))
     return validated, vc
 
 
@@ -258,7 +307,7 @@ def cmd_solve(config: dict, out: OutputWriter, args) -> int:
     out.finish()
     # gate on the derivative-scaled residual: the raw defect carries the
     # centered-difference truncation, which grows with the solution magnitude
-    residual_tol = float(config.get("solver", {}).get("residual_tol", 1e-3))
+    residual_tol = _setting(config, "solver", "residual_tol")
     worst_rel = max(summary["residual_quad_rel"], summary["residual_lin_rel"])
     print(f"solved: residuals quad={summary['residual_quad']:.3e} "
           f"lin={summary['residual_lin']:.3e} (relative {worst_rel:.3e}), "
@@ -275,9 +324,12 @@ def cmd_solve(config: dict, out: OutputWriter, args) -> int:
 
 def cmd_policy(config: dict, out: OutputWriter, args) -> int:
     validated, vc = _solve_from_config(config)
-    pol_cfg = config.get("policy", {})
-    t = float(pol_cfg.get("t", 0.0))
-    x = np.asarray(pol_cfg.get("x", validated.x0), dtype=float)
+    t = _setting(config, "policy", "t")
+    x = _setting(config, "policy", "x")
+    if x is None:
+        x = np.asarray(validated.x0, dtype=float)
+    elif x.shape != (validated.n,):
+        raise ConfigError(f"policy.x must have {validated.n} entries, got {len(x)}")
     action = policy_mod.fractional_kelly(validated, vc, t, x)
 
     rows = [
@@ -323,11 +375,12 @@ def cmd_simulate(config: dict, out: OutputWriter, args) -> int:
             overrides[key] = value
     if getattr(args, "antithetic", False):
         overrides["antithetic"] = True
-    dump_paths = config.get("simulation", {}).get("dump_paths", False)
+    dump_paths = _setting(config, "simulation", "dump_paths")
     cfg = _sim_config(config, args.seed, store_paths=dump_paths, **overrides)
     vc = None
     if cfg.strategy == "optimal" or cfg.measure != "physical":
-        vc = valuefn.solve_value_coefficients(validated, _solver_steps(config))
+        vc = valuefn.solve_value_coefficients(
+            validated, _setting(config, "solver", "steps_per_year"))
     bundle = sim_mod.simulate_paths(validated, vc, cfg)
 
     sim_mod.save_terminals_csv(bundle, out.outdir / "terminals.csv")
@@ -359,15 +412,12 @@ def cmd_simulate(config: dict, out: OutputWriter, args) -> int:
     return EXIT_OK
 
 
-def _daily_report(bundle: sim_mod.PathBundle, metrics_cfg: dict,
-                  min_samples: int = analytics.MIN_SAMPLES) -> analytics.PerfReport:
-    daily = np.diff(bundle.log_excess, axis=1).reshape(-1)
+def _performance_report(config: dict, returns: np.ndarray,
+                        min_samples: int = analytics.MIN_SAMPLES) -> analytics.PerfReport:
+    """The metric set of a return stream under the config's metrics block."""
     return analytics.performance_report(
-        daily,
-        level=float(metrics_cfg.get("level", 0.95)),
-        downside_denominator=metrics_cfg.get("downside_denominator", "below"),
-        min_samples=min_samples,
-    )
+        returns, min_samples=min_samples,
+        **{key: _setting(config, "metrics", key) for key in _CONFIG["metrics"]})
 
 
 def _format_report_table(labeled: list[tuple[str, analytics.PerfReport]]) -> str:
@@ -419,18 +469,12 @@ def cmd_report(config: dict, out: OutputWriter, args) -> int:
         raise ConfigError(
             "report needs inputs: config report.inputs or label=<paths.bin|terminals.csv> args"
         )
-    metrics_cfg = config.get("metrics", {})
     labeled = []
     for item in inputs:
         path = _resolve(config, item["paths"])
         if not path.exists():
             raise ConfigError(f"report input not found: {path}")
-        rep = analytics.performance_report(
-            _returns_from_artifact(path),
-            level=float(metrics_cfg.get("level", 0.95)),
-            downside_denominator=metrics_cfg.get("downside_denominator", "below"),
-        )
-        labeled.append((item["label"], rep))
+        labeled.append((item["label"], _performance_report(config, _returns_from_artifact(path))))
     text = _format_report_table(labeled)
     print(text)
     out.write_text("report.txt", text + "\n")
@@ -444,18 +488,15 @@ def cmd_experiment(config: dict, out: OutputWriter, args) -> int:
     table; the two optimal-policy routes must produce identical metrics."""
     spec, est_report = build_model(config)
     validated = model_mod.validate_model(spec)
-    vc = valuefn.solve_value_coefficients(validated, _solver_steps(config))
-    metrics_cfg = config.get("metrics", {})
+    vc = valuefn.solve_value_coefficients(validated, _setting(config, "solver", "steps_per_year"))
 
-    bench_weights = None
-    if est_report is not None:
-        bench_weights = np.asarray(config["estimation"]["bench_weights"], dtype=float)
-    sim_kwargs = dict(
-        measure="physical", antithetic=bool(config.get("simulation", {}).get("antithetic", False)),
-        store_paths=True, track_densities=False,
-    )
+    # the simulation block's benchmark weights, else the estimation's
+    benchmark = dict(strategy="benchmark")
+    if est_report is not None and _setting(config, "simulation", "bench_weights") is None:
+        benchmark["bench_weights"] = _setting(config, "estimation", "bench_weights")
+    sim_kwargs = dict(measure="physical", store_paths=True, track_densities=False)
     runs = [
-        ("benchmark", dict(strategy="benchmark", bench_weights=bench_weights)),
+        ("benchmark", benchmark),
         ("portfolio-twostep", dict(strategy="optimal", route="twostep")),
         ("portfolio-direct", dict(strategy="optimal", route="direct")),
         ("kelly", dict(strategy="kelly")),
@@ -466,12 +507,14 @@ def cmd_experiment(config: dict, out: OutputWriter, args) -> int:
     for label, overrides in runs:
         cfg = _sim_config(config, args.seed, **sim_kwargs, **overrides)
         bundle = sim_mod.simulate_paths(validated, vc, cfg)
-        if bundle.log_excess.shape[0] * bundle.steps < analytics.MIN_SAMPLES:
+        if cfg.n_paths * cfg.steps < analytics.MIN_SAMPLES:
             warnings.append(
-                f"{label}: only {bundle.log_excess.shape[0] * bundle.steps} observations; "
+                f"{label}: only {cfg.n_paths * cfg.steps} observations; "
                 "statistics are degenerate"
             )
-        labeled.append((label, _daily_report(bundle, metrics_cfg, min_samples=2)))
+        # the return stream is passed inline so it is freed before the next run
+        labeled.append((label, _performance_report(
+            config, np.diff(bundle.log_excess, axis=1).reshape(-1), min_samples=2)))
         mc = sim_mod.mc_criterion(bundle, validated.theta)
         criteria[label] = {"estimate": mc.estimate, "std_error": mc.std_error,
                            "certainty_equivalent": mc.certainty_equivalent}
@@ -505,9 +548,8 @@ def cmd_experiment(config: dict, out: OutputWriter, args) -> int:
 # ---------------------------------------------------------------------------
 
 def _lattice(validated, vc, config, seed):
-    ver_cfg = config.get("verify", {})
-    n_times = int(ver_cfg.get("lattice_times", 3))
-    n_states = int(ver_cfg.get("lattice_states", 3))
+    n_times = _setting(config, "verify", "lattice_times")
+    n_states = _setting(config, "verify", "lattice_states")
     T = validated.horizon
     times = np.linspace(0.05 * T, 0.95 * T, n_times)
     rng = np.random.default_rng(derive_seed(seed, "verify-lattice"))
@@ -519,7 +561,7 @@ def run_verification(config: dict, seed: int, inject_corruption: bool = False) -
     """Run every checkable identity; returns one row per invariant."""
     spec, _ = build_model(config)
     validated = model_mod.validate_model(spec)
-    vc = valuefn.solve_value_coefficients(validated, _solver_steps(config))
+    vc = valuefn.solve_value_coefficients(validated, _setting(config, "solver", "steps_per_year"))
     theta = validated.theta
     rows: list[dict] = []
 
@@ -557,11 +599,11 @@ def run_verification(config: dict, seed: int, inject_corruption: bool = False) -
 
     # backward-equation residuals at sampled interior nodes, scaled by the
     # local derivative magnitude (the raw defect is truncation-dominated)
-    res_tol = float(config.get("verify", {}).get("residual_tol", 1e-3))
+    res_tol = _setting(config, "solver", "residual_tol")
     worst_q, worst_l = 0.0, 0.0
     for t in np.linspace(0.1 * validated.horizon, 0.9 * validated.horizon, 7):
-        rq, rl = valuefn.riccati_residual(vc, validated, float(t), relative=True)
-        worst_q, worst_l = max(worst_q, rq), max(worst_l, rl)
+        res = valuefn.riccati_residual(vc, validated, float(t))
+        worst_q, worst_l = max(worst_q, res.quad_rel), max(worst_l, res.lin_rel)
     add("backward_residuals", "PASS" if max(worst_q, worst_l) < res_tol else "FAIL",
         f"quad={worst_q:.2e} lin={worst_l:.2e} (derivative-scaled) tol={res_tol:g}")
 
@@ -591,7 +633,7 @@ def run_verification(config: dict, seed: int, inject_corruption: bool = False) -
         add("saddle_probes", "SKIP", "Kelly mode (theta = 0): no adverse player")
         add("isaacs_gap", "SKIP", "Kelly mode (theta = 0): no adverse player")
     else:
-        probes = int(config.get("verify", {}).get("probes", 2000))
+        probes = _setting(config, "verify", "probes")
         worst_h, worst_g, saddle_ok, saddle_err = 0.0, 0.0, True, ""
         offset = 0.1 if inject_corruption else None
         for i, t in enumerate(times):
@@ -619,8 +661,7 @@ def run_verification(config: dict, seed: int, inject_corruption: bool = False) -
         add("isaacs_gap", "PASS" if worst_gap < 1e-9 else "FAIL", f"max relative gap = {worst_gap:.2e}")
 
     # measure-theory suite on a small shared-seed simulation
-    ver_cfg = config.get("verify", {})
-    sim_paths = int(ver_cfg.get("sim_paths", 4000))
+    sim_paths = _setting(config, "verify", "sim_paths")
     sim_steps = int(min(252, round(validated.horizon / (1.0 / 252.0))))
     sim_steps = max(sim_steps, 1)
     base = dict(n_paths=sim_paths, steps=sim_steps, dt=min(1.0 / 252.0, validated.horizon / sim_steps),
@@ -654,8 +695,7 @@ def run_verification(config: dict, seed: int, inject_corruption: bool = False) -
 
 
 def cmd_verify(config: dict, out: OutputWriter, args) -> int:
-    inject = bool(args.inject_corruption
-                  or config.get("verify", {}).get("inject_corruption", False))
+    inject = args.inject_corruption or _setting(config, "verify", "inject_corruption")
     seed = _sim_config(config, args.seed).seed
     rows = run_verification(config, seed, inject_corruption=inject)
 
@@ -711,10 +751,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--paths", type=int, default=None, help="override n_paths")
             p.add_argument("--steps", type=int, default=None, help="override step count")
             p.add_argument("--dt", type=float, default=None, help="override step size (years)")
-            p.add_argument("--measure", default=None,
-                           choices=["physical", "tilted_gamma", "tilted_h"])
-            p.add_argument("--strategy", default=None,
-                           choices=["optimal", "kelly", "benchmark"])
+            p.add_argument("--measure", default=None, choices=sim_mod.MEASURES)
+            p.add_argument("--strategy", default=None, choices=CLI_STRATEGIES)
             p.add_argument("--antithetic", action="store_true", default=None)
         if name == "verify":
             p.add_argument("--inject-corruption", action="store_true",

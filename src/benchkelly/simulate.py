@@ -2,13 +2,18 @@
 
 One set of d-dimensional Gaussian increments drives the factor state, the
 log excess return, and every density process on a path, so the pathwise
-change-of-measure identities can be checked exactly.  Supported sampling
-measures:
+change-of-measure identities can be checked exactly.  Every sampling measure
+is a Girsanov drift tilt of the physical measure P: under it the P-Brownian
+motion has drift phi, so a sampled increment dw stands for the physical
+increment dw + phi dt.  The supported measures differ only in phi:
 
-* "physical": base dynamics;
-* "tilted_gamma": factor drift shifted by Lambda gamma (adverse tilt);
-* "tilted_h": factor drift shifted by -theta Lambda (Sigma' h - Xi)
-  (transformed-measure dynamics).
+* "physical": phi = 0;
+* "tilted_gamma": phi = gamma (the adverse tilt);
+* "tilted_h": phi = -theta (Sigma' h - Xi) (transformed-measure dynamics).
+
+The kernel converts dw to the physical increment once per step; the state,
+the log excess return and every density then follow the physical-measure
+formulas.
 
 Per-path randomness comes from a counter-based Philox stream keyed by
 (seed, stream index), so results are bit-identical for a given config no
@@ -74,9 +79,6 @@ class PathBundle:
     """
 
     config: SimConfig
-    measure: str
-    dt: float
-    steps: int
     terminal_state: np.ndarray        # (paths, n)
     terminal_log_excess: np.ndarray   # (paths,)
     log_density_tilt: np.ndarray      # (paths,)
@@ -165,10 +167,10 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
     """Simulate the factor state, log excess return, and density processes.
 
     The log excess return starts at 0 (wealth normalized to the benchmark at
-    the start).  All density log-increments are accumulated from the same
-    increments that drive the state, expressed under the sampling measure.
-    Every allocation and tilt comes from the batch evaluators in policy.py,
-    fed one certainty-equivalent gradient per step.
+    the start).  Each step shifts the sampled increment by the measure's
+    drift tilt to the physical increment, which drives the state and every
+    density log-increment.  Every allocation and tilt comes from the batch
+    evaluators in policy.py, fed one certainty-equivalent gradient per step.
     """
     _validate_config(model, vc, cfg)
     n, m, d = model.n, model.m, model.d
@@ -201,14 +203,12 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
         sl = slice(first, first + count)
         dW = _block_noise(cfg.seed, first, count, steps, d, cfg.antithetic)
         dW *= sq_dt
+        # the densities accumulate in place, in views of the block's outputs
+        acc_tilt, acc_alloc, acc_link, acc_link_alt, acc_tilt_sq = (
+            col[sl] for col in (log_tilt, log_alloc, log_link, log_link_alt, tilt_sq))
 
         X = np.broadcast_to(model.x0, (count, n)).copy()
         R = np.zeros(count)
-        b_tilt = np.zeros(count)
-        b_alloc = np.zeros(count)
-        b_link = np.zeros(count)
-        b_link_alt = np.zeros(count)
-        b_tilt_sq = np.zeros(count)
         if cfg.store_paths:
             states[sl, 0] = X
             log_excess[sl, 0] = 0.0
@@ -220,7 +220,6 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
                 segments[seg] = _SegmentContext(model, cfg, t)
             ctx = segments[seg]
             block, gram, lam_t, fmr_t = ctx.block, ctx.gram, ctx.lam_t, ctx.fmr_t
-            dw = dW[:, j, :]
             ce_grad = batch_ce_gradient(vc, t, X) if need_grad else None
 
             if cfg.strategy == "benchmark":
@@ -233,7 +232,6 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
                 H = policy.batch_allocation(model, t, X, ce_grad, cfg.route)
 
             track = policy.batch_tracking(model, t, H)
-            track_dw = (track * dw).sum(axis=1)
             ell = (
                 -0.5 * ((H @ gram.ss) * H).sum(axis=1)
                 + H @ block.asset_drift
@@ -241,7 +239,6 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
                 - block.bench_drift
                 + ((H @ block.asset_factor_loading - block.bench_factor_loading) * X).sum(axis=1)
             )
-
             if track_densities:
                 value_tilt = None if ce_grad is None else policy.batch_value_tilt(model, t, ce_grad)
                 if cfg.custom_tilt is not None:
@@ -250,46 +247,31 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
                     G = policy.batch_gamma(model, value_tilt, track)
                 else:
                     G = np.zeros((count, d))
-                g_dw = (G * dw).sum(axis=1)
-                g_sq = (G * G).sum(axis=1)
-                track_sq = (track * track).sum(axis=1)
 
+            # the physical increment dw + phi dt, phi the sampling measure's
+            # drift tilt; from here on every formula is the physical one
             if cfg.measure == "physical":
-                drift_x = block.factor_drift + X @ fmr_t
-                drift_r = ell
-                if track_densities:
-                    d_log_tilt = g_dw - 0.5 * dt * g_sq
-                    d_log_alloc = -theta * track_dw - 0.5 * theta**2 * dt * track_sq
-                    dwh = dw + (theta * dt) * track
-            elif cfg.measure == "tilted_gamma":
-                drift_x = block.factor_drift + X @ fmr_t + G @ lam_t
-                drift_r = ell + (track * G).sum(axis=1)
-                d_log_tilt = g_dw + 0.5 * dt * g_sq
-                d_log_alloc = (
-                    -theta * track_dw
-                    - theta * dt * (track * G).sum(axis=1)
-                    - 0.5 * theta**2 * dt * track_sq
-                )
-                dwh = dw + dt * (G + theta * track)
-            else:  # tilted_h
-                drift_x = block.factor_drift + X @ fmr_t - theta * (track @ lam_t)
-                drift_r = ell - theta * track_sq
-                d_log_tilt = g_dw - theta * dt * (G * track).sum(axis=1) - 0.5 * dt * g_sq
-                d_log_alloc = -theta * track_dw + 0.5 * theta**2 * dt * track_sq
-                dwh = dw
+                dw = dW[:, j, :]
+            else:
+                phi = G if cfg.measure == "tilted_gamma" else -theta * track
+                dw = dW[:, j, :] + phi * dt
+            track_dw = (track * dw).sum(axis=1)
 
             if track_densities:
+                g_sq = (G * G).sum(axis=1)
+                acc_tilt += (G * dw).sum(axis=1) - 0.5 * dt * g_sq
+                acc_alloc += -theta * track_dw - 0.5 * theta**2 * dt * (track * track).sum(axis=1)
+                acc_tilt_sq += 0.5 * dt * g_sq
                 if ce_grad is not None:
-                    # the link density by both routes' tilts
+                    # the link density by both routes' tilts, in the increment
+                    # of the allocation-induced measure
                     nu = policy.batch_nu(model, t, ce_grad)
-                    b_link += (value_tilt * dwh).sum(axis=1) - 0.5 * dt * (value_tilt * value_tilt).sum(axis=1)
-                    b_link_alt += (nu * dwh).sum(axis=1) - 0.5 * dt * (nu * nu).sum(axis=1)
-                b_tilt += d_log_tilt
-                b_alloc += d_log_alloc
-                b_tilt_sq += 0.5 * dt * g_sq
+                    dwh = dw + (theta * dt) * track
+                    acc_link += (value_tilt * dwh).sum(axis=1) - 0.5 * dt * (value_tilt * value_tilt).sum(axis=1)
+                    acc_link_alt += (nu * dwh).sum(axis=1) - 0.5 * dt * (nu * nu).sum(axis=1)
 
-            X = X + drift_x * dt + dw @ lam_t
-            R = R + drift_r * dt + track_dw
+            X = X + (block.factor_drift + X @ fmr_t) * dt + dw @ lam_t
+            R = R + ell * dt + track_dw
 
             if not (np.isfinite(X).all() and np.isfinite(R).all()):
                 bad = np.argwhere(~np.isfinite(X).all(axis=1) | ~np.isfinite(R))
@@ -302,17 +284,9 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
 
         terminal_state[sl] = X
         terminal_r[sl] = R
-        log_tilt[sl] = b_tilt
-        log_alloc[sl] = b_alloc
-        log_link[sl] = b_link
-        log_link_alt[sl] = b_link_alt
-        tilt_sq[sl] = b_tilt_sq
 
     return PathBundle(
         config=cfg,
-        measure=cfg.measure,
-        dt=dt,
-        steps=steps,
         terminal_state=terminal_state,
         terminal_log_excess=terminal_r,
         log_density_tilt=log_tilt,
@@ -345,7 +319,7 @@ class McCriterion:
 
 def mc_criterion(bundle: PathBundle, theta: float) -> McCriterion:
     """Monte Carlo estimate of the exponential criterion from a physical run."""
-    if bundle.measure != "physical":
+    if bundle.config.measure != "physical":
         raise MeasureMismatch("criterion estimation needs a physical-measure bundle")
     r_term = bundle.terminal_log_excess
     if theta == 0.0:
@@ -375,7 +349,7 @@ def kl_estimate(bundle: PathBundle) -> KlEstimate:
     Under the tilted measure the mean of the log density equals the mean of
     0.5 * integral |gamma|^2; both are returned with standard errors.
     """
-    if bundle.measure != "tilted_gamma":
+    if bundle.config.measure != "tilted_gamma":
         raise MeasureMismatch("relative-entropy estimation needs a tilted_gamma bundle")
     anti = bundle.config.antithetic
     m1, se1 = _mean_and_se(bundle.log_density_tilt, anti)
@@ -399,7 +373,7 @@ def martingale_check(bundle: PathBundle, which: str = "tilt") -> MartingaleCheck
     A true exponential martingale has unit expectation; the contract is
     |mean - 1| within three standard errors.
     """
-    if bundle.measure != "physical":
+    if bundle.config.measure != "physical":
         raise MeasureMismatch("martingale diagnostics need a physical-measure bundle")
     if which == "tilt":
         log_density = bundle.log_density_tilt

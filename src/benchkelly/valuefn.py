@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,17 +204,12 @@ def solve_value_coefficients(
     )
     # Post-solve diagnostic: worst centered-difference residuals on a node sample.
     sample = np.linspace(1, n_steps - 1, min(n_steps - 1, 257)).astype(int) if n_steps > 1 else []
-    worst = (0.0, 0.0)
-    worst_rel = (0.0, 0.0)
+    worst = Residual(0.0, 0.0, 0.0, 0.0)
     for j in sample:
-        r_quad, r_lin = riccati_residual(vc, model, float(grid[j]))
-        worst = (max(worst[0], r_quad), max(worst[1], r_lin))
-        r_quad, r_lin = riccati_residual(vc, model, float(grid[j]), relative=True)
-        worst_rel = (max(worst_rel[0], r_quad), max(worst_rel[1], r_lin))
-    vc.solver_meta["residual_quad"] = worst[0]
-    vc.solver_meta["residual_lin"] = worst[1]
-    vc.solver_meta["residual_quad_rel"] = worst_rel[0]
-    vc.solver_meta["residual_lin_rel"] = worst_rel[1]
+        res = riccati_residual(vc, model, float(grid[j]))
+        worst = Residual(*map(max, worst, res))
+    for name, value in worst._asdict().items():
+        vc.solver_meta[f"residual_{name}"] = value
     return vc
 
 
@@ -239,18 +235,25 @@ def batch_ce_gradient(vc: ValueCoefficients, t: float, X: np.ndarray) -> np.ndar
     return X @ np.ascontiguousarray(quad.T) + lin
 
 
-def riccati_residual(
-    vc: ValueCoefficients, model: ValidatedModel, t: float,
-    relative: bool = False,
-) -> tuple[float, float]:
-    """Max-norm defect of the quadratic and linear backward equations at the
-    interior grid node nearest t, with the time derivative approximated by a
+class Residual(NamedTuple):
+    """Max-norm defects of the quadratic and linear backward equations, raw
+    and divided by (1 + the max-norm of the time derivative)."""
+
+    quad: float
+    lin: float
+    quad_rel: float
+    lin_rel: float
+
+
+def riccati_residual(vc: ValueCoefficients, model: ValidatedModel, t: float) -> Residual:
+    """Defect of the quadratic and linear backward equations at the interior
+    grid node nearest t, with the time derivative approximated by a
     centered difference of neighboring nodes.  Diagnostic only.
 
     The defect carries the O(step^2) truncation of the centered difference,
-    which scales with the solution's derivatives; relative=True divides each
-    defect by (1 + the derivative's own max-norm) so one tolerance works
-    across models of very different magnitude.
+    which scales with the solution's derivatives; the relative defects are
+    scaled by the derivative so one tolerance works across models of very
+    different magnitude.
     """
     grid = vc.grid
     if not (grid[0] < t < grid[-1]):
@@ -270,10 +273,9 @@ def riccati_residual(
     expected = terms.derivative(vc.quad[j], vc.lin[j])
     res_quad = float(np.abs(dq_dt - expected[0]).max())
     res_lin = float(np.abs(dl_dt - expected[1]).max())
-    if relative:
-        res_quad /= 1.0 + float(np.abs(dq_dt).max())
-        res_lin /= 1.0 + float(np.abs(dl_dt).max())
-    return res_quad, res_lin
+    return Residual(res_quad, res_lin,
+                    res_quad / (1.0 + float(np.abs(dq_dt).max())),
+                    res_lin / (1.0 + float(np.abs(dl_dt).max())))
 
 
 # ---------------------------------------------------------------------------

@@ -319,3 +319,65 @@ def test_simulate_stores_paths_only_for_dump(workdir, monkeypatch):
                "--out", str(out)) == 0
     assert stored == [False]
     assert not (out / "paths.bin").exists()
+
+
+@pytest.mark.parametrize("command,block,values", [
+    pytest.param("solve", "solver", {"steps_per_year": "fast"}, id="solve-steps-text"),
+    pytest.param("solve", "solver", {"steps_per_year": 100.7}, id="solve-steps-fraction"),
+    pytest.param("solve", "solver", {"steps_per_year": 0}, id="solve-steps-zero"),
+    pytest.param("solve", "solver", {"residual_tol": "tight"}, id="solve-tol-text"),
+    pytest.param("verify", "verify", {"probes": "many"}, id="verify-probes-text"),
+    pytest.param("verify", "verify", {"sim_paths": "4k"}, id="verify-sim-paths-text"),
+    pytest.param("verify", "verify", {"inject_corruption": "no"}, id="verify-inject-text"),
+    pytest.param("verify", "verify", {"lattice_times": 0, "probes": 0}, id="verify-zero-counts"),
+    pytest.param("verify", "verify", {"residual_tol": 1e-3}, id="verify-removed-tol"),
+    pytest.param("verify", "verify", [], id="verify-not-object"),
+    pytest.param("experiment", "metrics", {"level": "high"}, id="experiment-level-text"),
+    pytest.param("experiment", "metrics", {"level": 1.5}, id="experiment-level-range"),
+    pytest.param("experiment", "metrics", {"downside_denominator": "half"},
+                 id="experiment-denominator"),
+    pytest.param("policy", "policy", {"t": "now"}, id="policy-t-text"),
+    pytest.param("policy", "policy", {"x": "origin"}, id="policy-x-text"),
+    pytest.param("policy", "policy", {"x": [0.1, 0.2]}, id="policy-x-length"),
+])
+def test_commands_reject_bad_config(workdir, capsys, command, block, values):
+    config = json.loads((workdir / "config.json").read_text())
+    if isinstance(values, dict):
+        config.setdefault(block, {}).update(values)
+    else:
+        config[block] = values
+    (workdir / "bad.json").write_text(json.dumps(config))
+    code = run(workdir, command, "--config", str(workdir / "bad.json"),
+               "--out", str(workdir / "o"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ERROR CONFIG:")
+    assert "Traceback" not in err
+
+
+def test_experiment_benchmark_uses_simulation_weights(workdir):
+    config = json.loads((workdir / "config.json").read_text())
+    config["simulation"]["bench_weights"] = [0.5]
+    (workdir / "weights.json").write_text(json.dumps(config))
+    exp_out, sim_out = workdir / "exp_w", workdir / "sim_w"
+    assert run(workdir, "experiment", "--config", str(workdir / "weights.json"),
+               "--out", str(exp_out)) == 0
+    assert run(workdir, "simulate", "--config", str(workdir / "weights.json"),
+               "--out", str(sim_out), "--strategy", "benchmark") == 0
+    criterion = json.loads((exp_out / "experiment_summary.json").read_text())["criteria"]["benchmark"]
+    summary = json.loads((sim_out / "sim_summary.json").read_text())
+    assert criterion["estimate"] == summary["criterion_estimate"]
+    assert criterion["std_error"] == summary["criterion_std_error"]
+
+
+def test_verify_gates_residuals_on_solver_tolerance(workdir):
+    config = json.loads((workdir / "config.json").read_text())
+    config["solver"]["residual_tol"] = 1e-300
+    config["verify"] = {"probes": 10, "sim_paths": 10, "lattice_times": 1, "lattice_states": 1}
+    (workdir / "tight.json").write_text(json.dumps(config))
+    out = workdir / "tight"
+    assert run(workdir, "verify", "--config", str(workdir / "tight.json"),
+               "--out", str(out)) == 2
+    rows = {r["invariant"]: r for r in json.loads((out / "verify_report.json").read_text())}
+    assert rows["backward_residuals"]["status"] == "FAIL"
+    assert "tol=1e-300" in rows["backward_residuals"]["detail"]

@@ -79,6 +79,54 @@ def test_zero_tilt_matches_physical_bitwise(scalar_model, scalar_vc):
     assert np.all(tilted.log_density_tilt == 0.0)
 
 
+def _drift_tilt_spec(theta, **drifts):
+    """A two-factor, two-asset model for the Girsanov drift-shift identity."""
+    kwargs = dict(
+        asset_drift=np.array([0.05, 0.03]),
+        asset_factor_loading=np.array([[0.2, 0.1], [-0.1, 0.3]]),
+        asset_vol=np.array([[0.15, 0.05, 0.0], [0.04, 0.12, 0.02]]),
+        factor_drift=np.array([0.01, -0.02]),
+        factor_mean_reversion=np.array([[-0.3, 0.05], [0.0, -0.6]]),
+        factor_vol=np.array([[0.0, 0.05, 0.08], [0.06, 0.0, 0.03]]),
+        bench_drift=0.01,
+        bench_factor_loading=np.array([0.05, -0.02]),
+        bench_vol=np.array([0.02, 0.01, 0.01]),
+    )
+    kwargs.update(drifts)
+    return ModelSpec.constant(n=2, m=2, d=3, horizon_years=1.0, theta=theta,
+                              x0=[0.1, -0.2], **kwargs)
+
+
+@pytest.mark.parametrize("measure", ["tilted_gamma", "tilted_h"])
+def test_tilted_run_is_physical_run_of_drift_shifted_model(measure):
+    # Girsanov: sampling with Brownian drift c is sampling P of the model whose
+    # drifts absorb the tilt: factor drift + Lambda c, asset drift + Sigma c,
+    # benchmark drift + Xi . c
+    theta = 1.5
+    spec = _drift_tilt_spec(theta)
+    block = spec.coeffs.blocks[0]
+    h0 = np.array([0.8, -0.3])
+    c = np.array([0.3, -0.2, 0.5])
+    if measure == "tilted_h":
+        c = -theta * (block.asset_vol.T @ h0 - block.bench_vol)
+    shifted = _drift_tilt_spec(
+        theta,
+        factor_drift=block.factor_drift + block.factor_vol @ c,
+        asset_drift=block.asset_drift + block.asset_vol @ c,
+        bench_drift=float(block.bench_drift + block.bench_vol @ c),
+    )
+    base = dict(n_paths=200, steps=100, dt=1 / 252, seed=19, strategy="custom",
+                custom_policy=lambda t, X: np.tile(h0, (X.shape[0], 1)), store_paths=True)
+    tilted = simulate_paths(
+        validate_model(spec), None,
+        SimConfig(measure=measure, custom_tilt=lambda t, X, H: np.tile(c, (X.shape[0], 1)),
+                  **base))
+    physical = simulate_paths(validate_model(shifted), None, SimConfig(**base))
+    assert np.abs(tilted.states - physical.states).max() < 1e-12
+    assert np.abs(tilted.log_excess - physical.log_excess).max() < 1e-12
+    assert np.abs(tilted.log_excess).max() > 1e-3  # the identity is not vacuous
+
+
 def test_reproducibility_same_config(scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=100, steps=30, dt=1 / 252, seed=5, strategy="optimal",
                     store_paths=True)

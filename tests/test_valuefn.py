@@ -139,14 +139,14 @@ def test_residual_zero_for_zero_solution():
     )
     vm = validate_model(spec)
     vc = solve_value_coefficients(vm, steps_per_year=504)
-    rq, rl = riccati_residual(vc, vm, 0.5)
-    assert rq < 1e-14 and rl < 1e-14
+    res = riccati_residual(vc, vm, 0.5)
+    assert res.quad < 1e-14 and res.lin < 1e-14
 
 
 def test_residual_small_at_fine_steps(scalar_model):
     vc = solve_value_coefficients(scalar_model, steps_per_year=10_000)
-    rq, rl = riccati_residual(vc, scalar_model, 0.5)
-    assert rq < 1e-6 and rl < 1e-6
+    res = riccati_residual(vc, scalar_model, 0.5)
+    assert res.quad < 1e-6 and res.lin < 1e-6
 
 
 def test_refinement_shrinks_error_fourth_order(scalar_model):
@@ -209,11 +209,11 @@ def test_piecewise_coefficients_solve():
     vc = solve_value_coefficients(vm, steps_per_year=2016)  # knot lands on a node
     # residuals hold inside each segment
     for t in (0.2, 0.8):
-        rq, rl = riccati_residual(vc, vm, t)
-        assert rq < 1e-5 and rl < 1e-5
+        res = riccati_residual(vc, vm, t)
+        assert res.quad < 1e-5 and res.lin < 1e-5
     # near the knot the stencil shifts inward rather than straddling it
-    rq, rl = riccati_residual(vc, vm, 0.5)
-    assert rq < 1e-3
+    res = riccati_residual(vc, vm, 0.5)
+    assert res.quad < 1e-3
     # the early (higher-vol) segment must price risk differently
     q_early = vc.at(0.25)[0][0, 0]
     q_late = vc.at(0.75)[0][0, 0]
