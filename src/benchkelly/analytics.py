@@ -18,9 +18,6 @@ from .errors import InsufficientData
 
 MIN_SAMPLES = 100
 
-RATIO_FIELDS = ("sharpe", "sortino", "mean_to_var", "mean_to_cvar")
-LEVEL_FIELDS = ("mean", "std", "semideviation", "skewness", "kurtosis", "var", "cvar")
-
 
 @dataclass(frozen=True)
 class PerfReport:
@@ -144,14 +141,11 @@ class ComparisonVerdict:
         return self.max_difference(label_a, label_b) <= tolerance
 
 
-def compare_strategies(
-    reports: list[tuple[str, PerfReport]],
-    tolerance: float = 1e-12,
-) -> ComparisonVerdict:
+def compare_strategies(reports: list[tuple[str, PerfReport]]) -> ComparisonVerdict:
     """Pairwise per-metric absolute differences between labeled reports.
 
     Pairs expected to be identical (same policy evaluated by two routes on
-    shared paths) can be asserted with pair_within at the tolerance.
+    shared paths) can be asserted with pair_within.
     """
     if len(reports) < 2:
         raise ValueError("need at least two reports to compare")

@@ -11,6 +11,7 @@ deterministically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -122,6 +123,11 @@ _SWITCH = ("true or false", lambda v: isinstance(v, bool), _same)
 _TEXT = ("a string", lambda v: isinstance(v, str), _same)
 _VECTOR = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_number, v)),
            lambda v: np.asarray(v, dtype=float))
+_INPUTS = ("a list of objects with string 'label' and 'paths'",
+           lambda v: isinstance(v, list) and all(
+               isinstance(item, dict) and isinstance(item.get("label"), str)
+               and isinstance(item.get("paths"), str) for item in v),
+           _same)
 
 CLI_STRATEGIES = ("optimal", "kelly", "benchmark")
 
@@ -146,11 +152,21 @@ _CONFIG = {
     "estimation": {"panel": (_TEXT, None), "bench_weights": (_VECTOR, None),
                    "date_column": (_TEXT, "date"), "asset_prefix": (_TEXT, "asset:"),
                    "factor_prefix": (_TEXT, "factor:"), "dt": (_POSITIVE, estimate.DEFAULT_DT)},
+    "report": {"inputs": (_INPUTS, [])},
 }
+
+# top-level keys that override the model file's values or feed estimation
+_OVERRIDES = {"theta": _NUMBER, "horizon_years": _NUMBER, "x0": _VECTOR}
+# every checked top-level key that is not a block
+_TOP_LEVEL = {"model": _TEXT, "output_dir": _TEXT, **_OVERRIDES}
 
 
 def _check_config(config: dict) -> None:
-    """Reject unknown keys and ill-typed values in every block of _CONFIG."""
+    """Reject ill-typed top-level keys, and unknown keys and ill-typed values
+    in every block of _CONFIG."""
+    for key, (expected, check, _) in _TOP_LEVEL.items():
+        if key in config and not check(config[key]):
+            raise ConfigError(f"{key} must be {expected}, got {config[key]!r}")
     for block, table in _CONFIG.items():
         values = config.get(block, {})
         if not isinstance(values, dict):
@@ -179,6 +195,8 @@ def load_run_config(path: str | Path) -> dict:
         config = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
     config["_dir"] = str(path.parent)
     has_model = "model" in config
     has_est = "estimation" in config
@@ -195,32 +213,19 @@ def _resolve(config: dict, rel: str) -> Path:
 
 def build_model(config: dict) -> tuple[model_mod.ModelSpec, estimate.EstimationReport | None]:
     """Model from a model file (with optional overrides) or from estimation."""
+    overrides = {key: convert(config[key])
+                 for key, (_, _, convert) in _OVERRIDES.items() if key in config}
     if "model" in config:
         path = _resolve(config, config["model"])
         if not path.exists():
             raise ConfigError(f"model file not found: {path}")
-        spec = model_mod.load_model(path)
-        overrides = {}
-        if "theta" in config:
-            overrides["theta"] = float(config["theta"])
-        if "horizon_years" in config:
-            overrides["horizon_years"] = float(config["horizon_years"])
-        if "x0" in config:
-            overrides["x0"] = np.asarray(config["x0"], dtype=float)
-        if overrides:
-            spec = model_mod.ModelSpec(
-                n=spec.n, m=spec.m, d=spec.d, coeffs=spec.coeffs,
-                horizon_years=overrides.get("horizon_years", spec.horizon_years),
-                theta=overrides.get("theta", spec.theta),
-                x0=overrides.get("x0", spec.x0),
-            )
-        return spec, None
+        return dataclasses.replace(model_mod.load_model(path), **overrides), None
 
     est_cfg = config["estimation"]
     for key in ("panel", "bench_weights"):
         if key not in est_cfg:
             raise ConfigError(f"estimation config missing '{key}'")
-    if "theta" not in config or "horizon_years" not in config:
+    if "theta" not in overrides or "horizon_years" not in overrides:
         raise ConfigError("estimation mode needs top-level 'theta' and 'horizon_years'")
     schema = estimate.PanelSchema(**{
         key: _setting(config, "estimation", key)
@@ -229,11 +234,7 @@ def build_model(config: dict) -> tuple[model_mod.ModelSpec, estimate.EstimationR
     if not panel_path.exists():
         raise ConfigError(f"panel file not found: {panel_path}")
     panel = estimate.load_panel(panel_path, schema)
-    x0 = np.asarray(config["x0"], dtype=float) if "x0" in config else None
-    report = estimate.estimate_model(
-        panel, theta=float(config["theta"]),
-        horizon_years=float(config["horizon_years"]), x0=x0,
-    )
+    report = estimate.estimate_model(panel, **overrides)
     return report.model_spec, report
 
 
@@ -461,10 +462,11 @@ def _returns_from_artifact(path: Path) -> np.ndarray:
 
 
 def cmd_report(config: dict, out: OutputWriter, args) -> int:
-    inputs = config.get("report", {}).get("inputs", [])
+    inputs = _setting(config, "report", "inputs")
     if args.inputs:
-        inputs = [{"label": spec.split("=", 1)[0], "paths": spec.split("=", 1)[1]}
-                  for spec in args.inputs]
+        if not all("=" in spec for spec in args.inputs):
+            raise ConfigError(f"report arguments must be label=path, got {args.inputs}")
+        inputs = [dict(zip(("label", "paths"), spec.split("=", 1))) for spec in args.inputs]
     if not inputs:
         raise ConfigError(
             "report needs inputs: config report.inputs or label=<paths.bin|terminals.csv> args"
@@ -519,7 +521,7 @@ def cmd_experiment(config: dict, out: OutputWriter, args) -> int:
         criteria[label] = {"estimate": mc.estimate, "std_error": mc.std_error,
                            "certainty_equivalent": mc.certainty_equivalent}
 
-    verdict = analytics.compare_strategies(labeled, tolerance=1e-12)
+    verdict = analytics.compare_strategies(labeled)
     route_gap = verdict.max_difference("portfolio-twostep", "portfolio-direct")
 
     text = _format_report_table(labeled)

@@ -100,8 +100,8 @@ def _check_weights(weights: np.ndarray, m: int) -> np.ndarray:
 def load_panel(path: str | Path, schema: PanelSchema) -> ReturnPanel:
     """Parse and validate a return-panel CSV.
 
-    Rows with any missing or non-numeric cell are rejected with their line
-    number; dates must be strictly ascending.
+    Rows with any missing, non-numeric or non-finite cell are rejected with
+    their line number; dates must be strictly ascending.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -153,6 +153,9 @@ def load_panel(path: str | Path, schema: PanelSchema) -> ReturnPanel:
 
     asset_logret = np.asarray(asset_rows)
     increments = np.asarray(factor_rows)
+    finite = np.isfinite(asset_logret).all(axis=1) & np.isfinite(increments).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}: non-finite value at line {int(np.argmin(finite)) + 2}")
     weights = _check_weights(schema.bench_weights, asset_logret.shape[1])
     return ReturnPanel(
         dates=tuple(dates),

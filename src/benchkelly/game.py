@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import SaddleViolation
 from .model import ValidatedModel
-from .policy import optimal_gamma, optimal_h
-from .valuefn import ValueCoefficients, value_function
+from .policy import batch_tracking, batch_value_tilt, optimal_gamma, optimal_h
+from .valuefn import ValueCoefficients, batch_ce_gradient, value_function
 
 SADDLE_RTOL = 1e-9
 
@@ -163,18 +163,16 @@ def saddle_check(
     probes: int = 10_000,
     radius: float | None = None,
     seed: int = 0,
-    rtol: float = SADDLE_RTOL,
     h_center: np.ndarray | None = None,
-    gamma_center: np.ndarray | None = None,
 ) -> SaddleReport:
     """Probe the saddle inequalities around the candidate pair at (t, x).
 
     Perturbing the allocation away from the candidate must not decrease the
     bracket; perturbing the tilt must not increase it.  Perturbations are
     uniform in balls of the given radius (default 0.5*(1+|h|)).  Raises
-    SaddleViolation when the worst violation exceeds rtol*(1+|center|).
-    h_center/gamma_center override the probe center (a non-candidate center
-    must fail; used as a negative control).
+    SaddleViolation when the worst violation exceeds
+    SADDLE_RTOL*(1+|center|).  h_center overrides the allocation center (a
+    non-candidate center must fail; used as a negative control).
     """
     _require_positive_theta(model.theta, "saddle_check")
     x = np.asarray(x, dtype=float)
@@ -184,8 +182,7 @@ def saddle_check(
 
     h_hat = np.asarray(h_center, dtype=float) if h_center is not None \
         else optimal_h(model, vc, t, x)
-    g_hat = np.asarray(gamma_center, dtype=float) if gamma_center is not None \
-        else optimal_gamma(model, vc, t, x)
+    g_hat = optimal_gamma(model, vc, t, x)
     center = bellman_isaacs_integrand(model, vc, t, x, h_hat, g_hat)
     if radius is None:
         radius = 0.5 * (1.0 + float(np.linalg.norm(h_hat)))
@@ -195,7 +192,6 @@ def saddle_check(
     dg = _ball_samples(rng, probes, model.d, radius)
 
     # Vectorized bracket differences; only control-dependent payoff terms move.
-    grad = value_function(vc, t, x).gradient
     a_vec = block.asset_drift + block.asset_factor_loading @ x
 
     # h perturbation at fixed candidate tilt: delta_BI must be >= 0.
@@ -209,8 +205,8 @@ def saddle_check(
 
     # gamma perturbation at fixed candidate allocation: delta_BI must be <= 0.
     G = g_hat + dg
-    lam_grad = block.factor_vol.T @ grad
-    track = block.asset_vol.T @ h_hat - block.bench_vol
+    lam_grad = batch_value_tilt(model, t, batch_ce_gradient(vc, t, x[None, :]))[0]
+    track = batch_tracking(model, t, h_hat[None, :])[0]
     bi_g = G @ lam_grad - theta * (G @ track) - 0.5 * np.einsum("ij,ij->i", G, G)
     center_g = float(
         g_hat @ lam_grad - theta * (g_hat @ track) - 0.5 * g_hat @ g_hat
@@ -223,10 +219,10 @@ def saddle_check(
         max_violation_gamma=viol_g,
         probe_count=probes,
     )
-    if not report.passed(rtol):
+    if not report.passed():
         raise SaddleViolation(
             f"saddle violated at t={t:g}: h-side {viol_h:.3e}, tilt-side {viol_g:.3e} "
-            f"against tolerance {rtol * (1.0 + abs(center)):.3e}"
+            f"against tolerance {SADDLE_RTOL * (1.0 + abs(center)):.3e}"
         )
     return report
 
@@ -251,12 +247,13 @@ def hamiltonians(
     ve = value_function(vc, t, x)
     drift = block.factor_drift + block.factor_mean_reversion @ x
     a_vec = block.asset_drift + block.asset_factor_loading @ x
+    kelly = gram.ss_solve(a_vec)
 
     if theta == 0.0:
         kelly_value = float(
             drift @ ve.ce_gradient
             + 0.5 * np.trace(gram.ll @ quad)
-            + 0.5 * a_vec @ gram.ss_solve(a_vec)
+            + 0.5 * a_vec @ kelly
             + 0.5 * gram.xi_xi
             - block.bench_drift
             - block.bench_factor_loading @ x
@@ -284,10 +281,10 @@ def hamiltonians(
         + 0.5 / theta * float(lam_p @ proj.pminus @ lam_p)
     )
 
-    v = -theta * (block.asset_vol.T @ gram.ss_solve(a_vec)) + theta * block.bench_vol + lam_p
+    v = -theta * (block.asset_vol.T @ kelly) + theta * block.bench_vol + lam_p
     f_second = (
         0.5 / theta * float(v @ proj.pminus @ v)
-        - 0.5 * float(a_vec @ gram.ss_solve(a_vec))
+        - 0.5 * float(a_vec @ kelly)
     )
     return common + theta * f_first, common + theta * f_second
 

@@ -26,6 +26,7 @@ from scipy.linalg import cho_solve
 from .errors import (
     DimensionMismatch,
     NegativeTheta,
+    NonfiniteState,
     NonpositiveHorizon,
     SingularCovariance,
     TimeOutOfRange,
@@ -164,17 +165,18 @@ class ProjectionPair:
     pminus: np.ndarray  # (d, d)
 
 
-def cholesky_pd(mat: np.ndarray, rel_tol: float = PD_PIVOT_RTOL):
+def cholesky_pd(mat: np.ndarray):
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     Returns (L, None) on success, (None, (index, pivot)) when a pivot falls
-    at or below rel_tol * max(diagonal) -- the caller decides how to report.
+    at or below PD_PIVOT_RTOL * max(diagonal) -- the caller decides how to
+    report.
     """
     mat = np.asarray(mat, dtype=float)
     k = mat.shape[0]
     L = np.zeros_like(mat)
     scale = float(np.max(np.diag(mat))) if k else 0.0
-    thresh = rel_tol * max(scale, 0.0)
+    thresh = PD_PIVOT_RTOL * max(scale, 0.0)
     for j in range(k):
         pivot = mat[j, j] - L[j, :j] @ L[j, :j]
         if pivot <= thresh:
@@ -208,7 +210,7 @@ def _build_gram(block: CoefficientBlock, knot_time: float) -> GramBlocks:
     )
 
 
-def _check_shapes(spec: ModelSpec) -> None:
+def _check_spec(spec: ModelSpec) -> None:
     n, m, d = spec.n, spec.m, spec.d
     if min(n, m, d) < 1:
         raise DimensionMismatch(f"dimensions must be positive, got n={n}, m={m}, d={d}")
@@ -226,10 +228,12 @@ def _check_shapes(spec: ModelSpec) -> None:
                 raise DimensionMismatch(
                     f"coefficient '{name}' in block {bi} has shape {got}, expected {expected}"
                 )
+            if not np.all(np.isfinite(value)):
+                raise NonfiniteState(f"coefficient '{name}' in block {bi} is not finite")
     knots = spec.coeffs.knots
     if len(knots) != len(spec.coeffs.blocks):
         raise DimensionMismatch("knot count does not match coefficient block count")
-    if knots[0] != 0.0 or np.any(np.diff(knots) <= 0):
+    if knots[0] != 0.0 or not np.all(np.diff(knots) > 0):
         raise DimensionMismatch("knots must start at 0 and be strictly increasing")
 
 
@@ -319,11 +323,14 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
         theta=float(spec.theta),
         x0=np.asarray(spec.x0, dtype=float),
     )
+    for name in ("theta", "horizon_years", "x0"):
+        if not np.all(np.isfinite(getattr(spec, name))):
+            raise NonfiniteState(f"model '{name}' is not finite: {getattr(spec, name)}")
     if spec.horizon_years <= 0:
         raise NonpositiveHorizon(f"horizon must be > 0 years, got {spec.horizon_years:g}")
     if spec.theta < 0:
         raise NegativeTheta(f"theta must be >= 0, got {spec.theta:g}")
-    _check_shapes(spec)
+    _check_spec(spec)
     grams = tuple(
         _build_gram(block, float(knot))
         for block, knot in zip(spec.coeffs.blocks, spec.coeffs.knots)

@@ -8,10 +8,16 @@ computed by two provably equivalent routes:
 * "twostep": from the gradient of the certainty-equivalent surface,
   h = 1/(theta+1) (SS')^{-1} (a + A x + theta S Xi - theta S L' DCE).
 
-The adverse tilt gamma, the transformed-measure tilt nu, and the
-fractional-Kelly decomposition (Kelly + benchmark-tracking - hedging) are
-evaluated with runtime cross-checks: every quantity with two published
-representations is computed both ways and compared.
+The allocation, the Kelly term, the adverse tilt gamma and the
+transformed-measure tilt nu have one source, the batch evaluators batch_*
+that simulate_paths calls once per step; optimal_h, optimal_gamma,
+optimal_nu and fractional_kelly are one-row calls of them.  Their runtime
+cross-checks therefore guard the simulator's arithmetic, against references
+that stay independent of it: optimal_gamma's projected closed form
+P- Lambda' Du - theta/(theta+1) Sigma' kelly + theta P- Xi, and
+fractional_kelly's recomposition from the Kelly, benchmark-tracking and
+hedging portfolios, its regularized-Kelly identity and the tilt relation
+between the two routes.
 
 theta == 0 is the exact Kelly branch: the allocation is (SS')^{-1}(a + A x)
 with no value-gradient correction.
@@ -25,7 +31,7 @@ import numpy as np
 
 from .errors import RepresentationMismatch
 from .model import ValidatedModel
-from .valuefn import ValueCoefficients, value_function
+from .valuefn import ValueCoefficients, batch_ce_gradient
 
 CROSS_CHECK_TOL = 1e-10
 ROUTES = ("direct", "twostep")
@@ -50,8 +56,9 @@ class PolicyAction:
     kelly_fraction: float      # 1/(theta+1)
 
 
-def _drift_vec(block, x):
-    return block.asset_drift + block.asset_factor_loading @ x
+def _row(x) -> np.ndarray:
+    """One factor state as a one-row batch."""
+    return np.asarray(x, dtype=float)[None, :]
 
 
 def benchmark_tracking(model: ValidatedModel, t: float) -> np.ndarray:
@@ -68,21 +75,8 @@ def optimal_h(
     route: str = "direct",
 ) -> np.ndarray:
     """Optimal allocation at (t, x) by the requested route."""
-    x = np.asarray(x, dtype=float)
-    block = model.coefficients(t)
-    gram = model.gram_blocks(t)
-    theta = model.theta
-    if theta == 0.0:
-        return gram.ss_solve(_drift_vec(block, x))
-    ve = value_function(vc, t, x)
-    if route == "direct":
-        correction = gram.sl @ ve.gradient
-    elif route == "twostep":
-        correction = -theta * (gram.sl @ ve.ce_gradient)
-    else:
-        raise ValueError(f"unknown route '{route}'")
-    rhs = _drift_vec(block, x) + theta * gram.s_xi + correction
-    return gram.ss_solve(rhs) / (theta + 1.0)
+    X = _row(x)
+    return batch_allocation(model, t, X, batch_ce_gradient(vc, t, X), route)[0]
 
 
 def optimal_gamma(
@@ -93,25 +87,22 @@ def optimal_gamma(
 ) -> np.ndarray:
     """Adverse measure tilt at (t, x).
 
-    Computed from its defining form (value gradient minus scaled tracking
-    error) and from the projected closed form; the two must agree to
+    Computed from its defining form (value tilt minus scaled tracking error)
+    and from the projected closed form; the two must agree to
     CROSS_CHECK_TOL or the upstream solve is inconsistent.
     """
-    x = np.asarray(x, dtype=float)
+    X = _row(x)
     block = model.coefficients(t)
-    gram = model.gram_blocks(t)
     theta = model.theta
-    lam = block.factor_vol
-    sigma = block.asset_vol
-    grad = value_function(vc, t, x).gradient
-
-    h = optimal_h(model, vc, t, x)
-    form1 = lam.T @ grad - theta * (sigma.T @ h - block.bench_vol)
+    ce_grad = batch_ce_gradient(vc, t, X)
+    value_tilt = batch_value_tilt(model, t, ce_grad)
+    H = batch_allocation(model, t, X, ce_grad)
+    form1 = batch_gamma(model, value_tilt, batch_tracking(model, t, H))[0]
 
     proj = model.projection_matrices(t, theta)
     form2 = (
-        proj.pminus @ (lam.T @ grad)
-        - (theta / (theta + 1.0)) * (sigma.T @ gram.ss_solve(_drift_vec(block, x)))
+        proj.pminus @ value_tilt[0]
+        - (theta / (theta + 1.0)) * (block.asset_vol.T @ batch_kelly(model, t, X)[0])
         + theta * (proj.pminus @ block.bench_vol)
     )
     gap = float(np.abs(form1 - form2).max())
@@ -129,10 +120,7 @@ def optimal_nu(
     x: np.ndarray,
 ) -> np.ndarray:
     """Transformed-measure tilt: -theta * Lambda' DCE(t, x)."""
-    x = np.asarray(x, dtype=float)
-    lam = model.coefficients(t).factor_vol
-    ce_grad = value_function(vc, t, x).ce_gradient
-    return -model.theta * (lam.T @ ce_grad)
+    return batch_nu(model, t, batch_ce_gradient(vc, t, _row(x)))[0]
 
 
 def fractional_kelly(
@@ -142,15 +130,15 @@ def fractional_kelly(
     x: np.ndarray,
 ) -> PolicyAction:
     """Full policy decomposition at (t, x) with all identity checks enforced."""
-    x = np.asarray(x, dtype=float)
+    X = _row(x)
     block = model.coefficients(t)
     gram = model.gram_blocks(t)
     theta = model.theta
     sigma = block.asset_vol
     kf = 1.0 / (theta + 1.0)
 
-    ce_grad = value_function(vc, t, x).ce_gradient
-    kelly = gram.ss_solve(_drift_vec(block, x))
+    ce_grad = batch_ce_gradient(vc, t, X)[0]
+    kelly = batch_kelly(model, t, X)[0]
     bench_track = benchmark_tracking(model, t)
     hedge = gram.ss_solve(gram.sl @ ce_grad)
     allocation = kf * kelly + (1.0 - kf) * bench_track - (1.0 - kf) * hedge
@@ -193,8 +181,9 @@ def fractional_kelly(
 
 # ---------------------------------------------------------------------------
 # Batch evaluators over a state matrix X of shape (paths, n); simulate_paths
-# takes every allocation and tilt from here.  The value gradient enters as
-# ce_grad (valuefn.batch_ce_gradient), evaluated once per step by the caller.
+# and the point evaluators above take every allocation and tilt from here.
+# The value gradient enters as ce_grad (valuefn.batch_ce_gradient),
+# evaluated once per step by the caller.
 # Transposed factors are contiguous copies: matmul against a transposed view
 # of these small matrices takes a slower BLAS path.
 # ---------------------------------------------------------------------------

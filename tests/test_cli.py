@@ -56,6 +56,15 @@ def test_config_requires_exactly_one_source(tmp_path):
     assert code == 1
 
 
+def test_config_must_be_object(tmp_path, capsys):
+    (tmp_path / "c.json").write_text(json.dumps(["model.json"]))
+    code = run(tmp_path, "validate", "--config", str(tmp_path / "c.json"),
+               "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ERROR CONFIG:") and "Traceback" not in err
+
+
 def test_solve_writes_artifacts(workdir):
     out = workdir / "solved"
     code = run(workdir, "solve", "--config", str(workdir / "config.json"), "--out", str(out))
@@ -240,6 +249,14 @@ def test_report_needs_inputs(workdir):
     assert code == 1
 
 
+def test_report_argument_needs_label(workdir, capsys):
+    code = run(workdir, "report", "--config", str(workdir / "config.json"),
+               "--out", str(workdir / "r"), "paths.bin")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ERROR CONFIG:") and "Traceback" not in err
+
+
 def test_simulate_flag_overrides(workdir):
     out = workdir / "flags"
     code = run(workdir, "simulate", "--config", str(workdir / "config.json"),
@@ -339,6 +356,13 @@ def test_simulate_stores_paths_only_for_dump(workdir, monkeypatch):
     pytest.param("policy", "policy", {"t": "now"}, id="policy-t-text"),
     pytest.param("policy", "policy", {"x": "origin"}, id="policy-x-text"),
     pytest.param("policy", "policy", {"x": [0.1, 0.2]}, id="policy-x-length"),
+    pytest.param("validate", "theta", "high", id="validate-theta-text"),
+    pytest.param("validate", "x0", ["a"], id="validate-x0-text"),
+    pytest.param("validate", "horizon_years", None, id="validate-horizon-null"),
+    pytest.param("validate", "model", 5, id="validate-model-number"),
+    pytest.param("validate", "output_dir", ["out"], id="validate-output-dir-list"),
+    pytest.param("report", "report", {"inputs": [{"label": "a"}]}, id="report-input-no-paths"),
+    pytest.param("report", "report", "oops", id="report-not-object"),
 ])
 def test_commands_reject_bad_config(workdir, capsys, command, block, values):
     config = json.loads((workdir / "config.json").read_text())
@@ -352,6 +376,35 @@ def test_commands_reject_bad_config(workdir, capsys, command, block, values):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("ERROR CONFIG:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,value", [
+    ("asset_drift", [float("nan")]),
+    ("asset_vol", [[float("inf")]]),
+])
+def test_validate_rejects_nonfinite_model(workdir, capsys, name, value):
+    model_mod.save_model(make_scalar_spec(**{name: value}), workdir / "model.json")
+    code = run(workdir, "validate", "--config", str(workdir / "config.json"),
+               "--out", str(workdir / "o"))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("ERROR NONFINITE_STATE:") and name in captured.err
+    assert "model OK" not in captured.out and "Traceback" not in captured.err
+
+
+def test_estimate_rejects_nonfinite_panel(tmp_path, capsys):
+    (tmp_path / "panel.csv").write_text(
+        "date,asset:x,factor:f\n2020-01-01,0.01,0.001\n2020-01-02,nan,0.002\n")
+    (tmp_path / "c.json").write_text(json.dumps({
+        "estimation": {"panel": "panel.csv", "bench_weights": [1.0]},
+        "theta": 1.0, "horizon_years": 1.0,
+    }))
+    code = run(tmp_path, "estimate", "--config", str(tmp_path / "c.json"),
+               "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ERROR PARSE:") and "line 3" in err
     assert "Traceback" not in err
 
 

@@ -72,6 +72,18 @@ def test_load_panel_missing_cell_names_line(tmp_path):
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_panel_nonfinite_cell_names_line(tmp_path, cell):
+    path = _write_csv(
+        tmp_path / "nonfinite.csv",
+        "date,asset:x,factor:f",
+        ["2020-01-01,0.01,0.001", "2020-01-02,0.0,0.002", f"2020-01-03,0.0,{cell}"],
+    )
+    with pytest.raises(ParseError) as err:
+        load_panel(path, PanelSchema(bench_weights=np.array([1.0])))
+    assert "line 4" in str(err.value)
+
+
 def test_load_panel_unknown_column(tmp_path):
     path = _write_csv(tmp_path / "u.csv", "date,asset:x,factor:f,mystery",
                       ["2020-01-01,0.01,0.001,9"])

@@ -1,7 +1,7 @@
 """Golden artifacts: SHA-256 of the CLI outputs for one fixed tiny config.
 
-A change that alters floating-point rounding anywhere on the solve or
-simulate path changes these digests.  Such a change must say so and record
+A change that alters floating-point rounding anywhere on the solve, policy
+or simulate path changes these digests.  Such a change must say so and record
 the new values here; a change that claims bit-identity must leave them.
 """
 
@@ -18,6 +18,7 @@ from conftest import make_twofactor_spec
 GOLDEN = {
     "value_coefficients.json": "c0baa7593d3c7d4dfd4d6dec1710fce038856da158f7cb4f933240df717447a9",
     "terminals.csv": "b7d2b34c672bd01fb877df201dfb336a061bf238785768033024054e13f5d3b2",
+    "policy.json": "c42952ff8018add66c9a68f40f7e912d4058aeccbfaf1f78255d17c9413ea485",
 }
 
 
@@ -41,6 +42,7 @@ def _digest(path):
 @pytest.mark.parametrize("command, artifact", [
     ("solve", "value_coefficients.json"),
     ("simulate", "terminals.csv"),
+    ("policy", "policy.json"),
 ])
 def test_golden_digest(golden_config, command, artifact):
     out = golden_config / command

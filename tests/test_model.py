@@ -5,13 +5,14 @@ from benchkelly import model as model_mod
 from benchkelly.errors import (
     DimensionMismatch,
     NegativeTheta,
+    NonfiniteState,
     NonpositiveHorizon,
     SingularCovariance,
     TimeOutOfRange,
 )
 from benchkelly.model import CoefficientBlock, CoefficientSet, ModelSpec, validate_model
 
-from conftest import make_random_spec
+from conftest import make_random_spec, make_scalar_spec
 
 
 def test_minimal_model_valid():
@@ -65,6 +66,9 @@ def test_d_less_than_m_rejected():
     (0.0, 1.0, NonpositiveHorizon),
     (-2.0, 1.0, NonpositiveHorizon),
     (1.0, -0.5, NegativeTheta),
+    (float("nan"), 1.0, NonfiniteState),
+    (float("inf"), 1.0, NonfiniteState),
+    (1.0, float("nan"), NonfiniteState),
 ])
 def test_scalar_parameter_guards(horizon, theta, err):
     spec = ModelSpec.constant(
@@ -170,6 +174,42 @@ def test_piecewise_segment_lookup_and_caching():
     assert vm.gram_blocks(0.5) is vm.gram_blocks(0.9)
     assert vm.gram_blocks(0.1) is not vm.gram_blocks(0.6)
     assert vm.coefficients(0.6).asset_drift[0] == 0.08
+
+
+@pytest.mark.parametrize("name,value", [
+    ("asset_drift", [float("nan")]),
+    ("asset_vol", [[float("inf")]]),
+    ("factor_mean_reversion", [[-float("inf")]]),
+    ("bench_drift", float("nan")),
+])
+def test_nonfinite_coefficient_rejected(name, value):
+    b0 = make_scalar_spec().coeffs.blocks[0]
+    spec = ModelSpec(
+        n=1, m=1, d=1,
+        coeffs=CoefficientSet(knots=np.array([0.0, 0.5]), blocks=(b0, b0.replace(**{name: value}))),
+        horizon_years=1.0, theta=1.0, x0=np.zeros(1),
+    )
+    with pytest.raises(NonfiniteState) as err:
+        validate_model(spec)
+    assert f"'{name}' in block 1" in str(err.value)
+
+
+def test_nan_knot_rejected():
+    b0 = make_scalar_spec().coeffs.blocks[0]
+    spec = ModelSpec(
+        n=1, m=1, d=1, coeffs=CoefficientSet(knots=np.array([0.0, np.nan]), blocks=(b0, b0)),
+        horizon_years=1.0, theta=1.0, x0=np.zeros(1),
+    )
+    with pytest.raises(DimensionMismatch):
+        validate_model(spec)
+
+
+def test_nonfinite_x0_rejected():
+    spec = ModelSpec.constant(n=1, m=1, d=1, horizon_years=1.0, theta=1.0,
+                              x0=[float("nan")], asset_vol=[[0.2]])
+    with pytest.raises(NonfiniteState) as err:
+        validate_model(spec)
+    assert "'x0'" in str(err.value)
 
 
 def test_time_out_of_range():

@@ -214,7 +214,28 @@ def test_policies_affine_in_state(scalar_model, scalar_vc, x, y, t):
         assert np.abs(fm - 0.5 * (fa + fb)).max() <= 1e-12 * (1.0 + np.abs(fm).max())
 
 
+@pytest.mark.parametrize("theta", [1.0, 0.0])
+@pytest.mark.parametrize("route", ["direct", "twostep"])
+def test_point_evaluators_are_one_row_batch_calls(theta, route):
+    rng = np.random.default_rng(31)
+    vm = validate_model(make_random_spec(rng, theta=theta, n=3, m=4, d=7))
+    vc = solve_value_coefficients(vm, steps_per_year=252)
+    for _ in range(10):
+        t = float(rng.uniform(0, vm.horizon))
+        x = rng.standard_normal(vm.n)
+        X = x[None, :]
+        ce_grad = batch_ce_gradient(vc, t, X)
+        H = batch_allocation(vm, t, X, ce_grad, route)
+        G = batch_gamma(vm, batch_value_tilt(vm, t, ce_grad),
+                        batch_tracking(vm, t, batch_allocation(vm, t, X, ce_grad)))
+        assert np.array_equal(optimal_h(vm, vc, t, x, route), H[0])
+        assert np.array_equal(optimal_nu(vm, vc, t, x), batch_nu(vm, t, ce_grad)[0])
+        assert np.array_equal(optimal_gamma(vm, vc, t, x), G[0])
+        assert np.array_equal(fractional_kelly(vm, vc, t, x).kelly, batch_kelly(vm, t, X)[0])
+
+
 def test_batch_evaluators_match_pointwise(solved_random):
+    # a 7-row batch agrees with the one-row calls the point evaluators make
     for vm, vc, rng in solved_random:
         t = float(rng.uniform(0, vm.horizon))
         X = rng.standard_normal((7, vm.n))
