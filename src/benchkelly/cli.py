@@ -294,7 +294,7 @@ def cmd_solve(config: dict, out: OutputWriter, args) -> int:
     valuefn.save_coefficients(vc, out.outdir / "value_coefficients.json")
     out.record("value_coefficients.json")
 
-    min_eig = min(float(np.linalg.eigvalsh(qn)[0]) for qn in vc.quad)
+    min_eig = vc.solver_meta["min_eigenvalue"]
     summary = {
         "steps_per_year": vc.solver_meta["steps_per_year"],
         "residual_quad": vc.solver_meta["residual_quad"],
@@ -594,9 +594,10 @@ def run_verification(config: dict, seed: int, inject_corruption: bool = False) -
     # terminal conditions and symmetry/PSD
     term = max(float(np.abs(vc.quad[-1]).max()), float(np.abs(vc.lin[-1]).max()), abs(float(vc.level[-1])))
     add("terminal_condition", "PASS" if term == 0.0 else "FAIL", f"max terminal coefficient = {term:.2e}")
-    asym = max(float(np.abs(qn - qn.T).max()) for qn in vc.quad)
+    asym = float(np.abs(vc.quad - vc.quad.transpose(0, 2, 1)).max())
     add("quad_symmetry", "PASS" if asym < 1e-12 else "FAIL", f"max |Q - Q'| = {asym:.2e}")
-    min_eig = min(float(np.linalg.eigvalsh(qn)[0]) for qn in vc.quad)
+    # recomputed from vc, not read from solver_meta, so a corrupted vc fails here
+    min_eig = float(np.linalg.eigvalsh(vc.quad)[:, 0].min())
     add("quad_psd", "PASS" if min_eig >= -1e-10 else "FAIL", f"min eigenvalue = {min_eig:.2e}")
 
     # backward-equation residuals at sampled interior nodes, scaled by the

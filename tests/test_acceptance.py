@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from benchkelly import model as model_mod
+from benchkelly import valuefn
 from benchkelly.analytics import risk_ratios
 from benchkelly.cli import main as cli_main
 from benchkelly.estimate import bootstrap_gram_se, estimate_model, gram_blocks_of_cov, \
@@ -58,14 +59,21 @@ def test_criterion_02_riccati_correctness(scalar_model):
         abs(base.lin[0, 0] - halved.lin[0, 0]) / abs(halved.lin[0, 0]),
         abs(base.level[0] - halved.level[0]) / abs(halved.level[0]),
     ]
-    ref = solve_value_coefficients(scalar_model, steps_per_year=2048).quad[0, 0, 0]
-    errs = [abs(solve_value_coefficients(scalar_model, steps_per_year=spy).quad[0, 0, 0] - ref)
-            for spy in (16, 32, 64)]
-    order = min(np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2]))
+    # quad against the closed-form scalar Riccati solution at every node,
+    # S sinh(k s) / (k cosh(k s) - L sinh(k s)) with k^2 = L^2 + theta M S
+    terms = valuefn._SegmentTerms(scalar_model, 0.0, scalar_model.theta)
+    L, M, S = terms.lin_map[0, 0], terms.curvature_mix[0, 0], terms.quad_source[0, 0]
+    kappa = np.sqrt(L * L + scalar_model.theta * M * S)
+    closed_form = 0.0
+    for spy in (16, 32, 64):
+        vc = solve_value_coefficients(scalar_model, steps_per_year=spy)
+        s = scalar_model.horizon - vc.grid[:-1]
+        exact = S * np.sinh(kappa * s) / (kappa * np.cosh(kappa * s) - L * np.sinh(kappa * s))
+        closed_form = max(closed_form, float(np.abs(vc.quad[:-1, 0, 0] / exact - 1.0).max()))
     elapsed = time.perf_counter() - start
     report(2, "backward solve correctness",
-           max(rels) < 1e-8 and order >= 3.7 and elapsed < 5.0,
-           f"step-halving rel err = {max(rels):.2e}, observed order = {order:.2f}, "
+           max(rels) < 1e-8 and closed_form <= 1e-12 and elapsed < 5.0,
+           f"step-halving rel err = {max(rels):.2e}, closed-form rel err = {closed_form:.2e}, "
            f"{elapsed:.2f}s")
 
 

@@ -16,9 +16,9 @@ from benchkelly.cli import main
 from conftest import make_twofactor_spec
 
 GOLDEN = {
-    "value_coefficients.json": "c0baa7593d3c7d4dfd4d6dec1710fce038856da158f7cb4f933240df717447a9",
-    "terminals.csv": "b7d2b34c672bd01fb877df201dfb336a061bf238785768033024054e13f5d3b2",
-    "policy.json": "c42952ff8018add66c9a68f40f7e912d4058aeccbfaf1f78255d17c9413ea485",
+    "value_coefficients.json": "5a550b9668f31666bffa6f1c4809e2be5d7ce9ee4efc37aafad83868a945b5e7",
+    "terminals.csv": "b516f10297cbeffddb958ac209fb62fb4b505bd257b0d75988f0cf00014ce43c",
+    "policy.json": "b54735aa61fcaec26bf3831f2012987d2ed0c96202871d788f4b7907e9263d6c",
 }
 
 

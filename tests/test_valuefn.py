@@ -13,7 +13,8 @@ from benchkelly.valuefn import (
     value_function,
 )
 
-from conftest import make_scalar_spec
+from conftest import make_random_spec, make_scalar_spec, make_twofactor_spec
+from rk4_reference import solve_rk4
 
 
 def test_zero_source_gives_zero_solution():
@@ -63,10 +64,11 @@ def test_step_halving_reference(scalar_model):
 
 
 def test_convergence_order_at_least_3_7(scalar_model):
-    ref = solve_value_coefficients(scalar_model, steps_per_year=2048).quad[0, 0, 0]
+    # the RK4 oracle's own order: the engine has no truncation to measure
+    ref = solve_rk4(scalar_model, steps_per_year=2048).quad[0, 0, 0]
     errs = []
     for spy in (16, 32, 64):
-        q0 = solve_value_coefficients(scalar_model, steps_per_year=spy).quad[0, 0, 0]
+        q0 = solve_rk4(scalar_model, steps_per_year=spy).quad[0, 0, 0]
         errs.append(abs(q0 - ref))
     order1 = np.log2(errs[0] / errs[1])
     order2 = np.log2(errs[1] / errs[2])
@@ -150,10 +152,61 @@ def test_residual_small_at_fine_steps(scalar_model):
 
 
 def test_refinement_shrinks_error_fourth_order(scalar_model):
-    ref = solve_value_coefficients(scalar_model, steps_per_year=4096).quad[0, 0, 0]
-    err_n = abs(solve_value_coefficients(scalar_model, steps_per_year=64).quad[0, 0, 0] - ref)
-    err_2n = abs(solve_value_coefficients(scalar_model, steps_per_year=128).quad[0, 0, 0] - ref)
+    ref = solve_rk4(scalar_model, steps_per_year=4096).quad[0, 0, 0]
+    err_n = abs(solve_rk4(scalar_model, steps_per_year=64).quad[0, 0, 0] - ref)
+    err_2n = abs(solve_rk4(scalar_model, steps_per_year=128).quad[0, 0, 0] - ref)
     assert err_n / err_2n > 10.0  # ~16 for exact order 4
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(make_scalar_spec(), id="scalar"),
+    pytest.param(make_twofactor_spec(), id="twofactor"),
+    pytest.param(make_random_spec(np.random.default_rng(5), n=3), id="random-n3"),
+    pytest.param(make_random_spec(np.random.default_rng(6), n=10, m=8, d=20), id="random-n10"),
+])
+def test_engine_matches_rk4_oracle(spec):
+    vm = validate_model(spec)
+    vc = solve_value_coefficients(vm, steps_per_year=504)
+    ref = solve_rk4(vm, steps_per_year=8 * 504)
+    for name in ("quad", "lin", "level"):
+        ours, oracle = getattr(vc, name), getattr(ref, name)[::8]
+        assert np.abs(ours - oracle).max() <= 1e-12 * np.abs(oracle).max(), name
+
+
+def test_knot_between_nodes_is_exact():
+    from benchkelly.model import CoefficientBlock, CoefficientSet
+
+    b_late = CoefficientBlock.zeros(1, 1, 1).replace(
+        asset_drift=[0.05], asset_factor_loading=[[1.0]], asset_vol=[[0.2]],
+        factor_mean_reversion=[[-0.5]], factor_vol=[[0.1]], bench_vol=[0.02],
+    )
+    b_early = b_late.replace(asset_vol=[[0.3]], asset_drift=[0.08])
+    vm = validate_model(ModelSpec(
+        n=1, m=1, d=1,
+        coeffs=CoefficientSet(knots=np.array([0.0, 0.3]), blocks=(b_early, b_late)),
+        horizon_years=1.0, theta=1.0, x0=np.zeros(1),
+    ))
+    # 1000/yr puts the knot on a node, 252 and 1008/yr put it between nodes
+    ref = solve_value_coefficients(vm, steps_per_year=1000)
+    for spy in (252, 1008):
+        vc = solve_value_coefficients(vm, steps_per_year=spy)
+        assert abs(vc.quad[0, 0, 0] / ref.quad[0, 0, 0] - 1.0) <= 1e-12
+        assert abs(vc.lin[0, 0] / ref.lin[0, 0] - 1.0) <= 1e-12
+        assert abs(vc.level[0] / ref.level[0] - 1.0) <= 1e-11
+
+
+def test_singular_step_raises_blowup(monkeypatch, scalar_model):
+    # an increment of -I makes I + dX singular at the first step
+    monkeypatch.setattr(valuefn, "_step_increment", lambda ham, tau: -np.eye(len(ham)))
+    with pytest.raises(BlowUp):
+        solve_value_coefficients(scalar_model, steps_per_year=252)
+
+
+def test_min_eigenvalue_is_the_per_node_minimum():
+    vm = validate_model(make_random_spec(np.random.default_rng(6), n=10, m=8, d=20))
+    vc = solve_value_coefficients(vm, steps_per_year=252)
+    per_node = min(float(np.linalg.eigvalsh(q)[0]) for q in vc.quad)
+    assert vc.solver_meta["min_eigenvalue"] == per_node
 
 
 def test_blowup_detected():
