@@ -1,11 +1,13 @@
-"""Config-driven command-line pipeline.
+"""Config-driven command-line pipeline: a thin shell over the library.
 
 Subcommands: validate, estimate, solve, policy, simulate, report,
-experiment, verify.  One JSON config file drives an experiment; all outputs
-land under the output directory together with a manifest of file hashes, and
-every failure exits nonzero with a machine-parsable ``ERROR <code>:`` line.
-All randomness flows from a single seed; per-role sub-seeds are derived
-deterministically.
+experiment, verify.  One JSON config file drives an experiment.  Each command
+reads its checked settings, takes the validated model from ``build_model``
+(and its coefficients from ``_solve``), calls the library, and writes its
+artifacts under the output directory together with a manifest of file
+hashes; the invariant suite of ``verify`` is ``benchkelly.verify.run``.
+Every failure exits nonzero with a machine-parsable ``ERROR <code>:`` line.
+All randomness flows from a single seed.
 """
 
 from __future__ import annotations
@@ -20,17 +22,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytics, estimate, game
+from . import analytics, estimate, valuefn, verify
 from . import model as model_mod
 from . import policy as policy_mod
 from . import simulate as sim_mod
-from . import valuefn
 from .errors import (
     BlowUp,
     ConfigError,
     EigenvalueViolation,
     EngineError,
     EquivalenceFailure,
+    ParseError,
     RepresentationMismatch,
     SaddleViolation,
 )
@@ -61,12 +63,6 @@ METRIC_ROWS = (
     ("mean_to_var", "mean-to-VaR"),
     ("mean_to_cvar", "mean-to-CVaR"),
 )
-
-
-def derive_seed(seed: int, role: str) -> int:
-    """Deterministic per-role sub-seed from the single config seed."""
-    digest = hashlib.sha256(f"{seed}:{role}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
 
 
 class OutputWriter:
@@ -211,15 +207,17 @@ def _resolve(config: dict, rel: str) -> Path:
     return p if p.is_absolute() else Path(config["_dir"]) / p
 
 
-def build_model(config: dict) -> tuple[model_mod.ModelSpec, estimate.EstimationReport | None]:
-    """Model from a model file (with optional overrides) or from estimation."""
+def build_model(config: dict) -> tuple[model_mod.ValidatedModel, estimate.EstimationReport | None]:
+    """Validated model from a model file (with optional overrides) or from
+    estimation, plus the estimation report (None for a model file)."""
     overrides = {key: convert(config[key])
                  for key, (_, _, convert) in _OVERRIDES.items() if key in config}
     if "model" in config:
         path = _resolve(config, config["model"])
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"model file not found: {path}")
-        return dataclasses.replace(model_mod.load_model(path), **overrides), None
+        spec = dataclasses.replace(model_mod.load_model(path), **overrides)
+        return model_mod.validate_model(spec), None
 
     est_cfg = config["estimation"]
     for key in ("panel", "bench_weights"):
@@ -235,7 +233,13 @@ def build_model(config: dict) -> tuple[model_mod.ModelSpec, estimate.EstimationR
         raise ConfigError(f"panel file not found: {panel_path}")
     panel = estimate.load_panel(panel_path, schema)
     report = estimate.estimate_model(panel, **overrides)
-    return report.model_spec, report
+    return model_mod.validate_model(report.model_spec), report
+
+
+def _solve(config: dict, validated: model_mod.ValidatedModel) -> valuefn.ValueCoefficients:
+    """The model's value coefficients at the config's solver steps."""
+    return valuefn.solve_value_coefficients(
+        validated, _setting(config, "solver", "steps_per_year"))
 
 
 def _sim_config(config: dict, seed_override: int | None, **kwargs) -> sim_mod.SimConfig:
@@ -255,14 +259,10 @@ def _sim_config(config: dict, seed_override: int | None, **kwargs) -> sim_mod.Si
 # ---------------------------------------------------------------------------
 
 def cmd_validate(config: dict, out: OutputWriter, args) -> int:
-    spec, _ = build_model(config)
-    validated = model_mod.validate_model(spec)
-    lines = [
-        f"model OK: factors={validated.n} assets={validated.m} noise_dim={validated.d}",
-        f"theta={validated.theta:g} horizon_years={validated.horizon:g} "
-        f"segments={len(spec.coeffs.blocks)}",
-    ]
-    text = "\n".join(lines)
+    validated, _ = build_model(config)
+    text = (f"model OK: factors={validated.n} assets={validated.m} noise_dim={validated.d}\n"
+            f"theta={validated.theta:g} horizon_years={validated.horizon:g} "
+            f"segments={len(validated.spec.coeffs.blocks)}")
     print(text)
     out.write_text("validate.txt", text + "\n")
     out.finish()
@@ -272,38 +272,25 @@ def cmd_validate(config: dict, out: OutputWriter, args) -> int:
 def cmd_estimate(config: dict, out: OutputWriter, args) -> int:
     if "estimation" not in config:
         raise ConfigError("the estimate command needs an 'estimation' config block")
-    spec, report = build_model(config)
-    model_mod.validate_model(spec)
-    out.write_json("model.json", model_mod.model_to_dict(spec))
+    validated, report = build_model(config)
+    out.write_json("model.json", model_mod.model_to_dict(validated.spec))
     out.write_json("estimation_report.json", report.to_dict())
     out.finish()
     print(f"estimated model from {report.rows} rows "
-          f"(assets={spec.m}, factors={spec.n}); wrote model.json")
+          f"(assets={validated.m}, factors={validated.n}); wrote model.json")
     return EXIT_OK
 
 
-def _solve_from_config(config: dict):
-    spec, _ = build_model(config)
-    validated = model_mod.validate_model(spec)
-    vc = valuefn.solve_value_coefficients(validated, _setting(config, "solver", "steps_per_year"))
-    return validated, vc
-
-
 def cmd_solve(config: dict, out: OutputWriter, args) -> int:
-    validated, vc = _solve_from_config(config)
+    vc = _solve(config, build_model(config)[0])
     valuefn.save_coefficients(vc, out.outdir / "value_coefficients.json")
     out.record("value_coefficients.json")
 
     min_eig = vc.solver_meta["min_eigenvalue"]
-    summary = {
-        "steps_per_year": vc.solver_meta["steps_per_year"],
-        "residual_quad": vc.solver_meta["residual_quad"],
-        "residual_lin": vc.solver_meta["residual_lin"],
-        "residual_quad_rel": vc.solver_meta["residual_quad_rel"],
-        "residual_lin_rel": vc.solver_meta["residual_lin_rel"],
-        "min_eigenvalue": min_eig,
-        "initial_level": float(vc.level[0]),
-    }
+    summary = {key: vc.solver_meta[key] for key in (
+        "steps_per_year", "residual_quad", "residual_lin", "residual_quad_rel",
+        "residual_lin_rel", "min_eigenvalue")}
+    summary["initial_level"] = float(vc.level[0])
     out.write_json("solve_summary.json", summary)
     out.finish()
     # gate on the derivative-scaled residual: the raw defect carries the
@@ -324,50 +311,32 @@ def cmd_solve(config: dict, out: OutputWriter, args) -> int:
 
 
 def cmd_policy(config: dict, out: OutputWriter, args) -> int:
-    validated, vc = _solve_from_config(config)
+    validated, _ = build_model(config)
+    vc = _solve(config, validated)
     t = _setting(config, "policy", "t")
     x = _setting(config, "policy", "x")
     if x is None:
         x = np.asarray(validated.x0, dtype=float)
     elif x.shape != (validated.n,):
         raise ConfigError(f"policy.x must have {validated.n} entries, got {len(x)}")
-    action = policy_mod.fractional_kelly(validated, vc, t, x)
-
-    rows = [
-        ("allocation", action.allocation),
-        ("tilt", action.tilt),
-        ("tilt_twostep", action.tilt_twostep),
-        ("kelly", action.kelly),
-        ("bench_track", action.bench_track),
-        ("hedge", action.hedge),
-        ("kelly_fraction", np.array([action.kelly_fraction])),
-    ]
-    width = max(len(name) for name, _ in rows)
+    # one row and one JSON entry per PolicyAction field, in field order
+    fields = dataclasses.asdict(policy_mod.fractional_kelly(validated, vc, t, x))
+    width = max(map(len, fields))
     lines = [f"policy at t={t:g}, x={x.tolist()}"]
-    for name, vec in rows:
-        body = "  ".join(f"{v: .6f}" for v in np.atleast_1d(vec))
+    for name, value in fields.items():
+        body = "  ".join(f"{v: .6f}" for v in np.atleast_1d(value))
         lines.append(f"{name:<{width}}  {body}")
     text = "\n".join(lines)
     print(text)
     out.write_text("policy.txt", text + "\n")
-    out.write_json("policy.json", {
-        "t": t,
-        "x": x.tolist(),
-        "allocation": action.allocation.tolist(),
-        "tilt": action.tilt.tolist(),
-        "tilt_twostep": action.tilt_twostep.tolist(),
-        "kelly": action.kelly.tolist(),
-        "bench_track": action.bench_track.tolist(),
-        "hedge": action.hedge.tolist(),
-        "kelly_fraction": action.kelly_fraction,
-    })
+    out.write_json("policy.json", {"t": t, "x": x.tolist(), **{
+        name: np.asarray(value).tolist() for name, value in fields.items()}})
     out.finish()
     return EXIT_OK
 
 
 def cmd_simulate(config: dict, out: OutputWriter, args) -> int:
-    spec, _ = build_model(config)
-    validated = model_mod.validate_model(spec)
+    validated, _ = build_model(config)
     overrides = {}
     for flag, key in (("paths", "n_paths"), ("steps", "steps"), ("dt", "dt"),
                       ("measure", "measure"), ("strategy", "strategy")):
@@ -378,23 +347,14 @@ def cmd_simulate(config: dict, out: OutputWriter, args) -> int:
         overrides["antithetic"] = True
     dump_paths = _setting(config, "simulation", "dump_paths")
     cfg = _sim_config(config, args.seed, store_paths=dump_paths, **overrides)
-    vc = None
-    if cfg.strategy == "optimal" or cfg.measure != "physical":
-        vc = valuefn.solve_value_coefficients(
-            validated, _setting(config, "solver", "steps_per_year"))
+    vc = (_solve(config, validated)
+          if cfg.strategy == "optimal" or cfg.measure != "physical" else None)
     bundle = sim_mod.simulate_paths(validated, vc, cfg)
 
     sim_mod.save_terminals_csv(bundle, out.outdir / "terminals.csv")
     out.record("terminals.csv")
-    summary = {
-        "n_paths": cfg.n_paths,
-        "steps": cfg.steps,
-        "dt": cfg.dt,
-        "seed": cfg.seed,
-        "measure": cfg.measure,
-        "strategy": cfg.strategy,
-        "route": cfg.route,
-    }
+    summary = {key: getattr(cfg, key)
+               for key in ("n_paths", "steps", "dt", "seed", "measure", "strategy", "route")}
     if cfg.measure == "physical":
         mc = sim_mod.mc_criterion(bundle, validated.theta)
         summary["criterion_estimate"] = mc.estimate
@@ -428,10 +388,8 @@ def _format_report_table(labeled: list[tuple[str, analytics.PerfReport]]) -> str
     head = f"{'metric':<{width}}  " + "  ".join(f"{lbl:>{col}}" for lbl in labels)
     lines = [head, "-" * len(head)]
     for key, desc in METRIC_ROWS:
-        cells = []
-        for _, rep in labeled:
-            value = getattr(rep, key)
-            cells.append(f"{'undefined':>{col}}" if value is None else f"{value:>{col}.6f}")
+        values = [getattr(rep, key) for _, rep in labeled]
+        cells = [f"{'undefined':>{col}}" if v is None else f"{v:>{col}.6f}" for v in values]
         lines.append(f"{desc:<{width}}  " + "  ".join(cells))
     return "\n".join(lines)
 
@@ -439,10 +397,8 @@ def _format_report_table(labeled: list[tuple[str, analytics.PerfReport]]) -> str
 def _report_csv(labeled: list[tuple[str, analytics.PerfReport]]) -> str:
     lines = ["metric," + ",".join(label for label, _ in labeled)]
     for key, _ in METRIC_ROWS:
-        cells = []
-        for _, rep in labeled:
-            value = getattr(rep, key)
-            cells.append("" if value is None else repr(value))
+        values = [getattr(rep, key) for _, rep in labeled]
+        cells = ["" if v is None else repr(v) for v in values]
         lines.append(f"{key}," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -455,10 +411,17 @@ def _returns_from_artifact(path: Path) -> np.ndarray:
     if head == sim_mod._BIN_MAGIC:
         _, log_excess = sim_mod.load_paths_binary(path)
         return np.diff(log_excess, axis=1).reshape(-1)
-    lines = path.read_text().strip().splitlines()
+    lines = path.read_text(errors="replace").strip().splitlines()
     if not lines or not lines[0].startswith("path,terminal_log_excess"):
         raise ConfigError(f"{path} is neither a path dump nor a terminals CSV")
-    return np.array([float(line.split(",")[1]) for line in lines[1:]])
+    values = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            values.append(float(line.split(",")[1]))
+        except (IndexError, ValueError):
+            raise ParseError(
+                f"{path} line {number}: unreadable terminal value in {line!r}") from None
+    return np.array(values)
 
 
 def cmd_report(config: dict, out: OutputWriter, args) -> int:
@@ -474,8 +437,8 @@ def cmd_report(config: dict, out: OutputWriter, args) -> int:
     labeled = []
     for item in inputs:
         path = _resolve(config, item["paths"])
-        if not path.exists():
-            raise ConfigError(f"report input not found: {path}")
+        if not path.is_file():
+            raise ConfigError(f"report input not found or not a file: {path}")
         labeled.append((item["label"], _performance_report(config, _returns_from_artifact(path))))
     text = _format_report_table(labeled)
     print(text)
@@ -488,9 +451,8 @@ def cmd_report(config: dict, out: OutputWriter, args) -> int:
 def cmd_experiment(config: dict, out: OutputWriter, args) -> int:
     """Simulate the four strategies on shared seeds and emit the comparison
     table; the two optimal-policy routes must produce identical metrics."""
-    spec, est_report = build_model(config)
-    validated = model_mod.validate_model(spec)
-    vc = valuefn.solve_value_coefficients(validated, _setting(config, "solver", "steps_per_year"))
+    validated, est_report = build_model(config)
+    vc = _solve(config, validated)
 
     # the simulation block's benchmark weights, else the estimation's
     benchmark = dict(strategy="benchmark")
@@ -545,162 +507,16 @@ def cmd_experiment(config: dict, out: OutputWriter, args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verify: the full invariant suite
-# ---------------------------------------------------------------------------
-
-def _lattice(validated, vc, config, seed):
-    n_times = _setting(config, "verify", "lattice_times")
-    n_states = _setting(config, "verify", "lattice_states")
-    T = validated.horizon
-    times = np.linspace(0.05 * T, 0.95 * T, n_times)
-    rng = np.random.default_rng(derive_seed(seed, "verify-lattice"))
-    states = validated.x0 + rng.standard_normal((n_states, validated.n))
-    return times, states
-
-
-def run_verification(config: dict, seed: int, inject_corruption: bool = False) -> list[dict]:
-    """Run every checkable identity; returns one row per invariant."""
-    spec, _ = build_model(config)
-    validated = model_mod.validate_model(spec)
-    vc = valuefn.solve_value_coefficients(validated, _setting(config, "solver", "steps_per_year"))
-    theta = validated.theta
-    rows: list[dict] = []
-
-    def add(name: str, status: str, detail: str) -> None:
-        rows.append({"invariant": name, "status": status, "detail": detail})
-
-    if inject_corruption:
-        vc = valuefn.ValueCoefficients(
-            grid=vc.grid, quad=1.5 * vc.quad + 0.1, lin=vc.lin, level=vc.level,
-            theta=vc.theta, solver_meta=dict(vc.solver_meta),
-        )
-
-    times, states = _lattice(validated, vc, config, seed)
-
-    # projection identities at segment starts
-    worst_inv, worst_idem = 0.0, 0.0
-    eye = np.eye(validated.d)
-    for knot in spec.coeffs.knots:
-        proj = validated.projection_matrices(float(knot))
-        worst_inv = max(worst_inv, float(np.abs(proj.pminus @ proj.pplus - eye).max()))
-        pi = (eye - proj.pminus) * ((theta + 1.0) / theta) if theta > 0 else None
-        if pi is not None:
-            worst_idem = max(worst_idem, float(np.abs(pi @ pi - pi).max()))
-    add("projection_inverse", "PASS" if worst_inv < 1e-12 else "FAIL", f"max |P-P+ - I| = {worst_inv:.2e}")
-    if theta > 0:
-        add("projection_idempotent", "PASS" if worst_idem < 1e-10 else "FAIL", f"max |Pi^2 - Pi| = {worst_idem:.2e}")
-
-    # terminal conditions and symmetry/PSD
-    term = max(float(np.abs(vc.quad[-1]).max()), float(np.abs(vc.lin[-1]).max()), abs(float(vc.level[-1])))
-    add("terminal_condition", "PASS" if term == 0.0 else "FAIL", f"max terminal coefficient = {term:.2e}")
-    asym = float(np.abs(vc.quad - vc.quad.transpose(0, 2, 1)).max())
-    add("quad_symmetry", "PASS" if asym < 1e-12 else "FAIL", f"max |Q - Q'| = {asym:.2e}")
-    # recomputed from vc, not read from solver_meta, so a corrupted vc fails here
-    min_eig = float(np.linalg.eigvalsh(vc.quad)[:, 0].min())
-    add("quad_psd", "PASS" if min_eig >= -1e-10 else "FAIL", f"min eigenvalue = {min_eig:.2e}")
-
-    # backward-equation residuals at sampled interior nodes, scaled by the
-    # local derivative magnitude (the raw defect is truncation-dominated)
-    res_tol = _setting(config, "solver", "residual_tol")
-    worst_q, worst_l = 0.0, 0.0
-    for t in np.linspace(0.1 * validated.horizon, 0.9 * validated.horizon, 7):
-        res = valuefn.riccati_residual(vc, validated, float(t))
-        worst_q, worst_l = max(worst_q, res.quad_rel), max(worst_l, res.lin_rel)
-    add("backward_residuals", "PASS" if max(worst_q, worst_l) < res_tol else "FAIL",
-        f"quad={worst_q:.2e} lin={worst_l:.2e} (derivative-scaled) tol={res_tol:g}")
-
-    # policy identities on the lattice
-    worst_route, worst_affine = 0.0, 0.0
-    policy_ok, policy_err = True, ""
-    for t in times:
-        for x in states:
-            try:
-                policy_mod.fractional_kelly(validated, vc, float(t), x)
-            except RepresentationMismatch as exc:
-                policy_ok, policy_err = False, str(exc)
-            h1 = policy_mod.optimal_h(validated, vc, float(t), x, "direct")
-            h2 = policy_mod.optimal_h(validated, vc, float(t), x, "twostep")
-            worst_route = max(worst_route, float(np.abs(h1 - h2).max() / (1.0 + np.abs(h1).max())))
-            y = states[0] + 0.5
-            hm = policy_mod.optimal_h(validated, vc, float(t), 0.5 * (x + y))
-            hx = policy_mod.optimal_h(validated, vc, float(t), x)
-            hy = policy_mod.optimal_h(validated, vc, float(t), y)
-            worst_affine = max(worst_affine, float(np.abs(hm - 0.5 * (hx + hy)).max()))
-    add("policy_decompositions", "PASS" if policy_ok else "FAIL", policy_err or "all identity checks hold")
-    add("policy_route_equality", "PASS" if worst_route < 1e-12 else "FAIL", f"max relative gap = {worst_route:.2e}")
-    add("policy_affine", "PASS" if worst_affine < 1e-12 else "FAIL", f"max midpoint defect = {worst_affine:.2e}")
-
-    # game checks (no game at theta == 0)
-    if theta == 0.0:
-        add("saddle_probes", "SKIP", "Kelly mode (theta = 0): no adverse player")
-        add("isaacs_gap", "SKIP", "Kelly mode (theta = 0): no adverse player")
-    else:
-        probes = _setting(config, "verify", "probes")
-        worst_h, worst_g, saddle_ok, saddle_err = 0.0, 0.0, True, ""
-        offset = 0.1 if inject_corruption else None
-        for i, t in enumerate(times):
-            for k, x in enumerate(states):
-                kwargs = {}
-                if offset is not None:
-                    kwargs["h_center"] = policy_mod.optimal_h(validated, vc, float(t), x) + offset
-                try:
-                    rep = game.saddle_check(
-                        validated, vc, float(t), x, probes=probes,
-                        seed=derive_seed(seed, f"saddle-{i}-{k}"), **kwargs,
-                    )
-                    scale = 1.0 + abs(rep.center_value)
-                    worst_h = max(worst_h, rep.max_violation_h / scale)
-                    worst_g = max(worst_g, rep.max_violation_gamma / scale)
-                except SaddleViolation as exc:
-                    saddle_ok, saddle_err = False, str(exc)
-        add("saddle_probes", "PASS" if saddle_ok else "FAIL",
-            saddle_err or f"worst relative violations h={worst_h:.2e} tilt={worst_g:.2e}")
-        worst_gap = 0.0
-        for t in times:
-            for x in states:
-                hp, hm = game.hamiltonians(validated, vc, float(t), x)
-                worst_gap = max(worst_gap, abs(hp - hm) / (1.0 + abs(hp)))
-        add("isaacs_gap", "PASS" if worst_gap < 1e-9 else "FAIL", f"max relative gap = {worst_gap:.2e}")
-
-    # measure-theory suite on a small shared-seed simulation
-    sim_paths = _setting(config, "verify", "sim_paths")
-    sim_steps = int(min(252, round(validated.horizon / (1.0 / 252.0))))
-    sim_steps = max(sim_steps, 1)
-    base = dict(n_paths=sim_paths, steps=sim_steps, dt=min(1.0 / 252.0, validated.horizon / sim_steps),
-                seed=derive_seed(seed, "verify-sim"), store_paths=False)
-    if theta == 0.0:
-        add("density_factorization", "SKIP", "Kelly mode (theta = 0): densities are trivial")
-        add("measure_equality", "SKIP", "Kelly mode (theta = 0)")
-        add("martingale_tilt", "SKIP", "Kelly mode (theta = 0)")
-        add("martingale_alloc", "SKIP", "Kelly mode (theta = 0)")
-        add("kl_dual_estimators", "SKIP", "Kelly mode (theta = 0)")
-    else:
-        bundle = sim_mod.simulate_paths(validated, vc, sim_mod.SimConfig(strategy="optimal", **base))
-        fact_gap = float(np.abs(bundle.log_density_tilt
-                                - (bundle.log_density_alloc + bundle.log_density_link)).max())
-        add("density_factorization", "PASS" if fact_gap < 1e-10 else "FAIL",
-            f"max pathwise gap = {fact_gap:.2e}")
-        alt_gap = float(np.abs(bundle.log_density_link - bundle.log_density_link_alt).max())
-        add("measure_equality", "PASS" if alt_gap < 1e-10 else "FAIL",
-            f"max pathwise gap = {alt_gap:.2e}")
-        for which in ("tilt", "alloc"):
-            chk = sim_mod.martingale_check(bundle, which)
-            add(f"martingale_{which}", "PASS" if chk.ok else "FAIL",
-                f"mean = {chk.mean:.6f} (se {chk.std_error:.2e})")
-        tilted = sim_mod.simulate_paths(
-            validated, vc, sim_mod.SimConfig(strategy="optimal", measure="tilted_gamma", **base))
-        kl = sim_mod.kl_estimate(tilted)
-        add("kl_dual_estimators", "PASS" if kl.consistent else "FAIL",
-            f"log-density {kl.from_log_density:.5f} vs tilt-norm {kl.from_tilt_norm:.5f}")
-
-    return rows
-
-
 def cmd_verify(config: dict, out: OutputWriter, args) -> int:
+    """The invariant suite of benchkelly.verify.run; exit 2 on any FAIL row."""
     inject = args.inject_corruption or _setting(config, "verify", "inject_corruption")
     seed = _sim_config(config, args.seed).seed
-    rows = run_verification(config, seed, inject_corruption=inject)
+    validated, _ = build_model(config)
+    rows = verify.run(
+        validated, _solve(config, validated), seed, inject_corruption=inject,
+        residual_tol=_setting(config, "solver", "residual_tol"),
+        **{key: _setting(config, "verify", key)
+           for key in ("probes", "sim_paths", "lattice_times", "lattice_states")})
 
     width = max(len(r["invariant"]) for r in rows)
     lines = [f"{r['invariant']:<{width}}  {r['status']:<4}  {r['detail']}" for r in rows]
@@ -767,11 +583,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_run_config(args.config)
-        outdir = Path(args.out) if args.out else Path(config.get("output_dir", "out"))
-        if not Path(outdir).is_absolute():
-            base = Path.cwd()
-            outdir = base / outdir
-        out = OutputWriter(outdir)
+        # a relative output directory is taken from the working directory
+        out = OutputWriter(Path.cwd() / (args.out or config.get("output_dir", "out")))
         return _COMMANDS[args.command](config, out, args)
     except _VERIFY_ERRORS as exc:
         print(f"ERROR {exc.code}: {exc.message}", file=sys.stderr)

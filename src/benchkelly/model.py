@@ -28,6 +28,7 @@ from .errors import (
     NegativeTheta,
     NonfiniteState,
     NonpositiveHorizon,
+    ParseError,
     SingularCovariance,
     TimeOutOfRange,
 )
@@ -352,12 +353,26 @@ def _block_to_json(block: CoefficientBlock) -> dict:
     return out
 
 
+def _read(where: str, convert, value):
+    """convert(value), with an unreadable value reported as a ParseError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"model file: {where} is not readable: {exc}") from None
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def _block_from_json(data: dict, where: str) -> CoefficientBlock:
+    if not isinstance(data, dict):
+        raise DimensionMismatch(f"{where} must be an object")
     missing = [k for k in _COEFF_SHAPES if k not in data]
     if missing:
         raise DimensionMismatch(f"{where}: missing coefficient keys {missing}")
     return CoefficientBlock(**{
-        k: (float(data[k]) if k == "bench_drift" else np.asarray(data[k], dtype=float))
+        k: _read(f"{where} '{k}'", float if k == "bench_drift" else _floats, data[k])
         for k in _COEFF_SHAPES
     })
 
@@ -382,16 +397,20 @@ def model_to_dict(spec: ModelSpec) -> dict:
 
 
 def model_from_dict(data: dict) -> ModelSpec:
+    if not isinstance(data, dict):
+        raise DimensionMismatch("model file must hold a JSON object")
     for key in ("n", "m", "theta", "horizon_years", "x0"):
         if key not in data:
             raise DimensionMismatch(f"model file missing required key '{key}'")
-    n, m = int(data["n"]), int(data["m"])
-    d = int(data.get("d", n + m + 1))
+    n, m = _read("'n'", int, data["n"]), _read("'m'", int, data["m"])
+    d = _read("'d'", int, data.get("d", n + m + 1))
     if "constant" in data:
         coeffs = CoefficientSet.constant(_block_from_json(data["constant"], "constant block"))
     elif "piecewise" in data:
         pw = data["piecewise"]
-        knots = np.asarray(pw["knots"], dtype=float)
+        if not (isinstance(pw, dict) and "knots" in pw and "blocks" in pw):
+            raise DimensionMismatch("piecewise coefficients need 'knots' and 'blocks'")
+        knots = _read("piecewise 'knots'", _floats, pw["knots"])
         blocks = tuple(
             _block_from_json(b, f"piecewise block {i}") for i, b in enumerate(pw["blocks"])
         )
@@ -400,9 +419,9 @@ def model_from_dict(data: dict) -> ModelSpec:
         raise DimensionMismatch("model file needs either 'constant' or 'piecewise' coefficients")
     return ModelSpec(
         n=n, m=m, d=d, coeffs=coeffs,
-        horizon_years=float(data["horizon_years"]),
-        theta=float(data["theta"]),
-        x0=np.asarray(data["x0"], dtype=float),
+        horizon_years=_read("'horizon_years'", float, data["horizon_years"]),
+        theta=_read("'theta'", float, data["theta"]),
+        x0=_read("'x0'", _floats, data["x0"]),
     )
 
 
@@ -411,4 +430,8 @@ def save_model(spec: ModelSpec, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ModelSpec:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise ParseError(f"model file {path} is not valid JSON: {exc}") from None
+    return model_from_dict(data)

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import policy
-from .errors import ConfigError, MeasureMismatch, NonfiniteState
+from .errors import ConfigError, MeasureMismatch, NonfiniteState, ParseError
 from .model import ValidatedModel
 from .valuefn import ValueCoefficients, batch_ce_gradient
 
@@ -95,8 +95,8 @@ def _validate_config(model: ValidatedModel, vc, cfg: SimConfig) -> None:
         raise ConfigError("n_paths must be >= 1")
     if cfg.steps < 1:
         raise ConfigError("steps must be >= 1")
-    if cfg.dt <= 0:
-        raise ConfigError("dt must be positive")
+    if not (np.isfinite(cfg.dt) and cfg.dt > 0):
+        raise ConfigError(f"dt must be a positive finite number, got {cfg.dt}")
     if cfg.steps * cfg.dt > model.horizon * (1 + 1e-9):
         raise ConfigError(
             f"simulation span {cfg.steps * cfg.dt:g} exceeds model horizon {model.horizon:g}"
@@ -426,8 +426,12 @@ def load_paths_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     raw = Path(path).read_bytes()
     if raw[:8] != _BIN_MAGIC:
         raise ConfigError(f"{path} is not a path dump (bad magic)")
-    n_paths, steps, n = struct.unpack("<QQQ", raw[8:32])
+    # a header cut short reads as zero sizes and fails the size check
+    n_paths, steps, n = struct.unpack("<QQQ", raw[8:32]) if len(raw) >= 32 else (0, 0, 0)
     n_state = n_paths * (steps + 1) * n
+    size = 32 + 8 * (n_state + n_paths * (steps + 1))
+    if len(raw) < size:
+        raise ParseError(f"{path} is truncated: {len(raw)} bytes, its header needs {size}")
     states = np.frombuffer(raw, dtype="<f8", count=n_state, offset=32)
     log_excess = np.frombuffer(raw, dtype="<f8", count=n_paths * (steps + 1),
                                offset=32 + 8 * n_state)

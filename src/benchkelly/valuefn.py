@@ -309,10 +309,7 @@ def solve_value_coefficients(
     )
     # Post-solve diagnostic: worst centered-difference residuals on a node sample.
     sample = np.linspace(1, n_steps - 1, min(n_steps - 1, 257)).astype(int) if n_steps > 1 else []
-    worst = Residual(0.0, 0.0, 0.0, 0.0)
-    for j in sample:
-        res = riccati_residual(vc, model, float(grid[j]))
-        worst = Residual(*map(max, worst, res))
+    worst = riccati_residual(vc, model, grid[sample])
     for name, value in worst._asdict().items():
         vc.solver_meta[f"residual_{name}"] = value
     return vc
@@ -350,10 +347,11 @@ class Residual(NamedTuple):
     lin_rel: float
 
 
-def riccati_residual(vc: ValueCoefficients, model: ValidatedModel, t: float) -> Residual:
-    """Defect of the quadratic and linear backward equations at the interior
-    grid node nearest t, with the time derivative approximated by a
-    centered difference of neighboring nodes.  Diagnostic only.
+def riccati_residual(vc: ValueCoefficients, model: ValidatedModel, times) -> Residual:
+    """Worst defects of the quadratic and linear backward equations over one
+    time or a sequence of times (each field maximized; 0 for none), each at
+    the interior grid node nearest it, with the time derivative approximated
+    by a centered difference of neighboring nodes.  Diagnostic only.
 
     The defect carries the O(step^2) truncation of the centered difference,
     which scales with the solution's derivatives; the relative defects are
@@ -361,26 +359,34 @@ def riccati_residual(vc: ValueCoefficients, model: ValidatedModel, t: float) -> 
     different magnitude.
     """
     grid = vc.grid
-    if not (grid[0] < t < grid[-1]):
-        raise TimeOutOfRange(f"residual needs an interior time, got {t:g}")
-    j = int(np.argmin(np.abs(grid - t)))
-    j = min(max(j, 1), len(grid) - 2)
-    # keep the centered-difference stencil inside one coefficient segment
-    seg = model.spec.coeffs.segment_index
-    for _ in range(2):
-        if seg(float(grid[j - 1])) != seg(float(grid[j + 1])):
-            j = j + 1 if seg(float(grid[j])) == seg(float(grid[j + 1])) else j - 1
-            j = min(max(j, 1), len(grid) - 2)
-    dt = grid[j + 1] - grid[j - 1]
-    dq_dt = (vc.quad[j + 1] - vc.quad[j - 1]) / dt
-    dl_dt = (vc.lin[j + 1] - vc.lin[j - 1]) / dt
-    terms = _SegmentTerms(model, float(grid[j]), vc.theta)
-    expected = terms.derivative(vc.quad[j], vc.lin[j])
-    res_quad = float(np.abs(dq_dt - expected[0]).max())
-    res_lin = float(np.abs(dl_dt - expected[1]).max())
-    return Residual(res_quad, res_lin,
-                    res_quad / (1.0 + float(np.abs(dq_dt).max())),
-                    res_lin / (1.0 + float(np.abs(dl_dt).max())))
+    times = np.atleast_1d(np.asarray(times, dtype=float)).tolist()
+    for t in times:
+        if not (grid[0] < t < grid[-1]):
+            raise TimeOutOfRange(f"residual needs an interior time, got {t:g}")
+    seg_of = model.spec.coeffs.segment_index
+    terms: dict[int, _SegmentTerms] = {}
+    worst = Residual(0.0, 0.0, 0.0, 0.0)
+    for t in times:
+        j = int(np.argmin(np.abs(grid - t)))
+        j = min(max(j, 1), len(grid) - 2)
+        # keep the centered-difference stencil inside one coefficient segment
+        for _ in range(2):
+            if seg_of(float(grid[j - 1])) != seg_of(float(grid[j + 1])):
+                j = j + 1 if seg_of(float(grid[j])) == seg_of(float(grid[j + 1])) else j - 1
+                j = min(max(j, 1), len(grid) - 2)
+        dt = grid[j + 1] - grid[j - 1]
+        dq_dt = (vc.quad[j + 1] - vc.quad[j - 1]) / dt
+        dl_dt = (vc.lin[j + 1] - vc.lin[j - 1]) / dt
+        seg = seg_of(float(grid[j]))
+        if seg not in terms:
+            terms[seg] = _SegmentTerms(model, float(grid[j]), vc.theta)
+        expected = terms[seg].derivative(vc.quad[j], vc.lin[j])
+        res_quad = float(np.abs(dq_dt - expected[0]).max())
+        res_lin = float(np.abs(dl_dt - expected[1]).max())
+        worst = Residual(*map(max, worst, (
+            res_quad, res_lin, res_quad / (1.0 + float(np.abs(dq_dt).max())),
+            res_lin / (1.0 + float(np.abs(dl_dt).max())))))
+    return worst
 
 
 # ---------------------------------------------------------------------------

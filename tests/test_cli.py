@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -391,6 +392,62 @@ def test_validate_rejects_nonfinite_model(workdir, capsys, name, value):
     assert code == 1
     assert captured.err.startswith("ERROR NONFINITE_STATE:") and name in captured.err
     assert "model OK" not in captured.out and "Traceback" not in captured.err
+
+
+def _edited_model(edit):
+    data = model_mod.model_to_dict(make_scalar_spec())
+    edit(data)
+    return json.dumps(data)
+
+
+def _piecewise_without_blocks(data):
+    data["piecewise"] = {"knots": [0.0]}
+    del data["constant"]
+
+
+@pytest.mark.parametrize("code,text", [
+    ("PARSE", "{not json"),
+    ("PARSE", _edited_model(lambda d: d.update(n="one"))),
+    ("PARSE", _edited_model(lambda d: d["constant"].update(asset_drift=["abc"]))),
+    ("DIMENSION_MISMATCH", _edited_model(_piecewise_without_blocks)),
+], ids=["not-json", "n-text", "coefficient-text", "piecewise-no-blocks"])
+def test_validate_rejects_unreadable_model_file(workdir, capsys, code, text):
+    (workdir / "model.json").write_text(text)
+    exit_code = run(workdir, "validate", "--config", str(workdir / "config.json"),
+                    "--out", str(workdir / "o"))
+    captured = capsys.readouterr()
+    assert exit_code == 1
+    assert captured.err.startswith(f"ERROR {code}:")
+    assert "model OK" not in captured.out and "Traceback" not in captured.err
+
+
+def _short_dump(path):
+    # the header promises 10 paths of 5 steps in one factor; no data follows
+    path.write_bytes(b"BKPATHS1" + struct.pack("<QQQ", 10, 5, 1))
+
+
+@pytest.mark.parametrize("code,make,detail", [
+    ("PARSE", lambda p: p.write_text("path,terminal_log_excess\n0,0.1\n1,abc\n"), "line 3"),
+    ("PARSE", _short_dump, "truncated"),
+    ("CONFIG", lambda p: p.mkdir(), "not a file"),
+], ids=["csv-cell", "short-dump", "directory"])
+def test_report_rejects_unreadable_input(workdir, capsys, code, make, detail):
+    make(workdir / "input")
+    exit_code = run(workdir, "report", "--config", str(workdir / "config.json"),
+                    "--out", str(workdir / "r"), f"bad={workdir / 'input'}")
+    err = capsys.readouterr().err
+    assert exit_code == 1
+    assert err.startswith(f"ERROR {code}:") and detail in err
+    assert "Traceback" not in err
+
+
+def test_simulate_rejects_nonfinite_dt_flag(workdir, capsys):
+    exit_code = run(workdir, "simulate", "--config", str(workdir / "config.json"),
+                    "--out", str(workdir / "o"), "--dt", "nan")
+    err = capsys.readouterr().err
+    assert exit_code == 1
+    assert err.startswith("ERROR CONFIG:") and "dt" in err
+    assert "Traceback" not in err
 
 
 def test_estimate_rejects_nonfinite_panel(tmp_path, capsys):

@@ -244,8 +244,8 @@ def test_dump_load_round_trip(tmp_path, scalar_vc):
     assert path.read_text() == text1
 
 
-def test_piecewise_coefficients_solve():
-    # regime switch at 0.5y: higher vol in the first half
+def _two_segment_model():
+    """Regime switch at 0.5y: higher vol in the first half."""
     from benchkelly.model import CoefficientBlock, CoefficientSet
 
     b_late = CoefficientBlock.zeros(1, 1, 1).replace(
@@ -259,7 +259,11 @@ def test_piecewise_coefficients_solve():
         horizon_years=1.0, theta=1.0, x0=np.zeros(1),
     )
     vm = validate_model(spec)
-    vc = solve_value_coefficients(vm, steps_per_year=2016)  # knot lands on a node
+    return vm, solve_value_coefficients(vm, steps_per_year=2016)  # knot lands on a node
+
+
+def test_piecewise_coefficients_solve():
+    vm, vc = _two_segment_model()
     # residuals hold inside each segment
     for t in (0.2, 0.8):
         res = riccati_residual(vc, vm, t)
@@ -271,6 +275,20 @@ def test_piecewise_coefficients_solve():
     q_early = vc.at(0.25)[0][0, 0]
     q_late = vc.at(0.75)[0][0, 0]
     assert q_early != q_late
+
+
+def test_residual_over_times_is_worst_single_time_residual():
+    vm, vc = _two_segment_model()
+    # both segments, the knot (the stencil shifts) and a repeated time
+    times = [0.2, 0.5, 0.8, 0.2, 0.999]
+    worst = riccati_residual(vc, vm, times)
+    singles = [riccati_residual(vc, vm, t) for t in times]
+    for field in worst._fields:
+        assert getattr(worst, field) == max(getattr(r, field) for r in singles)
+    assert riccati_residual(vc, vm, np.array(times)) == worst
+    assert riccati_residual(vc, vm, [0.5]) == singles[1]
+    with pytest.raises(TimeOutOfRange):
+        riccati_residual(vc, vm, [0.2, 1.0])
 
 
 def test_solver_meta_records_residuals(scalar_vc):
