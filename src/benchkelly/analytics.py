@@ -127,42 +127,20 @@ def performance_report(
     )
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
-    labels: tuple[str, ...]
-    differences: dict          # (label_i, label_j) -> {metric: |difference|}
+def metric_gap(a: PerfReport, b: PerfReport) -> float:
+    """Largest absolute difference between two reports' metrics: 0 where
+    both leave a metric undefined, inf where only one does, and NaN when any
+    difference is NaN.
 
-    def max_difference(self, label_a: str, label_b: str) -> float:
-        key = (label_a, label_b) if (label_a, label_b) in self.differences else (label_b, label_a)
-        diffs = self.differences[key]
-        return max(diffs.values())
-
-    def pair_within(self, label_a: str, label_b: str, tolerance: float) -> bool:
-        return self.max_difference(label_a, label_b) <= tolerance
-
-
-def compare_strategies(reports: list[tuple[str, PerfReport]]) -> ComparisonVerdict:
-    """Pairwise per-metric absolute differences between labeled reports.
-
-    Pairs expected to be identical (same policy evaluated by two routes on
-    shared paths) can be asserted with pair_within.
+    Reports expected to be identical (the same policy evaluated by two routes
+    on shared paths) can be asserted with metric_gap(a, b) <= tolerance.
     """
-    if len(reports) < 2:
-        raise ValueError("need at least two reports to compare")
-    labels = tuple(label for label, _ in reports)
-    differences = {}
-    for i in range(len(reports)):
-        for j in range(i + 1, len(reports)):
-            li, ri = reports[i]
-            lj, rj = reports[j]
-            diffs = {}
-            for name, vi in ri.metrics().items():
-                vj = rj.metrics()[name]
-                if vi is None and vj is None:
-                    diffs[name] = 0.0
-                elif vi is None or vj is None:
-                    diffs[name] = float("inf")
-                else:
-                    diffs[name] = abs(vi - vj)
-            differences[(li, lj)] = diffs
-    return ComparisonVerdict(labels=labels, differences=differences)
+    other = b.metrics()
+    gaps = []
+    for name, va in a.metrics().items():
+        vb = other[name]
+        if va is None or vb is None:
+            gaps.append(0.0 if va is None and vb is None else np.inf)
+        else:
+            gaps.append(abs(va - vb))
+    return float(np.max(gaps))

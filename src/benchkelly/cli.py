@@ -32,7 +32,6 @@ from .errors import (
     EigenvalueViolation,
     EngineError,
     EquivalenceFailure,
-    ParseError,
     RepresentationMismatch,
     SaddleViolation,
 )
@@ -403,27 +402,6 @@ def _report_csv(labeled: list[tuple[str, analytics.PerfReport]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _returns_from_artifact(path: Path) -> np.ndarray:
-    """Return stream from a simulate artifact: per-step increments from a
-    binary path dump, or terminal values from a terminals CSV."""
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-    if head == sim_mod._BIN_MAGIC:
-        _, log_excess = sim_mod.load_paths_binary(path)
-        return np.diff(log_excess, axis=1).reshape(-1)
-    lines = path.read_text(errors="replace").strip().splitlines()
-    if not lines or not lines[0].startswith("path,terminal_log_excess"):
-        raise ConfigError(f"{path} is neither a path dump nor a terminals CSV")
-    values = []
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            values.append(float(line.split(",")[1]))
-        except (IndexError, ValueError):
-            raise ParseError(
-                f"{path} line {number}: unreadable terminal value in {line!r}") from None
-    return np.array(values)
-
-
 def cmd_report(config: dict, out: OutputWriter, args) -> int:
     inputs = _setting(config, "report", "inputs")
     if args.inputs:
@@ -439,7 +417,7 @@ def cmd_report(config: dict, out: OutputWriter, args) -> int:
         path = _resolve(config, item["paths"])
         if not path.is_file():
             raise ConfigError(f"report input not found or not a file: {path}")
-        labeled.append((item["label"], _performance_report(config, _returns_from_artifact(path))))
+        labeled.append((item["label"], _performance_report(config, sim_mod.load_returns(path))))
     text = _format_report_table(labeled)
     print(text)
     out.write_text("report.txt", text + "\n")
@@ -483,8 +461,8 @@ def cmd_experiment(config: dict, out: OutputWriter, args) -> int:
         criteria[label] = {"estimate": mc.estimate, "std_error": mc.std_error,
                            "certainty_equivalent": mc.certainty_equivalent}
 
-    verdict = analytics.compare_strategies(labeled)
-    route_gap = verdict.max_difference("portfolio-twostep", "portfolio-direct")
+    reports = dict(labeled)
+    route_gap = analytics.metric_gap(reports["portfolio-twostep"], reports["portfolio-direct"])
 
     text = _format_report_table(labeled)
     print(text)
@@ -499,7 +477,7 @@ def cmd_experiment(config: dict, out: OutputWriter, args) -> int:
         "seed": _sim_config(config, args.seed).seed,
     })
     out.finish()
-    if not verdict.pair_within("portfolio-twostep", "portfolio-direct", 1e-12):
+    if not route_gap <= 1e-12:  # also catches NaN
         raise EquivalenceFailure(
             f"the two optimal-policy routes disagree: max metric gap {route_gap:.3e}"
         )

@@ -361,7 +361,29 @@ def _read(where: str, convert, value):
         raise ParseError(f"model file: {where} is not readable: {exc}") from None
 
 
+def _count(value) -> int:
+    """A JSON integer (not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    """A JSON number (not a boolean or a string) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _floats(value) -> np.ndarray:
+    """A JSON number or nested lists of numbers as a float array."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        else:
+            _number(item)
     return np.asarray(value, dtype=float)
 
 
@@ -372,7 +394,7 @@ def _block_from_json(data: dict, where: str) -> CoefficientBlock:
     if missing:
         raise DimensionMismatch(f"{where}: missing coefficient keys {missing}")
     return CoefficientBlock(**{
-        k: _read(f"{where} '{k}'", float if k == "bench_drift" else _floats, data[k])
+        k: _read(f"{where} '{k}'", _number if k == "bench_drift" else _floats, data[k])
         for k in _COEFF_SHAPES
     })
 
@@ -402,8 +424,8 @@ def model_from_dict(data: dict) -> ModelSpec:
     for key in ("n", "m", "theta", "horizon_years", "x0"):
         if key not in data:
             raise DimensionMismatch(f"model file missing required key '{key}'")
-    n, m = _read("'n'", int, data["n"]), _read("'m'", int, data["m"])
-    d = _read("'d'", int, data.get("d", n + m + 1))
+    n, m = _read("'n'", _count, data["n"]), _read("'m'", _count, data["m"])
+    d = _read("'d'", _count, data.get("d", n + m + 1))
     if "constant" in data:
         coeffs = CoefficientSet.constant(_block_from_json(data["constant"], "constant block"))
     elif "piecewise" in data:
@@ -419,8 +441,8 @@ def model_from_dict(data: dict) -> ModelSpec:
         raise DimensionMismatch("model file needs either 'constant' or 'piecewise' coefficients")
     return ModelSpec(
         n=n, m=m, d=d, coeffs=coeffs,
-        horizon_years=_read("'horizon_years'", float, data["horizon_years"]),
-        theta=_read("'theta'", float, data["theta"]),
+        horizon_years=_read("'horizon_years'", _number, data["horizon_years"]),
+        theta=_read("'theta'", _number, data["theta"]),
         x0=_read("'x0'", _floats, data["x0"]),
     )
 

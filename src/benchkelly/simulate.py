@@ -435,7 +435,34 @@ def load_paths_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     states = np.frombuffer(raw, dtype="<f8", count=n_state, offset=32)
     log_excess = np.frombuffer(raw, dtype="<f8", count=n_paths * (steps + 1),
                                offset=32 + 8 * n_state)
+    if not (np.isfinite(states).all() and np.isfinite(log_excess).all()):
+        raise ParseError(f"{path} holds a non-finite value")
     return (
         states.reshape(n_paths, steps + 1, n).copy(),
         log_excess.reshape(n_paths, steps + 1).copy(),
     )
+
+
+def load_returns(path: str | Path) -> np.ndarray:
+    """Return stream from a simulate artifact: per-step increments from a
+    binary path dump, or terminal values from a terminals CSV."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        head = fh.read(8)
+    if head == _BIN_MAGIC:
+        _, log_excess = load_paths_binary(path)
+        return np.diff(log_excess, axis=1).reshape(-1)
+    lines = path.read_text(errors="replace").strip().splitlines()
+    if not lines or not lines[0].startswith("path,terminal_log_excess"):
+        raise ConfigError(f"{path} is neither a path dump nor a terminals CSV")
+    values = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            value = float(line.split(",")[1])
+        except (IndexError, ValueError):
+            value = np.nan
+        if not np.isfinite(value):
+            raise ParseError(
+                f"{path} line {number}: unreadable or non-finite terminal value in {line!r}")
+        values.append(value)
+    return np.array(values)

@@ -16,12 +16,12 @@ exactly, where [X; Y] follows a linear Hamiltonian flow (Radon's lemma), so
 the solver advances P node to node with the flow's matrix exponential,
 restarting from X = I at every step (the modified Davison-Maki recurrence;
 Davison & Maki, IEEE TAC 18(1), 1973; Kenney & Leipnik, IEEE TAC 30(10),
-1985).  One exponential serves every step of a given length in a segment,
-and a step that contains a coefficient knot is split there, so quad and lin
-are exact on any grid up to rounding.  The level is r/2, minus the constant
-source times the time to go, plus half the integral of tr(ll quad); that
-integral is taken by the corrected-trapezoid (Hermite) rule, whose error is
-O(step^4).
+1985).  The grid is refined at every knot, so each step lies in one
+segment and one exponential serves every step of a given length in it; quad
+and lin are exact on any grid up to rounding.  The level is r/2, minus the
+constant source times the time to go, plus half the integral of tr(ll quad);
+that integral is taken by the corrected-trapezoid (Hermite) rule, whose error
+is O(step^4).
 """
 
 from __future__ import annotations
@@ -205,8 +205,9 @@ def solve_value_coefficients(
 ) -> ValueCoefficients:
     """Propagate the backward system from the zero terminal condition.
 
-    Exact segment flows node to node on a uniform grid (see the module
-    docstring); the augmented Riccati matrix is symmetrized after every step.
+    Exact segment flows node to node on a uniform grid refined at every knot
+    (see the module docstring); the augmented Riccati matrix is symmetrized
+    after every step.
     Raises BlowUp when any node norm passes BLOWUP_NORM or a step's flow
     becomes singular (parameters outside the well-posed regime) and
     EigenvalueViolation when positive semidefiniteness degrades below
@@ -219,28 +220,27 @@ def solve_value_coefficients(
     grid = np.linspace(0.0, T, n_steps + 1)
     step = T / n_steps
 
-    quad = np.zeros((n_steps + 1, n, n))
-    lin = np.zeros((n_steps + 1, n))
-    level = np.zeros(n_steps + 1)
-
-    # step i spans [grid[i], grid[i + 1]]: it starts in segment first[i] and
-    # ends in segment last[i], the one in force just before grid[i + 1]
+    # the grid refined at every knot: piece p spans [times[p], times[p + 1]]
+    # inside segment segs[p], and each segment's pieces are contiguous
     knots = model.spec.coeffs.knots
-    taus = np.diff(grid)
-    first = np.searchsorted(knots, grid[:-1], side="right") - 1
-    last = np.searchsorted(knots, grid[1:], side="left") - 1
+    times = np.union1d(grid, knots[knots < T])
+    taus = np.diff(times)
+    segs = np.searchsorted(knots, times[:-1], side="right") - 1
+    terms = {seg: _SegmentTerms(model, float(knots[seg]), theta)
+             for seg in np.unique(segs).tolist()}
 
-    terms: dict[int, _SegmentTerms] = {}
+    quad = np.zeros((len(times), n, n))
+    lin = np.zeros((len(times), n))
+    level = np.zeros(len(times))
     increments: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
     k = n + 1
     eye = np.eye(k)
-
-    def advance(P: np.ndarray, seg: int, tau: float, t: float) -> np.ndarray:
-        """P one step of length tau earlier in segment seg, landing at time t:
-        P + (dY - P dX)(I + dX)^-1 with [dX; dY] = (expm(-tau Ham) - I) [I; P]."""
+    P = np.zeros((k, k))
+    for p, seg, tau in zip(range(len(taus) - 1, -1, -1), segs[::-1].tolist(),
+                           taus[::-1].tolist()):
+        # P one piece earlier: P + (dY - P dX)(I + dX)^-1 with
+        # [dX; dY] = (expm(-tau Ham) - I) [I; P]
         if (seg, tau) not in increments:
-            if seg not in terms:
-                terms[seg] = _SegmentTerms(model, float(knots[seg]), theta)
             delta = _step_increment(terms[seg].hamiltonian(), tau)
             increments[seg, tau] = (delta[:, :k].copy(), delta[:, k:].copy())
         on_eye, on_p = increments[seg, tau]
@@ -250,45 +250,29 @@ def solve_value_coefficients(
         # more than this small solve
         _, _, step_t, info = dgesv((eye + dX).T, (dY - P @ dX).T)
         if info:
-            raise _blowup(t)
+            raise _blowup(float(times[p]))
         P = P + step_t.T
-        return 0.5 * (P + P.T)
-
-    # integrals of tr(ll quad) and of the constant level source over each step
-    trace_part = np.zeros(n_steps)
-    const_part = np.zeros(n_steps)
-    P = np.zeros((k, k))
-    for i, seg, end, tau in zip(range(n_steps - 1, -1, -1), first[::-1].tolist(),
-                                last[::-1].tolist(), taus[::-1].tolist()):
-        t = float(grid[i])
-        if seg == end:
-            P = advance(P, seg, tau, t)
-        else:
-            # split at each knot inside the step; each piece uses its own segment
-            bounds = [float(grid[i + 1]), *knots[seg + 1:end + 1][::-1].tolist(), t]
-            for piece_seg, b, a in zip(range(end, seg - 1, -1), bounds[:-1], bounds[1:]):
-                later = P[:n, :n]
-                P = advance(P, piece_seg, b - a, t)
-                g, dg = terms[piece_seg].level_trace(np.stack((P[:n, :n], later)))
-                trace_part[i] += _hermite(b - a, g, dg)[0]
-                const_part[i] += terms[piece_seg].level_const * (b - a)
+        P = 0.5 * (P + P.T)
         if not np.abs(P).max() <= BLOWUP_NORM:  # also catches NaN
-            raise _blowup(t)
-        quad[i] = P[:n, :n]
-        lin[i] = P[:n, n]
-        level[i] = 0.5 * P[n, n]
+            raise _blowup(float(times[p]))
+        quad[p] = P[:n, :n]
+        lin[p] = P[:n, n]
+        level[p] = 0.5 * P[n, n]
 
+    # per piece, half the integral of tr(ll quad) minus that of the constant source
+    parts = np.empty(len(taus))
     for seg, seg_terms in terms.items():
-        inside = np.flatnonzero((first == seg) & (last == seg))  # contiguous
-        if inside.size:
-            lo, hi = int(inside[0]), int(inside[-1]) + 1
-            # chunks bound the (chunk, n, n) temporaries of the quad rate
-            for a in range(lo, hi, TRACE_CHUNK):
-                b = min(a + TRACE_CHUNK, hi)
-                g, dg = seg_terms.level_trace(quad[a:b + 1])
-                trace_part[a:b] = _hermite(taus[a:b], g, dg)
-            const_part[lo:hi] = seg_terms.level_const * taus[lo:hi]
-    level[:-1] += np.cumsum((0.5 * trace_part - const_part)[::-1])[::-1]
+        lo, hi = np.searchsorted(segs, (seg, seg + 1)).tolist()
+        # chunks bound the (chunk, n, n) temporaries of the quad rate
+        for a in range(lo, hi, TRACE_CHUNK):
+            b = min(a + TRACE_CHUNK, hi)
+            g, dg = seg_terms.level_trace(quad[a:b + 1])
+            parts[a:b] = (0.5 * _hermite(taus[a:b], g, dg)
+                          - seg_terms.level_const * taus[a:b])
+    level[:-1] += np.cumsum(parts[::-1])[::-1]
+    if len(times) > len(grid):
+        nodes = np.searchsorted(times, grid)
+        quad, lin, level = quad[nodes], lin[nodes], level[nodes]
     beyond = np.flatnonzero(~(np.abs(level) <= BLOWUP_NORM))
     if beyond.size:
         raise _blowup(float(grid[beyond[-1]]))

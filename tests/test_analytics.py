@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchkelly.analytics import (
-    compare_strategies,
+    metric_gap,
     performance_report,
     risk_ratios,
 )
@@ -103,26 +105,19 @@ def test_downside_denominator_switch(sample_returns):
 
 def test_compare_report_with_itself(sample_returns):
     rep = performance_report(sample_returns)
-    verdict = compare_strategies([("a", rep), ("b", rep)])
-    assert verdict.max_difference("a", "b") == 0.0
-    assert verdict.pair_within("a", "b", 0.0)
+    assert metric_gap(rep, rep) == 0.0
+    assert metric_gap(rep, rep) <= 0.0
 
 
 def test_compare_detects_differences(sample_returns):
     rep1 = performance_report(sample_returns)
     rep2 = performance_report(sample_returns * 1.5)
-    verdict = compare_strategies([("a", rep1), ("b", rep2)])
-    assert not verdict.pair_within("a", "b", 1e-12)
-    assert verdict.differences[("a", "b")]["mean"] > 0
+    assert not metric_gap(rep1, rep2) <= 1e-12
+    assert metric_gap(rep1, rep2) >= abs(rep1.mean - rep2.mean) > 0
 
 
 def test_compare_handles_degenerate(sample_returns):
     rep1 = performance_report(sample_returns)
     rep2 = performance_report(np.full(200, 0.001))
-    verdict = compare_strategies([("live", rep1), ("flat", rep2)])
-    assert verdict.max_difference("live", "flat") == float("inf")
-
-
-def test_compare_needs_two():
-    with pytest.raises(ValueError):
-        compare_strategies([("only", None)])
+    assert metric_gap(rep1, rep2) == float("inf")
+    assert np.isnan(metric_gap(rep1, dataclasses.replace(rep1, mean=float("nan"))))

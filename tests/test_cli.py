@@ -405,19 +405,25 @@ def _piecewise_without_blocks(data):
     del data["constant"]
 
 
-@pytest.mark.parametrize("code,text", [
-    ("PARSE", "{not json"),
-    ("PARSE", _edited_model(lambda d: d.update(n="one"))),
-    ("PARSE", _edited_model(lambda d: d["constant"].update(asset_drift=["abc"]))),
-    ("DIMENSION_MISMATCH", _edited_model(_piecewise_without_blocks)),
-], ids=["not-json", "n-text", "coefficient-text", "piecewise-no-blocks"])
-def test_validate_rejects_unreadable_model_file(workdir, capsys, code, text):
+@pytest.mark.parametrize("code,text,detail", [
+    ("PARSE", "{not json", "JSON"),
+    ("PARSE", _edited_model(lambda d: d.update(n="one")), "'n'"),
+    ("PARSE", _edited_model(lambda d: d["constant"].update(asset_drift=["abc"])), "asset_drift"),
+    ("DIMENSION_MISMATCH", _edited_model(_piecewise_without_blocks), "blocks"),
+    # a count is a JSON integer; any other number is a JSON number, not text or a switch
+    ("PARSE", _edited_model(lambda d: d.update(n=1.7)), "'n'"),
+    ("PARSE", _edited_model(lambda d: d.update(theta="1.0")), "'theta'"),
+    ("PARSE", _edited_model(lambda d: d.update(x0=["0.2"])), "'x0'"),
+    ("PARSE", _edited_model(lambda d: d["constant"].update(bench_drift=True)), "bench_drift"),
+], ids=["not-json", "n-text", "coefficient-text", "piecewise-no-blocks",
+        "n-fraction", "theta-text", "x0-text", "bench-drift-switch"])
+def test_validate_rejects_unreadable_model_file(workdir, capsys, code, text, detail):
     (workdir / "model.json").write_text(text)
     exit_code = run(workdir, "validate", "--config", str(workdir / "config.json"),
                     "--out", str(workdir / "o"))
     captured = capsys.readouterr()
     assert exit_code == 1
-    assert captured.err.startswith(f"ERROR {code}:")
+    assert captured.err.startswith(f"ERROR {code}:") and detail in captured.err
     assert "model OK" not in captured.out and "Traceback" not in captured.err
 
 
@@ -426,11 +432,28 @@ def _short_dump(path):
     path.write_bytes(b"BKPATHS1" + struct.pack("<QQQ", 10, 5, 1))
 
 
+def _csv_with_nan(path):
+    # enough rows for the metrics; row 50 (line 52) holds the nan
+    rows = [f"{i},{0.001 * (i % 7 - 3)!r}" for i in range(200)]
+    rows[50] = "50,nan"
+    path.write_text("path,terminal_log_excess\n" + "\n".join(rows) + "\n")
+
+
+def _dump_with_nan(path):
+    # one path of 200 steps in one factor, one log excess value nan
+    log_excess = 0.001 * (np.arange(201) % 7 - 3.0)
+    log_excess[120] = np.nan
+    path.write_bytes(b"BKPATHS1" + struct.pack("<QQQ", 1, 200, 1)
+                     + np.zeros(201).tobytes() + log_excess.astype("<f8").tobytes())
+
+
 @pytest.mark.parametrize("code,make,detail", [
     ("PARSE", lambda p: p.write_text("path,terminal_log_excess\n0,0.1\n1,abc\n"), "line 3"),
     ("PARSE", _short_dump, "truncated"),
     ("CONFIG", lambda p: p.mkdir(), "not a file"),
-], ids=["csv-cell", "short-dump", "directory"])
+    ("PARSE", _csv_with_nan, "line 52"),
+    ("PARSE", _dump_with_nan, "non-finite"),
+], ids=["csv-cell", "short-dump", "directory", "csv-nan", "dump-nan"])
 def test_report_rejects_unreadable_input(workdir, capsys, code, make, detail):
     make(workdir / "input")
     exit_code = run(workdir, "report", "--config", str(workdir / "config.json"),

@@ -195,6 +195,58 @@ def test_knot_between_nodes_is_exact():
         assert abs(vc.level[0] / ref.level[0] - 1.0) <= 1e-11
 
 
+def _piecewise(spec, knots, blocks):
+    """spec with its coefficients replaced by blocks starting at knots."""
+    from benchkelly.model import CoefficientSet
+
+    return validate_model(ModelSpec(
+        n=spec.n, m=spec.m, d=spec.d,
+        coeffs=CoefficientSet(knots=np.array(knots), blocks=tuple(blocks)),
+        horizon_years=spec.horizon_years, theta=spec.theta, x0=spec.x0,
+    ))
+
+
+def test_several_knots_inside_one_step_are_exact():
+    spec = make_random_spec(np.random.default_rng(7), n=3)
+    base = spec.coeffs.blocks[0]
+    blocks = [base.replace(asset_drift=base.asset_drift * s, factor_vol=base.factor_vol * v)
+              for s, v in ((1.0, 1.0), (1.4, 0.8), (0.7, 1.3), (1.2, 1.1))]
+    # the three knots share one step at 252, 1008 and 4032 steps/yr
+    vm = _piecewise(spec, [0.0, 0.3001, 0.3002, 0.3003], blocks)
+    ref = solve_value_coefficients(vm, steps_per_year=4032)
+    for spy in (252, 1008):
+        vc = solve_value_coefficients(vm, steps_per_year=spy)
+        scale = np.abs(ref.quad[0]).max()
+        assert np.abs(vc.quad[0] - ref.quad[0]).max() <= 1e-12 * scale
+        assert np.abs(vc.lin[0] - ref.lin[0]).max() <= 1e-12 * np.abs(ref.lin[0]).max()
+        assert abs(vc.level[0] - ref.level[0]) <= 1e-11 * abs(ref.level[0])
+
+
+def test_knots_at_and_beyond_the_horizon_change_nothing():
+    spec = make_random_spec(np.random.default_rng(8), n=2)
+    base = spec.coeffs.blocks[0]
+    other = base.replace(asset_drift=2.0 * base.asset_drift)
+    vm = _piecewise(spec, [0.0, spec.horizon_years, 1.5 * spec.horizon_years],
+                    [base, other, other])
+    single = validate_model(spec)
+    for spy in (252, 1008):
+        vc = solve_value_coefficients(vm, steps_per_year=spy)
+        ref = solve_value_coefficients(single, steps_per_year=spy)
+        for name in ("grid", "quad", "lin", "level"):
+            assert np.array_equal(getattr(vc, name), getattr(ref, name)), name
+
+
+def test_knot_between_identical_blocks_matches_constant_model():
+    spec = make_random_spec(np.random.default_rng(9), n=3)
+    block = spec.coeffs.blocks[0]
+    vm = _piecewise(spec, [0.0, 0.3001], [block, block])
+    vc = solve_value_coefficients(vm, steps_per_year=252)
+    ref = solve_value_coefficients(validate_model(spec), steps_per_year=252)
+    for name in ("quad", "lin", "level"):
+        ours, theirs = getattr(vc, name), getattr(ref, name)
+        assert np.abs(ours - theirs).max() <= 1e-13 * np.abs(theirs).max(), name
+
+
 def test_singular_step_raises_blowup(monkeypatch, scalar_model):
     # an increment of -I makes I + dX singular at the first step
     monkeypatch.setattr(valuefn, "_step_increment", lambda ham, tau: -np.eye(len(ham)))
