@@ -87,7 +87,10 @@ def performance_report(
 
     mean = float(r.mean())
     centered = r - mean
-    m2 = float((centered**2).mean())
+    # products, not powers: ** 3 and ** 4 take np.power's general path, tens
+    # of times slower than a multiplication
+    sq = centered * centered
+    m2 = float(sq.mean())
     std = float(np.sqrt(m2))
     below = centered[r < mean]
     if below.size == 0:
@@ -97,8 +100,8 @@ def performance_report(
     else:
         semidev = float(np.sqrt((below**2).sum() / count))
     if m2 > 0:
-        skew = float((centered**3).mean() / m2**1.5)
-        kurt = float((centered**4).mean() / m2**2 - 3.0)
+        skew = float((sq * centered).mean() / m2**1.5)
+        kurt = float((sq * sq).mean() / m2**2 - 3.0)
     else:
         skew = 0.0
         kurt = 0.0

@@ -126,18 +126,31 @@ def _block_noise(seed: int, first_path: int, count: int, steps: int, d: int,
     """Standard-normal draw block of shape (count, steps, d).
 
     Path p draws from Philox stream (seed, p) -- or (seed, p // 2) with a
-    sign flip on odd p when antithetic.
+    sign flip on odd p when antithetic.  One bit generator serves the whole
+    block: Philox is counter-based, so re-keying it to (seed, stream) with a
+    zero counter and an emptied buffer yields exactly the stream of a fresh
+    Philox(key=[seed, stream]).
     """
     out = np.empty((count, steps, d))
+    bits = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    # the fresh generator's state: zero counter, empty buffer
+    state = bits.state
+    key = state["state"]["key"]
     for i in range(count):
         p = first_path + i
-        stream = p // 2 if antithetic else p
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64))
-        )
-        z = gen.standard_normal((steps, d))
-        out[i] = -z if (antithetic and p % 2 == 1) else z
+        key[1] = p // 2 if antithetic else p
+        bits.state = state
+        gen.standard_normal((steps, d), out=out[i])
+        if antithetic and p % 2 == 1:
+            np.negative(out[i], out=out[i])
     return out
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (paths, k) arrays, without the (paths, k)
+    temporary of (a * b).sum(axis=1)."""
+    return np.einsum("ij,ij->i", a, b)
 
 
 class _SegmentContext:
@@ -233,11 +246,11 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
 
             track = policy.batch_tracking(model, t, H)
             ell = (
-                -0.5 * ((H @ gram.ss) * H).sum(axis=1)
+                -0.5 * _rowdot(H @ gram.ss, H)
                 + H @ block.asset_drift
                 + 0.5 * gram.xi_xi
                 - block.bench_drift
-                + ((H @ block.asset_factor_loading - block.bench_factor_loading) * X).sum(axis=1)
+                + _rowdot(H @ block.asset_factor_loading - block.bench_factor_loading, X)
             )
             if track_densities:
                 value_tilt = None if ce_grad is None else policy.batch_value_tilt(model, t, ce_grad)
@@ -255,20 +268,20 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
             else:
                 phi = G if cfg.measure == "tilted_gamma" else -theta * track
                 dw = dW[:, j, :] + phi * dt
-            track_dw = (track * dw).sum(axis=1)
+            track_dw = _rowdot(track, dw)
 
             if track_densities:
-                g_sq = (G * G).sum(axis=1)
-                acc_tilt += (G * dw).sum(axis=1) - 0.5 * dt * g_sq
-                acc_alloc += -theta * track_dw - 0.5 * theta**2 * dt * (track * track).sum(axis=1)
+                g_sq = _rowdot(G, G)
+                acc_tilt += _rowdot(G, dw) - 0.5 * dt * g_sq
+                acc_alloc += -theta * track_dw - 0.5 * theta**2 * dt * _rowdot(track, track)
                 acc_tilt_sq += 0.5 * dt * g_sq
                 if ce_grad is not None:
                     # the link density by both routes' tilts, in the increment
                     # of the allocation-induced measure
                     nu = policy.batch_nu(model, t, ce_grad)
                     dwh = dw + (theta * dt) * track
-                    acc_link += (value_tilt * dwh).sum(axis=1) - 0.5 * dt * (value_tilt * value_tilt).sum(axis=1)
-                    acc_link_alt += (nu * dwh).sum(axis=1) - 0.5 * dt * (nu * nu).sum(axis=1)
+                    acc_link += _rowdot(value_tilt, dwh) - 0.5 * dt * _rowdot(value_tilt, value_tilt)
+                    acc_link_alt += _rowdot(nu, dwh) - 0.5 * dt * _rowdot(nu, nu)
 
             X = X + (block.factor_drift + X @ fmr_t) * dt + dw @ lam_t
             R = R + ell * dt + track_dw

@@ -347,21 +347,27 @@ def riccati_residual(vc: ValueCoefficients, model: ValidatedModel, times) -> Res
     for t in times:
         if not (grid[0] < t < grid[-1]):
             raise TimeOutOfRange(f"residual needs an interior time, got {t:g}")
-    seg_of = model.spec.coeffs.segment_index
+    # per node, the segment of the interval starting there and of the one
+    # ending there; they differ only at a knot, so a knot at or after the
+    # horizon changes nothing
+    knots = model.spec.coeffs.knots
+    starting = np.searchsorted(knots, grid, side="right") - 1
+    ending = np.maximum(np.searchsorted(knots, grid, side="left") - 1, 0)
     terms: dict[int, _SegmentTerms] = {}
     worst = Residual(0.0, 0.0, 0.0, 0.0)
     for t in times:
         j = int(np.argmin(np.abs(grid - t)))
         j = min(max(j, 1), len(grid) - 2)
-        # keep the centered-difference stencil inside one coefficient segment
+        # keep the centered-difference stencil inside one coefficient segment:
+        # no knot strictly between its end nodes
         for _ in range(2):
-            if seg_of(float(grid[j - 1])) != seg_of(float(grid[j + 1])):
-                j = j + 1 if seg_of(float(grid[j])) == seg_of(float(grid[j + 1])) else j - 1
+            if starting[j - 1] != ending[j + 1]:
+                j = j + 1 if starting[j] == ending[j + 1] else j - 1
                 j = min(max(j, 1), len(grid) - 2)
         dt = grid[j + 1] - grid[j - 1]
         dq_dt = (vc.quad[j + 1] - vc.quad[j - 1]) / dt
         dl_dt = (vc.lin[j + 1] - vc.lin[j - 1]) / dt
-        seg = seg_of(float(grid[j]))
+        seg = int(starting[j])
         if seg not in terms:
             terms[seg] = _SegmentTerms(model, float(grid[j]), vc.theta)
         expected = terms[seg].derivative(vc.quad[j], vc.lin[j])

@@ -58,6 +58,24 @@ def test_population_moment_conventions(sample_returns):
     assert rep.kurtosis == pytest.approx(kurt, rel=1e-12)
 
 
+def test_symmetric_two_point_moments():
+    # c +- a with c != 0: every odd central moment vanishes and m4 = m2^2
+    c, a = 0.0004, 0.01
+    rep = performance_report(np.tile([c + a, c - a], 100))
+    assert rep.skewness == pytest.approx(0.0, abs=1e-12)
+    assert rep.kurtosis == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_skewed_stream_hand_moments():
+    # x = -1 (50 times), 0 (30), 3 (20): mean 0.1, central deviations
+    # -1.1, -0.1, 2.9, so m2 = 2.29, m3 = 4.212, m4 = 14.8777; the affine map
+    # to returns changes neither skewness nor kurtosis
+    x = np.repeat([-1.0, 0.0, 3.0], [50, 30, 20])
+    rep = performance_report(0.0004 + 0.01 * x)
+    assert rep.skewness == pytest.approx(4.212 / 2.29**1.5, abs=1e-12)
+    assert rep.kurtosis == pytest.approx(14.8777 / 2.29**2 - 3.0, abs=1e-12)
+
+
 def test_quantile_coherence(sample_returns):
     rep = performance_report(sample_returns)
     r = np.sort(sample_returns)

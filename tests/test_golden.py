@@ -17,7 +17,7 @@ from conftest import make_twofactor_spec
 
 GOLDEN = {
     "value_coefficients.json": "5a550b9668f31666bffa6f1c4809e2be5d7ce9ee4efc37aafad83868a945b5e7",
-    "terminals.csv": "b516f10297cbeffddb958ac209fb62fb4b505bd257b0d75988f0cf00014ce43c",
+    "terminals.csv": "b41309e89d184e7386e73e7a3d5011ddaa65399b09ad70057771b5aa43a27f10",
     "policy.json": "b54735aa61fcaec26bf3831f2012987d2ed0c96202871d788f4b7907e9263d6c",
 }
 

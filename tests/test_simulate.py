@@ -147,6 +147,22 @@ def test_reproducibility_across_block_sizes(monkeypatch, scalar_model, scalar_vc
     assert np.array_equal(b1.terminal_log_excess, b2.terminal_log_excess)
 
 
+@pytest.mark.parametrize("seed", [5, 2**63 + 11])
+@pytest.mark.parametrize("first_path", [0, 6])
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_block_noise_is_the_per_path_philox_stream(seed, first_path, antithetic):
+    count, steps, d = 9, 17, 3
+    expected = np.empty((count, steps, d))
+    for i in range(count):
+        p = first_path + i
+        stream = p // 2 if antithetic else p
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+        z = gen.standard_normal((steps, d))
+        expected[i] = -z if antithetic and p % 2 == 1 else z
+    noise = sim_mod._block_noise(seed, first_path, count, steps, d, antithetic)
+    assert noise.tobytes() == expected.tobytes()
+
+
 def test_paths_independent_of_path_count(scalar_model, scalar_vc):
     small = simulate_paths(scalar_model, scalar_vc,
                            SimConfig(n_paths=10, steps=20, dt=1 / 252, seed=4,

@@ -234,6 +234,9 @@ def test_knots_at_and_beyond_the_horizon_change_nothing():
         ref = solve_value_coefficients(single, steps_per_year=spy)
         for name in ("grid", "quad", "lin", "level"):
             assert np.array_equal(getattr(vc, name), getattr(ref, name)), name
+        for name in ("quad", "lin", "quad_rel", "lin_rel"):
+            key = f"residual_{name}"
+            assert vc.solver_meta[key] == ref.solver_meta[key], key
 
 
 def test_knot_between_identical_blocks_matches_constant_model():
