@@ -11,7 +11,7 @@ from .errors import EngineError
 from .model import ModelSpec, ValidatedModel, validate_model
 from .valuefn import ValueCoefficients, solve_value_coefficients, value_function
 from .policy import PolicyAction, fractional_kelly, optimal_gamma, optimal_h, optimal_nu
-from .simulate import PathBundle, SimConfig, simulate_paths
+from .simulate import PathBundle, SimConfig, simulate_lanes, simulate_paths
 
 __all__ = [
     "EngineError",
@@ -28,6 +28,7 @@ __all__ = [
     "optimal_nu",
     "PathBundle",
     "SimConfig",
+    "simulate_lanes",
     "simulate_paths",
 ]
 

@@ -99,12 +99,17 @@ def performance_report(
         semidev = float(np.sqrt((below**2).mean()))
     else:
         semidev = float(np.sqrt((below**2).sum() / count))
+    del below
     if m2 > 0:
-        skew = float((sq * centered).mean() / m2**1.5)
-        kurt = float((sq * sq).mean() / m2**2 - 3.0)
+        # the third and fourth powers overwrite the arrays they are made
+        # from, so the working set stays at three stream-sized arrays
+        skew = float(np.multiply(sq, centered, out=centered).mean() / m2**1.5)
+        kurt = float(np.multiply(sq, sq, out=sq).mean() / m2**2 - 3.0)
     else:
         skew = 0.0
         kurt = 0.0
+    # freed before the percentile's sorted copy
+    del centered, sq
 
     q = float(np.percentile(r, 100.0 * (1.0 - level), method="lower"))
     var = mean - q

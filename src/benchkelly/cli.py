@@ -345,7 +345,8 @@ def cmd_simulate(config: dict, out: OutputWriter, args) -> int:
     if getattr(args, "antithetic", False):
         overrides["antithetic"] = True
     dump_paths = _setting(config, "simulation", "dump_paths")
-    cfg = _sim_config(config, args.seed, store_paths=dump_paths, **overrides)
+    cfg = _sim_config(config, args.seed, keep_paths=sim_mod.PATH_ARRAYS if dump_paths else (),
+                      **overrides)
     vc = (_solve(config, validated)
           if cfg.strategy == "optimal" or cfg.measure != "physical" else None)
     bundle = sim_mod.simulate_paths(validated, vc, cfg)
@@ -427,8 +428,9 @@ def cmd_report(config: dict, out: OutputWriter, args) -> int:
 
 
 def cmd_experiment(config: dict, out: OutputWriter, args) -> int:
-    """Simulate the four strategies on shared seeds and emit the comparison
-    table; the two optimal-policy routes must produce identical metrics."""
+    """Simulate the four strategies as lanes of one noise draw and emit the
+    comparison table; the two optimal-policy routes must produce identical
+    metrics."""
     validated, est_report = build_model(config)
     vc = _solve(config, validated)
 
@@ -436,30 +438,35 @@ def cmd_experiment(config: dict, out: OutputWriter, args) -> int:
     benchmark = dict(strategy="benchmark")
     if est_report is not None and _setting(config, "simulation", "bench_weights") is None:
         benchmark["bench_weights"] = _setting(config, "estimation", "bench_weights")
-    sim_kwargs = dict(measure="physical", store_paths=True, track_densities=False)
+    # only the log excess return feeds the report
+    sim_kwargs = dict(measure="physical", keep_paths=("log_excess",), track_densities=False)
     runs = [
         ("benchmark", benchmark),
         ("portfolio-twostep", dict(strategy="optimal", route="twostep")),
         ("portfolio-direct", dict(strategy="optimal", route="direct")),
         ("kelly", dict(strategy="kelly")),
     ]
+    cfgs = [_sim_config(config, args.seed, **sim_kwargs, **overrides) for _, overrides in runs]
+    bundles = list(sim_mod.simulate_lanes(validated, vc, cfgs))
     labeled = []
     criteria = {}
     warnings = []
-    for label, overrides in runs:
-        cfg = _sim_config(config, args.seed, **sim_kwargs, **overrides)
-        bundle = sim_mod.simulate_paths(validated, vc, cfg)
+    for (label, _), cfg in zip(runs, cfgs):
         if cfg.n_paths * cfg.steps < analytics.MIN_SAMPLES:
             warnings.append(
                 f"{label}: only {cfg.n_paths * cfg.steps} observations; "
                 "statistics are degenerate"
             )
-        # the return stream is passed inline so it is freed before the next run
-        labeled.append((label, _performance_report(
-            config, np.diff(bundle.log_excess, axis=1).reshape(-1), min_samples=2)))
+        # each lane's arrays are released before its report, which needs
+        # only the return stream
+        bundle = bundles.pop(0)
         mc = sim_mod.mc_criterion(bundle, validated.theta)
         criteria[label] = {"estimate": mc.estimate, "std_error": mc.std_error,
                            "certainty_equivalent": mc.certainty_equivalent}
+        returns = np.diff(bundle.log_excess, axis=1).reshape(-1)
+        del bundle
+        labeled.append((label, _performance_report(config, returns, min_samples=2)))
+        del returns
 
     reports = dict(labeled)
     route_gap = analytics.metric_gap(reports["portfolio-twostep"], reports["portfolio-direct"])

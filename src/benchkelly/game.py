@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import SaddleViolation
 from .model import ValidatedModel
-from .policy import batch_tracking, batch_value_tilt, optimal_gamma, optimal_h
-from .valuefn import ValueCoefficients, batch_ce_gradient, value_function
+from .policy import gain_table, optimal_gamma
+from .valuefn import ValueCoefficients, value_function
 
 SADDLE_RTOL = 1e-9
 
@@ -180,8 +180,10 @@ def saddle_check(
     gram = model.gram_blocks(t)
     theta = model.theta
 
+    table = gain_table(model, vc, [t])
+    controls = table.controls(0, x[None, :])[0]
     h_hat = np.asarray(h_center, dtype=float) if h_center is not None \
-        else optimal_h(model, vc, t, x)
+        else controls[table.h]
     g_hat = optimal_gamma(model, vc, t, x)
     center = bellman_isaacs_integrand(model, vc, t, x, h_hat, g_hat)
     if radius is None:
@@ -205,8 +207,8 @@ def saddle_check(
 
     # gamma perturbation at fixed candidate allocation: delta_BI must be <= 0.
     G = g_hat + dg
-    lam_grad = batch_value_tilt(model, t, batch_ce_gradient(vc, t, x[None, :]))[0]
-    track = batch_tracking(model, t, h_hat[None, :])[0]
+    lam_grad = controls[table.value_tilt]
+    track = h_hat @ block.asset_vol - block.bench_vol
     bi_g = G @ lam_grad - theta * (G @ track) - 0.5 * np.einsum("ij,ij->i", G, G)
     center_g = float(
         g_hat @ lam_grad - theta * (g_hat @ track) - 0.5 * g_hat @ g_hat

@@ -1,19 +1,23 @@
 """Optimal feedback policies and portfolio decompositions.
 
-All policies are affine in the factor state.  The optimal allocation is
-computed by two provably equivalent routes:
+All policies are affine in the factor state: the certainty-equivalent
+gradient quad(t) x + lin(t) is, so the optimal allocation, the Kelly
+allocation and both tilts are X @ K(t) + k(t) for a state matrix X, with
+gains that depend on t alone.  gain_table builds those gains at the times a
+caller steps through, and it is the one source of every control:
+simulate_paths evaluates it once per step, and optimal_h, optimal_gamma,
+optimal_nu, fractional_kelly and game.saddle_check evaluate a one-row table.
+
+The optimal allocation has two routes:
 
 * "direct": from the gradient of the log exponential criterion,
   h = 1/(theta+1) (SS')^{-1} (a + A x + theta S Xi + S L' Du);
 * "twostep": from the gradient of the certainty-equivalent surface,
   h = 1/(theta+1) (SS')^{-1} (a + A x + theta S Xi - theta S L' DCE).
 
-The allocation, the Kelly term, the adverse tilt gamma and the
-transformed-measure tilt nu have one source, the batch evaluators batch_*
-that simulate_paths calls once per step; optimal_h, optimal_gamma,
-optimal_nu and fractional_kelly are one-row calls of them.  Their runtime
-cross-checks therefore guard the simulator's arithmetic, against references
-that stay independent of it: optimal_gamma's projected closed form
+With Du = -theta DCE the two share their arithmetic and differ only in where
+-theta multiplies, so they agree to rounding.  The runtime cross-checks keep
+references independent of the table: optimal_gamma's projected closed form
 P- Lambda' Du - theta/(theta+1) Sigma' kelly + theta P- Xi, and
 fractional_kelly's recomposition from the Kelly, benchmark-tracking and
 hedging portfolios, its regularized-Kelly identity and the tilt relation
@@ -29,12 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RepresentationMismatch
+from .errors import ConfigError, RepresentationMismatch
 from .model import ValidatedModel
-from .valuefn import ValueCoefficients, batch_ce_gradient
+from .valuefn import ValueCoefficients, value_function
 
 CROSS_CHECK_TOL = 1e-10
 ROUTES = ("direct", "twostep")
+# the strategies whose allocation a gain table carries
+TABLE_STRATEGIES = ("optimal", "kelly")
 
 
 @dataclass(frozen=True)
@@ -56,9 +62,111 @@ class PolicyAction:
     kelly_fraction: float      # 1/(theta+1)
 
 
-def _row(x) -> np.ndarray:
-    """One factor state as a one-row batch."""
-    return np.asarray(x, dtype=float)[None, :]
+@dataclass(frozen=True)
+class GainTable:
+    """Affine feedback gains at a sequence of times.
+
+    The controls at times[j] for the factor states in the rows of X are
+    controls(j, X) = X @ gain[j] + offset[j].  Their columns hold the
+    allocation h, the value tilt Lambda' Du and the transformed-measure tilt
+    nu; the slices h, value_tilt and nu select them, and a column group the
+    table was built without has slice None (see gain_table).
+    """
+
+    times: np.ndarray    # (k,)
+    gain: np.ndarray     # (k, n, w)
+    offset: np.ndarray   # (k, w)
+    h: slice | None
+    value_tilt: slice | None
+    nu: slice | None
+
+    def controls(self, j: int, X: np.ndarray) -> np.ndarray:
+        return X @ self.gain[j] + self.offset[j]
+
+
+def gain_table(
+    model: ValidatedModel,
+    vc: ValueCoefficients | None,
+    times,
+    strategy: str = "optimal",
+    route: str = "direct",
+) -> GainTable:
+    """Gains of the controls at each of the given times.
+
+    The columns are [h | Lambda' Du | nu]: h is the strategy's allocation,
+    present for the strategies of TABLE_STRATEGIES ("optimal" by the given
+    route, or "kelly"), and the two tilts are present when vc is given.
+    Each row takes (quad, lin) from vc.at(t); each coefficient segment's rows
+    come from one stacked solve against Sigma Sigma'.
+    """
+    if route not in ROUTES:
+        raise ConfigError(f"unknown route '{route}'; choose from {ROUTES}")
+    if strategy == "optimal" and vc is None:
+        raise ConfigError("the optimal allocation needs solved value coefficients")
+    if vc is not None and (vc.theta != model.theta or vc.horizon != model.horizon):
+        raise ConfigError(
+            f"value coefficients solved for theta={vc.theta:g}, horizon={vc.horizon:g} "
+            f"do not belong to the model (theta={model.theta:g}, horizon={model.horizon:g})")
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    n, m, d = model.n, model.m, model.d
+    theta = model.theta
+    h = slice(0, m) if strategy in TABLE_STRATEGIES else None
+    width = 0 if h is None else m
+    value_tilt = nu = None
+    if vc is not None:
+        value_tilt, nu = slice(width, width + d), slice(width + d, width + 2 * d)
+        width += 2 * d
+    gain = np.empty((len(times), n, width))
+    offset = np.empty((len(times), width))
+
+    segs = np.array([model.segment_index(t) for t in times.tolist()], dtype=int)
+    for seg in np.unique(segs).tolist():
+        rows = np.flatnonzero(segs == seg)
+        t0 = float(times[rows[0]])
+        block = model.coefficients(t0)
+        gram = model.gram_blocks(t0)
+        if vc is not None:
+            at = [vc.at(t) for t in times[rows].tolist()]
+            # the gradient X quad' + lin as gains: quad' and lin
+            quad_t = np.swapaxes(np.stack([q for q, _, _ in at]), 1, 2)
+            lin = np.stack([v for _, v, _ in at])
+        if h is not None:
+            # the allocation's right-hand side before the solve, as gains
+            # (r, n, m) and offsets (r, m)
+            rhs = np.empty((len(rows), n + 1, m))
+            rhs[:, :n] = block.asset_factor_loading.T
+            rhs[:, n] = block.asset_drift
+            optimal = strategy == "optimal" and theta != 0.0
+            if optimal:
+                sl_t = np.ascontiguousarray(gram.sl.T)
+                if route == "direct":
+                    rhs[:, :n] += (-theta * quad_t) @ sl_t
+                    rhs[:, n] += theta * gram.s_xi
+                    rhs[:, n] += (-theta * lin) @ sl_t
+                else:
+                    rhs[:, :n] += -theta * (quad_t @ sl_t)
+                    rhs[:, n] += theta * gram.s_xi
+                    rhs[:, n] += -theta * (lin @ sl_t)
+            # rows are right-hand sides of (SS') y = rhs': one solve for all
+            solved = gram.ss_solve(rhs.reshape(-1, m).T).T.reshape(len(rows), n + 1, m)
+            if optimal:
+                solved /= theta + 1.0
+            gain[rows, :, h] = solved[:, :n]
+            offset[rows, h] = solved[:, n]
+        if vc is not None:
+            lam = block.factor_vol
+            gain[rows, :, value_tilt] = (-theta * quad_t) @ lam
+            offset[rows, value_tilt] = (-theta * lin) @ lam
+            gain[rows, :, nu] = -theta * (quad_t @ lam)
+            offset[rows, nu] = -theta * (lin @ lam)
+    return GainTable(times=times, gain=gain, offset=offset, h=h, value_tilt=value_tilt, nu=nu)
+
+
+def _point_controls(model: ValidatedModel, vc: ValueCoefficients | None, t: float, x,
+                    strategy: str = "optimal", route: str = "direct"):
+    """A one-row gain table at time t and its controls at state x."""
+    table = gain_table(model, vc, [t], strategy, route)
+    return table, table.controls(0, np.asarray(x, dtype=float)[None, :])[0]
 
 
 def benchmark_tracking(model: ValidatedModel, t: float) -> np.ndarray:
@@ -75,8 +183,8 @@ def optimal_h(
     route: str = "direct",
 ) -> np.ndarray:
     """Optimal allocation at (t, x) by the requested route."""
-    X = _row(x)
-    return batch_allocation(model, t, X, batch_ce_gradient(vc, t, X), route)[0]
+    table, row = _point_controls(model, vc, t, x, route=route)
+    return row[table.h]
 
 
 def optimal_gamma(
@@ -91,18 +199,17 @@ def optimal_gamma(
     and from the projected closed form; the two must agree to
     CROSS_CHECK_TOL or the upstream solve is inconsistent.
     """
-    X = _row(x)
     block = model.coefficients(t)
     theta = model.theta
-    ce_grad = batch_ce_gradient(vc, t, X)
-    value_tilt = batch_value_tilt(model, t, ce_grad)
-    H = batch_allocation(model, t, X, ce_grad)
-    form1 = batch_gamma(model, value_tilt, batch_tracking(model, t, H))[0]
+    table, row = _point_controls(model, vc, t, x)
+    value_tilt = row[table.value_tilt]
+    form1 = value_tilt - theta * (row[table.h] @ block.asset_vol - block.bench_vol)
 
+    kelly_table, kelly_row = _point_controls(model, None, t, x, "kelly")
     proj = model.projection_matrices(t, theta)
     form2 = (
-        proj.pminus @ value_tilt[0]
-        - (theta / (theta + 1.0)) * (block.asset_vol.T @ batch_kelly(model, t, X)[0])
+        proj.pminus @ value_tilt
+        - (theta / (theta + 1.0)) * (block.asset_vol.T @ kelly_row[kelly_table.h])
         + theta * (proj.pminus @ block.bench_vol)
     )
     gap = float(np.abs(form1 - form2).max())
@@ -120,7 +227,8 @@ def optimal_nu(
     x: np.ndarray,
 ) -> np.ndarray:
     """Transformed-measure tilt: -theta * Lambda' DCE(t, x)."""
-    return batch_nu(model, t, batch_ce_gradient(vc, t, _row(x)))[0]
+    table, row = _point_controls(model, vc, t, x)
+    return row[table.nu]
 
 
 def fractional_kelly(
@@ -130,22 +238,23 @@ def fractional_kelly(
     x: np.ndarray,
 ) -> PolicyAction:
     """Full policy decomposition at (t, x) with all identity checks enforced."""
-    X = _row(x)
+    x = np.asarray(x, dtype=float)
     block = model.coefficients(t)
     gram = model.gram_blocks(t)
     theta = model.theta
     sigma = block.asset_vol
     kf = 1.0 / (theta + 1.0)
 
-    ce_grad = batch_ce_gradient(vc, t, X)[0]
-    kelly = batch_kelly(model, t, X)[0]
+    table, row = _point_controls(model, vc, t, x)
+    allocation = row[table.h]
+    kelly_table, kelly_row = _point_controls(model, None, t, x, "kelly")
+    kelly = kelly_row[kelly_table.h]
     bench_track = benchmark_tracking(model, t)
-    hedge = gram.ss_solve(gram.sl @ ce_grad)
-    allocation = kf * kelly + (1.0 - kf) * bench_track - (1.0 - kf) * hedge
+    hedge = gram.ss_solve(gram.sl @ value_function(vc, t, x).ce_gradient)
 
-    h_ref = optimal_h(model, vc, t, x)
-    scale = 1.0 + float(np.abs(h_ref).max())
-    if float(np.abs(allocation - h_ref).max()) > 1e-12 * scale:
+    recomposed = kf * kelly + (1.0 - kf) * bench_track - (1.0 - kf) * hedge
+    scale = 1.0 + float(np.abs(allocation).max())
+    if float(np.abs(recomposed - allocation).max()) > 1e-12 * scale:
         raise RepresentationMismatch(
             f"fractional-Kelly recomposition deviates from the optimal allocation at t={t:g}"
         )
@@ -155,7 +264,7 @@ def fractional_kelly(
         nu = np.zeros(model.d)
     else:
         tilt = optimal_gamma(model, vc, t, x)
-        nu = optimal_nu(model, vc, t, x)
+        nu = row[table.nu]
 
     regularized = kelly + gram.ss_solve(sigma @ tilt)
     if float(np.abs(allocation - regularized).max()) > 1e-12 * scale:
@@ -177,66 +286,3 @@ def fractional_kelly(
         hedge=hedge,
         kelly_fraction=kf,
     )
-
-
-# ---------------------------------------------------------------------------
-# Batch evaluators over a state matrix X of shape (paths, n); simulate_paths
-# and the point evaluators above take every allocation and tilt from here.
-# The value gradient enters as ce_grad (valuefn.batch_ce_gradient),
-# evaluated once per step by the caller.
-# Transposed factors are contiguous copies: matmul against a transposed view
-# of these small matrices takes a slower BLAS path.
-# ---------------------------------------------------------------------------
-
-def batch_kelly(model: ValidatedModel, t: float, X: np.ndarray) -> np.ndarray:
-    block = model.coefficients(t)
-    gram = model.gram_blocks(t)
-    rhs = block.asset_drift + X @ np.ascontiguousarray(block.asset_factor_loading.T)
-    return gram.ss_solve(rhs.T).T
-
-
-def batch_allocation(
-    model: ValidatedModel,
-    t: float,
-    X: np.ndarray,
-    ce_grad: np.ndarray,
-    route: str = "direct",
-) -> np.ndarray:
-    block = model.coefficients(t)
-    gram = model.gram_blocks(t)
-    theta = model.theta
-    if theta == 0.0:
-        return batch_kelly(model, t, X)
-    sl_t = np.ascontiguousarray(gram.sl.T)
-    if route == "direct":
-        correction = (-theta * ce_grad) @ sl_t
-    elif route == "twostep":
-        correction = -theta * (ce_grad @ sl_t)
-    else:
-        raise ValueError(f"unknown route '{route}'")
-    afl_t = np.ascontiguousarray(block.asset_factor_loading.T)
-    rhs = block.asset_drift + X @ afl_t + theta * gram.s_xi + correction
-    return gram.ss_solve(rhs.T).T / (theta + 1.0)
-
-
-def batch_tracking(model: ValidatedModel, t: float, H: np.ndarray) -> np.ndarray:
-    """Tracking error Sigma' h - Xi of each allocation row of H."""
-    block = model.coefficients(t)
-    return H @ block.asset_vol - block.bench_vol
-
-
-def batch_value_tilt(model: ValidatedModel, t: float, ce_grad: np.ndarray) -> np.ndarray:
-    """Lambda' Du along a batch: the value-gradient part of the adverse tilt,
-    which is also the tilt of the link density between the two measures."""
-    return (-model.theta * ce_grad) @ model.coefficients(t).factor_vol
-
-
-def batch_gamma(model: ValidatedModel, value_tilt: np.ndarray, track: np.ndarray) -> np.ndarray:
-    """Adverse tilt along a batch from its two parts, batch_value_tilt and
-    batch_tracking, which a caller has at hand once per step."""
-    return value_tilt - model.theta * track
-
-
-def batch_nu(model: ValidatedModel, t: float, ce_grad: np.ndarray) -> np.ndarray:
-    """Transformed-measure tilt along a batch: -theta Lambda' DCE."""
-    return -model.theta * (ce_grad @ model.coefficients(t).factor_vol)

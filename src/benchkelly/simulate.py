@@ -13,7 +13,17 @@ increment dw + phi dt.  The supported measures differ only in phi:
 
 The kernel converts dw to the physical increment once per step; the state,
 the log excess return and every density then follow the physical-measure
-formulas.
+formulas.  Every allocation and tilt is read from the policy's affine gain
+table (policy.gain_table): per step one X @ K[j] + k[j], sliced into
+[h | Lambda' Du | nu].
+
+One private kernel runs one or more lanes: configs that share the paths,
+the steps, the seed and antithetic pairing but may differ in strategy,
+route, measure and the arrays they keep.  Per path block the noise is drawn
+once for all lanes, and the lanes under the physical measure share one
+factor state; each lane keeps its own log excess return and densities.
+simulate_paths is the one-lane call and simulate_lanes the many-lane call;
+each lane's bundle is bit for bit its one-lane run.
 
 Per-path randomness comes from a counter-based Philox stream keyed by
 (seed, stream index), so results are bit-identical for a given config no
@@ -33,10 +43,14 @@ import numpy as np
 from . import policy
 from .errors import ConfigError, MeasureMismatch, NonfiniteState, ParseError
 from .model import ValidatedModel
-from .valuefn import ValueCoefficients, batch_ce_gradient
+from .valuefn import ValueCoefficients
 
 MEASURES = ("physical", "tilted_gamma", "tilted_h")
 STRATEGIES = ("optimal", "kelly", "benchmark", "custom")
+# the full path arrays a bundle can keep
+PATH_ARRAYS = ("states", "log_excess")
+# the fields every lane of one simulate_lanes call shares
+SHARED_FIELDS = ("n_paths", "steps", "dt", "seed", "antithetic")
 
 # Paths are simulated in blocks to bound memory; the per-path RNG streams
 # make results independent of the block size.  Blocks are sized so one noise
@@ -60,7 +74,7 @@ class SimConfig:
     bench_weights: np.ndarray | None = None
     custom_policy: Callable | None = None  # (t, X[batch,n]) -> H[batch,m]
     custom_tilt: Callable | None = None    # (t, X, H) -> gamma[batch,d]
-    store_paths: bool = True
+    keep_paths: tuple[str, ...] = PATH_ARRAYS  # the full path arrays to keep
     # density accumulation can be switched off for pure criterion estimation
     # under the physical measure; tilted measures always track densities
     track_densities: bool = True
@@ -111,6 +125,9 @@ def _validate_config(model: ValidatedModel, vc, cfg: SimConfig) -> None:
         raise ConfigError(
             f"bench_weights must have shape ({model.m},), got {np.shape(cfg.bench_weights)}"
         )
+    unknown = sorted(set(cfg.keep_paths) - set(PATH_ARRAYS))
+    if unknown:
+        raise ConfigError(f"unknown path arrays {unknown}; choose from {PATH_ARRAYS}")
     if cfg.antithetic and cfg.n_paths % 2 != 0:
         raise ConfigError("antithetic pairing needs an even n_paths")
     if cfg.strategy == "optimal" and vc is None:
@@ -154,27 +171,226 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _SegmentContext:
-    """One coefficient segment's blocks, built once per segment.
+    """One coefficient segment's blocks, built once per segment and shared by
+    every lane.
 
     Lambda' and B' are kept as contiguous copies: the strided noise slice
     times a transposed view would leave BLAS.
     """
 
-    __slots__ = ("block", "gram", "lam_t", "fmr_t", "h_bench")
+    __slots__ = ("block", "gram", "lam_t", "fmr_t")
 
-    def __init__(self, model: ValidatedModel, cfg: SimConfig, t: float):
+    def __init__(self, model: ValidatedModel, t: float):
         self.block = model.coefficients(t)
         self.gram = model.gram_blocks(t)
         self.lam_t = np.ascontiguousarray(self.block.factor_vol.T)
         self.fmr_t = np.ascontiguousarray(self.block.factor_mean_reversion.T)
-        self.h_bench = None
+
+    def advance(self, X: np.ndarray, dw: np.ndarray, dt: float) -> np.ndarray:
+        """The factor states X one Euler step on, driven by the physical
+        increments dw."""
+        return X + (self.block.factor_drift + X @ self.fmr_t) * dt + dw @ self.lam_t
+
+
+class _Lane:
+    """One config's part of the kernel: its gain table, its outputs, and the
+    running log excess return (under a tilted measure also the factor state)
+    of the current path block."""
+
+    def __init__(self, model: ValidatedModel, vc: ValueCoefficients | None,
+                 cfg: SimConfig, times: np.ndarray):
+        n_paths, n = cfg.n_paths, model.n
+        self.cfg = cfg
+        self.physical = cfg.measure == "physical"
+        self.densities = cfg.track_densities or not self.physical
+        tilts = vc is not None and (cfg.strategy == "optimal" or self.densities)
+        self.table = None
+        if tilts or cfg.strategy in policy.TABLE_STRATEGIES:
+            self.table = policy.gain_table(model, vc if tilts else None, times,
+                                           cfg.strategy, cfg.route)
+        self.h_bench: dict[_SegmentContext, np.ndarray] = {}
+        self.terminal_state = np.empty((n_paths, n))
+        self.terminal_r = np.empty(n_paths)
+        # log densities: tilt, alloc, link, link_alt, then the tilt-norm integral
+        self.densities_out = tuple(np.zeros(n_paths) for _ in range(5))
+        self.states = (np.empty((n_paths, cfg.steps + 1, n))
+                       if "states" in cfg.keep_paths else None)
+        self.log_excess = (np.empty((n_paths, cfg.steps + 1))
+                           if "log_excess" in cfg.keep_paths else None)
+
+    def start_block(self, sl: slice, x_start: np.ndarray) -> None:
+        self.sl = sl
+        self.X = None if self.physical else x_start.copy()
+        self.R = np.zeros(sl.stop - sl.start)
+        # the densities accumulate in place, in views of the block's outputs
+        self.acc = tuple(col[sl] for col in self.densities_out)
+        if self.states is not None:
+            self.states[sl, 0] = x_start
+        if self.log_excess is not None:
+            self.log_excess[sl, 0] = 0.0
+
+    def step(self, model: ValidatedModel, ctx: _SegmentContext, j: int, t: float,
+             X: np.ndarray, dW_j: np.ndarray, dt: float) -> np.ndarray:
+        """Advance the log excess return and the densities over step j from
+        the states X; returns the step's physical increment."""
+        cfg, table = self.cfg, self.table
+        block, gram = ctx.block, ctx.gram
+        theta = model.theta
+        C = None if table is None else table.controls(j, X)
         if cfg.strategy == "benchmark":
-            self.h_bench = (policy.benchmark_tracking(model, t) if cfg.bench_weights is None
-                            else np.asarray(cfg.bench_weights, dtype=float))
+            h = self.h_bench.get(ctx)
+            if h is None:
+                h = self.h_bench[ctx] = (
+                    policy.benchmark_tracking(model, t) if cfg.bench_weights is None
+                    else np.asarray(cfg.bench_weights, dtype=float))
+            H = np.broadcast_to(h, (len(X), model.m))
+        elif cfg.strategy == "custom":
+            H = cfg.custom_policy(t, X)
+        else:
+            H = C[:, table.h]
+
+        track = H @ block.asset_vol - block.bench_vol
+        ell = (
+            -0.5 * _rowdot(H @ gram.ss, H)
+            + H @ block.asset_drift
+            + 0.5 * gram.xi_xi
+            - block.bench_drift
+            + _rowdot(H @ block.asset_factor_loading - block.bench_factor_loading, X)
+        )
+        value_tilt = None
+        if self.densities:
+            if table is not None and table.value_tilt is not None:
+                value_tilt = C[:, table.value_tilt]
+            if cfg.custom_tilt is not None:
+                G = cfg.custom_tilt(t, X, H)
+            elif value_tilt is not None and theta > 0.0:
+                G = value_tilt - theta * track
+            else:
+                G = np.zeros((len(X), model.d))
+
+        # the physical increment dw + phi dt, phi the sampling measure's
+        # drift tilt; from here on every formula is the physical one
+        if self.physical:
+            dw = dW_j
+        else:
+            phi = G if cfg.measure == "tilted_gamma" else -theta * track
+            dw = dW_j + phi * dt
+        track_dw = _rowdot(track, dw)
+
+        if self.densities:
+            acc_tilt, acc_alloc, acc_link, acc_link_alt, acc_tilt_sq = self.acc
+            g_sq = _rowdot(G, G)
+            acc_tilt += _rowdot(G, dw) - 0.5 * dt * g_sq
+            acc_alloc += -theta * track_dw - 0.5 * theta**2 * dt * _rowdot(track, track)
+            acc_tilt_sq += 0.5 * dt * g_sq
+            if value_tilt is not None:
+                # the link density by both routes' tilts, in the increment
+                # of the allocation-induced measure
+                nu = C[:, table.nu]
+                dwh = dw + (theta * dt) * track
+                acc_link += _rowdot(value_tilt, dwh) - 0.5 * dt * _rowdot(value_tilt, value_tilt)
+                acc_link_alt += _rowdot(nu, dwh) - 0.5 * dt * _rowdot(nu, nu)
+
+        self.R = self.R + ell * dt + track_dw
+        return dw
+
+    def check_and_store(self, j: int, X: np.ndarray, x_finite: bool) -> None:
+        """Raise NonfiniteState on a non-finite state or log excess return
+        after step j; else keep what the lane stores."""
+        R = self.R
+        if not (x_finite and np.isfinite(R).all()):
+            bad = np.argwhere(~np.isfinite(X).all(axis=1) | ~np.isfinite(R))
+            raise NonfiniteState(
+                f"non-finite state at path {self.sl.start + int(bad[0, 0])}, step {j + 1}"
+            )
+        if self.states is not None:
+            self.states[self.sl, j + 1] = X
+        if self.log_excess is not None:
+            self.log_excess[self.sl, j + 1] = R
+
+    def end_block(self, X: np.ndarray) -> None:
+        self.terminal_state[self.sl] = X
+        self.terminal_r[self.sl] = self.R
+
+    def bundle(self) -> PathBundle:
+        log_tilt, log_alloc, log_link, log_link_alt, tilt_sq = self.densities_out
+        return PathBundle(
+            config=self.cfg,
+            terminal_state=self.terminal_state,
+            terminal_log_excess=self.terminal_r,
+            log_density_tilt=log_tilt,
+            log_density_alloc=log_alloc,
+            log_density_link=log_link,
+            log_density_link_alt=log_link_alt,
+            tilt_sq_integral=tilt_sq,
+            states=self.states,
+            log_excess=self.log_excess,
+        )
 
 
 # overflow inside a diverging path is expected right before NonfiniteState fires
 @np.errstate(over="ignore", invalid="ignore")
+def _simulate(model: ValidatedModel, vc: ValueCoefficients | None,
+              cfgs: tuple[SimConfig, ...]) -> tuple[PathBundle, ...]:
+    """The Euler kernel over validated lanes that share n_paths, steps, dt,
+    seed and antithetic.
+
+    Per path block it draws the noise once.  Per step it looks up the
+    coefficient segment once, evaluates each lane's gain table once, and
+    advances the factor state of all physical-measure lanes together; a
+    tilted lane moves its own state by its own physical increment.
+    """
+    shared = cfgs[0]
+    n, d = model.n, model.d
+    dt = shared.dt
+    sq_dt = np.sqrt(dt)
+    n_paths, steps = shared.n_paths, shared.steps
+    times = np.array([j * dt for j in range(steps)])
+    lanes = [_Lane(model, vc, cfg, times) for cfg in cfgs]
+    physical = any(lane.physical for lane in lanes)
+    segments: dict[int, _SegmentContext] = {}
+
+    block_paths = int(max(MIN_BLOCK_PATHS, NOISE_BUFFER_BYTES // (steps * d * 8)))
+    if shared.antithetic and block_paths % 2 != 0:
+        block_paths += 1
+
+    for first in range(0, n_paths, block_paths):
+        count = min(block_paths, n_paths - first)
+        sl = slice(first, first + count)
+        dW = _block_noise(shared.seed, first, count, steps, d, shared.antithetic)
+        dW *= sq_dt
+        x_start = np.broadcast_to(model.x0, (count, n))
+        X = x_start.copy()  # the state of the physical-measure lanes
+        for lane in lanes:
+            lane.start_block(sl, x_start)
+
+        for j in range(steps):
+            t = j * dt
+            seg = model.segment_index(t)
+            if seg not in segments:
+                segments[seg] = _SegmentContext(model, t)
+            ctx = segments[seg]
+            dW_j = dW[:, j, :]
+            for lane in lanes:
+                if lane.physical:
+                    lane.step(model, ctx, j, t, X, dW_j, dt)
+                else:
+                    lane.X = ctx.advance(lane.X, lane.step(model, ctx, j, t, lane.X, dW_j, dt), dt)
+            if physical:
+                X = ctx.advance(X, dW_j, dt)
+                x_finite = bool(np.isfinite(X).all())
+            for lane in lanes:
+                if lane.physical:
+                    lane.check_and_store(j, X, x_finite)
+                else:
+                    lane.check_and_store(j, lane.X, bool(np.isfinite(lane.X).all()))
+
+        for lane in lanes:
+            lane.end_block(X if lane.physical else lane.X)
+
+    return tuple(lane.bundle() for lane in lanes)
+
+
 def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
                    cfg: SimConfig) -> PathBundle:
     """Simulate the factor state, log excess return, and density processes.
@@ -182,134 +398,32 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
     The log excess return starts at 0 (wealth normalized to the benchmark at
     the start).  Each step shifts the sampled increment by the measure's
     drift tilt to the physical increment, which drives the state and every
-    density log-increment.  Every allocation and tilt comes from the batch
-    evaluators in policy.py, fed one certainty-equivalent gradient per step.
+    density log-increment.  Every allocation and tilt comes from the
+    policy's gain table, evaluated once per step.  The one-lane call of the
+    kernel that simulate_lanes runs.
     """
     _validate_config(model, vc, cfg)
-    n, m, d = model.n, model.m, model.d
-    theta = model.theta
-    dt = cfg.dt
-    sq_dt = np.sqrt(dt)
-    n_paths, steps = cfg.n_paths, cfg.steps
-    track_densities = cfg.track_densities or cfg.measure != "physical"
-    need_grad = vc is not None and (cfg.strategy == "optimal" or track_densities)
-    segments: dict[int, _SegmentContext] = {}
+    return _simulate(model, vc, (cfg,))[0]
 
-    terminal_state = np.empty((n_paths, n))
-    terminal_r = np.empty(n_paths)
-    log_tilt = np.zeros(n_paths)
-    log_alloc = np.zeros(n_paths)
-    log_link = np.zeros(n_paths)
-    log_link_alt = np.zeros(n_paths)
-    tilt_sq = np.zeros(n_paths)
-    states = log_excess = None
-    if cfg.store_paths:
-        states = np.empty((n_paths, steps + 1, n))
-        log_excess = np.empty((n_paths, steps + 1))
 
-    block_paths = int(max(MIN_BLOCK_PATHS, NOISE_BUFFER_BYTES // (steps * d * 8)))
-    if cfg.antithetic and block_paths % 2 != 0:
-        block_paths += 1
+def simulate_lanes(model: ValidatedModel, vc: ValueCoefficients | None,
+                   cfgs) -> tuple[PathBundle, ...]:
+    """Simulate several configs on one noise draw; one PathBundle per config.
 
-    for first in range(0, n_paths, block_paths):
-        count = min(block_paths, n_paths - first)
-        sl = slice(first, first + count)
-        dW = _block_noise(cfg.seed, first, count, steps, d, cfg.antithetic)
-        dW *= sq_dt
-        # the densities accumulate in place, in views of the block's outputs
-        acc_tilt, acc_alloc, acc_link, acc_link_alt, acc_tilt_sq = (
-            col[sl] for col in (log_tilt, log_alloc, log_link, log_link_alt, tilt_sq))
-
-        X = np.broadcast_to(model.x0, (count, n)).copy()
-        R = np.zeros(count)
-        if cfg.store_paths:
-            states[sl, 0] = X
-            log_excess[sl, 0] = 0.0
-
-        for j in range(steps):
-            t = j * dt
-            seg = model.segment_index(t)
-            if seg not in segments:
-                segments[seg] = _SegmentContext(model, cfg, t)
-            ctx = segments[seg]
-            block, gram, lam_t, fmr_t = ctx.block, ctx.gram, ctx.lam_t, ctx.fmr_t
-            ce_grad = batch_ce_gradient(vc, t, X) if need_grad else None
-
-            if cfg.strategy == "benchmark":
-                H = np.broadcast_to(ctx.h_bench, (count, m))
-            elif cfg.strategy == "custom":
-                H = cfg.custom_policy(t, X)
-            elif cfg.strategy == "kelly":
-                H = policy.batch_kelly(model, t, X)
-            else:  # optimal
-                H = policy.batch_allocation(model, t, X, ce_grad, cfg.route)
-
-            track = policy.batch_tracking(model, t, H)
-            ell = (
-                -0.5 * _rowdot(H @ gram.ss, H)
-                + H @ block.asset_drift
-                + 0.5 * gram.xi_xi
-                - block.bench_drift
-                + _rowdot(H @ block.asset_factor_loading - block.bench_factor_loading, X)
-            )
-            if track_densities:
-                value_tilt = None if ce_grad is None else policy.batch_value_tilt(model, t, ce_grad)
-                if cfg.custom_tilt is not None:
-                    G = cfg.custom_tilt(t, X, H)
-                elif value_tilt is not None and theta > 0.0:
-                    G = policy.batch_gamma(model, value_tilt, track)
-                else:
-                    G = np.zeros((count, d))
-
-            # the physical increment dw + phi dt, phi the sampling measure's
-            # drift tilt; from here on every formula is the physical one
-            if cfg.measure == "physical":
-                dw = dW[:, j, :]
-            else:
-                phi = G if cfg.measure == "tilted_gamma" else -theta * track
-                dw = dW[:, j, :] + phi * dt
-            track_dw = _rowdot(track, dw)
-
-            if track_densities:
-                g_sq = _rowdot(G, G)
-                acc_tilt += _rowdot(G, dw) - 0.5 * dt * g_sq
-                acc_alloc += -theta * track_dw - 0.5 * theta**2 * dt * _rowdot(track, track)
-                acc_tilt_sq += 0.5 * dt * g_sq
-                if ce_grad is not None:
-                    # the link density by both routes' tilts, in the increment
-                    # of the allocation-induced measure
-                    nu = policy.batch_nu(model, t, ce_grad)
-                    dwh = dw + (theta * dt) * track
-                    acc_link += _rowdot(value_tilt, dwh) - 0.5 * dt * _rowdot(value_tilt, value_tilt)
-                    acc_link_alt += _rowdot(nu, dwh) - 0.5 * dt * _rowdot(nu, nu)
-
-            X = X + (block.factor_drift + X @ fmr_t) * dt + dw @ lam_t
-            R = R + ell * dt + track_dw
-
-            if not (np.isfinite(X).all() and np.isfinite(R).all()):
-                bad = np.argwhere(~np.isfinite(X).all(axis=1) | ~np.isfinite(R))
-                raise NonfiniteState(
-                    f"non-finite state at path {first + int(bad[0, 0])}, step {j + 1}"
-                )
-            if cfg.store_paths:
-                states[sl, j + 1] = X
-                log_excess[sl, j + 1] = R
-
-        terminal_state[sl] = X
-        terminal_r[sl] = R
-
-    return PathBundle(
-        config=cfg,
-        terminal_state=terminal_state,
-        terminal_log_excess=terminal_r,
-        log_density_tilt=log_tilt,
-        log_density_alloc=log_alloc,
-        log_density_link=log_link,
-        log_density_link_alt=log_link_alt,
-        tilt_sq_integral=tilt_sq,
-        states=states,
-        log_excess=log_excess,
-    )
+    The configs must agree on n_paths, steps, dt, seed and antithetic, and
+    may differ in anything else (strategy, route, measure, what they keep).
+    Each bundle is bit for bit the one simulate_paths returns for its config.
+    """
+    cfgs = tuple(cfgs)
+    if not cfgs:
+        raise ConfigError("simulate_lanes needs at least one config")
+    for cfg in cfgs:
+        _validate_config(model, vc, cfg)
+    for name in SHARED_FIELDS:
+        values = {getattr(cfg, name) for cfg in cfgs}
+        if len(values) > 1:
+            raise ConfigError(f"lanes must share {name}, got {sorted(values)}")
+    return _simulate(model, vc, cfgs)
 
 
 def _mean_and_se(values: np.ndarray, antithetic: bool) -> tuple[float, float]:
@@ -426,7 +540,8 @@ def save_terminals_csv(bundle: PathBundle, path: str | Path) -> None:
 
 def save_paths_binary(bundle: PathBundle, path: str | Path) -> None:
     if bundle.states is None or bundle.log_excess is None:
-        raise ConfigError("bundle was simulated with store_paths=False; no full paths to dump")
+        raise ConfigError("bundle keeps no full paths to dump; simulate with "
+                          f"keep_paths={PATH_ARRAYS}")
     n_paths, n_nodes, n = bundle.states.shape
     with open(path, "wb") as fh:
         fh.write(_BIN_MAGIC)

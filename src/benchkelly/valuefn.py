@@ -140,7 +140,8 @@ class _SegmentTerms:
                 - self.quad_source)
 
     def derivative(self, quad, lin):
-        """Backward-time derivatives (d/ds) of (quad, lin, level)."""
+        """Time derivatives d/dt of (quad, lin, level), forward in t (the
+        centered differences of riccati_residual take them so)."""
         th = self.theta
         d_quad = self.quad_rate(quad)
         d_lin = (-self.lin_map @ lin + th * (quad @ self.curvature_mix @ lin)
@@ -312,13 +313,6 @@ def value_function(vc: ValueCoefficients, t: float, x: np.ndarray) -> ValueEval:
         gradient=-theta * ce_grad,
         ce_gradient=ce_grad,
     )
-
-
-def batch_ce_gradient(vc: ValueCoefficients, t: float, X: np.ndarray) -> np.ndarray:
-    """Certainty-equivalent gradient at time t for each row of X (paths, n)."""
-    quad, lin, _ = vc.at(t)
-    # a contiguous copy: matmul against the transposed view is slower
-    return X @ np.ascontiguousarray(quad.T) + lin
 
 
 class Residual(NamedTuple):

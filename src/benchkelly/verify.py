@@ -136,7 +136,7 @@ def run(model: ValidatedModel, vc: valuefn.ValueCoefficients, seed: int, *, prob
     sim_steps = max(int(min(252, round(T / (1.0 / 252.0)))), 1)
     base = dict(strategy="optimal", n_paths=sim_paths, steps=sim_steps,
                 dt=min(1.0 / 252.0, T / sim_steps), seed=derive_seed(seed, "verify-sim"),
-                store_paths=False)
+                keep_paths=())
     bundle = sim_mod.simulate_paths(model, vc, sim_mod.SimConfig(**base))
     fact_gap = float(np.abs(bundle.log_density_tilt
                             - (bundle.log_density_alloc + bundle.log_density_link)).max())

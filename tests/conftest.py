@@ -3,6 +3,7 @@ import pytest
 
 from benchkelly import model as model_mod
 from benchkelly import valuefn
+from benchkelly.policy import gain_table
 
 
 def make_scalar_spec(theta=1.0, horizon=1.0, **overrides):
@@ -38,6 +39,13 @@ def make_twofactor_spec(theta=1.0):
         bench_factor_loading=[0.05],
         bench_vol=[0.02, 0.01, 0.0],
     )
+
+
+def kelly_allocation(model, t, X):
+    """The Kelly allocation at time t for each state row of X (a custom
+    strategy's policy)."""
+    table = gain_table(model, None, [t], "kelly")
+    return table.controls(0, X)[:, table.h]
 
 
 def make_random_spec(rng, theta=None, n=None, m=None, d=None, horizon=1.0):

@@ -16,12 +16,12 @@ from benchkelly.estimate import bootstrap_gram_se, estimate_model, gram_blocks_o
     realized_covariance, synthesize_panel
 from benchkelly.game import hamiltonians, saddle_check
 from benchkelly.model import validate_model
-from benchkelly.policy import batch_kelly, fractional_kelly, optimal_gamma, optimal_h, optimal_nu
+from benchkelly.policy import fractional_kelly, optimal_gamma, optimal_h, optimal_nu
 from benchkelly.simulate import SimConfig, kl_estimate, martingale_check, mc_criterion, \
     simulate_paths
 from benchkelly.valuefn import solve_value_coefficients, value_function
 
-from conftest import make_random_spec, make_scalar_spec
+from conftest import kelly_allocation, make_random_spec, make_scalar_spec
 
 
 def report(num, name, ok, detail):
@@ -171,7 +171,7 @@ def test_criterion_06_value_function_mc_oracle(twofactor_model, twofactor_vc):
     vm, vc = twofactor_model, twofactor_vc
     u0 = value_function(vc, 0.0, vm.x0).log_criterion
     base = dict(n_paths=100_000, steps=252, dt=1 / 252, seed=7, antithetic=True,
-                store_paths=False, track_densities=False)
+                keep_paths=(), track_densities=False)
     opt = simulate_paths(vm, vc, SimConfig(strategy="optimal", **base))
     mc_opt = mc_criterion(opt, vm.theta)
     se_log = mc_opt.std_error / mc_opt.estimate
@@ -180,7 +180,7 @@ def test_criterion_06_value_function_mc_oracle(twofactor_model, twofactor_vc):
     sub = simulate_paths(
         vm, vc,
         SimConfig(strategy="custom",
-                  custom_policy=lambda t, X: 2.0 * batch_kelly(vm, t, X), **base),
+                  custom_policy=lambda t, X: 2.0 * kelly_allocation(vm, t, X), **base),
     )
     mc_sub = mc_criterion(sub, vm.theta)
     joint = float(np.hypot(mc_opt.std_error, mc_sub.std_error))
@@ -195,7 +195,7 @@ def test_criterion_06_value_function_mc_oracle(twofactor_model, twofactor_vc):
 def test_criterion_07_measure_theory_suite(twofactor_model, twofactor_vc):
     start = time.perf_counter()
     vm, vc = twofactor_model, twofactor_vc
-    base = dict(steps=252, dt=1 / 252, store_paths=False)
+    base = dict(steps=252, dt=1 / 252, keep_paths=())
     phys = simulate_paths(vm, vc, SimConfig(n_paths=10_000, seed=72, strategy="optimal", **base))
     fact_gap = float(np.abs(
         phys.log_density_tilt - (phys.log_density_alloc + phys.log_density_link)

@@ -76,6 +76,32 @@ def test_skewed_stream_hand_moments():
     assert rep.kurtosis == pytest.approx(14.8777 / 2.29**2 - 3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("denominator", ["below", "full"])
+def test_every_metric_is_the_plain_formula_bitwise(denominator):
+    # the in-place working set changes no bit of any metric
+    rng = np.random.default_rng(5)
+    r = 0.01 * rng.standard_t(4, 200_000) + 0.0003
+    mean = r.mean()
+    c = r - mean
+    m2 = (c * c).mean()
+    below = c[r < mean]
+    semidev = np.sqrt((below**2).mean() if denominator == "below"
+                      else (below**2).sum() / r.size)
+    q = np.percentile(r, 5.0, method="lower")
+    var, cvar = mean - q, mean - r[r <= q].mean()
+    std = np.sqrt(m2)
+    expected = {
+        "mean": 100.0 * mean, "std": 100.0 * std, "semideviation": 100.0 * semidev,
+        "skewness": ((c * c) * c).mean() / m2**1.5,
+        "kurtosis": ((c * c) * (c * c)).mean() / m2**2 - 3.0,
+        "var": 100.0 * var, "cvar": 100.0 * cvar,
+        "sharpe": mean / std, "sortino": mean / semidev,
+        "mean_to_var": mean / var, "mean_to_cvar": mean / cvar,
+    }
+    rep = performance_report(r, downside_denominator=denominator)
+    assert rep.metrics() == {name: float(value) for name, value in expected.items()}
+
+
 def test_quantile_coherence(sample_returns):
     rep = performance_report(sample_returns)
     r = np.sort(sample_returns)

@@ -284,7 +284,7 @@ def test_seed_override_changes_results(workdir):
 
 @pytest.mark.parametrize("simulation", [
     {"strategy": "custom", "custom_policy": "x"},    # library-only SimConfig field
-    {"store_paths": False},
+    {"keep_paths": []},
     {"n_paths": "ten"},
     {"steps": 12.5},
     {"dt": "daily"},
@@ -318,6 +318,42 @@ def test_verify_rejects_bad_simulation_seed(workdir, capsys):
     assert err.startswith("ERROR CONFIG:")
 
 
+@pytest.mark.parametrize("command", ["policy", "simulate", "experiment"])
+def test_commands_reject_coefficients_of_another_model(workdir, monkeypatch, capsys, command):
+    # coefficients solved at theta = 1 handed to a theta = 5 model end in a
+    # typed error, not in a silent run
+    import benchkelly.cli as cli_mod
+
+    real = cli_mod._solve
+    theta_one = validate_model(make_scalar_spec())
+    monkeypatch.setattr(cli_mod, "_solve", lambda config, validated: real(config, theta_one))
+    config = json.loads((workdir / "config.json").read_text())
+    config["theta"] = 5.0
+    (workdir / "theta5.json").write_text(json.dumps(config))
+    code = run(workdir, command, "--config", str(workdir / "theta5.json"),
+               "--out", str(workdir / "o"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ERROR CONFIG:") and "theta" in err
+
+
+def test_experiment_lanes_keep_only_the_log_excess_return(workdir, monkeypatch):
+    import benchkelly.simulate as sim_mod
+
+    kept = []
+    real = sim_mod.simulate_lanes
+
+    def spy(model, vc, cfgs):
+        bundles = real(model, vc, cfgs)
+        kept.extend((cfg.keep_paths, b.states) for cfg, b in zip(cfgs, bundles))
+        return bundles
+
+    monkeypatch.setattr(sim_mod, "simulate_lanes", spy)
+    assert run(workdir, "experiment", "--config", str(workdir / "config.json"),
+               "--out", str(workdir / "exp_keep")) == 0
+    assert kept == [(("log_excess",), None)] * 4
+
+
 def test_simulate_stores_paths_only_for_dump(workdir, monkeypatch):
     import benchkelly.simulate as sim_mod
 
@@ -325,7 +361,7 @@ def test_simulate_stores_paths_only_for_dump(workdir, monkeypatch):
     real = sim_mod.simulate_paths
 
     def spy(model, vc, cfg):
-        stored.append(cfg.store_paths)
+        stored.append(cfg.keep_paths)
         return real(model, vc, cfg)
 
     monkeypatch.setattr(sim_mod, "simulate_paths", spy)
@@ -335,7 +371,7 @@ def test_simulate_stores_paths_only_for_dump(workdir, monkeypatch):
     out = workdir / "nodump"
     assert run(workdir, "simulate", "--config", str(workdir / "nodump.json"),
                "--out", str(out)) == 0
-    assert stored == [False]
+    assert stored == [()]
     assert not (out / "paths.bin").exists()
 
 

@@ -17,8 +17,8 @@ from conftest import make_twofactor_spec
 
 GOLDEN = {
     "value_coefficients.json": "5a550b9668f31666bffa6f1c4809e2be5d7ce9ee4efc37aafad83868a945b5e7",
-    "terminals.csv": "b41309e89d184e7386e73e7a3d5011ddaa65399b09ad70057771b5aa43a27f10",
-    "policy.json": "b54735aa61fcaec26bf3831f2012987d2ed0c96202871d788f4b7907e9263d6c",
+    "terminals.csv": "8037e175f146f329ce23392f5de4ac37aa7782437f57302349f2381ed0910b8c",
+    "policy.json": "783da7a829cabafbd2935225276f8f702332c9bece504c85b4668e3ff13f2c7e",
 }
 
 

@@ -1,22 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benchkelly.model import ModelSpec, validate_model
+from benchkelly.errors import ConfigError
+from benchkelly.model import CoefficientSet, ModelSpec, validate_model
 from benchkelly.policy import (
-    batch_allocation,
-    batch_gamma,
-    batch_kelly,
-    batch_nu,
-    batch_tracking,
-    batch_value_tilt,
     fractional_kelly,
+    gain_table,
     optimal_gamma,
     optimal_h,
     optimal_nu,
 )
-from benchkelly.valuefn import batch_ce_gradient, solve_value_coefficients, value_function
+from benchkelly.valuefn import solve_value_coefficients, value_function
 
 from conftest import make_random_spec, make_scalar_spec
 
@@ -217,35 +215,42 @@ def test_policies_affine_in_state(scalar_model, scalar_vc, x, y, t):
 @pytest.mark.parametrize("theta", [1.0, 0.0])
 @pytest.mark.parametrize("route", ["direct", "twostep"])
 def test_point_evaluators_are_one_row_batch_calls(theta, route):
+    # the point evaluators read one row of the gain table the simulator steps through
     rng = np.random.default_rng(31)
     vm = validate_model(make_random_spec(rng, theta=theta, n=3, m=4, d=7))
     vc = solve_value_coefficients(vm, steps_per_year=252)
     for _ in range(10):
         t = float(rng.uniform(0, vm.horizon))
         x = rng.standard_normal(vm.n)
-        X = x[None, :]
-        ce_grad = batch_ce_gradient(vc, t, X)
-        H = batch_allocation(vm, t, X, ce_grad, route)
-        G = batch_gamma(vm, batch_value_tilt(vm, t, ce_grad),
-                        batch_tracking(vm, t, batch_allocation(vm, t, X, ce_grad)))
-        assert np.array_equal(optimal_h(vm, vc, t, x, route), H[0])
-        assert np.array_equal(optimal_nu(vm, vc, t, x), batch_nu(vm, t, ce_grad)[0])
-        assert np.array_equal(optimal_gamma(vm, vc, t, x), G[0])
-        assert np.array_equal(fractional_kelly(vm, vc, t, x).kelly, batch_kelly(vm, t, X)[0])
+        block = vm.coefficients(t)
+        table = gain_table(vm, vc, [t], route=route)
+        C = table.controls(0, x[None, :])[0]
+        direct = gain_table(vm, vc, [t])
+        D = direct.controls(0, x[None, :])[0]
+        G = D[direct.value_tilt] - vm.theta * (D[direct.h] @ block.asset_vol - block.bench_vol)
+        kelly = gain_table(vm, None, [t], "kelly")
+        assert np.array_equal(optimal_h(vm, vc, t, x, route), C[table.h])
+        assert np.array_equal(optimal_nu(vm, vc, t, x), D[direct.nu])
+        assert np.array_equal(optimal_gamma(vm, vc, t, x), G)
+        action = fractional_kelly(vm, vc, t, x)
+        assert np.array_equal(action.allocation, D[direct.h])
+        assert np.array_equal(action.kelly, kelly.controls(0, x[None, :])[0, kelly.h])
 
 
 def test_batch_evaluators_match_pointwise(solved_random):
-    # a 7-row batch agrees with the one-row calls the point evaluators make
+    # a 7-row evaluation of the gain table agrees with the one-row point evaluators
     for vm, vc, rng in solved_random:
         t = float(rng.uniform(0, vm.horizon))
         X = rng.standard_normal((7, vm.n))
-        ce_grad = batch_ce_gradient(vc, t, X)
-        H = batch_allocation(vm, t, X, ce_grad)
-        H2 = batch_allocation(vm, t, X, ce_grad, route="twostep")
-        VT = batch_value_tilt(vm, t, ce_grad)
-        G = batch_gamma(vm, VT, batch_tracking(vm, t, H))
-        NU = batch_nu(vm, t, ce_grad)
-        K = batch_kelly(vm, t, X)
+        direct = gain_table(vm, vc, [t])
+        C = direct.controls(0, X)
+        twostep = gain_table(vm, vc, [t], route="twostep")
+        H2 = twostep.controls(0, X)[:, twostep.h]
+        kelly = gain_table(vm, None, [t], "kelly")
+        K = kelly.controls(0, X)[:, kelly.h]
+        block = vm.coefficients(t)
+        H, VT, NU = C[:, direct.h], C[:, direct.value_tilt], C[:, direct.nu]
+        G = VT - vm.theta * (H @ block.asset_vol - block.bench_vol)
         for i, x in enumerate(X):
             assert np.abs(H[i] - optimal_h(vm, vc, t, x)).max() < 1e-13 * (1 + np.abs(H[i]).max())
             assert np.abs(H2[i] - optimal_h(vm, vc, t, x, "twostep")).max() < 1e-13 * (1 + np.abs(H[i]).max())
@@ -254,3 +259,53 @@ def test_batch_evaluators_match_pointwise(solved_random):
             lam_grad = vm.coefficients(t).factor_vol.T @ value_function(vc, t, x).gradient
             assert np.abs(VT[i] - lam_grad).max() < 1e-13 * (1 + np.abs(VT[i]).max())
             assert np.abs(K[i] - fractional_kelly(vm, vc, t, x).kelly).max() < 1e-13 * (1 + np.abs(K[i]).max())
+
+
+def _two_segment_spec(rng, theta):
+    """A random model whose coefficients change at mid-horizon."""
+    first = make_random_spec(rng, theta=theta, n=3, m=2, d=4)
+    second = make_random_spec(rng, theta=theta, n=3, m=2, d=4)
+    return dataclasses.replace(first, coeffs=CoefficientSet(
+        knots=np.array([0.0, 0.5]), blocks=(first.coeffs.blocks[0], second.coeffs.blocks[0])))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 3.7])
+def test_gain_table_rows_are_the_closed_form_controls(theta):
+    # each row, at states x, is the closed form built from ce = quad x + lin
+    rng = np.random.default_rng(47)
+    vm = validate_model(_two_segment_spec(rng, theta))
+    vc = solve_value_coefficients(vm, steps_per_year=252)
+    times = np.sort(rng.uniform(0, vm.horizon, 9))
+    X = rng.standard_normal((5, vm.n))
+    tables = {route: gain_table(vm, vc, times, route=route) for route in ("direct", "twostep")}
+    kelly = gain_table(vm, None, times, "kelly")
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+    for j, t in enumerate(times.tolist()):
+        block, gram = vm.coefficients(t), vm.gram_blocks(t)
+        quad, lin, _ = vc.at(t)
+        for x in X:
+            ce = quad @ x + lin
+            tilt = -theta * (block.factor_vol.T @ ce)
+            kelly_h = gram.ss_solve(block.asset_drift + block.asset_factor_loading @ x)
+            h = kelly_h if theta == 0.0 else gram.ss_solve(
+                block.asset_drift + block.asset_factor_loading @ x + theta * gram.s_xi
+                - theta * (gram.sl @ ce)) / (theta + 1.0)
+            assert close(kelly.controls(j, x[None, :])[0], kelly_h)
+            for table in tables.values():
+                row = table.controls(j, x[None, :])[0]
+                assert close(row[table.h], h)
+                if theta > 0.0:
+                    assert close(row[table.value_tilt], tilt)
+                    assert close(row[table.nu], tilt)
+
+
+def test_gain_table_rejects_coefficients_of_another_model(scalar_model, scalar_vc):
+    other = validate_model(make_scalar_spec(theta=5.0))
+    with pytest.raises(ConfigError, match="theta"):
+        optimal_h(other, scalar_vc, 0.1, np.array([0.2]))
+    shorter = validate_model(make_scalar_spec(horizon=0.5))
+    with pytest.raises(ConfigError, match="horizon"):
+        fractional_kelly(shorter, scalar_vc, 0.1, np.array([0.2]))

@@ -4,13 +4,7 @@ import pytest
 import benchkelly.simulate as sim_mod
 from benchkelly.errors import ConfigError, MeasureMismatch, NonfiniteState
 from benchkelly.model import ModelSpec, validate_model
-from benchkelly.policy import (
-    batch_allocation,
-    batch_gamma,
-    batch_kelly,
-    batch_tracking,
-    batch_value_tilt,
-)
+from benchkelly.policy import gain_table
 from benchkelly.simulate import (
     SimConfig,
     kl_estimate,
@@ -19,11 +13,12 @@ from benchkelly.simulate import (
     mc_criterion,
     save_paths_binary,
     save_terminals_csv,
+    simulate_lanes,
     simulate_paths,
 )
-from benchkelly.valuefn import batch_ce_gradient, solve_value_coefficients, value_function
+from benchkelly.valuefn import solve_value_coefficients, value_function
 
-from conftest import make_scalar_spec
+from conftest import kelly_allocation, make_random_spec, make_scalar_spec
 
 
 @pytest.fixture(scope="module")
@@ -45,14 +40,14 @@ def spanned_model():
 @pytest.fixture(scope="module")
 def scalar_bundle(scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=4000, steps=252, dt=1 / 252, seed=11,
-                    strategy="optimal", store_paths=False)
+                    strategy="optimal", keep_paths=())
     return simulate_paths(scalar_model, scalar_vc, cfg)
 
 
 def test_benchmark_replication_zero_excess(spanned_model):
     vm, w = spanned_model
     cfg = SimConfig(n_paths=64, steps=120, dt=1 / 252, seed=3,
-                    strategy="benchmark", bench_weights=w, store_paths=True)
+                    strategy="benchmark", bench_weights=w)
     bundle = simulate_paths(vm, None, cfg)
     assert np.abs(bundle.terminal_log_excess).max() < 1e-12
     assert np.abs(bundle.log_excess).max() < 1e-12
@@ -67,12 +62,12 @@ def test_log_excess_starts_at_zero(scalar_model, scalar_vc):
 def test_zero_tilt_matches_physical_bitwise(scalar_model, scalar_vc):
     zero_tilt = lambda t, X, H: np.zeros((X.shape[0], scalar_model.d))
     base = SimConfig(n_paths=50, steps=40, dt=1 / 252, seed=9, strategy="optimal",
-                     custom_tilt=zero_tilt, store_paths=True)
+                     custom_tilt=zero_tilt)
     phys = simulate_paths(scalar_model, scalar_vc, base)
     tilted = simulate_paths(
         scalar_model, scalar_vc,
         SimConfig(n_paths=50, steps=40, dt=1 / 252, seed=9, strategy="optimal",
-                  measure="tilted_gamma", custom_tilt=zero_tilt, store_paths=True),
+                  measure="tilted_gamma", custom_tilt=zero_tilt),
     )
     assert np.array_equal(phys.states, tilted.states)
     assert np.array_equal(phys.log_excess, tilted.log_excess)
@@ -116,7 +111,7 @@ def test_tilted_run_is_physical_run_of_drift_shifted_model(measure):
         bench_drift=float(block.bench_drift + block.bench_vol @ c),
     )
     base = dict(n_paths=200, steps=100, dt=1 / 252, seed=19, strategy="custom",
-                custom_policy=lambda t, X: np.tile(h0, (X.shape[0], 1)), store_paths=True)
+                custom_policy=lambda t, X: np.tile(h0, (X.shape[0], 1)))
     tilted = simulate_paths(
         validate_model(spec), None,
         SimConfig(measure=measure, custom_tilt=lambda t, X, H: np.tile(c, (X.shape[0], 1)),
@@ -128,8 +123,7 @@ def test_tilted_run_is_physical_run_of_drift_shifted_model(measure):
 
 
 def test_reproducibility_same_config(scalar_model, scalar_vc):
-    cfg = SimConfig(n_paths=100, steps=30, dt=1 / 252, seed=5, strategy="optimal",
-                    store_paths=True)
+    cfg = SimConfig(n_paths=100, steps=30, dt=1 / 252, seed=5, strategy="optimal")
     b1 = simulate_paths(scalar_model, scalar_vc, cfg)
     b2 = simulate_paths(scalar_model, scalar_vc, cfg)
     assert np.array_equal(b1.states, b2.states)
@@ -137,8 +131,7 @@ def test_reproducibility_same_config(scalar_model, scalar_vc):
 
 
 def test_reproducibility_across_block_sizes(monkeypatch, scalar_model, scalar_vc):
-    cfg = SimConfig(n_paths=100, steps=30, dt=1 / 252, seed=5, strategy="optimal",
-                    store_paths=True)
+    cfg = SimConfig(n_paths=100, steps=30, dt=1 / 252, seed=5, strategy="optimal")
     b1 = simulate_paths(scalar_model, scalar_vc, cfg)
     monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
     monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 17)
@@ -166,10 +159,10 @@ def test_block_noise_is_the_per_path_philox_stream(seed, first_path, antithetic)
 def test_paths_independent_of_path_count(scalar_model, scalar_vc):
     small = simulate_paths(scalar_model, scalar_vc,
                            SimConfig(n_paths=10, steps=20, dt=1 / 252, seed=4,
-                                     strategy="optimal", store_paths=False))
+                                     strategy="optimal", keep_paths=()))
     large = simulate_paths(scalar_model, scalar_vc,
                            SimConfig(n_paths=40, steps=20, dt=1 / 252, seed=4,
-                                     strategy="optimal", store_paths=False))
+                                     strategy="optimal", keep_paths=()))
     assert np.array_equal(small.terminal_log_excess, large.terminal_log_excess[:10])
 
 
@@ -191,7 +184,7 @@ def test_factorization_under_tilted_measures(scalar_model, scalar_vc):
         bundle = simulate_paths(
             scalar_model, scalar_vc,
             SimConfig(n_paths=500, steps=100, dt=1 / 252, seed=21, measure=measure,
-                      strategy="optimal", store_paths=False),
+                      strategy="optimal", keep_paths=()),
         )
         gap = np.abs(bundle.log_density_tilt
                      - (bundle.log_density_alloc + bundle.log_density_link)).max()
@@ -207,7 +200,7 @@ def test_martingale_means(scalar_bundle):
 def test_martingale_exact_for_zero_tilt(scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=50, steps=20, dt=1 / 252, seed=2, strategy="optimal",
                     custom_tilt=lambda t, X, H: np.zeros((X.shape[0], 1)),
-                    store_paths=False)
+                    keep_paths=())
     bundle = simulate_paths(scalar_model, scalar_vc, cfg)
     chk = martingale_check(bundle, "tilt")
     assert chk.mean == 1.0
@@ -216,7 +209,7 @@ def test_martingale_exact_for_zero_tilt(scalar_model, scalar_vc):
 def test_mc_criterion_zero_returns(spanned_model):
     vm, w = spanned_model
     cfg = SimConfig(n_paths=200, steps=100, dt=1 / 252, seed=3,
-                    strategy="benchmark", bench_weights=w, store_paths=False)
+                    strategy="benchmark", bench_weights=w, keep_paths=())
     bundle = simulate_paths(vm, None, cfg)
     mc = mc_criterion(bundle, vm.theta)
     assert mc.estimate == pytest.approx(1.0, abs=1e-12)
@@ -234,7 +227,7 @@ def test_mc_criterion_requires_physical(scalar_model, scalar_vc):
     bundle = simulate_paths(
         scalar_model, scalar_vc,
         SimConfig(n_paths=16, steps=10, dt=1 / 252, seed=1, measure="tilted_gamma",
-                  strategy="optimal", store_paths=False),
+                  strategy="optimal", keep_paths=()),
     )
     with pytest.raises(MeasureMismatch):
         mc_criterion(bundle, 1.0)
@@ -251,7 +244,7 @@ def test_kl_dual_estimators(scalar_model, scalar_vc):
     bundle = simulate_paths(
         scalar_model, scalar_vc,
         SimConfig(n_paths=20_000, steps=126, dt=1 / 252, seed=13,
-                  measure="tilted_gamma", strategy="optimal", store_paths=False),
+                  measure="tilted_gamma", strategy="optimal", keep_paths=()),
     )
     kl = kl_estimate(bundle)
     assert kl.consistent
@@ -265,7 +258,7 @@ def test_kl_constant_deterministic_tilt(scalar_model, scalar_vc):
         scalar_model, scalar_vc,
         SimConfig(n_paths=5000, steps=steps, dt=dt, measure="tilted_gamma",
                   strategy="kelly", custom_tilt=lambda t, X, H: np.tile(g0, (X.shape[0], 1)),
-                  seed=17, store_paths=False),
+                  seed=17, keep_paths=()),
     )
     kl = kl_estimate(bundle)
     closed_form = 0.5 * float(g0 @ g0) * steps * dt
@@ -274,12 +267,12 @@ def test_kl_constant_deterministic_tilt(scalar_model, scalar_vc):
 
 
 def test_suboptimal_strategy_orders_criterion(scalar_model, scalar_vc):
-    base = dict(n_paths=20_000, steps=252, dt=1 / 252, seed=29, store_paths=False)
+    base = dict(n_paths=20_000, steps=252, dt=1 / 252, seed=29, keep_paths=())
     opt = simulate_paths(scalar_model, scalar_vc, SimConfig(strategy="optimal", **base))
     double_kelly = simulate_paths(
         scalar_model, scalar_vc,
         SimConfig(strategy="custom",
-                  custom_policy=lambda t, X: 2.0 * batch_kelly(scalar_model, t, X),
+                  custom_policy=lambda t, X: 2.0 * kelly_allocation(scalar_model, t, X),
                   **base),
     )
     mc_opt = mc_criterion(opt, scalar_model.theta)
@@ -290,7 +283,7 @@ def test_suboptimal_strategy_orders_criterion(scalar_model, scalar_vc):
 
 def test_antithetic_halves_variance(scalar_model, scalar_vc):
     base = dict(n_paths=20_000, steps=126, dt=1 / 252, seed=1, strategy="optimal",
-                store_paths=False)
+                keep_paths=())
     plain = simulate_paths(scalar_model, scalar_vc, SimConfig(antithetic=False, **base))
     anti = simulate_paths(scalar_model, scalar_vc, SimConfig(antithetic=True, **base))
     se_plain = mc_criterion(plain, 1.0).std_error
@@ -307,7 +300,7 @@ def test_certainty_equivalent_monotone_in_theta(scalar_bundle):
 def test_nonfinite_state_detected(scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=4, steps=10, dt=1 / 252, seed=1, strategy="custom",
                     custom_policy=lambda t, X: np.full((X.shape[0], 1), 1e200),
-                    store_paths=False)
+                    keep_paths=())
     with pytest.raises(NonfiniteState) as err:
         simulate_paths(scalar_model, scalar_vc, cfg)
     assert "path" in str(err.value) and "step" in str(err.value)
@@ -325,6 +318,7 @@ def test_nonfinite_state_detected(scalar_model, scalar_vc):
     dict(route="bogus"),
     dict(strategy="benchmark", bench_weights=np.array([0.5, 0.5])),  # m == 1
     dict(strategy="benchmark", bench_weights=np.array([[1.0]])),
+    dict(keep_paths=("states", "paths")),
 ])
 def test_config_validation(scalar_model, scalar_vc, bad):
     base = dict(n_paths=10, steps=10, dt=1 / 252, seed=0, strategy="optimal")
@@ -340,8 +334,7 @@ def test_optimal_needs_coefficients(scalar_model):
 
 
 def test_binary_dump_round_trip(tmp_path, scalar_model, scalar_vc):
-    cfg = SimConfig(n_paths=12, steps=8, dt=1 / 252, seed=2, strategy="optimal",
-                    store_paths=True)
+    cfg = SimConfig(n_paths=12, steps=8, dt=1 / 252, seed=2, strategy="optimal")
     bundle = simulate_paths(scalar_model, scalar_vc, cfg)
     path = tmp_path / "paths.bin"
     save_paths_binary(bundle, path)
@@ -353,7 +346,7 @@ def test_binary_dump_round_trip(tmp_path, scalar_model, scalar_vc):
 def test_binary_dump_needs_paths(tmp_path, scalar_model, scalar_vc):
     bundle = simulate_paths(
         scalar_model, scalar_vc,
-        SimConfig(n_paths=4, steps=4, dt=1 / 252, strategy="optimal", store_paths=False),
+        SimConfig(n_paths=4, steps=4, dt=1 / 252, strategy="optimal", keep_paths=()),
     )
     with pytest.raises(ConfigError):
         save_paths_binary(bundle, tmp_path / "x.bin")
@@ -361,7 +354,7 @@ def test_binary_dump_needs_paths(tmp_path, scalar_model, scalar_vc):
 
 def test_terminal_csv_round_trip(tmp_path, scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=6, steps=5, dt=1 / 252, seed=3, strategy="optimal",
-                    store_paths=False)
+                    keep_paths=())
     bundle = simulate_paths(scalar_model, scalar_vc, cfg)
     path = tmp_path / "terminals.csv"
     save_terminals_csv(bundle, path)
@@ -373,17 +366,20 @@ def test_terminal_csv_round_trip(tmp_path, scalar_model, scalar_vc):
 
 @pytest.mark.parametrize("measure", ["physical", "tilted_gamma", "tilted_h"])
 def test_optimal_strategy_is_the_policy_module(twofactor_model, twofactor_vc, measure):
-    # the optimal strategy and adverse tilt are the batch evaluators, bit for bit
+    # the optimal strategy and adverse tilt are the policy's gain table, bit for bit
     vm, vc = twofactor_model, twofactor_vc
+    steps, dt = 40, 1 / 252
+    table = gain_table(vm, vc, [j * dt for j in range(steps)])
 
     def policy(t, X):
-        return batch_allocation(vm, t, X, batch_ce_gradient(vc, t, X))
+        return table.controls(round(t / dt), X)[:, table.h]
 
     def tilt(t, X, H):
-        value_tilt = batch_value_tilt(vm, t, batch_ce_gradient(vc, t, X))
-        return batch_gamma(vm, value_tilt, batch_tracking(vm, t, H))
+        block = vm.coefficients(t)
+        value_tilt = table.controls(round(t / dt), X)[:, table.value_tilt]
+        return value_tilt - vm.theta * (H @ block.asset_vol - block.bench_vol)
 
-    base = dict(n_paths=64, steps=40, dt=1 / 252, seed=6, measure=measure, store_paths=True)
+    base = dict(n_paths=64, steps=steps, dt=dt, seed=6, measure=measure)
     optimal = simulate_paths(vm, vc, SimConfig(strategy="optimal", **base))
     custom = simulate_paths(vm, vc, SimConfig(strategy="custom", custom_policy=policy,
                                               custom_tilt=tilt, **base))
@@ -394,10 +390,11 @@ def test_optimal_strategy_is_the_policy_module(twofactor_model, twofactor_vc, me
 
 def _applied_controls(model, vc, t, X):
     """The optimal allocation and adverse tilt the simulator applied at states X."""
-    ce_grad = batch_ce_gradient(vc, t, X)
-    H = batch_allocation(model, t, X, ce_grad)
-    G = batch_gamma(model, batch_value_tilt(model, t, ce_grad), batch_tracking(model, t, H))
-    return H, G
+    table = gain_table(model, vc, [t])
+    controls = table.controls(0, X)
+    block = model.coefficients(t)
+    H = controls[:, table.h]
+    return H, controls[:, table.value_tilt] - model.theta * (H @ block.asset_vol - block.bench_vol)
 
 
 def _batch_running_payoff(model, t, X, H, G):
@@ -425,7 +422,7 @@ def test_game_value_matches_tilted_expectation(twofactor_model, twofactor_vc):
     bundle = simulate_paths(
         vm, vc,
         SimConfig(n_paths=20_000, steps=steps, dt=dt, seed=37, measure="tilted_gamma",
-                  strategy="optimal", store_paths=True),
+                  strategy="optimal"),
     )
     total = np.zeros(bundle.config.n_paths)
     for j in range(steps):
@@ -448,7 +445,7 @@ def test_transformed_measure_criterion_matches_value(twofactor_model, twofactor_
     bundle = simulate_paths(
         vm, vc,
         SimConfig(n_paths=20_000, steps=steps, dt=dt, seed=41, measure="tilted_h",
-                  strategy="optimal", store_paths=True),
+                  strategy="optimal"),
     )
     total = np.zeros(bundle.config.n_paths)
     for j in range(steps):
@@ -481,6 +478,69 @@ def test_theta_zero_densities_trivial():
     vc = solve_value_coefficients(vm, steps_per_year=252)
     bundle = simulate_paths(vm, vc, SimConfig(n_paths=32, steps=20, dt=1 / 252,
                                               seed=5, strategy="optimal",
-                                              store_paths=False))
+                                              keep_paths=()))
     assert np.all(bundle.log_density_alloc == 0.0)
     assert np.all(bundle.log_density_tilt == 0.0)
+
+
+_BUNDLE_ARRAYS = ("terminal_state", "terminal_log_excess", "log_density_tilt",
+                  "log_density_alloc", "log_density_link", "log_density_link_alt",
+                  "tilt_sq_integral", "states", "log_excess")
+
+
+@pytest.fixture(scope="module")
+def solved_wide():
+    rng = np.random.default_rng(53)
+    vm = validate_model(make_random_spec(rng, theta=1.5, n=3, m=2, d=4))
+    return vm, solve_value_coefficients(vm, steps_per_year=252)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_each_lane_is_its_solo_run(monkeypatch, solved_wide, antithetic):
+    # every strategy under every measure on one noise draw, over several path
+    # blocks: each lane's bundle is byte for byte its simulate_paths run
+    vm, vc = solved_wide
+    monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
+    monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 4)
+    strategies = [dict(strategy="optimal"), dict(strategy="optimal", route="twostep"),
+                  dict(strategy="kelly"), dict(strategy="benchmark"),
+                  dict(strategy="custom",
+                       custom_policy=lambda t, X: 0.5 * kelly_allocation(vm, t, X))]
+    cfgs = [SimConfig(n_paths=10, steps=12, dt=1 / 252, seed=8, antithetic=antithetic,
+                      measure=measure, **strategy)
+            for measure in sim_mod.MEASURES for strategy in strategies]
+    cfgs.append(SimConfig(n_paths=10, steps=12, dt=1 / 252, seed=8, antithetic=antithetic,
+                          strategy="kelly", track_densities=False, keep_paths=("log_excess",)))
+    lanes = simulate_lanes(vm, vc, cfgs)
+    assert len(lanes) == len(cfgs)
+    for cfg, lane in zip(cfgs, lanes):
+        solo = simulate_paths(vm, vc, cfg)
+        assert lane.config is cfg
+        for name in _BUNDLE_ARRAYS:
+            a, b = getattr(lane, name), getattr(solo, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.tobytes() == b.tobytes(), (cfg.strategy, cfg.measure, name)
+    assert lanes[-1].states is None and lanes[-1].log_excess is not None
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_paths", 12), ("steps", 11), ("dt", 1 / 250), ("seed", 9), ("antithetic", True),
+])
+def test_lanes_must_share_paths_steps_and_seed(scalar_model, scalar_vc, field, value):
+    base = dict(n_paths=10, steps=12, dt=1 / 252, seed=8)
+    other = SimConfig(**{**base, field: value, "strategy": "kelly"})
+    with pytest.raises(ConfigError, match=field):
+        simulate_lanes(scalar_model, scalar_vc, [SimConfig(**base), other])
+
+
+def test_lanes_need_a_config(scalar_model, scalar_vc):
+    with pytest.raises(ConfigError):
+        simulate_lanes(scalar_model, scalar_vc, [])
+
+
+def test_simulation_rejects_coefficients_of_another_model(scalar_vc):
+    # coefficients solved at theta = 1 must not drive a theta = 5 model
+    vm = validate_model(make_scalar_spec(theta=5.0))
+    with pytest.raises(ConfigError, match="theta"):
+        simulate_paths(vm, scalar_vc, SimConfig(n_paths=4, steps=4, dt=1 / 252))
