@@ -124,8 +124,6 @@ _INPUTS = ("a list of objects with string 'label' and 'paths'",
                and isinstance(item.get("paths"), str) for item in v),
            _same)
 
-CLI_STRATEGIES = ("optimal", "kelly", "benchmark")
-
 # every key a config block may carry: key -> (kind, default when absent);
 # a None default leaves the choice to the reader (the simulation keys
 # default to SimConfig's fields)
@@ -134,7 +132,7 @@ _CONFIG = {
     "simulation": {
         "n_paths": (_COUNT, None), "steps": (_COUNT, None), "dt": (_POSITIVE, None),
         "seed": (_INTEGER, None), "measure": (_one_of(sim_mod.MEASURES), None),
-        "strategy": (_one_of(CLI_STRATEGIES), None),
+        "strategy": (_one_of(sim_mod.STRATEGIES), None),
         "route": (_one_of(policy_mod.ROUTES), None), "antithetic": (_SWITCH, None),
         "bench_weights": (_VECTOR, None), "dump_paths": (_SWITCH, False),
     },
@@ -345,8 +343,8 @@ def cmd_simulate(config: dict, out: OutputWriter, args) -> int:
     if getattr(args, "antithetic", False):
         overrides["antithetic"] = True
     dump_paths = _setting(config, "simulation", "dump_paths")
-    cfg = _sim_config(config, args.seed, keep_paths=sim_mod.PATH_ARRAYS if dump_paths else (),
-                      **overrides)
+    keep = sim_mod.OUTPUTS if dump_paths else ("densities",)
+    cfg = _sim_config(config, args.seed, keep=keep, **overrides)
     vc = (_solve(config, validated)
           if cfg.strategy == "optimal" or cfg.measure != "physical" else None)
     bundle = sim_mod.simulate_paths(validated, vc, cfg)
@@ -439,7 +437,7 @@ def cmd_experiment(config: dict, out: OutputWriter, args) -> int:
     if est_report is not None and _setting(config, "simulation", "bench_weights") is None:
         benchmark["bench_weights"] = _setting(config, "estimation", "bench_weights")
     # only the log excess return feeds the report
-    sim_kwargs = dict(measure="physical", keep_paths=("log_excess",), track_densities=False)
+    sim_kwargs = dict(measure="physical", keep=("log_excess",))
     runs = [
         ("benchmark", benchmark),
         ("portfolio-twostep", dict(strategy="optimal", route="twostep")),
@@ -556,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--steps", type=int, default=None, help="override step count")
             p.add_argument("--dt", type=float, default=None, help="override step size (years)")
             p.add_argument("--measure", default=None, choices=sim_mod.MEASURES)
-            p.add_argument("--strategy", default=None, choices=CLI_STRATEGIES)
+            p.add_argument("--strategy", default=None, choices=sim_mod.STRATEGIES)
             p.add_argument("--antithetic", action="store_true", default=None)
         if name == "verify":
             p.add_argument("--inject-corruption", action="store_true",

@@ -289,15 +289,3 @@ def hamiltonians(
         - 0.5 * float(a_vec @ kelly)
     )
     return common + theta * f_first, common + theta * f_second
-
-
-def hamiltonian_minimax_gap(
-    model: ValidatedModel,
-    vc: ValueCoefficients,
-    t: float,
-    x: np.ndarray,
-) -> float:
-    """|order-one Hamiltonian - order-two Hamiltonian| at (t, x).  Diagnostic;
-    the contract is a gap below 1e-9 relative to the value's magnitude."""
-    h_plus, h_minus = hamiltonians(model, vc, t, x)
-    return abs(h_plus - h_minus)

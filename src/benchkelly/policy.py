@@ -23,8 +23,8 @@ fractional_kelly's recomposition from the Kelly, benchmark-tracking and
 hedging portfolios, its regularized-Kelly identity and the tilt relation
 between the two routes.
 
-theta == 0 is the exact Kelly branch: the allocation is (SS')^{-1}(a + A x)
-with no value-gradient correction.
+At theta == 0 the general formula gives the Kelly allocation
+(SS')^{-1}(a + A x) bit for bit: its value-gradient terms vanish.
 """
 
 from __future__ import annotations
@@ -83,6 +83,11 @@ class GainTable:
     def controls(self, j: int, X: np.ndarray) -> np.ndarray:
         return X @ self.gain[j] + self.offset[j]
 
+    def allocation_only(self) -> GainTable:
+        """This table without its tilt columns."""
+        return GainTable(self.times, np.ascontiguousarray(self.gain[:, :, self.h]),
+                         np.ascontiguousarray(self.offset[:, self.h]), self.h, None, None)
+
 
 def gain_table(
     model: ValidatedModel,
@@ -136,7 +141,7 @@ def gain_table(
             rhs = np.empty((len(rows), n + 1, m))
             rhs[:, :n] = block.asset_factor_loading.T
             rhs[:, n] = block.asset_drift
-            optimal = strategy == "optimal" and theta != 0.0
+            optimal = strategy == "optimal"
             if optimal:
                 sl_t = np.ascontiguousarray(gram.sl.T)
                 if route == "direct":

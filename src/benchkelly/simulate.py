@@ -17,10 +17,15 @@ formulas.  Every allocation and tilt is read from the policy's affine gain
 table (policy.gain_table): per step one X @ K[j] + k[j], sliced into
 [h | Lambda' Du | nu].
 
+A strategy is a name or a callable (t, X) -> H; keep names the outputs a
+bundle returns ("states", "log_excess", "densities"), the rest are None.  A
+run computes only what it keeps: densities only when kept, gamma only then
+or under tilted_gamma (its drift), and only the gain columns it reads.
+
 One private kernel runs one or more lanes: configs that share the paths,
 the steps, the seed and antithetic pairing but may differ in strategy,
-route, measure and the arrays they keep.  Per path block the noise is drawn
-once for all lanes, and the lanes under the physical measure share one
+route, measure and the outputs they keep.  Per path block the noise is
+drawn once for all lanes, and the lanes under the physical measure share one
 factor state; each lane keeps its own log excess return and densities.
 simulate_paths is the one-lane call and simulate_lanes the many-lane call;
 each lane's bundle is bit for bit its one-lane run.
@@ -46,9 +51,10 @@ from .model import ValidatedModel
 from .valuefn import ValueCoefficients
 
 MEASURES = ("physical", "tilted_gamma", "tilted_h")
-STRATEGIES = ("optimal", "kelly", "benchmark", "custom")
-# the full path arrays a bundle can keep
-PATH_ARRAYS = ("states", "log_excess")
+# the strategy names; a strategy may also be a callable (t, X) -> H
+STRATEGIES = ("optimal", "kelly", "benchmark")
+# the outputs a bundle can keep: two full path arrays, five density columns
+OUTPUTS = ("states", "log_excess", "densities")
 # the fields every lane of one simulate_lanes call shares
 SHARED_FIELDS = ("n_paths", "steps", "dt", "seed", "antithetic")
 
@@ -68,16 +74,12 @@ class SimConfig:
     dt: float = 1.0 / 252.0
     seed: int = 0
     measure: str = "physical"
-    strategy: str = "optimal"
-    route: str = "direct"                  # allocation route when strategy == "optimal"
+    strategy: str | Callable = "optimal"  # a name of STRATEGIES or (t, X[batch,n]) -> H[batch,m]
+    route: str = "direct"                 # allocation route when strategy == "optimal"
     antithetic: bool = False
     bench_weights: np.ndarray | None = None
-    custom_policy: Callable | None = None  # (t, X[batch,n]) -> H[batch,m]
-    custom_tilt: Callable | None = None    # (t, X, H) -> gamma[batch,d]
-    keep_paths: tuple[str, ...] = PATH_ARRAYS  # the full path arrays to keep
-    # density accumulation can be switched off for pure criterion estimation
-    # under the physical measure; tilted measures always track densities
-    track_densities: bool = True
+    custom_tilt: Callable | None = None   # (t, X, H) -> gamma[batch,d]
+    keep: tuple[str, ...] = OUTPUTS       # the outputs the bundle returns
 
 
 @dataclass
@@ -89,17 +91,18 @@ class PathBundle:
     log_density_link ln of the increment connecting the two measures
     (log_density_tilt == log_density_alloc + log_density_link pathwise for
     the candidate policies).  log_density_link_alt recomputes the link from
-    the transformed-measure tilt; the two must agree pathwise.
+    the transformed-measure tilt; the two must agree pathwise.  The five
+    density columns are None unless config.keep names "densities".
     """
 
     config: SimConfig
     terminal_state: np.ndarray        # (paths, n)
     terminal_log_excess: np.ndarray   # (paths,)
-    log_density_tilt: np.ndarray      # (paths,)
-    log_density_alloc: np.ndarray     # (paths,)
-    log_density_link: np.ndarray      # (paths,)
-    log_density_link_alt: np.ndarray  # (paths,)
-    tilt_sq_integral: np.ndarray      # (paths,) 0.5 * sum |gamma|^2 dt
+    log_density_tilt: np.ndarray | None = None      # (paths,)
+    log_density_alloc: np.ndarray | None = None     # (paths,)
+    log_density_link: np.ndarray | None = None      # (paths,)
+    log_density_link_alt: np.ndarray | None = None  # (paths,)
+    tilt_sq_integral: np.ndarray | None = None      # (paths,) 0.5 * sum |gamma|^2 dt
     states: np.ndarray | None = None        # (paths, steps+1, n)
     log_excess: np.ndarray | None = None    # (paths, steps+1), starts at 0
 
@@ -117,7 +120,7 @@ def _validate_config(model: ValidatedModel, vc, cfg: SimConfig) -> None:
         )
     if cfg.measure not in MEASURES:
         raise ConfigError(f"unknown measure '{cfg.measure}'; choose from {MEASURES}")
-    if cfg.strategy not in STRATEGIES:
+    if not callable(cfg.strategy) and cfg.strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy '{cfg.strategy}'; choose from {STRATEGIES}")
     if cfg.route not in policy.ROUTES:
         raise ConfigError(f"unknown route '{cfg.route}'; choose from {policy.ROUTES}")
@@ -125,15 +128,13 @@ def _validate_config(model: ValidatedModel, vc, cfg: SimConfig) -> None:
         raise ConfigError(
             f"bench_weights must have shape ({model.m},), got {np.shape(cfg.bench_weights)}"
         )
-    unknown = sorted(set(cfg.keep_paths) - set(PATH_ARRAYS))
+    unknown = sorted(set(cfg.keep) - set(OUTPUTS))
     if unknown:
-        raise ConfigError(f"unknown path arrays {unknown}; choose from {PATH_ARRAYS}")
+        raise ConfigError(f"keep names unknown outputs {unknown}; choose from {OUTPUTS}")
     if cfg.antithetic and cfg.n_paths % 2 != 0:
         raise ConfigError("antithetic pairing needs an even n_paths")
     if cfg.strategy == "optimal" and vc is None:
         raise ConfigError("strategy 'optimal' needs solved value coefficients")
-    if cfg.strategy == "custom" and cfg.custom_policy is None:
-        raise ConfigError("strategy 'custom' needs custom_policy")
     if cfg.measure != "physical" and vc is None and cfg.custom_tilt is None:
         raise ConfigError("tilted measures need value coefficients or a custom tilt")
 
@@ -202,28 +203,33 @@ class _Lane:
         n_paths, n = cfg.n_paths, model.n
         self.cfg = cfg
         self.physical = cfg.measure == "physical"
-        self.densities = cfg.track_densities or not self.physical
-        tilts = vc is not None and (cfg.strategy == "optimal" or self.densities)
+        self.densities = "densities" in cfg.keep
+        # gamma feeds the densities and is tilted_gamma's drift; the value
+        # tilts feed gamma (unless custom_tilt replaces them) and the links
+        self.gamma = self.densities or cfg.measure == "tilted_gamma"
+        tilts = vc is not None and (self.densities or (self.gamma and cfg.custom_tilt is None))
         self.table = None
         if tilts or cfg.strategy in policy.TABLE_STRATEGIES:
-            self.table = policy.gain_table(model, vc if tilts else None, times,
-                                           cfg.strategy, cfg.route)
+            table = policy.gain_table(model, vc if tilts or cfg.strategy == "optimal" else None,
+                                      times, cfg.strategy, cfg.route)
+            self.table = table if tilts else table.allocation_only()
         self.h_bench: dict[_SegmentContext, np.ndarray] = {}
         self.terminal_state = np.empty((n_paths, n))
         self.terminal_r = np.empty(n_paths)
         # log densities: tilt, alloc, link, link_alt, then the tilt-norm integral
-        self.densities_out = tuple(np.zeros(n_paths) for _ in range(5))
+        self.densities_out = tuple(np.zeros(n_paths) if self.densities else None for _ in range(5))
         self.states = (np.empty((n_paths, cfg.steps + 1, n))
-                       if "states" in cfg.keep_paths else None)
+                       if "states" in cfg.keep else None)
         self.log_excess = (np.empty((n_paths, cfg.steps + 1))
-                           if "log_excess" in cfg.keep_paths else None)
+                           if "log_excess" in cfg.keep else None)
 
     def start_block(self, sl: slice, x_start: np.ndarray) -> None:
         self.sl = sl
         self.X = None if self.physical else x_start.copy()
         self.R = np.zeros(sl.stop - sl.start)
         # the densities accumulate in place, in views of the block's outputs
-        self.acc = tuple(col[sl] for col in self.densities_out)
+        if self.densities:
+            self.acc = tuple(col[sl] for col in self.densities_out)
         if self.states is not None:
             self.states[sl, 0] = x_start
         if self.log_excess is not None:
@@ -244,8 +250,8 @@ class _Lane:
                     policy.benchmark_tracking(model, t) if cfg.bench_weights is None
                     else np.asarray(cfg.bench_weights, dtype=float))
             H = np.broadcast_to(h, (len(X), model.m))
-        elif cfg.strategy == "custom":
-            H = cfg.custom_policy(t, X)
+        elif callable(cfg.strategy):
+            H = cfg.strategy(t, X)
         else:
             H = C[:, table.h]
 
@@ -258,12 +264,12 @@ class _Lane:
             + _rowdot(H @ block.asset_factor_loading - block.bench_factor_loading, X)
         )
         value_tilt = None
-        if self.densities:
+        if self.gamma:
             if table is not None and table.value_tilt is not None:
                 value_tilt = C[:, table.value_tilt]
             if cfg.custom_tilt is not None:
                 G = cfg.custom_tilt(t, X, H)
-            elif value_tilt is not None and theta > 0.0:
+            elif value_tilt is not None:
                 G = value_tilt - theta * track
             else:
                 G = np.zeros((len(X), model.d))
@@ -426,6 +432,12 @@ def simulate_lanes(model: ValidatedModel, vc: ValueCoefficients | None,
     return _simulate(model, vc, cfgs)
 
 
+def _require_densities(bundle: PathBundle, use: str) -> None:
+    if bundle.log_density_tilt is None:
+        raise ConfigError(f"{use} needs the density columns; simulate with "
+                          "'densities' in keep")
+
+
 def _mean_and_se(values: np.ndarray, antithetic: bool) -> tuple[float, float]:
     """Sample mean and its standard error; antithetic pairs are one unit."""
     if antithetic:
@@ -478,6 +490,7 @@ def kl_estimate(bundle: PathBundle) -> KlEstimate:
     """
     if bundle.config.measure != "tilted_gamma":
         raise MeasureMismatch("relative-entropy estimation needs a tilted_gamma bundle")
+    _require_densities(bundle, "relative-entropy estimation")
     anti = bundle.config.antithetic
     m1, se1 = _mean_and_se(bundle.log_density_tilt, anti)
     m2, se2 = _mean_and_se(bundle.tilt_sq_integral, anti)
@@ -502,6 +515,7 @@ def martingale_check(bundle: PathBundle, which: str = "tilt") -> MartingaleCheck
     """
     if bundle.config.measure != "physical":
         raise MeasureMismatch("martingale diagnostics need a physical-measure bundle")
+    _require_densities(bundle, "the martingale diagnostic")
     if which == "tilt":
         log_density = bundle.log_density_tilt
     elif which == "alloc":
@@ -523,6 +537,7 @@ _BIN_MAGIC = b"BKPATHS1"
 
 
 def save_terminals_csv(bundle: PathBundle, path: str | Path) -> None:
+    _require_densities(bundle, "the terminals CSV")
     header = (
         "path,terminal_log_excess,log_density_tilt,log_density_alloc,"
         "log_density_link,tilt_sq_integral"
@@ -541,7 +556,7 @@ def save_terminals_csv(bundle: PathBundle, path: str | Path) -> None:
 def save_paths_binary(bundle: PathBundle, path: str | Path) -> None:
     if bundle.states is None or bundle.log_excess is None:
         raise ConfigError("bundle keeps no full paths to dump; simulate with "
-                          f"keep_paths={PATH_ARRAYS}")
+                          "'states' and 'log_excess' in keep")
     n_paths, n_nodes, n = bundle.states.shape
     with open(path, "wb") as fh:
         fh.write(_BIN_MAGIC)

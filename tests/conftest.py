@@ -1,3 +1,12 @@
+import os
+
+# one BLAS thread: the suite's matrices are tiny, and a threaded OpenBLAS
+# spends more on thread hand-off than on arithmetic (an expm of the 44x44
+# augmented Riccati matrix takes ~8 ms threaded, ~0.13 ms on one thread).
+# Set before anything imports numpy, which reads them once at load time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -283,8 +283,8 @@ def test_seed_override_changes_results(workdir):
 
 
 @pytest.mark.parametrize("simulation", [
-    {"strategy": "custom", "custom_policy": "x"},    # library-only SimConfig field
-    {"keep_paths": []},
+    {"custom_tilt": "x"},    # library-only SimConfig fields
+    {"keep": []},
     {"n_paths": "ten"},
     {"steps": 12.5},
     {"dt": "daily"},
@@ -294,6 +294,7 @@ def test_seed_override_changes_results(workdir):
     {"route": "bogus"},
     {"strategy": "benchmark", "bench_weights": [0.5, 0.5]},  # one asset
     {"strategy": "benchmark", "bench_weights": "equal"},
+    {"strategy": "custom"},
 ])
 def test_simulate_rejects_bad_simulation_config(workdir, capsys, simulation):
     config = json.loads((workdir / "config.json").read_text())
@@ -345,13 +346,13 @@ def test_experiment_lanes_keep_only_the_log_excess_return(workdir, monkeypatch):
 
     def spy(model, vc, cfgs):
         bundles = real(model, vc, cfgs)
-        kept.extend((cfg.keep_paths, b.states) for cfg, b in zip(cfgs, bundles))
+        kept.extend((cfg.keep, b.states, b.log_density_tilt) for cfg, b in zip(cfgs, bundles))
         return bundles
 
     monkeypatch.setattr(sim_mod, "simulate_lanes", spy)
     assert run(workdir, "experiment", "--config", str(workdir / "config.json"),
                "--out", str(workdir / "exp_keep")) == 0
-    assert kept == [(("log_excess",), None)] * 4
+    assert kept == [(("log_excess",), None, None)] * 4
 
 
 def test_simulate_stores_paths_only_for_dump(workdir, monkeypatch):
@@ -361,7 +362,7 @@ def test_simulate_stores_paths_only_for_dump(workdir, monkeypatch):
     real = sim_mod.simulate_paths
 
     def spy(model, vc, cfg):
-        stored.append(cfg.keep_paths)
+        stored.append(cfg.keep)
         return real(model, vc, cfg)
 
     monkeypatch.setattr(sim_mod, "simulate_paths", spy)
@@ -371,7 +372,7 @@ def test_simulate_stores_paths_only_for_dump(workdir, monkeypatch):
     out = workdir / "nodump"
     assert run(workdir, "simulate", "--config", str(workdir / "nodump.json"),
                "--out", str(out)) == 0
-    assert stored == [()]
+    assert stored == [("densities",)]
     assert not (out / "paths.bin").exists()
 
 

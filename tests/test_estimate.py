@@ -299,7 +299,7 @@ def test_estimated_model_benchmark_exact_replication():
     bundle = simulate_paths(
         est_model, None,
         SimConfig(n_paths=32, steps=60, dt=1 / 252, seed=1, strategy="benchmark",
-                  bench_weights=np.array([1.0]), keep_paths=()),
+                  bench_weights=np.array([1.0]), keep=("densities",)),
     )
     assert np.abs(bundle.terminal_log_excess).max() < 1e-12
 

@@ -5,7 +5,6 @@ from benchkelly.errors import SaddleViolation
 from benchkelly.game import (
     bellman_isaacs_integrand,
     hamiltonian_F,
-    hamiltonian_minimax_gap,
     hamiltonians,
     running_payoff_g,
     running_payoff_g1,
@@ -158,9 +157,8 @@ def test_minimax_gap_random_points(scalar_model, scalar_vc):
     for _ in range(50):
         t = float(rng.uniform(0, 1))
         x = rng.standard_normal(1)
-        gap = hamiltonian_minimax_gap(scalar_model, scalar_vc, t, x)
-        h_plus, _ = hamiltonians(scalar_model, scalar_vc, t, x)
-        assert gap < 1e-10 * (1.0 + abs(h_plus))
+        h_plus, h_minus = hamiltonians(scalar_model, scalar_vc, t, x)
+        assert abs(h_plus - h_minus) < 1e-10 * (1.0 + abs(h_plus))
 
 
 def test_minimax_gap_random_models():
@@ -176,15 +174,16 @@ def test_minimax_gap_random_models():
 
 def test_minimax_gap_degenerate_no_factor_noise(plain_model):
     vc = solve_value_coefficients(plain_model, steps_per_year=252)
-    gap = hamiltonian_minimax_gap(plain_model, vc, 0.4, np.zeros(1))
-    assert gap < 1e-14
+    h_plus, h_minus = hamiltonians(plain_model, vc, 0.4, np.zeros(1))
+    assert abs(h_plus - h_minus) < 1e-14
 
 
 def test_minimax_gap_kelly_mode():
     spec = make_scalar_spec(theta=0.0)
     vm = validate_model(spec)
     vc = solve_value_coefficients(vm, steps_per_year=252)
-    assert hamiltonian_minimax_gap(vm, vc, 0.5, np.array([0.3])) == 0.0
+    h_plus, h_minus = hamiltonians(vm, vc, 0.5, np.array([0.3]))
+    assert abs(h_plus - h_minus) == 0.0
 
 
 def test_twostep_tilt_generates_quadratic_gradient_term(scalar_model, scalar_vc):

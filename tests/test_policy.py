@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from benchkelly.errors import ConfigError
 from benchkelly.model import CoefficientSet, ModelSpec, validate_model
 from benchkelly.policy import (
+    ROUTES,
     fractional_kelly,
     gain_table,
     optimal_gamma,
@@ -16,7 +17,7 @@ from benchkelly.policy import (
 )
 from benchkelly.valuefn import solve_value_coefficients, value_function
 
-from conftest import make_random_spec, make_scalar_spec
+from conftest import make_random_spec, make_scalar_spec, make_twofactor_spec
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,22 @@ def test_theta_zero_is_exact_kelly(scalar_model):
     gram = vm.gram_blocks(0.2)
     expected = gram.ss_solve(block.asset_drift + block.asset_factor_loading @ x)
     assert np.array_equal(optimal_h(vm, vc, 0.2, x), expected)
+
+
+def test_theta_zero_optimal_table_is_the_kelly_table():
+    # at theta = 0 the general formula's value-gradient terms vanish bit for bit
+    rng = np.random.default_rng(67)
+    specs = [make_scalar_spec(theta=0.0), make_twofactor_spec(theta=0.0)]
+    specs += [make_random_spec(rng, theta=0.0) for _ in range(20)]
+    for spec in specs:
+        vm = validate_model(spec)
+        vc = solve_value_coefficients(vm, steps_per_year=52)
+        times = np.linspace(0.0, vm.horizon, 7, endpoint=False)
+        kelly = gain_table(vm, None, times, "kelly")
+        for route in ROUTES:
+            optimal = gain_table(vm, vc, times, "optimal", route)
+            assert optimal.gain[:, :, optimal.h].tobytes() == kelly.gain.tobytes()
+            assert optimal.offset[:, optimal.h].tobytes() == kelly.offset.tobytes()
 
 
 def test_kelly_limit_small_theta():

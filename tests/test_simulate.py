@@ -40,7 +40,7 @@ def spanned_model():
 @pytest.fixture(scope="module")
 def scalar_bundle(scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=4000, steps=252, dt=1 / 252, seed=11,
-                    strategy="optimal", keep_paths=())
+                    strategy="optimal", keep=("densities",))
     return simulate_paths(scalar_model, scalar_vc, cfg)
 
 
@@ -110,8 +110,8 @@ def test_tilted_run_is_physical_run_of_drift_shifted_model(measure):
         asset_drift=block.asset_drift + block.asset_vol @ c,
         bench_drift=float(block.bench_drift + block.bench_vol @ c),
     )
-    base = dict(n_paths=200, steps=100, dt=1 / 252, seed=19, strategy="custom",
-                custom_policy=lambda t, X: np.tile(h0, (X.shape[0], 1)))
+    base = dict(n_paths=200, steps=100, dt=1 / 252, seed=19,
+                strategy=lambda t, X: np.tile(h0, (X.shape[0], 1)))
     tilted = simulate_paths(
         validate_model(spec), None,
         SimConfig(measure=measure, custom_tilt=lambda t, X, H: np.tile(c, (X.shape[0], 1)),
@@ -159,10 +159,10 @@ def test_block_noise_is_the_per_path_philox_stream(seed, first_path, antithetic)
 def test_paths_independent_of_path_count(scalar_model, scalar_vc):
     small = simulate_paths(scalar_model, scalar_vc,
                            SimConfig(n_paths=10, steps=20, dt=1 / 252, seed=4,
-                                     strategy="optimal", keep_paths=()))
+                                     strategy="optimal", keep=("densities",)))
     large = simulate_paths(scalar_model, scalar_vc,
                            SimConfig(n_paths=40, steps=20, dt=1 / 252, seed=4,
-                                     strategy="optimal", keep_paths=()))
+                                     strategy="optimal", keep=("densities",)))
     assert np.array_equal(small.terminal_log_excess, large.terminal_log_excess[:10])
 
 
@@ -184,7 +184,7 @@ def test_factorization_under_tilted_measures(scalar_model, scalar_vc):
         bundle = simulate_paths(
             scalar_model, scalar_vc,
             SimConfig(n_paths=500, steps=100, dt=1 / 252, seed=21, measure=measure,
-                      strategy="optimal", keep_paths=()),
+                      strategy="optimal", keep=("densities",)),
         )
         gap = np.abs(bundle.log_density_tilt
                      - (bundle.log_density_alloc + bundle.log_density_link)).max()
@@ -200,7 +200,7 @@ def test_martingale_means(scalar_bundle):
 def test_martingale_exact_for_zero_tilt(scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=50, steps=20, dt=1 / 252, seed=2, strategy="optimal",
                     custom_tilt=lambda t, X, H: np.zeros((X.shape[0], 1)),
-                    keep_paths=())
+                    keep=("densities",))
     bundle = simulate_paths(scalar_model, scalar_vc, cfg)
     chk = martingale_check(bundle, "tilt")
     assert chk.mean == 1.0
@@ -209,7 +209,7 @@ def test_martingale_exact_for_zero_tilt(scalar_model, scalar_vc):
 def test_mc_criterion_zero_returns(spanned_model):
     vm, w = spanned_model
     cfg = SimConfig(n_paths=200, steps=100, dt=1 / 252, seed=3,
-                    strategy="benchmark", bench_weights=w, keep_paths=())
+                    strategy="benchmark", bench_weights=w, keep=("densities",))
     bundle = simulate_paths(vm, None, cfg)
     mc = mc_criterion(bundle, vm.theta)
     assert mc.estimate == pytest.approx(1.0, abs=1e-12)
@@ -227,7 +227,7 @@ def test_mc_criterion_requires_physical(scalar_model, scalar_vc):
     bundle = simulate_paths(
         scalar_model, scalar_vc,
         SimConfig(n_paths=16, steps=10, dt=1 / 252, seed=1, measure="tilted_gamma",
-                  strategy="optimal", keep_paths=()),
+                  strategy="optimal", keep=("densities",)),
     )
     with pytest.raises(MeasureMismatch):
         mc_criterion(bundle, 1.0)
@@ -244,7 +244,7 @@ def test_kl_dual_estimators(scalar_model, scalar_vc):
     bundle = simulate_paths(
         scalar_model, scalar_vc,
         SimConfig(n_paths=20_000, steps=126, dt=1 / 252, seed=13,
-                  measure="tilted_gamma", strategy="optimal", keep_paths=()),
+                  measure="tilted_gamma", strategy="optimal", keep=("densities",)),
     )
     kl = kl_estimate(bundle)
     assert kl.consistent
@@ -258,7 +258,7 @@ def test_kl_constant_deterministic_tilt(scalar_model, scalar_vc):
         scalar_model, scalar_vc,
         SimConfig(n_paths=5000, steps=steps, dt=dt, measure="tilted_gamma",
                   strategy="kelly", custom_tilt=lambda t, X, H: np.tile(g0, (X.shape[0], 1)),
-                  seed=17, keep_paths=()),
+                  seed=17, keep=("densities",)),
     )
     kl = kl_estimate(bundle)
     closed_form = 0.5 * float(g0 @ g0) * steps * dt
@@ -267,13 +267,11 @@ def test_kl_constant_deterministic_tilt(scalar_model, scalar_vc):
 
 
 def test_suboptimal_strategy_orders_criterion(scalar_model, scalar_vc):
-    base = dict(n_paths=20_000, steps=252, dt=1 / 252, seed=29, keep_paths=())
+    base = dict(n_paths=20_000, steps=252, dt=1 / 252, seed=29, keep=("densities",))
     opt = simulate_paths(scalar_model, scalar_vc, SimConfig(strategy="optimal", **base))
     double_kelly = simulate_paths(
         scalar_model, scalar_vc,
-        SimConfig(strategy="custom",
-                  custom_policy=lambda t, X: 2.0 * kelly_allocation(scalar_model, t, X),
-                  **base),
+        SimConfig(strategy=lambda t, X: 2.0 * kelly_allocation(scalar_model, t, X), **base),
     )
     mc_opt = mc_criterion(opt, scalar_model.theta)
     mc_sub = mc_criterion(double_kelly, scalar_model.theta)
@@ -283,7 +281,7 @@ def test_suboptimal_strategy_orders_criterion(scalar_model, scalar_vc):
 
 def test_antithetic_halves_variance(scalar_model, scalar_vc):
     base = dict(n_paths=20_000, steps=126, dt=1 / 252, seed=1, strategy="optimal",
-                keep_paths=())
+                keep=("densities",))
     plain = simulate_paths(scalar_model, scalar_vc, SimConfig(antithetic=False, **base))
     anti = simulate_paths(scalar_model, scalar_vc, SimConfig(antithetic=True, **base))
     se_plain = mc_criterion(plain, 1.0).std_error
@@ -298,9 +296,8 @@ def test_certainty_equivalent_monotone_in_theta(scalar_bundle):
 
 
 def test_nonfinite_state_detected(scalar_model, scalar_vc):
-    cfg = SimConfig(n_paths=4, steps=10, dt=1 / 252, seed=1, strategy="custom",
-                    custom_policy=lambda t, X: np.full((X.shape[0], 1), 1e200),
-                    keep_paths=())
+    cfg = SimConfig(n_paths=4, steps=10, dt=1 / 252, seed=1,
+                    strategy=lambda t, X: np.full((X.shape[0], 1), 1e200), keep=())
     with pytest.raises(NonfiniteState) as err:
         simulate_paths(scalar_model, scalar_vc, cfg)
     assert "path" in str(err.value) and "step" in str(err.value)
@@ -314,11 +311,12 @@ def test_nonfinite_state_detected(scalar_model, scalar_vc):
     dict(measure="sideways"),
     dict(strategy="oracle"),
     dict(antithetic=True, n_paths=7),
-    dict(strategy="custom"),                  # no custom_policy
+    dict(strategy="custom"),                  # the removed name; a policy is a callable
     dict(route="bogus"),
     dict(strategy="benchmark", bench_weights=np.array([0.5, 0.5])),  # m == 1
     dict(strategy="benchmark", bench_weights=np.array([[1.0]])),
-    dict(keep_paths=("states", "paths")),
+    dict(keep=("states", "paths")),
+    dict(keep=("density",)),
 ])
 def test_config_validation(scalar_model, scalar_vc, bad):
     base = dict(n_paths=10, steps=10, dt=1 / 252, seed=0, strategy="optimal")
@@ -346,7 +344,7 @@ def test_binary_dump_round_trip(tmp_path, scalar_model, scalar_vc):
 def test_binary_dump_needs_paths(tmp_path, scalar_model, scalar_vc):
     bundle = simulate_paths(
         scalar_model, scalar_vc,
-        SimConfig(n_paths=4, steps=4, dt=1 / 252, strategy="optimal", keep_paths=()),
+        SimConfig(n_paths=4, steps=4, dt=1 / 252, strategy="optimal", keep=("densities",)),
     )
     with pytest.raises(ConfigError):
         save_paths_binary(bundle, tmp_path / "x.bin")
@@ -354,7 +352,7 @@ def test_binary_dump_needs_paths(tmp_path, scalar_model, scalar_vc):
 
 def test_terminal_csv_round_trip(tmp_path, scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=6, steps=5, dt=1 / 252, seed=3, strategy="optimal",
-                    keep_paths=())
+                    keep=("densities",))
     bundle = simulate_paths(scalar_model, scalar_vc, cfg)
     path = tmp_path / "terminals.csv"
     save_terminals_csv(bundle, path)
@@ -362,6 +360,22 @@ def test_terminal_csv_round_trip(tmp_path, scalar_model, scalar_vc):
     assert rows[0].startswith("path,terminal_log_excess")
     values = np.array([float(line.split(",")[1]) for line in rows[1:]])
     assert np.array_equal(values, bundle.terminal_log_excess)
+
+
+@pytest.mark.parametrize("measure, read", [
+    ("physical", lambda bundle, path: martingale_check(bundle)),
+    ("tilted_gamma", lambda bundle, path: kl_estimate(bundle)),
+    ("physical", save_terminals_csv),
+], ids=["martingale_check", "kl_estimate", "save_terminals_csv"])
+def test_density_readers_need_kept_densities(tmp_path, scalar_model, scalar_vc, measure, read):
+    # a bundle that kept no densities has no columns a reader could take for data
+    bundle = simulate_paths(
+        scalar_model, scalar_vc,
+        SimConfig(n_paths=8, steps=5, dt=1 / 252, seed=4, measure=measure, keep=("log_excess",)))
+    assert bundle.log_density_tilt is None
+    with pytest.raises(ConfigError, match="keep"):
+        read(bundle, tmp_path / "terminals.csv")
+    assert not (tmp_path / "terminals.csv").exists()
 
 
 @pytest.mark.parametrize("measure", ["physical", "tilted_gamma", "tilted_h"])
@@ -381,8 +395,7 @@ def test_optimal_strategy_is_the_policy_module(twofactor_model, twofactor_vc, me
 
     base = dict(n_paths=64, steps=steps, dt=dt, seed=6, measure=measure)
     optimal = simulate_paths(vm, vc, SimConfig(strategy="optimal", **base))
-    custom = simulate_paths(vm, vc, SimConfig(strategy="custom", custom_policy=policy,
-                                              custom_tilt=tilt, **base))
+    custom = simulate_paths(vm, vc, SimConfig(strategy=policy, custom_tilt=tilt, **base))
     for name in ("states", "log_excess", "log_density_tilt", "log_density_alloc",
                  "log_density_link", "log_density_link_alt", "tilt_sq_integral"):
         assert getattr(optimal, name).tobytes() == getattr(custom, name).tobytes(), name
@@ -478,7 +491,7 @@ def test_theta_zero_densities_trivial():
     vc = solve_value_coefficients(vm, steps_per_year=252)
     bundle = simulate_paths(vm, vc, SimConfig(n_paths=32, steps=20, dt=1 / 252,
                                               seed=5, strategy="optimal",
-                                              keep_paths=()))
+                                              keep=("densities",)))
     assert np.all(bundle.log_density_alloc == 0.0)
     assert np.all(bundle.log_density_tilt == 0.0)
 
@@ -502,15 +515,25 @@ def test_each_lane_is_its_solo_run(monkeypatch, solved_wide, antithetic):
     vm, vc = solved_wide
     monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
     monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 4)
+    widths = {}
+
+    class WidthSpy(sim_mod._Lane):
+        def __init__(self, model, vc, cfg, times):
+            super().__init__(model, vc, cfg, times)
+            widths[id(cfg)] = None if self.table is None else self.table.gain.shape[-1]
+
+    monkeypatch.setattr(sim_mod, "_Lane", WidthSpy)
     strategies = [dict(strategy="optimal"), dict(strategy="optimal", route="twostep"),
                   dict(strategy="kelly"), dict(strategy="benchmark"),
-                  dict(strategy="custom",
-                       custom_policy=lambda t, X: 0.5 * kelly_allocation(vm, t, X))]
-    cfgs = [SimConfig(n_paths=10, steps=12, dt=1 / 252, seed=8, antithetic=antithetic,
-                      measure=measure, **strategy)
+                  dict(strategy=lambda t, X: 0.5 * kelly_allocation(vm, t, X))]
+    base = dict(n_paths=10, steps=12, dt=1 / 252, seed=8, antithetic=antithetic)
+    cfgs = [SimConfig(measure=measure, **strategy, **base)
             for measure in sim_mod.MEASURES for strategy in strategies]
-    cfgs.append(SimConfig(n_paths=10, steps=12, dt=1 / 252, seed=8, antithetic=antithetic,
-                          strategy="kelly", track_densities=False, keep_paths=("log_excess",)))
+    kelly_paths = SimConfig(strategy="kelly", keep=("log_excess",), **base)
+    optimal_paths = SimConfig(strategy="optimal", keep=("log_excess",), **base)
+    tilted_paths = SimConfig(strategy="optimal", measure="tilted_gamma",
+                             keep=("states", "log_excess"), **base)
+    cfgs += [kelly_paths, optimal_paths, tilted_paths]
     lanes = simulate_lanes(vm, vc, cfgs)
     assert len(lanes) == len(cfgs)
     for cfg, lane in zip(cfgs, lanes):
@@ -521,7 +544,19 @@ def test_each_lane_is_its_solo_run(monkeypatch, solved_wide, antithetic):
             assert (a is None) == (b is None), name
             if a is not None:
                 assert a.tobytes() == b.tobytes(), (cfg.strategy, cfg.measure, name)
-    assert lanes[-1].states is None and lanes[-1].log_excess is not None
+    by_cfg = dict(zip(map(id, cfgs), lanes))
+    for cfg in (kelly_paths, optimal_paths):
+        bundle = by_cfg[id(cfg)]
+        assert bundle.states is None and bundle.log_excess is not None
+        assert bundle.log_density_tilt is None and bundle.tilt_sq_integral is None
+    # a lane's gain table carries only the columns it reads
+    assert widths[id(optimal_paths)] == vm.m
+    assert widths[id(cfgs[0])] == vm.m + 2 * vm.d
+    # without densities a tilted_gamma lane still samples under its drift gamma
+    tilted_all = by_cfg[id(cfgs[len(strategies)])]
+    assert tilted_all.config.measure == "tilted_gamma"
+    assert by_cfg[id(tilted_paths)].states.tobytes() == tilted_all.states.tobytes()
+    assert by_cfg[id(tilted_paths)].log_density_link is None
 
 
 @pytest.mark.parametrize("field, value", [
