@@ -545,8 +545,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (default: config output_dir)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="accepted for interface compatibility; the engine is "
-                            "vectorized single-process and results never depend on it")
+                       help="accepted for interface compatibility and ignored; the "
+                            "simulator uses one thread per CPU the process may use, "
+                            "and results never depend on either")
         if name == "report":
             p.add_argument("inputs", nargs="*", help="label=paths.bin entries")
         if name == "simulate":

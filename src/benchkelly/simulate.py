@@ -31,14 +31,21 @@ simulate_paths is the one-lane call and simulate_lanes the many-lane call;
 each lane's bundle is bit for bit its one-lane run.
 
 Per-path randomness comes from a counter-based Philox stream keyed by
-(seed, stream index), so results are bit-identical for a given config no
-matter how the path loop is chunked or parallelized.  Antithetic pairing
-maps stream i to paths (2i, 2i+1) with mirrored increments.
+(seed, stream index), so a path block is an independent unit of work.  A
+run splits its paths into a fixed partition of blocks that depends only on
+n_paths, steps and d, with every block but the last a multiple of
+BLOCK_ALIGN paths, and runs the blocks on up to WORKERS threads.  Results
+are bit-identical for a given config and model at any worker count, and
+equal those of one block holding every path.  Antithetic pairing maps
+stream i to paths (2i, 2i+1) with mirrored increments.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -58,16 +65,26 @@ OUTPUTS = ("states", "log_excess", "densities")
 # the fields every lane of one simulate_lanes call shares
 SHARED_FIELDS = ("n_paths", "steps", "dt", "seed", "antithetic")
 
-# Paths are simulated in blocks to bound memory; the per-path RNG streams
-# make results independent of the block size.  Blocks are sized so one noise
-# buffer stays near NOISE_BUFFER_BYTES.
-NOISE_BUFFER_BYTES = 256 * 2**20
+# Paths are simulated in blocks sized so one noise buffer stays near
+# NOISE_BUFFER_BYTES and each step's (paths, d) arrays stay in a core's
+# cache.  Every block but the last holds a multiple of BLOCK_ALIGN paths:
+# BLAS takes another kernel for a product's remainder rows, so a ragged
+# block would round differently from the same paths in a larger block.
+NOISE_BUFFER_BYTES = 32 * 2**20
 MIN_BLOCK_PATHS = 1024
+BLOCK_ALIGN = 8
+# threads that run the blocks of one call, one per CPU the process may use;
+# the partition, and so every result, does not depend on it
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation request; defaults mirror a 5-year daily experiment."""
+    """Simulation request; defaults mirror a 5-year daily experiment.
+
+    A callable strategy or custom_tilt may be called concurrently, on
+    different path blocks from different threads.
+    """
 
     n_paths: int = 5000
     steps: int = 1260
@@ -194,12 +211,12 @@ class _SegmentContext:
 
 
 class _Lane:
-    """One config's part of the kernel: its gain table, its outputs, and the
-    running log excess return (under a tilted measure also the factor state)
-    of the current path block."""
+    """One config's part of the kernel: its gain table, its benchmark
+    allocation per coefficient segment, and its outputs.  A lane holds no
+    state of a path block; each block writes its own slice of the outputs."""
 
     def __init__(self, model: ValidatedModel, vc: ValueCoefficients | None,
-                 cfg: SimConfig, times: np.ndarray):
+                 cfg: SimConfig, times: np.ndarray, contexts: list[_SegmentContext]):
         n_paths, n = cfg.n_paths, model.n
         self.cfg = cfg
         self.physical = cfg.measure == "physical"
@@ -213,7 +230,14 @@ class _Lane:
             table = policy.gain_table(model, vc if tilts or cfg.strategy == "optimal" else None,
                                       times, cfg.strategy, cfg.route)
             self.table = table if tilts else table.allocation_only()
+        # the benchmark allocation of each segment, at its first step time
         self.h_bench: dict[_SegmentContext, np.ndarray] = {}
+        if cfg.strategy == "benchmark":
+            for t, ctx in zip(times, contexts):
+                if ctx not in self.h_bench:
+                    self.h_bench[ctx] = (
+                        policy.benchmark_tracking(model, t) if cfg.bench_weights is None
+                        else np.asarray(cfg.bench_weights, dtype=float))
         self.terminal_state = np.empty((n_paths, n))
         self.terminal_r = np.empty(n_paths)
         # log densities: tilt, alloc, link, link_alt, then the tilt-norm integral
@@ -223,33 +247,28 @@ class _Lane:
         self.log_excess = (np.empty((n_paths, cfg.steps + 1))
                            if "log_excess" in cfg.keep else None)
 
-    def start_block(self, sl: slice, x_start: np.ndarray) -> None:
-        self.sl = sl
-        self.X = None if self.physical else x_start.copy()
-        self.R = np.zeros(sl.stop - sl.start)
-        # the densities accumulate in place, in views of the block's outputs
-        if self.densities:
-            self.acc = tuple(col[sl] for col in self.densities_out)
+    def start_block(self, sl: slice, x_start: np.ndarray) -> tuple[np.ndarray, ...] | None:
+        """Store the first node of the block's paths; returns the block's
+        density accumulators (None without densities)."""
         if self.states is not None:
             self.states[sl, 0] = x_start
         if self.log_excess is not None:
             self.log_excess[sl, 0] = 0.0
+        # the densities accumulate in place, in views of the block's outputs
+        return tuple(col[sl] for col in self.densities_out) if self.densities else None
 
     def step(self, model: ValidatedModel, ctx: _SegmentContext, j: int, t: float,
-             X: np.ndarray, dW_j: np.ndarray, dt: float) -> np.ndarray:
-        """Advance the log excess return and the densities over step j from
-        the states X; returns the step's physical increment."""
+             X: np.ndarray, dW_j: np.ndarray, dt: float, R: np.ndarray,
+             acc: tuple[np.ndarray, ...] | None) -> tuple[np.ndarray, np.ndarray]:
+        """Advance the log excess return R and the density accumulators acc
+        over step j from the states X; returns the step's physical increment
+        and the new R."""
         cfg, table = self.cfg, self.table
         block, gram = ctx.block, ctx.gram
         theta = model.theta
         C = None if table is None else table.controls(j, X)
         if cfg.strategy == "benchmark":
-            h = self.h_bench.get(ctx)
-            if h is None:
-                h = self.h_bench[ctx] = (
-                    policy.benchmark_tracking(model, t) if cfg.bench_weights is None
-                    else np.asarray(cfg.bench_weights, dtype=float))
-            H = np.broadcast_to(h, (len(X), model.m))
+            H = np.broadcast_to(self.h_bench[ctx], (len(X), model.m))
         elif callable(cfg.strategy):
             H = cfg.strategy(t, X)
         else:
@@ -284,7 +303,7 @@ class _Lane:
         track_dw = _rowdot(track, dw)
 
         if self.densities:
-            acc_tilt, acc_alloc, acc_link, acc_link_alt, acc_tilt_sq = self.acc
+            acc_tilt, acc_alloc, acc_link, acc_link_alt, acc_tilt_sq = acc
             g_sq = _rowdot(G, G)
             acc_tilt += _rowdot(G, dw) - 0.5 * dt * g_sq
             acc_alloc += -theta * track_dw - 0.5 * theta**2 * dt * _rowdot(track, track)
@@ -297,26 +316,24 @@ class _Lane:
                 acc_link += _rowdot(value_tilt, dwh) - 0.5 * dt * _rowdot(value_tilt, value_tilt)
                 acc_link_alt += _rowdot(nu, dwh) - 0.5 * dt * _rowdot(nu, nu)
 
-        self.R = self.R + ell * dt + track_dw
-        return dw
+        return dw, R + ell * dt + track_dw
 
-    def check_and_store(self, j: int, X: np.ndarray, x_finite: bool) -> None:
+    def store(self, sl: slice, j: int, X: np.ndarray, R: np.ndarray, x_finite: bool) -> None:
         """Raise NonfiniteState on a non-finite state or log excess return
-        after step j; else keep what the lane stores."""
-        R = self.R
+        after step j; else keep what the lane stores of the block's paths."""
         if not (x_finite and np.isfinite(R).all()):
             bad = np.argwhere(~np.isfinite(X).all(axis=1) | ~np.isfinite(R))
             raise NonfiniteState(
-                f"non-finite state at path {self.sl.start + int(bad[0, 0])}, step {j + 1}"
+                f"non-finite state at path {sl.start + int(bad[0, 0])}, step {j + 1}"
             )
         if self.states is not None:
-            self.states[self.sl, j + 1] = X
+            self.states[sl, j + 1] = X
         if self.log_excess is not None:
-            self.log_excess[self.sl, j + 1] = R
+            self.log_excess[sl, j + 1] = R
 
-    def end_block(self, X: np.ndarray) -> None:
-        self.terminal_state[self.sl] = X
-        self.terminal_r[self.sl] = self.R
+    def end_block(self, sl: slice, X: np.ndarray, R: np.ndarray) -> None:
+        self.terminal_state[sl] = X
+        self.terminal_r[sl] = R
 
     def bundle(self) -> PathBundle:
         log_tilt, log_alloc, log_link, log_link_alt, tilt_sq = self.densities_out
@@ -334,66 +351,99 @@ class _Lane:
         )
 
 
-# overflow inside a diverging path is expected right before NonfiniteState fires
-@np.errstate(over="ignore", invalid="ignore")
+def _partition(n_paths: int, steps: int, d: int) -> list[tuple[int, int]]:
+    """The path blocks (first path, count) of a run.  They depend only on the
+    sizes, never on the worker count or the host; every block but the last
+    holds a multiple of BLOCK_ALIGN paths."""
+    size = max(MIN_BLOCK_PATHS, NOISE_BUFFER_BYTES // (steps * d * 8))
+    size = -(-size // BLOCK_ALIGN) * BLOCK_ALIGN
+    return [(first, min(size, n_paths - first)) for first in range(0, n_paths, size)]
+
+
+def _run_block(model: ValidatedModel, shared: SimConfig, lanes: list[_Lane],
+               contexts: list[_SegmentContext], block: tuple[int, int]) -> None:
+    """Simulate one path block of every lane.
+
+    It draws the block's noise once.  Per step it evaluates each lane's gain
+    table once and advances the factor state of all physical-measure lanes
+    together; a tilted lane moves its own state by its own physical
+    increment.  It reads only shared state and writes only its own slice of
+    the lanes' outputs, so blocks may run on any thread in any order.
+    """
+    first, count = block
+    sl = slice(first, first + count)
+    dt = shared.dt
+    physical = any(lane.physical for lane in lanes)
+    # pool threads do not inherit the caller's errstate; overflow inside a
+    # diverging path is expected right before NonfiniteState fires
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise = _block_noise(shared.seed, first, count, len(contexts), model.d, shared.antithetic)
+        sq_dt = np.sqrt(dt)
+        x_start = np.broadcast_to(model.x0, (count, model.n))
+        X = x_start.copy()  # the state of the physical-measure lanes
+        # per lane: its own state under a tilted measure, its log excess
+        # return and its density accumulators
+        lane_X = [None if lane.physical else x_start.copy() for lane in lanes]
+        R = [np.zeros(count) for _ in lanes]
+        acc = [lane.start_block(sl, x_start) for lane in lanes]
+
+        for j, ctx in enumerate(contexts):
+            t = j * dt
+            # step j's increments, scaled from the strided noise slice into
+            # one contiguous (paths, d) array that every lane reads
+            dW_j = noise[:, j, :] * sq_dt
+            for k, lane in enumerate(lanes):
+                x = X if lane.physical else lane_X[k]
+                dw, R[k] = lane.step(model, ctx, j, t, x, dW_j, dt, R[k], acc[k])
+                if not lane.physical:
+                    lane_X[k] = ctx.advance(x, dw, dt)
+            if physical:
+                X = ctx.advance(X, dW_j, dt)
+                x_finite = bool(np.isfinite(X).all())
+            for k, lane in enumerate(lanes):
+                if lane.physical:
+                    lane.store(sl, j, X, R[k], x_finite)
+                else:
+                    lane.store(sl, j, lane_X[k], R[k], bool(np.isfinite(lane_X[k]).all()))
+
+        for k, lane in enumerate(lanes):
+            lane.end_block(sl, X if lane.physical else lane_X[k], R[k])
+
+
 def _simulate(model: ValidatedModel, vc: ValueCoefficients | None,
               cfgs: tuple[SimConfig, ...]) -> tuple[PathBundle, ...]:
     """The Euler kernel over validated lanes that share n_paths, steps, dt,
     seed and antithetic.
 
-    Per path block it draws the noise once.  Per step it looks up the
-    coefficient segment once, evaluates each lane's gain table once, and
-    advances the factor state of all physical-measure lanes together; a
-    tilted lane moves its own state by its own physical increment.
+    It builds every step's coefficient segment and every lane's gain table
+    before any block runs, then runs the path blocks of _partition: inline
+    when there is one block or one worker, else on a pool of up to WORKERS
+    threads that is joined before it returns.
     """
     shared = cfgs[0]
-    n, d = model.n, model.d
-    dt = shared.dt
-    sq_dt = np.sqrt(dt)
-    n_paths, steps = shared.n_paths, shared.steps
+    dt, steps = shared.dt, shared.steps
     times = np.array([j * dt for j in range(steps)])
-    lanes = [_Lane(model, vc, cfg, times) for cfg in cfgs]
-    physical = any(lane.physical for lane in lanes)
     segments: dict[int, _SegmentContext] = {}
+    contexts = []
+    for j in range(steps):
+        seg = model.segment_index(j * dt)
+        if seg not in segments:
+            segments[seg] = _SegmentContext(model, j * dt)
+        contexts.append(segments[seg])
+    lanes = [_Lane(model, vc, cfg, times, contexts) for cfg in cfgs]
 
-    block_paths = int(max(MIN_BLOCK_PATHS, NOISE_BUFFER_BYTES // (steps * d * 8)))
-    if shared.antithetic and block_paths % 2 != 0:
-        block_paths += 1
-
-    for first in range(0, n_paths, block_paths):
-        count = min(block_paths, n_paths - first)
-        sl = slice(first, first + count)
-        dW = _block_noise(shared.seed, first, count, steps, d, shared.antithetic)
-        dW *= sq_dt
-        x_start = np.broadcast_to(model.x0, (count, n))
-        X = x_start.copy()  # the state of the physical-measure lanes
-        for lane in lanes:
-            lane.start_block(sl, x_start)
-
-        for j in range(steps):
-            t = j * dt
-            seg = model.segment_index(t)
-            if seg not in segments:
-                segments[seg] = _SegmentContext(model, t)
-            ctx = segments[seg]
-            dW_j = dW[:, j, :]
-            for lane in lanes:
-                if lane.physical:
-                    lane.step(model, ctx, j, t, X, dW_j, dt)
-                else:
-                    lane.X = ctx.advance(lane.X, lane.step(model, ctx, j, t, lane.X, dW_j, dt), dt)
-            if physical:
-                X = ctx.advance(X, dW_j, dt)
-                x_finite = bool(np.isfinite(X).all())
-            for lane in lanes:
-                if lane.physical:
-                    lane.check_and_store(j, X, x_finite)
-                else:
-                    lane.check_and_store(j, lane.X, bool(np.isfinite(lane.X).all()))
-
-        for lane in lanes:
-            lane.end_block(X if lane.physical else lane.X)
-
+    run = functools.partial(_run_block, model, shared, lanes, contexts)
+    blocks = _partition(shared.n_paths, steps, model.d)
+    workers = min(WORKERS, len(blocks))
+    if workers == 1:
+        for block in blocks:
+            run(block)
+    else:
+        # map yields in block order, so the lowest failing block raises, as
+        # on one thread, and the blocks not yet started are cancelled
+        with ThreadPoolExecutor(workers) as pool:
+            for _ in pool.map(run, blocks):
+                pass
     return tuple(lane.bundle() for lane in lanes)
 
 

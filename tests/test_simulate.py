@@ -1,3 +1,9 @@
+import inspect
+import re
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -135,6 +141,7 @@ def test_reproducibility_across_block_sizes(monkeypatch, scalar_model, scalar_vc
     b1 = simulate_paths(scalar_model, scalar_vc, cfg)
     monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
     monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 17)
+    assert len(sim_mod._partition(cfg.n_paths, cfg.steps, scalar_model.d)) > 1
     b2 = simulate_paths(scalar_model, scalar_vc, cfg)
     assert np.array_equal(b1.states, b2.states)
     assert np.array_equal(b1.terminal_log_excess, b2.terminal_log_excess)
@@ -518,8 +525,8 @@ def test_each_lane_is_its_solo_run(monkeypatch, solved_wide, antithetic):
     widths = {}
 
     class WidthSpy(sim_mod._Lane):
-        def __init__(self, model, vc, cfg, times):
-            super().__init__(model, vc, cfg, times)
+        def __init__(self, model, vc, cfg, *args):
+            super().__init__(model, vc, cfg, *args)
             widths[id(cfg)] = None if self.table is None else self.table.gain.shape[-1]
 
     monkeypatch.setattr(sim_mod, "_Lane", WidthSpy)
@@ -527,6 +534,7 @@ def test_each_lane_is_its_solo_run(monkeypatch, solved_wide, antithetic):
                   dict(strategy="kelly"), dict(strategy="benchmark"),
                   dict(strategy=lambda t, X: 0.5 * kelly_allocation(vm, t, X))]
     base = dict(n_paths=10, steps=12, dt=1 / 252, seed=8, antithetic=antithetic)
+    assert len(sim_mod._partition(base["n_paths"], base["steps"], vm.d)) > 1
     cfgs = [SimConfig(measure=measure, **strategy, **base)
             for measure in sim_mod.MEASURES for strategy in strategies]
     kelly_paths = SimConfig(strategy="kelly", keep=("log_excess",), **base)
@@ -579,3 +587,151 @@ def test_simulation_rejects_coefficients_of_another_model(scalar_vc):
     vm = validate_model(make_scalar_spec(theta=5.0))
     with pytest.raises(ConfigError, match="theta"):
         simulate_paths(vm, scalar_vc, SimConfig(n_paths=4, steps=4, dt=1 / 252))
+
+
+def test_partition_is_cache_sized_and_aligned():
+    # the verify-wide sizes: four cache-sized blocks, the last one ragged
+    assert sim_mod._partition(4000, 252, 20) == [(0, 1024), (1024, 1024), (2048, 1024),
+                                                 (3072, 928)]
+    # a small model's run is one block
+    assert sim_mod._partition(1000, 1260, 3) == [(0, 1000)]
+    for n_paths, steps, d in [(5000, 1260, 20), (777, 3000, 40), (10**5, 252, 1)]:
+        blocks = sim_mod._partition(n_paths, steps, d)
+        assert sum(count for _, count in blocks) == n_paths
+        assert all(count % sim_mod.BLOCK_ALIGN == 0 for _, count in blocks[:-1])
+
+
+@pytest.fixture(scope="module")
+def solved_multi():
+    rng = np.random.default_rng(71)
+    # at n = 9, d = 20 the BLAS products of a ragged block round differently
+    vm = validate_model(make_random_spec(rng, theta=1.5, n=9, m=2, d=20))
+    return vm, solve_value_coefficients(vm, steps_per_year=252)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_partition_and_workers_do_not_change_results(monkeypatch, solved_multi, antithetic):
+    # on a model where BLAS rounds a ragged block of a product differently:
+    # one block, and 8-aligned blocks on one, two and eight workers, give
+    # bitwise equal bundles
+    vm, vc = solved_multi
+    base = dict(n_paths=60, steps=15, dt=1 / 252, seed=23, antithetic=antithetic)
+    cfgs = [SimConfig(strategy="optimal", **base),
+            SimConfig(strategy="optimal", route="twostep", measure="tilted_gamma", **base),
+            SimConfig(strategy="benchmark", measure="tilted_h", **base),
+            SimConfig(strategy="kelly", keep=("log_excess",), **base)]
+    monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 10**6)
+    assert len(sim_mod._partition(60, 15, vm.d)) == 1
+    reference = simulate_lanes(vm, vc, cfgs)
+
+    monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
+    monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 13)  # aligned up to 16
+    noise = sim_mod._block_noise
+    drawn = []
+
+    def spy(seed, first_path, count, *args):
+        drawn[-1].append((first_path, count))
+        return noise(seed, first_path, count, *args)
+
+    monkeypatch.setattr(sim_mod, "_block_noise", spy)
+    interval = sys.getswitchinterval()
+    # more threads than cores and a short switch interval interleave the
+    # blocks' writes to the shared outputs as finely as the threads allow
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(sim_mod, "WORKERS", workers)
+            drawn.append([])
+            bundles = simulate_lanes(vm, vc, cfgs)
+            for ref, got in zip(reference, bundles):
+                for name in _BUNDLE_ARRAYS:
+                    a, b = getattr(ref, name), getattr(got, name)
+                    assert (a is None) == (b is None), name
+                    if a is not None:
+                        assert a.tobytes() == b.tobytes(), (workers, got.config.measure, name)
+    finally:
+        sys.setswitchinterval(interval)
+    # the partition is the same at every worker count
+    expected = [(0, 16), (16, 16), (32, 16), (48, 12)]
+    assert all(sorted(blocks) == expected for blocks in drawn)
+
+
+def test_diverging_run_raises_the_same_error_at_any_worker_count(monkeypatch, scalar_model,
+                                                                 scalar_vc):
+    # a path's allocation blows up once its state leaves a band, at
+    # different steps in different blocks; the lowest failing block reports,
+    # as on one worker, and no worker thread turns the inf - inf of the
+    # running payoff into a warning (Tier-1 makes warnings errors)
+    monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
+    monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 8)
+    x0 = float(scalar_model.x0[0])
+
+    def strategy(t, X):
+        return np.where(np.abs(X - x0) > 0.004, np.inf, 0.5)
+
+    noise = sim_mod._block_noise
+
+    def first_block_late(seed, first_path, *args):
+        # the first block starts last, so a later block fails first
+        if first_path == 0:
+            time.sleep(0.2)
+        return noise(seed, first_path, *args)
+
+    monkeypatch.setattr(sim_mod, "_block_noise", first_block_late)
+    cfg = SimConfig(n_paths=64, steps=40, dt=1 / 252, seed=3, strategy=strategy, keep=())
+    messages = []
+    for workers in (1, 2):
+        monkeypatch.setattr(sim_mod, "WORKERS", workers)
+        with pytest.raises(NonfiniteState) as err:
+            simulate_paths(scalar_model, scalar_vc, cfg)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert re.fullmatch(r"non-finite state at path [0-7], step \d+", messages[0])
+
+
+def test_no_public_function_runs_on_a_worker_thread(monkeypatch, solved_multi):
+    # a span tracer keeps one stack and assumes spans nest: every public call
+    # of a pooled run, the benchmark allocation included, stays on the
+    # calling thread
+    vm, vc = solved_multi
+    monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
+    monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 8)
+    monkeypatch.setattr(sim_mod, "WORKERS", 2)
+    calls = []
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = {name: module for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "benchkelly"}
+    public = {id(value): (f"{name}.{attr}", value)
+              for name, module in modules.items() for attr, value in vars(module).items()
+              if inspect.isfunction(value) and value.__module__ == name
+              and not attr.startswith("_")}
+    # a wrapper at every site that holds a public function, as the bench
+    # tracer binds its spans
+    for module in modules.values():
+        for attr, value in list(vars(module).items()):
+            name, fn = public.get(id(value), (None, None))
+            if fn is value:
+                monkeypatch.setattr(module, attr, wrap(name, value))
+    noise = sim_mod._block_noise
+    block_threads = set()
+
+    def spy(*args):
+        block_threads.add(threading.get_ident())
+        return noise(*args)
+
+    monkeypatch.setattr(sim_mod, "_block_noise", spy)
+    base = dict(n_paths=40, steps=12, dt=1 / 252, seed=5)
+    sim_mod.simulate_lanes(vm, vc, [SimConfig(strategy="benchmark", measure="tilted_gamma", **base),
+                                    SimConfig(strategy="optimal", **base)])
+    names = {name for name, _ in calls}
+    assert {"benchkelly.simulate.simulate_lanes", "benchkelly.policy.gain_table",
+            "benchkelly.policy.benchmark_tracking"} <= names
+    assert {ident for _, ident in calls} == {threading.get_ident()}
+    # the blocks ran on the pool
+    assert threading.get_ident() not in block_threads
