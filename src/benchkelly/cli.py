@@ -132,7 +132,7 @@ _CONFIG = {
     "simulation": {
         "n_paths": (_COUNT, None), "steps": (_COUNT, None), "dt": (_POSITIVE, None),
         "seed": (_INTEGER, None), "measure": (_one_of(sim_mod.MEASURES), None),
-        "strategy": (_one_of(sim_mod.STRATEGIES), None),
+        "strategy": (_one_of(policy_mod.STRATEGIES), None),
         "route": (_one_of(policy_mod.ROUTES), None), "antithetic": (_SWITCH, None),
         "bench_weights": (_VECTOR, None), "dump_paths": (_SWITCH, False),
     },
@@ -345,9 +345,8 @@ def cmd_simulate(config: dict, out: OutputWriter, args) -> int:
     dump_paths = _setting(config, "simulation", "dump_paths")
     keep = sim_mod.OUTPUTS if dump_paths else ("densities",)
     cfg = _sim_config(config, args.seed, keep=keep, **overrides)
-    vc = (_solve(config, validated)
-          if cfg.strategy == "optimal" or cfg.measure != "physical" else None)
-    bundle = sim_mod.simulate_paths(validated, vc, cfg)
+    # the terminals CSV holds the densities, and they need the coefficients
+    bundle = sim_mod.simulate_paths(validated, _solve(config, validated), cfg)
 
     sim_mod.save_terminals_csv(bundle, out.outdir / "terminals.csv")
     out.record("terminals.csv")
@@ -555,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--steps", type=int, default=None, help="override step count")
             p.add_argument("--dt", type=float, default=None, help="override step size (years)")
             p.add_argument("--measure", default=None, choices=sim_mod.MEASURES)
-            p.add_argument("--strategy", default=None, choices=sim_mod.STRATEGIES)
+            p.add_argument("--strategy", default=None, choices=policy_mod.STRATEGIES)
             p.add_argument("--antithetic", action="store_true", default=None)
         if name == "verify":
             p.add_argument("--inject-corruption", action="store_true",

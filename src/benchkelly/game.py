@@ -33,8 +33,8 @@ class SaddleReport:
     max_violation_gamma: float
     probe_count: int
 
-    def passed(self, rtol: float = SADDLE_RTOL) -> bool:
-        tol = rtol * (1.0 + abs(self.center_value))
+    def passed(self) -> bool:
+        tol = SADDLE_RTOL * (1.0 + abs(self.center_value))
         return self.max_violation_h <= tol and self.max_violation_gamma <= tol
 
 

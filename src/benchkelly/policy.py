@@ -7,6 +7,8 @@ gains that depend on t alone.  gain_table builds those gains at the times a
 caller steps through, and it is the one source of every control:
 simulate_paths evaluates it once per step, and optimal_h, optimal_gamma,
 optimal_nu, fractional_kelly and game.saddle_check evaluate a one-row table.
+Every strategy of STRATEGIES, the benchmark's fixed or tracking weights too,
+is an allocation row.
 
 The optimal allocation has two routes:
 
@@ -39,8 +41,8 @@ from .valuefn import ValueCoefficients, value_function
 
 CROSS_CHECK_TOL = 1e-10
 ROUTES = ("direct", "twostep")
-# the strategies whose allocation a gain table carries
-TABLE_STRATEGIES = ("optimal", "kelly")
+# the named strategies; a gain table carries the allocation of each
+STRATEGIES = ("optimal", "kelly", "benchmark")
 
 
 @dataclass(frozen=True)
@@ -95,14 +97,16 @@ def gain_table(
     times,
     strategy: str = "optimal",
     route: str = "direct",
+    bench_weights=None,
 ) -> GainTable:
     """Gains of the controls at each of the given times.
 
     The columns are [h | Lambda' Du | nu]: h is the strategy's allocation,
-    present for the strategies of TABLE_STRATEGIES ("optimal" by the given
-    route, or "kelly"), and the two tilts are present when vc is given.
-    Each row takes (quad, lin) from vc.at(t); each coefficient segment's rows
-    come from one stacked solve against Sigma Sigma'.
+    present for the strategies of STRATEGIES ("optimal" by the given route,
+    "kelly", or "benchmark": zero gains and the offset bench_weights, else
+    the segment's benchmark_tracking), and the two tilts are present when vc
+    is given.  Each row takes (quad, lin) from vc.at(t); each coefficient
+    segment's rows come from one stacked solve against Sigma Sigma'.
     """
     if route not in ROUTES:
         raise ConfigError(f"unknown route '{route}'; choose from {ROUTES}")
@@ -115,7 +119,7 @@ def gain_table(
     times = np.atleast_1d(np.asarray(times, dtype=float))
     n, m, d = model.n, model.m, model.d
     theta = model.theta
-    h = slice(0, m) if strategy in TABLE_STRATEGIES else None
+    h = slice(0, m) if strategy in STRATEGIES else None
     width = 0 if h is None else m
     value_tilt = nu = None
     if vc is not None:
@@ -135,7 +139,11 @@ def gain_table(
             # the gradient X quad' + lin as gains: quad' and lin
             quad_t = np.swapaxes(np.stack([q for q, _, _ in at]), 1, 2)
             lin = np.stack([v for _, v, _ in at])
-        if h is not None:
+        if strategy == "benchmark":
+            gain[rows, :, h] = 0.0
+            offset[rows, h] = (benchmark_tracking(model, t0) if bench_weights is None
+                               else bench_weights)
+        elif h is not None:
             # the allocation's right-hand side before the solve, as gains
             # (r, n, m) and offsets (r, m)
             rhs = np.empty((len(rows), n + 1, m))

@@ -15,18 +15,21 @@ The kernel converts dw to the physical increment once per step; the state,
 the log excess return and every density then follow the physical-measure
 formulas.  Every allocation and tilt is read from the policy's affine gain
 table (policy.gain_table): per step one X @ K[j] + k[j], sliced into
-[h | Lambda' Du | nu].
+[h | Lambda' Du | nu].  A callable strategy (t, X) -> H replaces h, and
+custom_tilt(t, X, H) replaces gamma = Lambda' Du - theta (Sigma' h - Xi).
 
-A strategy is a name or a callable (t, X) -> H; keep names the outputs a
-bundle returns ("states", "log_excess", "densities"), the rest are None.  A
-run computes only what it keeps: densities only when kept, gamma only then
-or under tilted_gamma (its drift), and only the gain columns it reads.
+keep names the outputs a bundle returns ("states", "log_excess",
+"densities"), the rest are None.  A run computes only what it keeps:
+densities only when kept, gamma only then or under tilted_gamma (its
+drift), and only the gain columns it reads.  Value coefficients are needed
+for "optimal", for densities and for tilted_gamma without custom_tilt.
 
 One private kernel runs one or more lanes: configs that share the paths,
 the steps, the seed and antithetic pairing but may differ in strategy,
 route, measure and the outputs they keep.  Per path block the noise is
-drawn once for all lanes, and the lanes under the physical measure share one
-factor state; each lane keeps its own log excess return and densities.
+drawn once for all lanes.  Each factor state has one owner: the lanes under
+the physical measure share one, and each tilted lane owns its own; each
+lane keeps its own log excess return and densities.
 simulate_paths is the one-lane call and simulate_lanes the many-lane call;
 each lane's bundle is bit for bit its one-lane run.
 
@@ -58,8 +61,6 @@ from .model import ValidatedModel
 from .valuefn import ValueCoefficients
 
 MEASURES = ("physical", "tilted_gamma", "tilted_h")
-# the strategy names; a strategy may also be a callable (t, X) -> H
-STRATEGIES = ("optimal", "kelly", "benchmark")
 # the outputs a bundle can keep: two full path arrays, five density columns
 OUTPUTS = ("states", "log_excess", "densities")
 # the fields every lane of one simulate_lanes call shares
@@ -91,7 +92,8 @@ class SimConfig:
     dt: float = 1.0 / 252.0
     seed: int = 0
     measure: str = "physical"
-    strategy: str | Callable = "optimal"  # a name of STRATEGIES or (t, X[batch,n]) -> H[batch,m]
+    # a name of policy.STRATEGIES or a policy (t, X[batch,n]) -> H[batch,m]
+    strategy: str | Callable = "optimal"
     route: str = "direct"                 # allocation route when strategy == "optimal"
     antithetic: bool = False
     bench_weights: np.ndarray | None = None
@@ -137,8 +139,9 @@ def _validate_config(model: ValidatedModel, vc, cfg: SimConfig) -> None:
         )
     if cfg.measure not in MEASURES:
         raise ConfigError(f"unknown measure '{cfg.measure}'; choose from {MEASURES}")
-    if not callable(cfg.strategy) and cfg.strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy '{cfg.strategy}'; choose from {STRATEGIES}")
+    if not callable(cfg.strategy) and cfg.strategy not in policy.STRATEGIES:
+        raise ConfigError(
+            f"unknown strategy '{cfg.strategy}'; choose from {policy.STRATEGIES}")
     if cfg.route not in policy.ROUTES:
         raise ConfigError(f"unknown route '{cfg.route}'; choose from {policy.ROUTES}")
     if cfg.bench_weights is not None and np.shape(cfg.bench_weights) != (model.m,):
@@ -150,10 +153,11 @@ def _validate_config(model: ValidatedModel, vc, cfg: SimConfig) -> None:
         raise ConfigError(f"keep names unknown outputs {unknown}; choose from {OUTPUTS}")
     if cfg.antithetic and cfg.n_paths % 2 != 0:
         raise ConfigError("antithetic pairing needs an even n_paths")
-    if cfg.strategy == "optimal" and vc is None:
-        raise ConfigError("strategy 'optimal' needs solved value coefficients")
-    if cfg.measure != "physical" and vc is None and cfg.custom_tilt is None:
-        raise ConfigError("tilted measures need value coefficients or a custom tilt")
+    # every tilt comes from the coefficients unless custom_tilt replaces gamma
+    if vc is None and (cfg.strategy == "optimal" or "densities" in cfg.keep or (
+            cfg.measure == "tilted_gamma" and cfg.custom_tilt is None)):
+        raise ConfigError("strategy 'optimal', kept densities and tilted_gamma without "
+                          "a custom tilt need solved value coefficients")
 
 
 def _block_noise(seed: int, first_path: int, count: int, steps: int, d: int,
@@ -211,33 +215,24 @@ class _SegmentContext:
 
 
 class _Lane:
-    """One config's part of the kernel: its gain table, its benchmark
-    allocation per coefficient segment, and its outputs.  A lane holds no
-    state of a path block; each block writes its own slice of the outputs."""
+    """One config's part of the kernel: its gain table and its outputs.  A
+    lane holds no state of a path block; each block writes its own slice of
+    the outputs."""
 
     def __init__(self, model: ValidatedModel, vc: ValueCoefficients | None,
-                 cfg: SimConfig, times: np.ndarray, contexts: list[_SegmentContext]):
+                 cfg: SimConfig, times: np.ndarray):
         n_paths, n = cfg.n_paths, model.n
         self.cfg = cfg
-        self.physical = cfg.measure == "physical"
         self.densities = "densities" in cfg.keep
         # gamma feeds the densities and is tilted_gamma's drift; the value
         # tilts feed gamma (unless custom_tilt replaces them) and the links
         self.gamma = self.densities or cfg.measure == "tilted_gamma"
-        tilts = vc is not None and (self.densities or (self.gamma and cfg.custom_tilt is None))
+        tilts = self.densities or (self.gamma and cfg.custom_tilt is None)
         self.table = None
-        if tilts or cfg.strategy in policy.TABLE_STRATEGIES:
-            table = policy.gain_table(model, vc if tilts or cfg.strategy == "optimal" else None,
-                                      times, cfg.strategy, cfg.route)
+        if tilts or not callable(cfg.strategy):
+            table = policy.gain_table(model, vc, times, cfg.strategy, cfg.route,
+                                      cfg.bench_weights)
             self.table = table if tilts else table.allocation_only()
-        # the benchmark allocation of each segment, at its first step time
-        self.h_bench: dict[_SegmentContext, np.ndarray] = {}
-        if cfg.strategy == "benchmark":
-            for t, ctx in zip(times, contexts):
-                if ctx not in self.h_bench:
-                    self.h_bench[ctx] = (
-                        policy.benchmark_tracking(model, t) if cfg.bench_weights is None
-                        else np.asarray(cfg.bench_weights, dtype=float))
         self.terminal_state = np.empty((n_paths, n))
         self.terminal_r = np.empty(n_paths)
         # log densities: tilt, alloc, link, link_alt, then the tilt-norm integral
@@ -267,12 +262,7 @@ class _Lane:
         block, gram = ctx.block, ctx.gram
         theta = model.theta
         C = None if table is None else table.controls(j, X)
-        if cfg.strategy == "benchmark":
-            H = np.broadcast_to(self.h_bench[ctx], (len(X), model.m))
-        elif callable(cfg.strategy):
-            H = cfg.strategy(t, X)
-        else:
-            H = C[:, table.h]
+        H = cfg.strategy(t, X) if callable(cfg.strategy) else C[:, table.h]
 
         track = H @ block.asset_vol - block.bench_vol
         ell = (
@@ -282,20 +272,13 @@ class _Lane:
             - block.bench_drift
             + _rowdot(H @ block.asset_factor_loading - block.bench_factor_loading, X)
         )
-        value_tilt = None
         if self.gamma:
-            if table is not None and table.value_tilt is not None:
-                value_tilt = C[:, table.value_tilt]
-            if cfg.custom_tilt is not None:
-                G = cfg.custom_tilt(t, X, H)
-            elif value_tilt is not None:
-                G = value_tilt - theta * track
-            else:
-                G = np.zeros((len(X), model.d))
+            G = (cfg.custom_tilt(t, X, H) if cfg.custom_tilt is not None
+                 else C[:, table.value_tilt] - theta * track)
 
         # the physical increment dw + phi dt, phi the sampling measure's
         # drift tilt; from here on every formula is the physical one
-        if self.physical:
+        if cfg.measure == "physical":
             dw = dW_j
         else:
             phi = G if cfg.measure == "tilted_gamma" else -theta * track
@@ -308,13 +291,12 @@ class _Lane:
             acc_tilt += _rowdot(G, dw) - 0.5 * dt * g_sq
             acc_alloc += -theta * track_dw - 0.5 * theta**2 * dt * _rowdot(track, track)
             acc_tilt_sq += 0.5 * dt * g_sq
-            if value_tilt is not None:
-                # the link density by both routes' tilts, in the increment
-                # of the allocation-induced measure
-                nu = C[:, table.nu]
-                dwh = dw + (theta * dt) * track
-                acc_link += _rowdot(value_tilt, dwh) - 0.5 * dt * _rowdot(value_tilt, value_tilt)
-                acc_link_alt += _rowdot(nu, dwh) - 0.5 * dt * _rowdot(nu, nu)
+            # the link density by both routes' tilts, in the increment of
+            # the allocation-induced measure
+            value_tilt, nu = C[:, table.value_tilt], C[:, table.nu]
+            dwh = dw + (theta * dt) * track
+            acc_link += _rowdot(value_tilt, dwh) - 0.5 * dt * _rowdot(value_tilt, value_tilt)
+            acc_link_alt += _rowdot(nu, dwh) - 0.5 * dt * _rowdot(nu, nu)
 
         return dw, R + ell * dt + track_dw
 
@@ -365,25 +347,26 @@ def _run_block(model: ValidatedModel, shared: SimConfig, lanes: list[_Lane],
     """Simulate one path block of every lane.
 
     It draws the block's noise once.  Per step it evaluates each lane's gain
-    table once and advances the factor state of all physical-measure lanes
-    together; a tilted lane moves its own state by its own physical
-    increment.  It reads only shared state and writes only its own slice of
-    the lanes' outputs, so blocks may run on any thread in any order.
+    table once, then advances each factor state once, by the physical
+    increment of the first lane that reads it: the physical-measure lanes
+    share one state and each tilted lane owns its own.  It reads only shared
+    state and writes only its own slice of the lanes' outputs, so blocks may
+    run on any thread in any order.
     """
     first, count = block
     sl = slice(first, first + count)
     dt = shared.dt
-    physical = any(lane.physical for lane in lanes)
+    # the owner of each lane's factor state
+    owners = ["physical" if lane.cfg.measure == "physical" else k
+              for k, lane in enumerate(lanes)]
     # pool threads do not inherit the caller's errstate; overflow inside a
     # diverging path is expected right before NonfiniteState fires
     with np.errstate(over="ignore", invalid="ignore"):
         noise = _block_noise(shared.seed, first, count, len(contexts), model.d, shared.antithetic)
         sq_dt = np.sqrt(dt)
         x_start = np.broadcast_to(model.x0, (count, model.n))
-        X = x_start.copy()  # the state of the physical-measure lanes
-        # per lane: its own state under a tilted measure, its log excess
-        # return and its density accumulators
-        lane_X = [None if lane.physical else x_start.copy() for lane in lanes]
+        states = {owner: x_start.copy() for owner in set(owners)}
+        # per lane: its log excess return and its density accumulators
         R = [np.zeros(count) for _ in lanes]
         acc = [lane.start_block(sl, x_start) for lane in lanes]
 
@@ -392,22 +375,19 @@ def _run_block(model: ValidatedModel, shared: SimConfig, lanes: list[_Lane],
             # step j's increments, scaled from the strided noise slice into
             # one contiguous (paths, d) array that every lane reads
             dW_j = noise[:, j, :] * sq_dt
-            for k, lane in enumerate(lanes):
-                x = X if lane.physical else lane_X[k]
-                dw, R[k] = lane.step(model, ctx, j, t, x, dW_j, dt, R[k], acc[k])
-                if not lane.physical:
-                    lane_X[k] = ctx.advance(x, dw, dt)
-            if physical:
-                X = ctx.advance(X, dW_j, dt)
-                x_finite = bool(np.isfinite(X).all())
-            for k, lane in enumerate(lanes):
-                if lane.physical:
-                    lane.store(sl, j, X, R[k], x_finite)
-                else:
-                    lane.store(sl, j, lane_X[k], R[k], bool(np.isfinite(lane_X[k]).all()))
+            increments = {}
+            for k, (lane, owner) in enumerate(zip(lanes, owners)):
+                dw, R[k] = lane.step(model, ctx, j, t, states[owner], dW_j, dt, R[k], acc[k])
+                increments.setdefault(owner, dw)
+            finite = {}
+            for owner, dw in increments.items():
+                states[owner] = ctx.advance(states[owner], dw, dt)
+                finite[owner] = bool(np.isfinite(states[owner]).all())
+            for k, (lane, owner) in enumerate(zip(lanes, owners)):
+                lane.store(sl, j, states[owner], R[k], finite[owner])
 
-        for k, lane in enumerate(lanes):
-            lane.end_block(sl, X if lane.physical else lane_X[k], R[k])
+        for k, (lane, owner) in enumerate(zip(lanes, owners)):
+            lane.end_block(sl, states[owner], R[k])
 
 
 def _simulate(model: ValidatedModel, vc: ValueCoefficients | None,
@@ -430,7 +410,7 @@ def _simulate(model: ValidatedModel, vc: ValueCoefficients | None,
         if seg not in segments:
             segments[seg] = _SegmentContext(model, j * dt)
         contexts.append(segments[seg])
-    lanes = [_Lane(model, vc, cfg, times, contexts) for cfg in cfgs]
+    lanes = [_Lane(model, vc, cfg, times) for cfg in cfgs]
 
     run = functools.partial(_run_block, model, shared, lanes, contexts)
     blocks = _partition(shared.n_paths, steps, model.d)
@@ -528,8 +508,10 @@ class KlEstimate:
 
     @property
     def consistent(self) -> bool:
+        # an infinite standard error (one sample) checks nothing
+        se = float(np.hypot(self.se_log_density, self.se_tilt_norm))
         gap = abs(self.from_log_density - self.from_tilt_norm)
-        return gap <= 3.0 * float(np.hypot(self.se_log_density, self.se_tilt_norm))
+        return bool(np.isfinite(se)) and gap <= 3.0 * se
 
 
 def kl_estimate(bundle: PathBundle) -> KlEstimate:
@@ -554,7 +536,8 @@ class MartingaleCheck:
 
     @property
     def ok(self) -> bool:
-        return abs(self.mean - 1.0) <= 3.0 * self.std_error
+        # an infinite standard error (one sample) checks nothing
+        return bool(np.isfinite(self.std_error)) and abs(self.mean - 1.0) <= 3.0 * self.std_error
 
 
 def martingale_check(bundle: PathBundle, which: str = "tilt") -> MartingaleCheck:

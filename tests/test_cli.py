@@ -9,7 +9,7 @@ from benchkelly.cli import main
 from benchkelly.estimate import save_panel, synthesize_panel
 from benchkelly.model import validate_model
 
-from conftest import make_scalar_spec
+from conftest import make_random_spec, make_scalar_spec
 
 
 @pytest.fixture()
@@ -199,6 +199,21 @@ def test_verify_negative_control(workdir, capsys):
     assert "saddle_probes" in failed
 
 
+def test_verify_fails_checks_with_infinite_standard_errors(workdir, capsys):
+    # one simulated path has no standard error; its Monte-Carlo rows check
+    # nothing and fail rather than pass inside a 3 * inf band
+    config = json.loads((workdir / "config.json").read_text())
+    config["verify"]["sim_paths"] = 1
+    (workdir / "one_path.json").write_text(json.dumps(config))
+    out = workdir / "ver1"
+    code = run(workdir, "verify", "--config", str(workdir / "one_path.json"), "--out", str(out))
+    assert code == 2
+    assert "ERROR VERIFY" in capsys.readouterr().err
+    rows = json.loads((out / "verify_report.json").read_text())
+    failed = {r["invariant"] for r in rows if r["status"] == "FAIL"}
+    assert failed == {"martingale_tilt", "martingale_alloc", "kl_dual_estimators"}
+
+
 def test_verify_kelly_mode_skips_game_checks(workdir):
     config = json.loads((workdir / "config.json").read_text())
     config["theta"] = 0.0
@@ -269,6 +284,23 @@ def test_simulate_flag_overrides(workdir):
     assert summary["strategy"] == "kelly"
     rows = (out / "terminals.csv").read_text().strip().splitlines()
     assert len(rows) == 51  # header + one row per path
+
+
+@pytest.mark.parametrize("strategy", ["kelly", "benchmark"])
+def test_simulate_densities_factorize_for_every_strategy(workdir, strategy):
+    # every strategy's adverse tilt comes from the value coefficients, so the
+    # terminal log densities factorize pathwise: tilt = alloc + link; on a
+    # model whose benchmark the assets do not span, no column is zero
+    spec = make_random_spec(np.random.default_rng(5), theta=1.0, n=2, m=2, d=3)
+    model_mod.save_model(spec, workdir / "model.json")
+    out = workdir / strategy
+    code = run(workdir, "simulate", "--config", str(workdir / "config.json"), "--out", str(out),
+               "--paths", "40", "--steps", "20", "--strategy", strategy)
+    assert code == 0
+    cols = np.loadtxt(out / "terminals.csv", delimiter=",", skiprows=1, ndmin=2)
+    tilt, alloc, link = cols[:, 2], cols[:, 3], cols[:, 4]
+    assert np.abs(tilt - (alloc + link)).max() <= 1e-10
+    assert all(np.any(col != 0.0) for col in (tilt, alloc, link))
 
 
 def test_seed_override_changes_results(workdir):

@@ -9,6 +9,7 @@ from benchkelly.errors import ConfigError
 from benchkelly.model import CoefficientSet, ModelSpec, validate_model
 from benchkelly.policy import (
     ROUTES,
+    benchmark_tracking,
     fractional_kelly,
     gain_table,
     optimal_gamma,
@@ -317,6 +318,33 @@ def test_gain_table_rows_are_the_closed_form_controls(theta):
                 if theta > 0.0:
                     assert close(row[table.value_tilt], tilt)
                     assert close(row[table.nu], tilt)
+
+
+@pytest.mark.parametrize("weights", [None, np.array([0.7, 0.3])], ids=["tracking", "fixed"])
+def test_gain_table_benchmark_rows(weights):
+    # the benchmark allocation is a table row: zero gains and, per segment,
+    # the offset benchmark_tracking (or the fixed weights); its tilt columns
+    # are the Kelly table's
+    rng = np.random.default_rng(47)
+    vm = validate_model(_two_segment_spec(rng, 1.5))
+    vc = solve_value_coefficients(vm, steps_per_year=252)
+    times = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    # the first time of each row's segment (the knot is at 0.5)
+    firsts = [0.1, 0.1, 0.5, 0.5, 0.5]
+    bench = gain_table(vm, vc, times, "benchmark", bench_weights=weights)
+    kelly = gain_table(vm, vc, times, "kelly")
+    assert np.all(bench.gain[:, :, bench.h] == 0.0)
+    for j, first in enumerate(firsts):
+        expected = benchmark_tracking(vm, first) if weights is None else weights
+        assert bench.offset[j, bench.h].tobytes() == expected.tobytes()
+    if weights is None:  # the segments' tracking portfolios differ
+        assert not np.array_equal(bench.offset[0, bench.h], bench.offset[-1, bench.h])
+    for name in ("value_tilt", "nu"):
+        cols_b, cols_k = getattr(bench, name), getattr(kelly, name)
+        assert bench.gain[:, :, cols_b].tobytes() == kelly.gain[:, :, cols_k].tobytes()
+        assert bench.offset[:, cols_b].tobytes() == kelly.offset[:, cols_k].tobytes()
+    # without coefficients the table carries the allocation alone
+    assert gain_table(vm, None, times, "benchmark", bench_weights=weights).gain.shape[-1] == vm.m
 
 
 def test_gain_table_rejects_coefficients_of_another_model(scalar_model, scalar_vc):

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import re
 import sys
@@ -12,6 +13,8 @@ from benchkelly.errors import ConfigError, MeasureMismatch, NonfiniteState
 from benchkelly.model import ModelSpec, validate_model
 from benchkelly.policy import gain_table
 from benchkelly.simulate import (
+    KlEstimate,
+    MartingaleCheck,
     SimConfig,
     kl_estimate,
     load_paths_binary,
@@ -53,7 +56,7 @@ def scalar_bundle(scalar_model, scalar_vc):
 def test_benchmark_replication_zero_excess(spanned_model):
     vm, w = spanned_model
     cfg = SimConfig(n_paths=64, steps=120, dt=1 / 252, seed=3,
-                    strategy="benchmark", bench_weights=w)
+                    strategy="benchmark", bench_weights=w, keep=("log_excess",))
     bundle = simulate_paths(vm, None, cfg)
     assert np.abs(bundle.terminal_log_excess).max() < 1e-12
     assert np.abs(bundle.log_excess).max() < 1e-12
@@ -116,7 +119,7 @@ def test_tilted_run_is_physical_run_of_drift_shifted_model(measure):
         asset_drift=block.asset_drift + block.asset_vol @ c,
         bench_drift=float(block.bench_drift + block.bench_vol @ c),
     )
-    base = dict(n_paths=200, steps=100, dt=1 / 252, seed=19,
+    base = dict(n_paths=200, steps=100, dt=1 / 252, seed=19, keep=("states", "log_excess"),
                 strategy=lambda t, X: np.tile(h0, (X.shape[0], 1)))
     tilted = simulate_paths(
         validate_model(spec), None,
@@ -216,7 +219,7 @@ def test_martingale_exact_for_zero_tilt(scalar_model, scalar_vc):
 def test_mc_criterion_zero_returns(spanned_model):
     vm, w = spanned_model
     cfg = SimConfig(n_paths=200, steps=100, dt=1 / 252, seed=3,
-                    strategy="benchmark", bench_weights=w, keep=("densities",))
+                    strategy="benchmark", bench_weights=w, keep=())
     bundle = simulate_paths(vm, None, cfg)
     mc = mc_criterion(bundle, vm.theta)
     assert mc.estimate == pytest.approx(1.0, abs=1e-12)
@@ -240,6 +243,22 @@ def test_mc_criterion_requires_physical(scalar_model, scalar_vc):
         mc_criterion(bundle, 1.0)
     with pytest.raises(MeasureMismatch):
         martingale_check(bundle)
+
+
+def test_infinite_standard_error_checks_nothing(scalar_model, scalar_vc):
+    # one path has no standard error: a 3 * inf band would pass anything
+    inf = float("inf")
+    assert MartingaleCheck(1.0, 0.1).ok and not MartingaleCheck(1.0, inf).ok
+    assert KlEstimate(0.2, 0.2, 0.1, 0.1).consistent
+    assert not KlEstimate(0.2, 0.2, inf, 0.0).consistent
+    assert not KlEstimate(0.2, 0.2, 0.0, inf).consistent
+    base = dict(n_paths=1, steps=10, dt=1 / 252, seed=3, keep=("densities",))
+    physical = simulate_paths(scalar_model, scalar_vc, SimConfig(**base))
+    tilted = simulate_paths(scalar_model, scalar_vc, SimConfig(measure="tilted_gamma", **base))
+    for which in ("tilt", "alloc"):
+        chk = martingale_check(physical, which)
+        assert chk.std_error == inf and not chk.ok
+    assert not kl_estimate(tilted).consistent
 
 
 def test_kl_requires_tilted(scalar_bundle):
@@ -336,6 +355,33 @@ def test_optimal_needs_coefficients(scalar_model):
     with pytest.raises(ConfigError):
         simulate_paths(scalar_model, None,
                        SimConfig(n_paths=4, steps=4, dt=1 / 252, strategy="optimal"))
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(strategy="kelly", keep=("densities",)),
+    dict(strategy="benchmark", keep=("log_excess", "densities")),
+    dict(strategy="kelly", measure="tilted_gamma", keep=()),
+], ids=["kelly-densities", "benchmark-densities", "tilted_gamma-without-custom-tilt"])
+def test_every_tilt_needs_coefficients(scalar_model, cfg):
+    # every adverse tilt is the table's value tilt unless custom_tilt replaces
+    # it: densities and tilted_gamma's drift need the coefficients
+    with pytest.raises(ConfigError, match="value coefficients"):
+        simulate_paths(scalar_model, None, SimConfig(n_paths=4, steps=4, dt=1 / 252, **cfg))
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(measure="tilted_h"),
+    dict(measure="tilted_gamma", custom_tilt=lambda t, X, H: np.full((len(X), 1), 0.3)),
+], ids=["tilted_h", "tilted_gamma-custom-tilt"])
+def test_lanes_without_tilts_run_without_coefficients(scalar_model, scalar_vc, cfg):
+    # tilted_h's drift -theta (Sigma' h - Xi) and a custom tilt read no
+    # coefficients; the run is the one with coefficients, bit for bit
+    config = SimConfig(n_paths=8, steps=10, dt=1 / 252, seed=2, strategy="kelly", keep=(), **cfg)
+    without = simulate_paths(scalar_model, None, config)
+    with_vc = simulate_paths(scalar_model, scalar_vc, config)
+    assert without.terminal_state.tobytes() == with_vc.terminal_state.tobytes()
+    assert without.terminal_log_excess.tobytes() == with_vc.terminal_log_excess.tobytes()
+    assert np.all(np.isfinite(without.terminal_log_excess))
 
 
 def test_binary_dump_round_trip(tmp_path, scalar_model, scalar_vc):
@@ -532,6 +578,7 @@ def test_each_lane_is_its_solo_run(monkeypatch, solved_wide, antithetic):
     monkeypatch.setattr(sim_mod, "_Lane", WidthSpy)
     strategies = [dict(strategy="optimal"), dict(strategy="optimal", route="twostep"),
                   dict(strategy="kelly"), dict(strategy="benchmark"),
+                  dict(strategy="benchmark", bench_weights=np.array([0.7, 0.3])),
                   dict(strategy=lambda t, X: 0.5 * kelly_allocation(vm, t, X))]
     base = dict(n_paths=10, steps=12, dt=1 / 252, seed=8, antithetic=antithetic)
     assert len(sim_mod._partition(base["n_paths"], base["steps"], vm.d)) > 1
@@ -541,7 +588,8 @@ def test_each_lane_is_its_solo_run(monkeypatch, solved_wide, antithetic):
     optimal_paths = SimConfig(strategy="optimal", keep=("log_excess",), **base)
     tilted_paths = SimConfig(strategy="optimal", measure="tilted_gamma",
                              keep=("states", "log_excess"), **base)
-    cfgs += [kelly_paths, optimal_paths, tilted_paths]
+    benchmark_paths = SimConfig(strategy="benchmark", keep=("log_excess",), **base)
+    cfgs += [kelly_paths, optimal_paths, tilted_paths, benchmark_paths]
     lanes = simulate_lanes(vm, vc, cfgs)
     assert len(lanes) == len(cfgs)
     for cfg, lane in zip(cfgs, lanes):
@@ -559,6 +607,7 @@ def test_each_lane_is_its_solo_run(monkeypatch, solved_wide, antithetic):
         assert bundle.log_density_tilt is None and bundle.tilt_sq_integral is None
     # a lane's gain table carries only the columns it reads
     assert widths[id(optimal_paths)] == vm.m
+    assert widths[id(benchmark_paths)] == vm.m
     assert widths[id(cfgs[0])] == vm.m + 2 * vm.d
     # without densities a tilted_gamma lane still samples under its drift gamma
     tilted_all = by_cfg[id(cfgs[len(strategies)])]
@@ -679,14 +728,17 @@ def test_diverging_run_raises_the_same_error_at_any_worker_count(monkeypatch, sc
 
     monkeypatch.setattr(sim_mod, "_block_noise", first_block_late)
     cfg = SimConfig(n_paths=64, steps=40, dt=1 / 252, seed=3, strategy=strategy, keep=())
-    messages = []
-    for workers in (1, 2):
-        monkeypatch.setattr(sim_mod, "WORKERS", workers)
-        with pytest.raises(NonfiniteState) as err:
-            simulate_paths(scalar_model, scalar_vc, cfg)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
-    assert re.fullmatch(r"non-finite state at path [0-7], step \d+", messages[0])
+    # a second lane under tilted_h owns a factor state of its own
+    lanes = [[cfg], [cfg, dataclasses.replace(cfg, measure="tilted_h")]]
+    for cfgs in lanes:
+        messages = []
+        for workers in (1, 2):
+            monkeypatch.setattr(sim_mod, "WORKERS", workers)
+            with pytest.raises(NonfiniteState) as err:
+                simulate_lanes(scalar_model, scalar_vc, cfgs)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert re.fullmatch(r"non-finite state at path [0-7], step \d+", messages[0])
 
 
 def test_no_public_function_runs_on_a_worker_thread(monkeypatch, solved_multi):
