@@ -153,10 +153,6 @@ class GramBlocks:
         """Solve (Sigma Sigma') x = rhs via the cached factorization."""
         return cho_solve((self.ss_chol, True), rhs)
 
-    @property
-    def ss_inv(self) -> np.ndarray:
-        return self.ss_solve(np.eye(self.ss.shape[0]))
-
 
 @dataclass(frozen=True)
 class ProjectionPair:

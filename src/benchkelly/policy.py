@@ -2,7 +2,7 @@
 
 All policies are affine in the factor state: the certainty-equivalent
 gradient quad(t) x + lin(t) is, so the optimal allocation, the Kelly
-allocation and both tilts are X @ K(t) + k(t) for a state matrix X, with
+allocation and the value tilt are X @ K(t) + k(t) for a state matrix X, with
 gains that depend on t alone.  gain_table builds those gains at the times a
 caller steps through, and it is the one source of every control:
 simulate_paths evaluates it once per step, and optimal_h, optimal_gamma,
@@ -18,12 +18,13 @@ The optimal allocation has two routes:
   h = 1/(theta+1) (SS')^{-1} (a + A x + theta S Xi - theta S L' DCE).
 
 With Du = -theta DCE the two share their arithmetic and differ only in where
--theta multiplies, so they agree to rounding.  The runtime cross-checks keep
-references independent of the table: optimal_gamma's projected closed form
+-theta multiplies, so they agree to rounding; the twostep route's tilt
+nu = -theta Lambda' DCE is the value tilt Lambda' Du by definition, and
+optimal_nu reads that column.  The runtime cross-checks keep references
+independent of the table: optimal_gamma's projected closed form
 P- Lambda' Du - theta/(theta+1) Sigma' kelly + theta P- Xi, and
 fractional_kelly's recomposition from the Kelly, benchmark-tracking and
-hedging portfolios, its regularized-Kelly identity and the tilt relation
-between the two routes.
+hedging portfolios and its regularized-Kelly identity.
 
 At theta == 0 the general formula gives the Kelly allocation
 (SS')^{-1}(a + A x) bit for bit: its value-gradient terms vanish.
@@ -52,12 +53,12 @@ class PolicyAction:
     Invariants (enforced at construction by fractional_kelly):
       allocation = kf*kelly + (1-kf)*bench_track - (1-kf)*hedge
       allocation = kelly + (SS')^{-1} Sigma tilt
-      tilt = tilt_twostep - theta (Sigma' allocation - Xi)
+    By definition tilt = tilt_twostep - theta (Sigma' allocation - Xi).
     """
 
     allocation: np.ndarray     # h*, (m,)
     tilt: np.ndarray           # adverse measure tilt, (d,)
-    tilt_twostep: np.ndarray   # transformed-measure tilt, (d,)
+    tilt_twostep: np.ndarray   # transformed-measure tilt = value tilt, (d,)
     kelly: np.ndarray          # growth-optimal component, (m,)
     bench_track: np.ndarray    # benchmark-tracking component, (m,)
     hedge: np.ndarray          # intertemporal hedging component, (m,)
@@ -70,9 +71,9 @@ class GainTable:
 
     The controls at times[j] for the factor states in the rows of X are
     controls(j, X) = X @ gain[j] + offset[j].  Their columns hold the
-    allocation h, the value tilt Lambda' Du and the transformed-measure tilt
-    nu; the slices h, value_tilt and nu select them, and a column group the
-    table was built without has slice None (see gain_table).
+    allocation h and the value tilt Lambda' Du; the slices h and value_tilt
+    select them, and a column group the table was built without has slice
+    None (see gain_table).
     """
 
     times: np.ndarray    # (k,)
@@ -80,7 +81,6 @@ class GainTable:
     offset: np.ndarray   # (k, w)
     h: slice | None
     value_tilt: slice | None
-    nu: slice | None
 
     def controls(self, j: int, X: np.ndarray) -> np.ndarray:
         return X @ self.gain[j] + self.offset[j]
@@ -88,7 +88,7 @@ class GainTable:
     def allocation_only(self) -> GainTable:
         """This table without its tilt columns."""
         return GainTable(self.times, np.ascontiguousarray(self.gain[:, :, self.h]),
-                         np.ascontiguousarray(self.offset[:, self.h]), self.h, None, None)
+                         np.ascontiguousarray(self.offset[:, self.h]), self.h, None)
 
 
 def gain_table(
@@ -101,12 +101,12 @@ def gain_table(
 ) -> GainTable:
     """Gains of the controls at each of the given times.
 
-    The columns are [h | Lambda' Du | nu]: h is the strategy's allocation,
+    The columns are [h | Lambda' Du]: h is the strategy's allocation,
     present for the strategies of STRATEGIES ("optimal" by the given route,
     "kelly", or "benchmark": zero gains and the offset bench_weights, else
-    the segment's benchmark_tracking), and the two tilts are present when vc
-    is given.  Each row takes (quad, lin) from vc.at(t); each coefficient
-    segment's rows come from one stacked solve against Sigma Sigma'.
+    the segment's benchmark_tracking), and the value tilt is present when vc
+    is given.  Each coefficient segment's rows take (quad, lin) from one
+    vc.at_times read and come from one stacked solve against Sigma Sigma'.
     """
     if route not in ROUTES:
         raise ConfigError(f"unknown route '{route}'; choose from {ROUTES}")
@@ -121,10 +121,10 @@ def gain_table(
     theta = model.theta
     h = slice(0, m) if strategy in STRATEGIES else None
     width = 0 if h is None else m
-    value_tilt = nu = None
+    value_tilt = None
     if vc is not None:
-        value_tilt, nu = slice(width, width + d), slice(width + d, width + 2 * d)
-        width += 2 * d
+        value_tilt = slice(width, width + d)
+        width += d
     gain = np.empty((len(times), n, width))
     offset = np.empty((len(times), width))
 
@@ -135,10 +135,9 @@ def gain_table(
         block = model.coefficients(t0)
         gram = model.gram_blocks(t0)
         if vc is not None:
-            at = [vc.at(t) for t in times[rows].tolist()]
+            quad, lin, _ = vc.at_times(times[rows])
             # the gradient X quad' + lin as gains: quad' and lin
-            quad_t = np.swapaxes(np.stack([q for q, _, _ in at]), 1, 2)
-            lin = np.stack([v for _, v, _ in at])
+            quad_t = np.swapaxes(quad, 1, 2)
         if strategy == "benchmark":
             gain[rows, :, h] = 0.0
             offset[rows, h] = (benchmark_tracking(model, t0) if bench_weights is None
@@ -170,9 +169,7 @@ def gain_table(
             lam = block.factor_vol
             gain[rows, :, value_tilt] = (-theta * quad_t) @ lam
             offset[rows, value_tilt] = (-theta * lin) @ lam
-            gain[rows, :, nu] = -theta * (quad_t @ lam)
-            offset[rows, nu] = -theta * (lin @ lam)
-    return GainTable(times=times, gain=gain, offset=offset, h=h, value_tilt=value_tilt, nu=nu)
+    return GainTable(times=times, gain=gain, offset=offset, h=h, value_tilt=value_tilt)
 
 
 def _point_controls(model: ValidatedModel, vc: ValueCoefficients | None, t: float, x,
@@ -239,9 +236,10 @@ def optimal_nu(
     t: float,
     x: np.ndarray,
 ) -> np.ndarray:
-    """Transformed-measure tilt: -theta * Lambda' DCE(t, x)."""
+    """Transformed-measure tilt -theta Lambda' DCE(t, x): the value tilt
+    Lambda' Du, since u = -theta CE."""
     table, row = _point_controls(model, vc, t, x)
-    return row[table.nu]
+    return row[table.value_tilt]
 
 
 def fractional_kelly(
@@ -273,21 +271,16 @@ def fractional_kelly(
         )
 
     if theta == 0.0:
-        tilt = np.zeros(model.d)
-        nu = np.zeros(model.d)
+        # explicit zeros: the table's tilt at theta = 0 may carry -0.0
+        tilt, nu = np.zeros(model.d), np.zeros(model.d)
     else:
         tilt = optimal_gamma(model, vc, t, x)
-        nu = row[table.nu]
+        nu = row[table.value_tilt]
 
     regularized = kelly + gram.ss_solve(sigma @ tilt)
     if float(np.abs(allocation - regularized).max()) > 1e-12 * scale:
         raise RepresentationMismatch(
             f"regularized-Kelly identity violated at t={t:g}"
-        )
-    tilt_residual = tilt - nu + theta * (sigma.T @ allocation - block.bench_vol)
-    if float(np.abs(tilt_residual).max()) > 1e-12 * (1.0 + float(np.abs(tilt).max())):
-        raise RepresentationMismatch(
-            f"tilt relation between the two routes violated at t={t:g}"
         )
 
     return PolicyAction(

@@ -15,7 +15,7 @@ The kernel converts dw to the physical increment once per step; the state,
 the log excess return and every density then follow the physical-measure
 formulas.  Every allocation and tilt is read from the policy's affine gain
 table (policy.gain_table): per step one X @ K[j] + k[j], sliced into
-[h | Lambda' Du | nu].  A callable strategy (t, X) -> H replaces h, and
+[h | Lambda' Du].  A callable strategy (t, X) -> H replaces h, and
 custom_tilt(t, X, H) replaces gamma = Lambda' Du - theta (Sigma' h - Xi).
 
 keep names the outputs a bundle returns ("states", "log_excess",
@@ -61,7 +61,7 @@ from .model import ValidatedModel
 from .valuefn import ValueCoefficients
 
 MEASURES = ("physical", "tilted_gamma", "tilted_h")
-# the outputs a bundle can keep: two full path arrays, five density columns
+# the outputs a bundle can keep: two full path arrays, four density columns
 OUTPUTS = ("states", "log_excess", "densities")
 # the fields every lane of one simulate_lanes call shares
 SHARED_FIELDS = ("n_paths", "steps", "dt", "seed", "antithetic")
@@ -109,9 +109,10 @@ class PathBundle:
     density, log_density_alloc ln of the allocation-induced density, and
     log_density_link ln of the increment connecting the two measures
     (log_density_tilt == log_density_alloc + log_density_link pathwise for
-    the candidate policies).  log_density_link_alt recomputes the link from
-    the transformed-measure tilt; the two must agree pathwise.  The five
-    density columns are None unless config.keep names "densities".
+    the candidate policies).  The link's tilt is the value tilt Lambda' Du,
+    which is the transformed-measure tilt nu of the twostep route by
+    definition.  The four density columns are None unless config.keep names
+    "densities".
     """
 
     config: SimConfig
@@ -120,7 +121,6 @@ class PathBundle:
     log_density_tilt: np.ndarray | None = None      # (paths,)
     log_density_alloc: np.ndarray | None = None     # (paths,)
     log_density_link: np.ndarray | None = None      # (paths,)
-    log_density_link_alt: np.ndarray | None = None  # (paths,)
     tilt_sq_integral: np.ndarray | None = None      # (paths,) 0.5 * sum |gamma|^2 dt
     states: np.ndarray | None = None        # (paths, steps+1, n)
     log_excess: np.ndarray | None = None    # (paths, steps+1), starts at 0
@@ -225,7 +225,7 @@ class _Lane:
         self.cfg = cfg
         self.densities = "densities" in cfg.keep
         # gamma feeds the densities and is tilted_gamma's drift; the value
-        # tilts feed gamma (unless custom_tilt replaces them) and the links
+        # tilt feeds gamma (unless custom_tilt replaces it) and the link
         self.gamma = self.densities or cfg.measure == "tilted_gamma"
         tilts = self.densities or (self.gamma and cfg.custom_tilt is None)
         self.table = None
@@ -235,8 +235,8 @@ class _Lane:
             self.table = table if tilts else table.allocation_only()
         self.terminal_state = np.empty((n_paths, n))
         self.terminal_r = np.empty(n_paths)
-        # log densities: tilt, alloc, link, link_alt, then the tilt-norm integral
-        self.densities_out = tuple(np.zeros(n_paths) if self.densities else None for _ in range(5))
+        # log densities: tilt, alloc, link, then the tilt-norm integral
+        self.densities_out = tuple(np.zeros(n_paths) if self.densities else None for _ in range(4))
         self.states = (np.empty((n_paths, cfg.steps + 1, n))
                        if "states" in cfg.keep else None)
         self.log_excess = (np.empty((n_paths, cfg.steps + 1))
@@ -286,17 +286,16 @@ class _Lane:
         track_dw = _rowdot(track, dw)
 
         if self.densities:
-            acc_tilt, acc_alloc, acc_link, acc_link_alt, acc_tilt_sq = acc
+            acc_tilt, acc_alloc, acc_link, acc_tilt_sq = acc
             g_sq = _rowdot(G, G)
             acc_tilt += _rowdot(G, dw) - 0.5 * dt * g_sq
             acc_alloc += -theta * track_dw - 0.5 * theta**2 * dt * _rowdot(track, track)
             acc_tilt_sq += 0.5 * dt * g_sq
-            # the link density by both routes' tilts, in the increment of
-            # the allocation-induced measure
-            value_tilt, nu = C[:, table.value_tilt], C[:, table.nu]
+            # the link density by the value tilt, in the increment of the
+            # allocation-induced measure
+            value_tilt = C[:, table.value_tilt]
             dwh = dw + (theta * dt) * track
             acc_link += _rowdot(value_tilt, dwh) - 0.5 * dt * _rowdot(value_tilt, value_tilt)
-            acc_link_alt += _rowdot(nu, dwh) - 0.5 * dt * _rowdot(nu, nu)
 
         return dw, R + ell * dt + track_dw
 
@@ -318,7 +317,7 @@ class _Lane:
         self.terminal_r[sl] = R
 
     def bundle(self) -> PathBundle:
-        log_tilt, log_alloc, log_link, log_link_alt, tilt_sq = self.densities_out
+        log_tilt, log_alloc, log_link, tilt_sq = self.densities_out
         return PathBundle(
             config=self.cfg,
             terminal_state=self.terminal_state,
@@ -326,7 +325,6 @@ class _Lane:
             log_density_tilt=log_tilt,
             log_density_alloc=log_alloc,
             log_density_link=log_link,
-            log_density_link_alt=log_link_alt,
             tilt_sq_integral=tilt_sq,
             states=self.states,
             log_excess=self.log_excess,

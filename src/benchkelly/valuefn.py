@@ -58,30 +58,29 @@ class ValueCoefficients:
     def horizon(self) -> float:
         return float(self.grid[-1])
 
-    def _locate(self, t: float) -> tuple[int, int, float]:
-        """Bracketing node indices and interpolation weight for time t."""
+    def at_times(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(quad, lin, level) at each time, shapes (k, n, n), (k, n), (k,):
+        componentwise-linear between nodes, bit for bit a node's own at one."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
         T = self.horizon
-        if not (-1e-12 <= t <= T + max(1e-12 * T, 1e-15)):
-            raise TimeOutOfRange(f"time {t:g} outside value grid [0, {T:g}]")
-        t = min(max(t, 0.0), T)
-        j = int(np.searchsorted(self.grid, t, side="right")) - 1
-        j = min(max(j, 0), len(self.grid) - 2)
-        dt = self.grid[j + 1] - self.grid[j]
-        w = (t - self.grid[j]) / dt
-        return j, j + 1, float(w)
+        outside = ~((-1e-12 <= times) & (times <= T + max(1e-12 * T, 1e-15)))
+        if outside.any():
+            raise TimeOutOfRange(f"time {times[outside][0]:g} outside value grid [0, {T:g}]")
+        t = np.clip(times, 0.0, T)
+        j = np.clip(np.searchsorted(self.grid, t, side="right") - 1, 0, len(self.grid) - 2)
+        w = (t - self.grid[j]) / (self.grid[j + 1] - self.grid[j])
+        # a node brackets itself alone, so no 0 * x flips the sign of a zero
+        j0, j1 = j + (w == 1.0), j + (w > 0.0)
+        return (
+            (1.0 - w)[:, None, None] * self.quad[j0] + w[:, None, None] * self.quad[j1],
+            (1.0 - w)[:, None] * self.lin[j0] + w[:, None] * self.lin[j1],
+            (1.0 - w) * self.level[j0] + w * self.level[j1],
+        )
 
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """(quad, lin, level) at time t, componentwise-linear between nodes."""
-        j0, j1, w = self._locate(t)
-        if w == 0.0:
-            return self.quad[j0], self.lin[j0], float(self.level[j0])
-        if w == 1.0:
-            return self.quad[j1], self.lin[j1], float(self.level[j1])
-        return (
-            (1.0 - w) * self.quad[j0] + w * self.quad[j1],
-            (1.0 - w) * self.lin[j0] + w * self.lin[j1],
-            float((1.0 - w) * self.level[j0] + w * self.level[j1]),
-        )
+        """(quad, lin, level) at time t: the one-row case of at_times."""
+        quad, lin, level = self.at_times(t)
+        return quad[0], lin[0], float(level[0])
 
 
 @dataclass(frozen=True)
@@ -325,45 +324,50 @@ class Residual(NamedTuple):
     lin_rel: float
 
 
-def riccati_residual(vc: ValueCoefficients, model: ValidatedModel, times) -> Residual:
-    """Worst defects of the quadratic and linear backward equations over one
-    time or a sequence of times (each field maximized; 0 for none), each at
-    the interior grid node nearest it, with the time derivative approximated
-    by a centered difference of neighboring nodes.  Diagnostic only.
-
-    The defect carries the O(step^2) truncation of the centered difference,
-    which scales with the solution's derivatives; the relative defects are
-    scaled by the derivative so one tolerance works across models of very
-    different magnitude.
-    """
+def centered_rates(vc: ValueCoefficients, model: ValidatedModel, times):
+    """Centered differences of the time derivatives of (quad, lin, level) at
+    the interior node nearest each of one time or a sequence of times, moved
+    so its stencil lies in one coefficient segment; returns the nodes and
+    the three derivatives, shapes (k,), (k, n, n), (k, n), (k,)."""
     grid = vc.grid
-    times = np.atleast_1d(np.asarray(times, dtype=float)).tolist()
-    for t in times:
-        if not (grid[0] < t < grid[-1]):
-            raise TimeOutOfRange(f"residual needs an interior time, got {t:g}")
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    outside = times[~((grid[0] < times) & (times < grid[-1]))]
+    if outside.size:
+        raise TimeOutOfRange(f"residual needs an interior time, got {outside[0]:g}")
     # per node, the segment of the interval starting there and of the one
     # ending there; they differ only at a knot, so a knot at or after the
     # horizon changes nothing
     knots = model.spec.coeffs.knots
     starting = np.searchsorted(knots, grid, side="right") - 1
     ending = np.maximum(np.searchsorted(knots, grid, side="left") - 1, 0)
+    # the nearest node, the earlier of two equally near
+    after = np.searchsorted(grid, times)
+    j = np.clip(after - (times - grid[after - 1] <= grid[after] - times), 1, len(grid) - 2)
+    # no knot strictly between the stencil's end nodes
+    for _ in range(2):
+        moved = j + np.where(starting[j] == ending[j + 1], 1, -1)
+        j = np.clip(np.where(starting[j - 1] != ending[j + 1], moved, j), 1, len(grid) - 2)
+    dt = grid[j + 1] - grid[j - 1]
+    return (j,
+            (vc.quad[j + 1] - vc.quad[j - 1]) / dt[:, None, None],
+            (vc.lin[j + 1] - vc.lin[j - 1]) / dt[:, None],
+            (vc.level[j + 1] - vc.level[j - 1]) / dt)
+
+
+def riccati_residual(vc: ValueCoefficients, model: ValidatedModel, times) -> Residual:
+    """Worst defects of the quadratic and linear backward equations over one
+    time or a sequence of times (each field maximized; 0 for none), at the
+    nodes and by the centered differences of centered_rates.  Diagnostic
+    only.  The relative defects are divided by (1 + the derivative): the
+    defect carries the centered difference's O(step^2) truncation, which
+    scales with it, so one tolerance serves models of any magnitude."""
+    nodes, d_quad, d_lin, _ = centered_rates(vc, model, times)
+    segs = np.searchsorted(model.spec.coeffs.knots, vc.grid[nodes], side="right") - 1
     terms: dict[int, _SegmentTerms] = {}
     worst = Residual(0.0, 0.0, 0.0, 0.0)
-    for t in times:
-        j = int(np.argmin(np.abs(grid - t)))
-        j = min(max(j, 1), len(grid) - 2)
-        # keep the centered-difference stencil inside one coefficient segment:
-        # no knot strictly between its end nodes
-        for _ in range(2):
-            if starting[j - 1] != ending[j + 1]:
-                j = j + 1 if starting[j] == ending[j + 1] else j - 1
-                j = min(max(j, 1), len(grid) - 2)
-        dt = grid[j + 1] - grid[j - 1]
-        dq_dt = (vc.quad[j + 1] - vc.quad[j - 1]) / dt
-        dl_dt = (vc.lin[j + 1] - vc.lin[j - 1]) / dt
-        seg = int(starting[j])
+    for j, seg, dq_dt, dl_dt in zip(nodes.tolist(), segs.tolist(), d_quad, d_lin):
         if seg not in terms:
-            terms[seg] = _SegmentTerms(model, float(grid[j]), vc.theta)
+            terms[seg] = _SegmentTerms(model, float(vc.grid[j]), vc.theta)
         expected = terms[seg].derivative(vc.quad[j], vc.lin[j])
         res_quad = float(np.abs(dq_dt - expected[0]).max())
         res_lin = float(np.abs(dl_dt - expected[1]).max())

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 # one BLAS thread: the suite's matrices are tiny, and a threaded OpenBLAS
@@ -79,6 +80,14 @@ def make_random_spec(rng, theta=None, n=None, m=None, d=None, horizon=1.0):
         bench_factor_loading=0.1 * rng.standard_normal(n),
         bench_vol=0.05 * rng.standard_normal(d),
     )
+
+
+def make_two_segment_spec(rng, theta):
+    """A random model whose coefficients change at mid-horizon."""
+    first = make_random_spec(rng, theta=theta, n=3, m=2, d=4)
+    second = make_random_spec(rng, theta=theta, n=3, m=2, d=4)
+    return dataclasses.replace(first, coeffs=model_mod.CoefficientSet(
+        knots=np.array([0.0, 0.5]), blocks=(first.coeffs.blocks[0], second.coeffs.blocks[0])))
 
 
 @pytest.fixture(scope="session")

@@ -195,8 +195,7 @@ def test_verify_negative_control(workdir, capsys):
     assert "ERROR VERIFY" in capsys.readouterr().err
     rows = json.loads((out / "verify_report.json").read_text())
     failed = {r["invariant"] for r in rows if r["status"] == "FAIL"}
-    assert "backward_residuals" in failed
-    assert "saddle_probes" in failed
+    assert {"backward_residuals", "hjb_residual", "saddle_probes"} <= failed
 
 
 def test_verify_fails_checks_with_infinite_standard_errors(workdir, capsys):
@@ -581,5 +580,6 @@ def test_verify_gates_residuals_on_solver_tolerance(workdir):
     assert run(workdir, "verify", "--config", str(workdir / "tight.json"),
                "--out", str(out)) == 2
     rows = {r["invariant"]: r for r in json.loads((out / "verify_report.json").read_text())}
-    assert rows["backward_residuals"]["status"] == "FAIL"
-    assert "tol=1e-300" in rows["backward_residuals"]["detail"]
+    for name in ("backward_residuals", "hjb_residual"):
+        assert rows[name]["status"] == "FAIL"
+        assert "tol=1e-300" in rows[name]["detail"]

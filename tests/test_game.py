@@ -13,9 +13,10 @@ from benchkelly.game import (
 )
 from benchkelly.model import ModelSpec, validate_model
 from benchkelly.policy import optimal_gamma, optimal_h
-from benchkelly.valuefn import solve_value_coefficients, value_function
+from benchkelly.valuefn import _SegmentTerms, solve_value_coefficients, value_function
 
-from conftest import make_random_spec, make_scalar_spec
+from conftest import (make_random_spec, make_scalar_spec, make_two_segment_spec,
+                      make_twofactor_spec)
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +203,28 @@ def test_twostep_tilt_generates_quadratic_gradient_term(scalar_model, scalar_vc)
         at_zero = twostep_hamiltonian(scalar_model, theta, t, x, h, np.zeros(1), p, quad)
         expected = -0.5 * theta * float(p @ lam @ lam.T @ p)
         assert with_nu - at_zero == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("case", ["twofactor", "two-segment", "kelly"])
+def test_hamiltonian_is_the_assembled_time_derivative(case, twofactor_model, twofactor_vc):
+    # the closed-form Hamiltonian and the backward system are written apart:
+    # at grid nodes H / theta (-H at theta = 0) is the d/dt CE that
+    # _SegmentTerms.derivative assembles from (quad, lin, level)
+    if case == "twofactor":
+        vm, vc = twofactor_model, twofactor_vc
+    else:
+        spec = (make_two_segment_spec(np.random.default_rng(47), 3.7) if case == "two-segment"
+                else make_twofactor_spec(theta=0.0))
+        vm = validate_model(spec)
+        vc = solve_value_coefficients(vm, steps_per_year=252)
+    rng = np.random.default_rng(5)
+    # the knot node of the two-segment model, the first and last nodes included
+    nodes = np.linspace(0, len(vc.grid) - 1, 9).astype(int)
+    for j in nodes.tolist():
+        t = float(vc.grid[j])
+        d_quad, d_lin, d_level = _SegmentTerms(vm, t, vm.theta).derivative(vc.quad[j], vc.lin[j])
+        for x in rng.standard_normal((3, vm.n)):
+            d_ce = 0.5 * float(x @ d_quad @ x) + float(d_lin @ x) + d_level
+            ham, _ = hamiltonians(vm, vc, t, x)
+            rate = ham / vm.theta if vm.theta > 0 else -ham
+            assert abs(d_ce - rate) <= 1e-12 * (1.0 + abs(d_ce)), (case, t)

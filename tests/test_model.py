@@ -106,11 +106,13 @@ def test_gram_blocks_zero_benchmark_noise():
 
 
 def test_ss_inverse_against_numpy():
+    # the Cholesky solve applies (SS')^-1 to a vector and to a matrix
     rng = np.random.default_rng(3)
     spec = make_random_spec(rng, m=3, d=6, n=1)
     gram = validate_model(spec).gram_blocks(0.0)
-    assert np.abs(gram.ss_inv @ gram.ss - np.eye(3)).max() < 1e-10
-    assert np.abs(gram.ss_inv - np.linalg.inv(gram.ss)).max() < 1e-10
+    for rhs in (rng.standard_normal(3), rng.standard_normal((3, 4)), np.eye(3)):
+        assert np.abs(gram.ss_solve(rhs) - np.linalg.solve(gram.ss, rhs)).max() < 1e-10
+    assert np.abs(gram.ss @ gram.ss_solve(np.eye(3)) - np.eye(3)).max() < 1e-10
 
 
 def test_projection_hand_values_scalar():

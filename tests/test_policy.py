@@ -1,12 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchkelly.errors import ConfigError
-from benchkelly.model import CoefficientSet, ModelSpec, validate_model
+from benchkelly.model import ModelSpec, validate_model
 from benchkelly.policy import (
     ROUTES,
     benchmark_tracking,
@@ -18,7 +16,7 @@ from benchkelly.policy import (
 )
 from benchkelly.valuefn import solve_value_coefficients, value_function
 
-from conftest import make_random_spec, make_scalar_spec, make_twofactor_spec
+from conftest import make_random_spec, make_scalar_spec, make_two_segment_spec, make_twofactor_spec
 
 
 @pytest.fixture(scope="module")
@@ -165,19 +163,6 @@ def test_nu_zero_without_factor_noise():
     assert np.all(optimal_nu(vm, vc, 0.5, np.array([1.0])) == 0.0)
 
 
-def test_tilt_relation(solved_random):
-    for vm, vc, rng in solved_random:
-        for _ in range(50):
-            t = float(rng.uniform(0, vm.horizon))
-            x = rng.standard_normal(vm.n)
-            block = vm.coefficients(t)
-            h = optimal_h(vm, vc, t, x)
-            gamma = optimal_gamma(vm, vc, t, x)
-            nu = optimal_nu(vm, vc, t, x)
-            resid = gamma - nu + vm.theta * (block.asset_vol.T @ h - block.bench_vol)
-            assert np.abs(resid).max() <= 1e-12 * (1.0 + np.abs(gamma).max())
-
-
 def test_fractional_kelly_fields(scalar_model, scalar_vc):
     x = np.array([0.25])
     action = fractional_kelly(scalar_model, scalar_vc, 0.3, x)
@@ -248,7 +233,7 @@ def test_point_evaluators_are_one_row_batch_calls(theta, route):
         G = D[direct.value_tilt] - vm.theta * (D[direct.h] @ block.asset_vol - block.bench_vol)
         kelly = gain_table(vm, None, [t], "kelly")
         assert np.array_equal(optimal_h(vm, vc, t, x, route), C[table.h])
-        assert np.array_equal(optimal_nu(vm, vc, t, x), D[direct.nu])
+        assert np.array_equal(optimal_nu(vm, vc, t, x), D[direct.value_tilt])
         assert np.array_equal(optimal_gamma(vm, vc, t, x), G)
         action = fractional_kelly(vm, vc, t, x)
         assert np.array_equal(action.allocation, D[direct.h])
@@ -267,31 +252,22 @@ def test_batch_evaluators_match_pointwise(solved_random):
         kelly = gain_table(vm, None, [t], "kelly")
         K = kelly.controls(0, X)[:, kelly.h]
         block = vm.coefficients(t)
-        H, VT, NU = C[:, direct.h], C[:, direct.value_tilt], C[:, direct.nu]
+        H, VT = C[:, direct.h], C[:, direct.value_tilt]
         G = VT - vm.theta * (H @ block.asset_vol - block.bench_vol)
         for i, x in enumerate(X):
             assert np.abs(H[i] - optimal_h(vm, vc, t, x)).max() < 1e-13 * (1 + np.abs(H[i]).max())
             assert np.abs(H2[i] - optimal_h(vm, vc, t, x, "twostep")).max() < 1e-13 * (1 + np.abs(H[i]).max())
             assert np.abs(G[i] - optimal_gamma(vm, vc, t, x)).max() < 1e-12 * (1 + np.abs(G[i]).max())
-            assert np.abs(NU[i] - optimal_nu(vm, vc, t, x)).max() < 1e-13 * (1 + np.abs(NU[i]).max())
             lam_grad = vm.coefficients(t).factor_vol.T @ value_function(vc, t, x).gradient
             assert np.abs(VT[i] - lam_grad).max() < 1e-13 * (1 + np.abs(VT[i]).max())
             assert np.abs(K[i] - fractional_kelly(vm, vc, t, x).kelly).max() < 1e-13 * (1 + np.abs(K[i]).max())
-
-
-def _two_segment_spec(rng, theta):
-    """A random model whose coefficients change at mid-horizon."""
-    first = make_random_spec(rng, theta=theta, n=3, m=2, d=4)
-    second = make_random_spec(rng, theta=theta, n=3, m=2, d=4)
-    return dataclasses.replace(first, coeffs=CoefficientSet(
-        knots=np.array([0.0, 0.5]), blocks=(first.coeffs.blocks[0], second.coeffs.blocks[0])))
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 3.7])
 def test_gain_table_rows_are_the_closed_form_controls(theta):
     # each row, at states x, is the closed form built from ce = quad x + lin
     rng = np.random.default_rng(47)
-    vm = validate_model(_two_segment_spec(rng, theta))
+    vm = validate_model(make_two_segment_spec(rng, theta))
     vc = solve_value_coefficients(vm, steps_per_year=252)
     times = np.sort(rng.uniform(0, vm.horizon, 9))
     X = rng.standard_normal((5, vm.n))
@@ -317,7 +293,6 @@ def test_gain_table_rows_are_the_closed_form_controls(theta):
                 assert close(row[table.h], h)
                 if theta > 0.0:
                     assert close(row[table.value_tilt], tilt)
-                    assert close(row[table.nu], tilt)
 
 
 @pytest.mark.parametrize("weights", [None, np.array([0.7, 0.3])], ids=["tracking", "fixed"])
@@ -326,7 +301,7 @@ def test_gain_table_benchmark_rows(weights):
     # the offset benchmark_tracking (or the fixed weights); its tilt columns
     # are the Kelly table's
     rng = np.random.default_rng(47)
-    vm = validate_model(_two_segment_spec(rng, 1.5))
+    vm = validate_model(make_two_segment_spec(rng, 1.5))
     vc = solve_value_coefficients(vm, steps_per_year=252)
     times = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
     # the first time of each row's segment (the knot is at 0.5)
@@ -339,10 +314,9 @@ def test_gain_table_benchmark_rows(weights):
         assert bench.offset[j, bench.h].tobytes() == expected.tobytes()
     if weights is None:  # the segments' tracking portfolios differ
         assert not np.array_equal(bench.offset[0, bench.h], bench.offset[-1, bench.h])
-    for name in ("value_tilt", "nu"):
-        cols_b, cols_k = getattr(bench, name), getattr(kelly, name)
-        assert bench.gain[:, :, cols_b].tobytes() == kelly.gain[:, :, cols_k].tobytes()
-        assert bench.offset[:, cols_b].tobytes() == kelly.offset[:, cols_k].tobytes()
+    cols_b, cols_k = bench.value_tilt, kelly.value_tilt
+    assert bench.gain[:, :, cols_b].tobytes() == kelly.gain[:, :, cols_k].tobytes()
+    assert bench.offset[:, cols_b].tobytes() == kelly.offset[:, cols_k].tobytes()
     # without coefficients the table carries the allocation alone
     assert gain_table(vm, None, times, "benchmark", bench_weights=weights).gain.shape[-1] == vm.m
 

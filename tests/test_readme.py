@@ -1,10 +1,10 @@
-"""The README's two reference tables name exactly what the code accepts."""
+"""The README's reference tables name exactly what the code accepts and reports."""
 
 import dataclasses
 import re
 from pathlib import Path
 
-from benchkelly import cli
+from benchkelly import cli, verify
 from benchkelly.simulate import SimConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -39,3 +39,11 @@ def test_readme_config_table_names_every_block_and_key():
         documented += [(block, key) for key in _names(row[1])]
     assert sorted(documented) == sorted(
         (block, key) for block, keys in cli._CONFIG.items() for key in keys)
+
+
+def test_readme_verify_table_names_every_row_in_order(scalar_model, scalar_vc):
+    documented = [name for row in _table("| invariant | what it checks | tolerance |")
+                  for name in _names(row[0])]
+    rows = verify.run(scalar_model, scalar_vc, 7, probes=10, sim_paths=10, lattice_times=1,
+                      lattice_states=1, residual_tol=1e-3)
+    assert documented == [row["invariant"] for row in rows]

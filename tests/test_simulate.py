@@ -184,11 +184,6 @@ def test_pathwise_density_factorization(scalar_bundle):
     assert gap < 1e-10
 
 
-def test_link_density_two_forms_agree(scalar_bundle):
-    gap = np.abs(scalar_bundle.log_density_link - scalar_bundle.log_density_link_alt).max()
-    assert gap < 1e-10
-
-
 def test_factorization_under_tilted_measures(scalar_model, scalar_vc):
     for measure in ("tilted_gamma", "tilted_h"):
         bundle = simulate_paths(
@@ -450,7 +445,7 @@ def test_optimal_strategy_is_the_policy_module(twofactor_model, twofactor_vc, me
     optimal = simulate_paths(vm, vc, SimConfig(strategy="optimal", **base))
     custom = simulate_paths(vm, vc, SimConfig(strategy=policy, custom_tilt=tilt, **base))
     for name in ("states", "log_excess", "log_density_tilt", "log_density_alloc",
-                 "log_density_link", "log_density_link_alt", "tilt_sq_integral"):
+                 "log_density_link", "tilt_sq_integral"):
         assert getattr(optimal, name).tobytes() == getattr(custom, name).tobytes(), name
 
 
@@ -550,8 +545,8 @@ def test_theta_zero_densities_trivial():
 
 
 _BUNDLE_ARRAYS = ("terminal_state", "terminal_log_excess", "log_density_tilt",
-                  "log_density_alloc", "log_density_link", "log_density_link_alt",
-                  "tilt_sq_integral", "states", "log_excess")
+                  "log_density_alloc", "log_density_link", "tilt_sq_integral",
+                  "states", "log_excess")
 
 
 @pytest.fixture(scope="module")
@@ -605,10 +600,11 @@ def test_each_lane_is_its_solo_run(monkeypatch, solved_wide, antithetic):
         bundle = by_cfg[id(cfg)]
         assert bundle.states is None and bundle.log_excess is not None
         assert bundle.log_density_tilt is None and bundle.tilt_sq_integral is None
-    # a lane's gain table carries only the columns it reads
+    # a lane's gain table carries only the columns it reads: a density lane
+    # m allocation and d tilt columns
     assert widths[id(optimal_paths)] == vm.m
     assert widths[id(benchmark_paths)] == vm.m
-    assert widths[id(cfgs[0])] == vm.m + 2 * vm.d
+    assert widths[id(cfgs[0])] == vm.m + vm.d
     # without densities a tilted_gamma lane still samples under its drift gamma
     tilted_all = by_cfg[id(cfgs[len(strategies)])]
     assert tilted_all.config.measure == "tilted_gamma"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -13,7 +15,8 @@ from benchkelly.valuefn import (
     value_function,
 )
 
-from conftest import make_random_spec, make_scalar_spec, make_twofactor_spec
+from conftest import (make_random_spec, make_scalar_spec, make_two_segment_spec,
+                      make_twofactor_spec)
 from rk4_reference import solve_rk4
 
 
@@ -124,6 +127,75 @@ def test_between_node_interpolation_is_linear(scalar_vc):
     q_mid, l_mid, k_mid = scalar_vc.at(mid)
     assert np.allclose(q_mid, 0.5 * (scalar_vc.quad[10] + scalar_vc.quad[11]), rtol=1e-15)
     assert k_mid == pytest.approx(0.5 * (scalar_vc.level[10] + scalar_vc.level[11]), rel=1e-15)
+
+
+def _read_reference(vc, t):
+    """The scalar read that at_times replaced: the bracketing nodes and
+    weight, and a node's own values at weight 0 or 1."""
+    t = min(max(t, 0.0), vc.horizon)
+    j = min(max(int(np.searchsorted(vc.grid, t, side="right")) - 1, 0), len(vc.grid) - 2)
+    w = (t - vc.grid[j]) / (vc.grid[j + 1] - vc.grid[j])
+    if w in (0.0, 1.0):
+        k = j + int(w)
+        return vc.quad[k], vc.lin[k], float(vc.level[k])
+    return ((1.0 - w) * vc.quad[j] + w * vc.quad[j + 1],
+            (1.0 - w) * vc.lin[j] + w * vc.lin[j + 1],
+            float((1.0 - w) * vc.level[j] + w * vc.level[j + 1]))
+
+
+def test_array_read_is_at_row_by_row():
+    # at node times (w = 0), off the nodes and at the horizon, each row is
+    # at(t) and the scalar reference, bit for bit
+    rng = np.random.default_rng(29)
+    vm = validate_model(make_random_spec(rng, theta=1.5, n=3, m=2, d=4))
+    vc = solve_value_coefficients(vm, steps_per_year=252)
+    grid = vc.grid
+    nodes = [0, 1, 7, 126, len(grid) - 1]
+    times = np.concatenate([grid[nodes], 0.5 * (grid[[3, 50]] + grid[[4, 51]]),
+                            rng.uniform(0.0, vc.horizon, 5)])
+    quad, lin, level = vc.at_times(times)
+    for k, t in enumerate(times.tolist()):
+        for q, v, c in (vc.at(t), _read_reference(vc, t)):
+            assert quad[k].tobytes() == q.tobytes()
+            assert lin[k].tobytes() == v.tobytes()
+            assert level[k].tobytes() == np.float64(c).tobytes()
+    # a zero coefficient keeps its sign at a node
+    signed = dataclasses.replace(vc, lin=np.where(np.arange(len(grid))[:, None] % 2, -0.0, vc.lin))
+    assert signed.at_times(grid[[1, 3]])[1].tobytes() == signed.lin[[1, 3]].tobytes()
+    with pytest.raises(TimeOutOfRange):
+        vc.at_times([0.5, vc.horizon + 0.1])
+
+
+def _stencil_node(grid, knots, t):
+    """The node of the scalar search that centered_rates replaced: the
+    nearest interior node, moved until no knot lies inside its stencil."""
+    starting = np.searchsorted(knots, grid, side="right") - 1
+    ending = np.maximum(np.searchsorted(knots, grid, side="left") - 1, 0)
+    j = min(max(int(np.argmin(np.abs(grid - t))), 1), len(grid) - 2)
+    for _ in range(2):
+        if starting[j - 1] != ending[j + 1]:
+            j = min(max(j + 1 if starting[j] == ending[j + 1] else j - 1, 1), len(grid) - 2)
+    return j
+
+
+@pytest.mark.parametrize("steps_per_year", [7, 252])
+def test_centered_rates_take_the_nodes_of_the_scalar_search(steps_per_year):
+    # at 7 steps a year the knot at 0.5 falls between nodes and moves stencils
+    rng = np.random.default_rng(13)
+    vm = validate_model(make_two_segment_spec(rng, 1.5))
+    vc = solve_value_coefficients(vm, steps_per_year=steps_per_year)
+    grid = vc.grid
+    times = np.concatenate([rng.uniform(0.0, 1.0, 200), grid, 0.5 * (grid[1:] + grid[:-1]),
+                            [0.5 - 1e-15, 0.5, 0.5 + 1e-15]])
+    times = times[(grid[0] < times) & (times < grid[-1])]
+    nodes, d_quad, d_lin, d_level = valuefn.centered_rates(vc, vm, times)
+    assert nodes.tolist() == [_stencil_node(grid, vm.spec.coeffs.knots, t)
+                              for t in times.tolist()]
+    for j, dq, dl, dc in zip(nodes.tolist(), d_quad, d_lin, d_level):
+        dt = grid[j + 1] - grid[j - 1]
+        assert dq.tobytes() == ((vc.quad[j + 1] - vc.quad[j - 1]) / dt).tobytes()
+        assert dl.tobytes() == ((vc.lin[j + 1] - vc.lin[j - 1]) / dt).tobytes()
+        assert dc == (vc.level[j + 1] - vc.level[j - 1]) / dt
 
 
 def test_time_out_of_range(scalar_vc):

@@ -2,9 +2,9 @@ from benchkelly import verify
 
 ROWS = (
     "projection_inverse", "projection_idempotent", "terminal_condition", "quad_symmetry",
-    "quad_psd", "backward_residuals", "policy_decompositions", "policy_route_equality",
-    "policy_affine", "saddle_probes", "isaacs_gap", "density_factorization",
-    "measure_equality", "martingale_tilt", "martingale_alloc", "kl_dual_estimators",
+    "quad_psd", "backward_residuals", "hjb_residual", "policy_decompositions",
+    "policy_route_equality", "policy_affine", "saddle_probes", "isaacs_gap",
+    "density_factorization", "martingale_tilt", "martingale_alloc", "kl_dual_estimators",
 )
 
 
