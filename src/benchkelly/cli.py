@@ -280,8 +280,8 @@ def cmd_estimate(config: dict, out: OutputWriter, args) -> int:
 
 def cmd_solve(config: dict, out: OutputWriter, args) -> int:
     vc = _solve(config, build_model(config)[0])
-    valuefn.save_coefficients(vc, out.outdir / "value_coefficients.json")
-    out.record("value_coefficients.json")
+    valuefn.save_coefficients(vc, out.outdir / "value_coefficients.bin")
+    out.record("value_coefficients.bin")
 
     min_eig = vc.solver_meta["min_eigenvalue"]
     summary = {key: vc.solver_meta[key] for key in (

@@ -155,6 +155,12 @@ def _ball_samples(rng, count: int, dim: int, radius: float) -> np.ndarray:
     return z / norms * radii[:, None]
 
 
+def _within(step: np.ndarray, radius: float) -> np.ndarray:
+    """The step, scaled down to the given length if it is longer."""
+    norm = float(np.linalg.norm(step))
+    return step * (radius / norm) if norm > radius else step
+
+
 def saddle_check(
     model: ValidatedModel,
     vc: ValueCoefficients,
@@ -169,7 +175,8 @@ def saddle_check(
 
     Perturbing the allocation away from the candidate must not decrease the
     bracket; perturbing the tilt must not increase it.  Perturbations are
-    uniform in balls of the given radius (default 0.5*(1+|h|)).  Raises
+    uniform in balls of the given radius (default 0.5*(1+|h|)), plus one
+    exact probe per side, the Newton step of that side's quadratic.  Raises
     SaddleViolation when the worst violation exceeds
     SADDLE_RTOL*(1+|center|).  h_center overrides the allocation center (a
     non-candidate center must fail; used as a negative control).
@@ -189,12 +196,20 @@ def saddle_check(
     if radius is None:
         radius = 0.5 * (1.0 + float(np.linalg.norm(h_hat)))
 
-    rng = np.random.default_rng(seed)
-    dh = _ball_samples(rng, probes, model.m, radius)
-    dg = _ball_samples(rng, probes, model.d, radius)
-
     # Vectorized bracket differences; only control-dependent payoff terms move.
     a_vec = block.asset_drift + block.asset_factor_loading @ x
+    lam_grad = controls[table.value_tilt]
+    track = h_hat @ block.asset_vol - block.bench_vol
+
+    # Each side's last probe is the Newton step of its own quadratic from the
+    # centre, -(theta SS')^-1 grad for h and grad for gamma (Hessian -I),
+    # shortened to the radius: it finds a centre off the extremum where
+    # random probes in many dimensions miss the descent side.
+    rng = np.random.default_rng(seed)
+    newton_h = gram.ss_solve(a_vec + block.asset_vol @ g_hat) - h_hat
+    newton_g = lam_grad - theta * track - g_hat
+    dh = np.vstack([_ball_samples(rng, probes, model.m, radius), _within(newton_h, radius)])
+    dg = np.vstack([_ball_samples(rng, probes, model.d, radius), _within(newton_g, radius)])
 
     # h perturbation at fixed candidate tilt: delta_BI must be >= 0.
     H = h_hat + dh
@@ -207,8 +222,6 @@ def saddle_check(
 
     # gamma perturbation at fixed candidate allocation: delta_BI must be <= 0.
     G = g_hat + dg
-    lam_grad = controls[table.value_tilt]
-    track = h_hat @ block.asset_vol - block.bench_vol
     bi_g = G @ lam_grad - theta * (G @ track) - 0.5 * np.einsum("ij,ij->i", G, G)
     center_g = float(
         g_hat @ lam_grad - theta * (g_hat @ track) - 0.5 * g_hat @ g_hat

@@ -27,6 +27,7 @@ is O(step^4).
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -35,7 +36,8 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.linalg.lapack import dgesv
 
-from .errors import BlowUp, EigenvalueViolation, TimeOutOfRange
+from .errors import (BlowUp, ConfigError, EigenvalueViolation, ParseError,
+                     TimeOutOfRange)
 from .model import ValidatedModel
 
 BLOWUP_NORM = 1e12
@@ -78,9 +80,21 @@ class ValueCoefficients:
         )
 
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """(quad, lin, level) at time t: the one-row case of at_times."""
-        quad, lin, level = self.at_times(t)
-        return quad[0], lin[0], float(level[0])
+        """(quad, lin, level) at time t, bit for bit the row at_times returns:
+        its arithmetic on one Python float, without its array set-up."""
+        t = float(t)
+        grid = self.grid
+        T = float(grid[-1])
+        if not -1e-12 <= t <= T + max(1e-12 * T, 1e-15):
+            raise TimeOutOfRange(f"time {t:g} outside value grid [0, {T:g}]")
+        t = min(max(t, 0.0), T)
+        j = min(max(int(np.searchsorted(grid, t, side="right")) - 1, 0), len(grid) - 2)
+        start = float(grid[j])
+        w = (t - start) / (float(grid[j + 1]) - start)
+        j0, j1 = j + (w == 1.0), j + (w > 0.0)
+        return ((1.0 - w) * self.quad[j0] + w * self.quad[j1],
+                (1.0 - w) * self.lin[j0] + w * self.lin[j1],
+                (1.0 - w) * float(self.level[j0]) + w * float(self.level[j1]))
 
 
 @dataclass(frozen=True)
@@ -378,41 +392,63 @@ def riccati_residual(vc: ValueCoefficients, model: ValidatedModel, times) -> Res
 
 
 # ---------------------------------------------------------------------------
-# Dump/load: JSON with the grid, per-node row-major flattened quad, lin and
-# level arrays.  Python's shortest-repr float serialization makes the round
-# trip lossless at full double precision.
+# Dump/load: a little-endian binary file.  The magic "BKVALUE1"; three u64
+# fields: the node count, n and the byte length of a JSON block; the JSON
+# block {"solver_meta", "theta"} with sorted keys; then float64 arrays: the
+# grid, the upper triangle of quad row-major per node, lin and level.  The
+# solver symmetrizes quad exactly, so the triangle loses nothing and the
+# loader mirrors it.
 # ---------------------------------------------------------------------------
 
-def coefficients_to_dict(vc: ValueCoefficients) -> dict:
-    n = vc.quad.shape[1]
-    return {
-        "grid": vc.grid.tolist(),
-        "n": n,
-        "theta": vc.theta,
-        "quad": [node.reshape(-1).tolist() for node in vc.quad],
-        "lin": vc.lin.tolist(),
-        "level": vc.level.tolist(),
-        "solver_meta": vc.solver_meta,
-    }
-
-
-def coefficients_from_dict(data: dict) -> ValueCoefficients:
-    n = int(data["n"])
-    grid = np.asarray(data["grid"], dtype=float)
-    quad = np.asarray(data["quad"], dtype=float).reshape(len(grid), n, n)
-    return ValueCoefficients(
-        grid=grid,
-        quad=quad,
-        lin=np.asarray(data["lin"], dtype=float).reshape(len(grid), n),
-        level=np.asarray(data["level"], dtype=float),
-        theta=float(data["theta"]),
-        solver_meta=dict(data.get("solver_meta", {})),
-    )
+_VALUE_MAGIC = b"BKVALUE1"
+_VALUE_HEADER = struct.Struct("<8sQQQ")
 
 
 def save_coefficients(vc: ValueCoefficients, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(coefficients_to_dict(vc), sort_keys=True) + "\n")
+    nodes, n, _ = vc.quad.shape
+    if not np.array_equal(vc.quad, vc.quad.transpose(0, 2, 1)):
+        raise ValueError("quad is not exactly symmetric; the file keeps only its upper triangle")
+    meta = json.dumps({"solver_meta": vc.solver_meta, "theta": vc.theta},
+                      sort_keys=True).encode()
+    rows, cols = np.triu_indices(n)
+    with open(path, "wb") as fh:
+        fh.write(_VALUE_HEADER.pack(_VALUE_MAGIC, nodes, n, len(meta)))
+        fh.write(meta)
+        for values in (vc.grid, vc.quad[:, rows, cols], vc.lin, vc.level):
+            fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
 def load_coefficients(path: str | Path) -> ValueCoefficients:
-    return coefficients_from_dict(json.loads(Path(path).read_text()))
+    """The coefficients save_coefficients wrote.  Raises ConfigError on a file
+    of another kind (bad magic) and ParseError on one whose size differs
+    from its header's, whose JSON block does not parse or that holds a
+    non-finite value."""
+    raw = Path(path).read_bytes()
+    if raw[:8] != _VALUE_MAGIC:
+        raise ConfigError(f"{path} is not a value-coefficient file (bad magic)")
+    if len(raw) < _VALUE_HEADER.size:
+        raise ParseError(f"{path} is truncated inside its {_VALUE_HEADER.size}-byte header")
+    _, nodes, n, meta_len = _VALUE_HEADER.unpack_from(raw)
+    counts = (nodes, nodes * (n * (n + 1) // 2), nodes * n, nodes)
+    size = _VALUE_HEADER.size + meta_len + 8 * sum(counts)
+    if len(raw) != size:
+        raise ParseError(f"{path} holds {len(raw)} bytes, its header promises {size}")
+    if nodes < 2 or n < 1:
+        raise ParseError(f"{path} has {nodes} grid nodes and n = {n}; "
+                         "a value grid needs two nodes and one factor")
+    try:
+        meta = json.loads(raw[_VALUE_HEADER.size:_VALUE_HEADER.size + meta_len])
+        theta, solver_meta = float(meta["theta"]), dict(meta["solver_meta"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: unreadable JSON block ({exc})") from None
+    values = np.frombuffer(raw, dtype="<f8", offset=_VALUE_HEADER.size + meta_len)
+    if not (np.isfinite(values).all() and np.isfinite(theta)):
+        raise ParseError(f"{path} holds a non-finite value")
+    grid, upper, lin, level = np.split(values.astype(float), np.cumsum(counts)[:-1])
+    upper = upper.reshape(nodes, -1)
+    rows, cols = np.triu_indices(n)
+    quad = np.empty((nodes, n, n))
+    quad[:, rows, cols] = upper
+    quad[:, cols, rows] = upper
+    return ValueCoefficients(grid=grid, quad=quad, lin=lin.reshape(nodes, n), level=level,
+                             theta=theta, solver_meta=solver_meta)

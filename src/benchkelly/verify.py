@@ -4,7 +4,7 @@
 quadratic coefficient and the backward equations; then, in one pass over a
 (t, x) lattice, the solve against the game's Bellman-Isaacs equation and the
 policy and game identities; and last the change-of-measure identities on a
-small shared-seed simulation.  Each check is one row
+small shared-seed simulation of two lanes.  Each check is one row
 (invariant, status, detail) with status PASS, FAIL or SKIP.
 """
 
@@ -146,14 +146,16 @@ def run(model: ValidatedModel, vc: valuefn.ValueCoefficients, seed: int, *, prob
     base = dict(strategy="optimal", n_paths=sim_paths, steps=sim_steps,
                 dt=min(1.0 / 252.0, T / sim_steps), seed=derive_seed(seed, "verify-sim"),
                 keep=("densities",))
-    bundle = sim_mod.simulate_paths(model, vc, sim_mod.SimConfig(**base))
+    # the physical and the tilted run share the seed, so as two lanes they
+    # draw each path block's noise once
+    bundle, tilted = sim_mod.simulate_lanes(model, vc, [
+        sim_mod.SimConfig(**base), sim_mod.SimConfig(measure="tilted_gamma", **base)])
     fact_gap = float(np.abs(bundle.log_density_tilt
                             - (bundle.log_density_alloc + bundle.log_density_link)).max())
     add("density_factorization", fact_gap < 1e-10, f"max pathwise gap = {fact_gap:.2e}")
     for which in ("tilt", "alloc"):
         chk = sim_mod.martingale_check(bundle, which)
         add(f"martingale_{which}", chk.ok, f"mean = {chk.mean:.6f} (se {chk.std_error:.2e})")
-    tilted = sim_mod.simulate_paths(model, vc, sim_mod.SimConfig(measure="tilted_gamma", **base))
     kl = sim_mod.kl_estimate(tilted)
     add("kl_dual_estimators", kl.consistent,
         f"log-density {kl.from_log_density:.5f} vs tilt-norm {kl.from_tilt_norm:.5f}")

@@ -8,6 +8,7 @@ from benchkelly import model as model_mod
 from benchkelly.cli import main
 from benchkelly.estimate import save_panel, synthesize_panel
 from benchkelly.model import validate_model
+from benchkelly.valuefn import load_coefficients
 
 from conftest import make_random_spec, make_scalar_spec
 
@@ -70,11 +71,11 @@ def test_solve_writes_artifacts(workdir):
     out = workdir / "solved"
     code = run(workdir, "solve", "--config", str(workdir / "config.json"), "--out", str(out))
     assert code == 0
-    assert (out / "value_coefficients.json").exists()
+    load_coefficients(out / "value_coefficients.bin")
     summary = json.loads((out / "solve_summary.json").read_text())
     assert summary["residual_quad"] < 1e-3
     manifest = json.loads((out / "manifest.json").read_text())
-    assert "value_coefficients.json" in manifest and "solve_summary.json" in manifest
+    assert "value_coefficients.bin" in manifest and "solve_summary.json" in manifest
 
 
 def test_solve_zero_loading_model(tmp_path):
@@ -86,9 +87,9 @@ def test_solve_zero_loading_model(tmp_path):
     }))
     out = tmp_path / "o"
     assert run(tmp_path, "solve", "--config", str(tmp_path / "c.json"), "--out", str(out)) == 0
-    data = json.loads((out / "value_coefficients.json").read_text())
-    assert all(v == 0.0 for node in data["quad"] for v in node)
-    assert all(v == 0.0 for row in data["lin"] for v in row)
+    vc = load_coefficients(out / "value_coefficients.bin")
+    assert np.all(vc.quad == 0.0)
+    assert np.all(vc.lin == 0.0)
 
 
 def test_policy_output(workdir, capsys):

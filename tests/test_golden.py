@@ -16,7 +16,7 @@ from benchkelly.cli import main
 from conftest import make_twofactor_spec
 
 GOLDEN = {
-    "value_coefficients.json": "5a550b9668f31666bffa6f1c4809e2be5d7ce9ee4efc37aafad83868a945b5e7",
+    "value_coefficients.bin": "739d497fb1f1800435424767435afaca3eb4e9d902630b1fd2ecb9e691abc952",
     "terminals.csv": "8037e175f146f329ce23392f5de4ac37aa7782437f57302349f2381ed0910b8c",
     "policy.json": "783da7a829cabafbd2935225276f8f702332c9bece504c85b4668e3ff13f2c7e",
 }
@@ -40,7 +40,7 @@ def _digest(path):
 
 
 @pytest.mark.parametrize("command, artifact", [
-    ("solve", "value_coefficients.json"),
+    ("solve", "value_coefficients.bin"),
     ("simulate", "terminals.csv"),
     ("policy", "policy.json"),
 ])

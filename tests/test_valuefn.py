@@ -1,11 +1,13 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from benchkelly import valuefn
-from benchkelly.errors import BlowUp, EigenvalueViolation, TimeOutOfRange
+from benchkelly.errors import (BlowUp, ConfigError, EigenvalueViolation, ParseError,
+                               TimeOutOfRange)
 from benchkelly.model import ModelSpec, validate_model
 from benchkelly.valuefn import (
     load_coefficients,
@@ -164,6 +166,33 @@ def test_array_read_is_at_row_by_row():
     assert signed.at_times(grid[[1, 3]])[1].tobytes() == signed.lin[[1, 3]].tobytes()
     with pytest.raises(TimeOutOfRange):
         vc.at_times([0.5, vc.horizon + 0.1])
+
+
+def test_point_read_is_the_array_read_bit_for_bit():
+    # nodes, midpoints, 0, T and the +-1e-12 edges of the accepted range
+    rng = np.random.default_rng(30)
+    vm = validate_model(make_random_spec(rng, theta=1.5, n=3, m=2, d=4))
+    vc = solve_value_coefficients(vm, steps_per_year=252)
+    grid, T = vc.grid, vc.horizon
+    # a zero coefficient at every other node, of either sign: a node brackets
+    # itself alone, so no 0 * x flips the sign of a zero
+    odd = np.arange(len(grid)) % 2 == 1
+    vc = dataclasses.replace(vc, lin=np.where(odd[:, None], -0.0, vc.lin),
+                             level=np.where(odd, -0.0, vc.level))
+    times = [0.0, -0.0, -1e-12, 1e-12, T, T - 1e-12, T + 1e-12, float(grid[1]),
+             float(grid[3]), float(grid[126]), 0.5 * (grid[3] + grid[4]),
+             0.5 * (grid[50] + grid[51]), *rng.uniform(0.0, T, 5).tolist()]
+    quad, lin, level = vc.at_times(times)
+    for k, t in enumerate(times):
+        q, v, c = vc.at(t)
+        assert q.tobytes() == quad[k].tobytes()
+        assert v.tobytes() == lin[k].tobytes()
+        assert type(c) is float and np.float64(c).tobytes() == level[k].tobytes()
+    assert np.signbit(vc.at(float(grid[3]))[1]).all()
+    assert np.signbit(vc.at(float(grid[3]))[2])
+    for t in (-1.1e-12, T + 1e-11, float("nan")):
+        with pytest.raises(TimeOutOfRange):
+            vc.at(t)
 
 
 def _stencil_node(grid, knots, t):
@@ -357,18 +386,93 @@ def test_psd_loss_detected(monkeypatch, scalar_model):
 
 
 def test_dump_load_round_trip(tmp_path, scalar_vc):
-    path = tmp_path / "vc.json"
-    save_coefficients(scalar_vc, path)
-    loaded = load_coefficients(path)
-    assert np.array_equal(loaded.grid, scalar_vc.grid)
-    assert np.array_equal(loaded.quad, scalar_vc.quad)
-    assert np.array_equal(loaded.lin, scalar_vc.lin)
-    assert np.array_equal(loaded.level, scalar_vc.level)
-    assert loaded.theta == scalar_vc.theta
-    # serialized text itself is reproducible
-    text1 = path.read_text()
-    save_coefficients(loaded, path)
-    assert path.read_text() == text1
+    rng = np.random.default_rng(31)
+    wide = solve_value_coefficients(
+        validate_model(make_random_spec(rng, theta=1.5, n=4, m=3, d=5)), steps_per_year=252)
+    for vc in (scalar_vc, wide):
+        path = tmp_path / "vc.bin"
+        save_coefficients(vc, path)
+        loaded = load_coefficients(path)
+        for name in ("grid", "quad", "lin", "level"):
+            assert getattr(loaded, name).tobytes() == getattr(vc, name).tobytes()
+        assert loaded.quad.shape == vc.quad.shape and loaded.lin.shape == vc.lin.shape
+        assert loaded.theta == vc.theta
+        assert loaded.solver_meta == vc.solver_meta
+        # the file itself is reproducible
+        data = path.read_bytes()
+        save_coefficients(loaded, path)
+        assert path.read_bytes() == data
+
+
+def test_save_refuses_an_asymmetric_quad(tmp_path):
+    rng = np.random.default_rng(32)
+    vc = solve_value_coefficients(
+        validate_model(make_random_spec(rng, theta=1.0, n=2, m=2, d=3)), steps_per_year=52)
+    skewed = vc.quad.copy()
+    skewed[3, 0, 1] += 1e-12
+    with pytest.raises(ValueError, match="symmetric"):
+        save_coefficients(dataclasses.replace(vc, quad=skewed), tmp_path / "vc.bin")
+
+
+def _saved(tmp_path, vc):
+    path = tmp_path / "vc.bin"
+    save_coefficients(vc, path)
+    return path, path.read_bytes()
+
+
+def test_load_rejects_bad_magic(tmp_path, scalar_vc):
+    path, data = _saved(tmp_path, scalar_vc)
+    path.write_bytes(b"BKPATHS1" + data[8:])
+    with pytest.raises(ConfigError, match="bad magic"):
+        load_coefficients(path)
+    path.write_text('{"grid": [0.0, 1.0]}\n')
+    with pytest.raises(ConfigError, match="bad magic"):
+        load_coefficients(path)
+
+
+@pytest.mark.parametrize("cut", [12, 31, 40, -8, -1])
+def test_load_rejects_a_truncated_file(tmp_path, scalar_vc, cut):
+    # inside the 32-byte header, inside the JSON block and inside the arrays
+    path, data = _saved(tmp_path, scalar_vc)
+    path.write_bytes(data[:cut])
+    with pytest.raises(ParseError, match="truncated|promises"):
+        load_coefficients(path)
+
+
+def test_load_rejects_a_degenerate_grid(tmp_path):
+    # sizes that agree with the file but describe no value grid
+    path = tmp_path / "vc.bin"
+    for nodes, n in ((1, 1), (0, 0), (3, 0)):
+        meta = b'{"solver_meta": {}, "theta": 1.0}'
+        floats = nodes * (2 + n + n * (n + 1) // 2)
+        path.write_bytes(struct.pack("<8sQQQ", b"BKVALUE1", nodes, n, len(meta)) + meta
+                         + bytes(8 * floats))
+        with pytest.raises(ParseError, match="grid nodes"):
+            load_coefficients(path)
+
+
+def test_load_rejects_a_non_finite_value(tmp_path, scalar_vc):
+    path, data = _saved(tmp_path, scalar_vc)
+    for bad in (np.nan, np.inf):
+        # the last float64 is the level at the horizon
+        path.write_bytes(data[:-8] + np.float64(bad).astype("<f8").tobytes())
+        with pytest.raises(ParseError, match="non-finite"):
+            load_coefficients(path)
+    meta_len = int.from_bytes(data[24:32], "little")
+    meta = data[32:32 + meta_len].replace(b'"theta": 1.0', b'"theta": NaN')
+    path.write_bytes(data[:24] + len(meta).to_bytes(8, "little") + meta + data[32 + meta_len:])
+    with pytest.raises(ParseError, match="non-finite"):
+        load_coefficients(path)
+
+
+@pytest.mark.parametrize("block", [b"{not json", b"\xff\xfe\xfa", b"[1, 2]", b'{"theta": 1.0}'])
+def test_load_rejects_an_unreadable_json_block(tmp_path, scalar_vc, block):
+    path, data = _saved(tmp_path, scalar_vc)
+    meta_len = int.from_bytes(data[24:32], "little")
+    path.write_bytes(data[:24] + len(block).to_bytes(8, "little") + block
+                     + data[32 + meta_len:])
+    with pytest.raises(ParseError, match="JSON block"):
+        load_coefficients(path)
 
 
 def _two_segment_model():

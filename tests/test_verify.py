@@ -1,4 +1,11 @@
+import numpy as np
+
+from benchkelly import simulate as sim_mod
 from benchkelly import verify
+from benchkelly.model import validate_model
+from benchkelly.valuefn import solve_value_coefficients
+
+from conftest import make_random_spec
 
 ROWS = (
     "projection_inverse", "projection_idempotent", "terminal_condition", "quad_symmetry",
@@ -14,3 +21,55 @@ def test_run_checks_every_invariant_in_order(scalar_model, scalar_vc):
     assert tuple(r["invariant"] for r in rows) == ROWS
     assert [r for r in rows if r["status"] != "PASS"] == []
 
+
+
+def _rows(model, vc, **kwargs):
+    return {r["invariant"]: r for r in verify.run(
+        model, vc, 7, probes=200, sim_paths=200, lattice_times=2, lattice_states=2,
+        residual_tol=1e-3, **kwargs)}
+
+
+def test_saddle_negative_control_bites_with_many_assets():
+    # in m = 8 dimensions almost no random probe lands on the descent side
+    # of the shifted centre; the Newton probe of each side does
+    vm = validate_model(make_random_spec(np.random.default_rng(3), theta=1.5, n=3, m=8, d=10))
+    vc = solve_value_coefficients(vm, steps_per_year=252)
+    assert _rows(vm, vc)["saddle_probes"]["status"] == "PASS"
+    assert _rows(vm, vc, inject_corruption=True)["saddle_probes"]["status"] == "FAIL"
+
+
+def test_verify_draws_its_noise_once(monkeypatch, scalar_model, scalar_vc):
+    # several path blocks, so the count is per block and not per call
+    monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 64 * 252 * 8)
+    monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 64)
+    draws, lanes = [], []
+    block_noise, simulate_lanes = sim_mod._block_noise, sim_mod.simulate_lanes
+
+    def counted(*args):
+        draws.append(args[1])
+        return block_noise(*args)
+
+    def recorded(model, vc, cfgs):
+        bundles = simulate_lanes(model, vc, cfgs)
+        lanes.append((cfgs, bundles))
+        return bundles
+
+    monkeypatch.setattr(sim_mod, "_block_noise", counted)
+    monkeypatch.setattr(sim_mod, "simulate_lanes", recorded)
+    rows = verify.run(scalar_model, scalar_vc, 7, probes=20, sim_paths=400,
+                      lattice_times=1, lattice_states=1, residual_tol=1e-3)
+    assert all(r["status"] == "PASS" for r in rows)
+    (cfgs, bundles), = lanes
+    blocks = sim_mod._partition(400, cfgs[0].steps, scalar_model.d)
+    assert len(blocks) > 1
+    assert sorted(draws) == [first for first, _ in blocks]
+    # each lane is bit for bit its own simulate_paths run
+    assert [cfg.measure for cfg in cfgs] == ["physical", "tilted_gamma"]
+    monkeypatch.setattr(sim_mod, "_block_noise", block_noise)
+    for cfg, bundle in zip(cfgs, bundles):
+        solo = sim_mod.simulate_paths(scalar_model, scalar_vc, cfg)
+        for name, value in vars(solo).items():
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == getattr(bundle, name).tobytes(), name
+            else:
+                assert value == getattr(bundle, name), name
