@@ -31,7 +31,7 @@ class SaddleReport:
     center_value: float
     max_violation_h: float
     max_violation_gamma: float
-    probe_count: int
+    probe_count: int  # random probes per side; the Newton probe is not counted
 
     def passed(self) -> bool:
         tol = SADDLE_RTOL * (1.0 + abs(self.center_value))
@@ -176,7 +176,8 @@ def saddle_check(
     Perturbing the allocation away from the candidate must not decrease the
     bracket; perturbing the tilt must not increase it.  Perturbations are
     uniform in balls of the given radius (default 0.5*(1+|h|)), plus one
-    exact probe per side, the Newton step of that side's quadratic.  Raises
+    exact probe per side, the Newton step of that side's quadratic (not in
+    the report's probe_count, which counts the random ones).  Raises
     SaddleViolation when the worst violation exceeds
     SADDLE_RTOL*(1+|center|).  h_center overrides the allocation center (a
     non-candidate center must fail; used as a negative control).

@@ -80,21 +80,9 @@ class ValueCoefficients:
         )
 
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """(quad, lin, level) at time t, bit for bit the row at_times returns:
-        its arithmetic on one Python float, without its array set-up."""
-        t = float(t)
-        grid = self.grid
-        T = float(grid[-1])
-        if not -1e-12 <= t <= T + max(1e-12 * T, 1e-15):
-            raise TimeOutOfRange(f"time {t:g} outside value grid [0, {T:g}]")
-        t = min(max(t, 0.0), T)
-        j = min(max(int(np.searchsorted(grid, t, side="right")) - 1, 0), len(grid) - 2)
-        start = float(grid[j])
-        w = (t - start) / (float(grid[j + 1]) - start)
-        j0, j1 = j + (w == 1.0), j + (w > 0.0)
-        return ((1.0 - w) * self.quad[j0] + w * self.quad[j1],
-                (1.0 - w) * self.lin[j0] + w * self.lin[j1],
-                (1.0 - w) * float(self.level[j0]) + w * float(self.level[j1]))
+        """(quad, lin, level) at time t: the one-row case of at_times."""
+        quad, lin, level = self.at_times(t)
+        return quad[0], lin[0], float(level[0])
 
 
 @dataclass(frozen=True)

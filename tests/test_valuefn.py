@@ -168,33 +168,6 @@ def test_array_read_is_at_row_by_row():
         vc.at_times([0.5, vc.horizon + 0.1])
 
 
-def test_point_read_is_the_array_read_bit_for_bit():
-    # nodes, midpoints, 0, T and the +-1e-12 edges of the accepted range
-    rng = np.random.default_rng(30)
-    vm = validate_model(make_random_spec(rng, theta=1.5, n=3, m=2, d=4))
-    vc = solve_value_coefficients(vm, steps_per_year=252)
-    grid, T = vc.grid, vc.horizon
-    # a zero coefficient at every other node, of either sign: a node brackets
-    # itself alone, so no 0 * x flips the sign of a zero
-    odd = np.arange(len(grid)) % 2 == 1
-    vc = dataclasses.replace(vc, lin=np.where(odd[:, None], -0.0, vc.lin),
-                             level=np.where(odd, -0.0, vc.level))
-    times = [0.0, -0.0, -1e-12, 1e-12, T, T - 1e-12, T + 1e-12, float(grid[1]),
-             float(grid[3]), float(grid[126]), 0.5 * (grid[3] + grid[4]),
-             0.5 * (grid[50] + grid[51]), *rng.uniform(0.0, T, 5).tolist()]
-    quad, lin, level = vc.at_times(times)
-    for k, t in enumerate(times):
-        q, v, c = vc.at(t)
-        assert q.tobytes() == quad[k].tobytes()
-        assert v.tobytes() == lin[k].tobytes()
-        assert type(c) is float and np.float64(c).tobytes() == level[k].tobytes()
-    assert np.signbit(vc.at(float(grid[3]))[1]).all()
-    assert np.signbit(vc.at(float(grid[3]))[2])
-    for t in (-1.1e-12, T + 1e-11, float("nan")):
-        with pytest.raises(TimeOutOfRange):
-            vc.at(t)
-
-
 def _stencil_node(grid, knots, t):
     """The node of the scalar search that centered_rates replaced: the
     nearest interior node, moved until no knot lies inside its stencil."""
