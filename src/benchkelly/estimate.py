@@ -22,11 +22,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import date, timedelta
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     InsufficientData,
     NonMonotoneDates,
@@ -378,9 +380,6 @@ def estimate_model(
     return EstimationReport(model_spec=spec, drift=drift, loadings=loadings, rows=panel.rows)
 
 
-GRAM_KEYS = ("ss", "sl", "ll", "s_xi", "l_xi", "xi_xi")
-
-
 def gram_blocks_of_cov(cov: np.ndarray, m: int, n: int) -> dict[str, np.ndarray]:
     """The six Gram contractions read directly off the joint covariance."""
     return {
@@ -395,7 +394,7 @@ def gram_blocks_of_cov(cov: np.ndarray, m: int, n: int) -> dict[str, np.ndarray]
 
 def bootstrap_gram_se(
     panel: ReturnPanel,
-    block_len: int = 21,
+    block_len: float = 21,
     n_resamples: int = 500,
     seed: int = 0,
 ) -> dict[str, np.ndarray]:
@@ -405,27 +404,64 @@ def bootstrap_gram_se(
     Point estimates stay deterministic; each resample draws from its own
     (seed, index) stream, so resamples are order-independent and could run
     in parallel without changing the result.
+
+    A resample is a list of circular segments, so its covariance comes from
+    segment sums rather than its rows.  One (T+1, K) table, K = k + k(k+1)/2
+    for the k joint series, holds the prefix sums of the centred series and
+    of their centred upper-triangle products; a segment's sums are two table
+    rows apart, plus a third if it wraps.  The work per resample is
+    O(segments * K), about T * K / block_len, against O(T * k^2) for
+    gathering every row.  Short segments cost more than the rows they
+    replace.  Timed at k = 12, T = 5040 on one BLAS thread, gathering every
+    row is the cheaper way below block_len 4: 2-3 times at block_len 1 and
+    1.2-1.5 times at 3.  At 21, every caller's value, the segment sums are
+    about 3 times cheaper.
+
+    Raises ConfigError unless block_len is a finite number >= 1 and
+    n_resamples an integer >= 2.
     """
+    if not (isinstance(block_len, Real) and np.isfinite(block_len) and block_len >= 1):
+        raise ConfigError(f"block_len must be a finite number >= 1, got {block_len!r}")
+    if not isinstance(n_resamples, Integral) or n_resamples < 2:
+        raise ConfigError(f"n_resamples must be an integer >= 2, got {n_resamples!r}")
     z = _joint_increments(panel)
-    T = z.shape[0]
-    m, n = panel.m, panel.n
+    T, k = z.shape
+    upper = np.triu_indices(k)
+    # The series, then their products, are centred on their full-sample means:
+    # each column's prefix sums wander like sqrt(T) instead of growing like T,
+    # and the spread of the resampled covariances does not see either shift.
+    table = np.empty((T + 1, k + upper[0].size))
+    table[0] = 0.0
+    centred = table[1:, :k]
+    np.subtract(z, z.mean(axis=0), out=centred)
+    del z
+    col = k
+    for i in range(k):
+        np.multiply(centred[:, i : i + 1], centred[:, i:], out=table[1:, col : col + k - i])
+        col += k - i
+    table[1:, k:] -= table[1:, k:].mean(axis=0)
+    np.cumsum(table, axis=0, out=table)
+
     p = 1.0 / block_len
-    offsets = np.arange(T)
-    stats = {key: [] for key in GRAM_KEYS}
+    sums = np.empty((n_resamples, table.shape[1]))
     for r in range(n_resamples):
         rng = np.random.default_rng([seed, r])
         restart = rng.random(T) < p
         restart[0] = True
-        seg = np.cumsum(restart) - 1                   # segment id per row
         seg_start = np.flatnonzero(restart)            # row where each segment begins
         anchors = rng.integers(T, size=seg_start.size)  # uniform start per segment
-        idx = (anchors[seg] + offsets - seg_start[seg]) % T
-        zb = z[idx]
-        zb = zb - zb.mean(axis=0)
-        cov = (zb.T @ zb) / (T * panel.dt)
-        for key, value in gram_blocks_of_cov(cov, m, n).items():
-            stats[key].append(np.asarray(value, dtype=float))
-    return {key: np.std(np.stack(vals), axis=0, ddof=1) for key, vals in stats.items()}
+        ends = anchors + np.diff(seg_start, append=T)
+        wraps = ends[ends > T] - T
+        seg_sums = table[np.minimum(ends, T)]
+        seg_sums -= table[anchors]  # add up segment sums, not prefixes, to keep rounding small
+        sums[r] = seg_sums.sum(axis=0) + table[wraps].sum(axis=0)
+    mean = sums[:, :k] / T
+    # each resample's covariance less the full-sample one
+    excess = (sums[:, k:] - T * mean[:, upper[0]] * mean[:, upper[1]]) / (T * panel.dt)
+    se = np.empty((k, k))
+    se[upper] = np.std(excess, axis=0, ddof=1)
+    se.T[upper] = se[upper]
+    return gram_blocks_of_cov(se, panel.m, panel.n)
 
 
 def synthesize_panel(

@@ -80,24 +80,6 @@ def running_payoff_g1(model: ValidatedModel, theta, s, x, h) -> float:
     )
 
 
-def hamiltonian_F(model: ValidatedModel, theta, s, x, h, gamma, p) -> float:
-    """Control-dependent part of the Bellman-Isaacs Hamiltonian (scaled by theta)."""
-    _require_positive_theta(theta, "hamiltonian_F")
-    block = model.coefficients(s)
-    gram = model.gram_blocks(s)
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    p = np.asarray(p, dtype=float)
-    return float(
-        0.5 * h @ gram.ss @ h
-        - h @ (block.asset_drift + block.asset_factor_loading @ x)
-        - 0.5 / theta * gamma @ gamma
-        - gamma @ (block.asset_vol.T @ h - block.bench_vol)
-        + (1.0 / theta) * gamma @ (block.factor_vol.T @ p)
-    )
-
-
 def twostep_hamiltonian(model: ValidatedModel, theta, s, x, h, nu, p, M) -> float:
     """Inner expression of the transformed-measure Hamiltonian (sup over h,
     inf over nu).  Plugging nu = -theta Lambda' p turns the nu-part into the

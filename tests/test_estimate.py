@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
 from benchkelly.errors import (
+    ConfigError,
     InsufficientData,
     NonMonotoneDates,
     ParseError,
@@ -29,6 +32,9 @@ from benchkelly.model import CoefficientSet, ModelSpec, validate_model
 from benchkelly.policy import optimal_h
 from benchkelly.simulate import SimConfig, simulate_paths
 from benchkelly.valuefn import solve_value_coefficients
+
+from bootstrap_reference import bootstrap_gram_se_rows
+from conftest import make_random_spec
 
 
 def _write_csv(path, header, rows):
@@ -346,3 +352,75 @@ def test_realized_covariance_matches_numpy():
     ])
     ref = np.cov(z, rowvar=False, bias=True) / panel.dt
     assert np.abs(cov - ref).max() < 1e-12
+
+
+def _bootstrap_panel(years, seed):
+    """Synthesized panel of the bench's shape: n=3 factors, m=8 assets, k=12 series."""
+    spec = make_random_spec(np.random.default_rng(seed), theta=1.0, n=3, m=8, d=12)
+    return synthesize_panel(validate_model(spec), years=years, weights=np.full(8, 1 / 8),
+                            seed=seed)
+
+
+@pytest.fixture(scope="module")
+def long_panel():
+    return _bootstrap_panel(years=4.0, seed=21)
+
+
+@pytest.fixture(scope="module")
+def short_panel():
+    return _bootstrap_panel(years=50 / 252, seed=22)  # T = 50: most long segments wrap
+
+
+@pytest.mark.parametrize("panel_name", ["long_panel", "short_panel"])
+@pytest.mark.parametrize("block_len", [1, 3, 21, "10T"])
+def test_bootstrap_matches_row_gather_reference(request, panel_name, block_len):
+    panel = request.getfixturevalue(panel_name)
+    if block_len == "10T":
+        block_len = 10 * panel.rows  # mostly one segment; a few resamples restart once
+    se = bootstrap_gram_se(panel, block_len=block_len, n_resamples=64, seed=5)
+    ref = bootstrap_gram_se_rows(panel, block_len=block_len, n_resamples=64, seed=5)
+    assert se.keys() == ref.keys()
+    for key in ref:
+        assert np.all(np.asarray(ref[key]) > 0.0), key
+        np.testing.assert_allclose(se[key], ref[key], rtol=1e-12, atol=0.0, err_msg=key)
+
+
+def test_bootstrap_same_seed_is_bitwise_equal(short_panel):
+    first = bootstrap_gram_se(short_panel, block_len=5, n_resamples=20, seed=8)
+    second = bootstrap_gram_se(short_panel, block_len=5, n_resamples=20, seed=8)
+    assert first.keys() == second.keys()
+    for key in first:
+        assert np.asarray(first[key]).tobytes() == np.asarray(second[key]).tobytes(), key
+
+
+@pytest.mark.parametrize("block_len", [0, -3, float("nan"), float("inf")])
+def test_bootstrap_rejects_block_len(short_panel, block_len):
+    with pytest.raises(ConfigError, match="block_len"):
+        bootstrap_gram_se(short_panel, block_len=block_len, n_resamples=10)
+
+
+@pytest.mark.parametrize("n_resamples", [1, 0, 2.5])
+def test_bootstrap_rejects_n_resamples(short_panel, n_resamples):
+    with pytest.raises(ConfigError, match="n_resamples"):
+        bootstrap_gram_se(short_panel, n_resamples=n_resamples)
+
+
+def test_bootstrap_peak_allocation_is_the_prefix_table():
+    # the bench's panel shape: T = 5040 rows, k = 12 series, K = 12 + 78 table columns
+    T, m, n = 5040, 8, 3
+    rng = np.random.default_rng(0)
+    panel = ReturnPanel(
+        dates=tuple(str(t) for t in range(T)),
+        asset_logret=0.01 * rng.standard_normal((T, m)),
+        factor_levels=np.cumsum(0.005 * rng.standard_normal((T, n)), axis=0),
+        bench_weights=np.full(m, 1 / m),
+        dt=1 / 252,
+    )
+    table_bytes = (T + 1) * (12 + 78) * 8
+    tracemalloc.start()
+    try:
+        bootstrap_gram_se(panel, block_len=21, n_resamples=20, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * table_bytes, f"peak {peak} B against a {table_bytes} B table"

@@ -4,7 +4,6 @@ import pytest
 from benchkelly.errors import SaddleViolation
 from benchkelly.game import (
     bellman_isaacs_integrand,
-    hamiltonian_F,
     hamiltonians,
     running_payoff_g,
     running_payoff_g1,
@@ -17,6 +16,21 @@ from benchkelly.valuefn import _SegmentTerms, solve_value_coefficients, value_fu
 
 from conftest import (make_random_spec, make_scalar_spec, make_two_segment_spec,
                       make_twofactor_spec)
+
+
+def hamiltonian_F(model, theta, s, x, h, gamma, p) -> float:
+    """Control-dependent part of the Bellman-Isaacs Hamiltonian (scaled by
+    theta), written out term by term as a reference for the closed-form
+    inner optimizers."""
+    block = model.coefficients(s)
+    gram = model.gram_blocks(s)
+    return float(
+        0.5 * h @ gram.ss @ h
+        - h @ (block.asset_drift + block.asset_factor_loading @ x)
+        - 0.5 / theta * gamma @ gamma
+        - gamma @ (block.asset_vol.T @ h - block.bench_vol)
+        + (1.0 / theta) * gamma @ (block.factor_vol.T @ p)
+    )
 
 
 @pytest.fixture(scope="module")
