@@ -222,6 +222,12 @@ def _ols_rows(Z: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coef.T, se  # (eqs, k)
 
 
+def _require_rows(panel: ReturnPanel) -> None:
+    need = 10 * (panel.n + 1)
+    if panel.rows < need:
+        raise InsufficientData(f"need at least {need} rows for {panel.n} factors, got {panel.rows}")
+
+
 def estimate_drift(panel: ReturnPanel) -> DriftEstimate:
     """OLS drift estimation on the discretized dynamics.
 
@@ -230,10 +236,8 @@ def estimate_drift(panel: ReturnPanel) -> DriftEstimate:
     variance on (1, state), which converts log growth back to the
     price-relative drift a + A x.
     """
+    _require_rows(panel)
     T = panel.rows
-    n = panel.n
-    if T < 10 * (n + 1):
-        raise InsufficientData(f"need at least {10 * (n + 1)} rows for {n} factors, got {T}")
     X_lag = panel.factor_levels[:-1]                     # state at the start of each interval
     Z = np.column_stack([np.ones(T - 1), X_lag])
 
@@ -418,12 +422,14 @@ def bootstrap_gram_se(
     about 3 times cheaper.
 
     Raises ConfigError unless block_len is a finite number >= 1 and
-    n_resamples an integer >= 2.
+    n_resamples an integer >= 2, and InsufficientData on fewer rows than
+    estimate_drift needs, 10 (n + 1).
     """
     if not (isinstance(block_len, Real) and np.isfinite(block_len) and block_len >= 1):
         raise ConfigError(f"block_len must be a finite number >= 1, got {block_len!r}")
     if not isinstance(n_resamples, Integral) or n_resamples < 2:
         raise ConfigError(f"n_resamples must be an integer >= 2, got {n_resamples!r}")
+    _require_rows(panel)
     z = _joint_increments(panel)
     T, k = z.shape
     upper = np.triu_indices(k)

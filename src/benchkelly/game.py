@@ -2,14 +2,18 @@
 
 The exponential criterion is equivalent to a two-player zero-sum game: the
 investor picks the allocation h, an adversary picks a measure tilt gamma and
-pays an entropy penalty |gamma|^2 / (2 theta).  This module evaluates the
-game's running payoff, the inner Hamiltonian in both optimization orders
-(their equality is the Isaacs condition), and probes the saddle structure of
-the Bellman-Isaacs integrand around the candidate policies with random
-perturbations.
+pays an entropy penalty |gamma|^2 / (2 theta).  The payoffs read the drift
+ell and noise loading track of ln(V/L) from model._log_excess_terms, as the
+simulator does: g = -ell - track . gamma - |gamma|^2 / (2 theta), and g1 =
+-ell + theta/2 |track|^2, g at its maximizing tilt gamma = -theta track.
+This module evaluates them, the inner Hamiltonian in both optimization
+orders (their equality is the Isaacs condition), and probes the saddle
+structure of the Bellman-Isaacs integrand around the candidate policies by
+differences of the full bracket from its value at the candidates.
 
-All checks require theta > 0; theta == 0 collapses the game to the plain
-growth-optimal problem and the order gap is identically zero.
+All checks require theta > 0 (ConfigError otherwise); theta == 0 collapses
+the game to the plain growth-optimal problem and the order gap is
+identically zero.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SaddleViolation
-from .model import ValidatedModel
+from .errors import ConfigError, SaddleViolation
+from .model import ValidatedModel, _log_excess_terms, _rowdot
 from .policy import gain_table, optimal_gamma
 from .valuefn import ValueCoefficients, value_function
 
@@ -40,44 +44,30 @@ class SaddleReport:
 
 def _require_positive_theta(theta: float, who: str) -> None:
     if theta <= 0.0:
-        raise ValueError(f"{who} requires theta > 0 (Kelly mode has no game); got {theta}")
+        raise ConfigError(f"{who} requires theta > 0 (Kelly mode has no game); got {theta}")
 
 
-def running_payoff_g(model: ValidatedModel, theta, s, x, h, gamma) -> float:
-    """Game running payoff: quadratic in h, concave in gamma with entropy penalty."""
+def _reward(model: ValidatedModel, s, x, h) -> tuple[np.ndarray, np.ndarray]:
+    """ell and track of the benchmarked reward at time s."""
+    return _log_excess_terms(model.coefficients(s), model.gram_blocks(s),
+                             np.asarray(x, dtype=float), np.asarray(h, dtype=float))
+
+
+def running_payoff_g(model: ValidatedModel, theta, s, x, h, gamma) -> float | np.ndarray:
+    """Game running payoff, quadratic in h, concave in gamma with entropy
+    penalty; h and gamma may be stacks of rows, one row each gives a scalar."""
     _require_positive_theta(theta, "running_payoff_g")
-    block = model.coefficients(s)
-    gram = model.gram_blocks(s)
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
+    ell, track = _reward(model, s, x, h)
     gamma = np.asarray(gamma, dtype=float)
-    return float(
-        0.5 * h @ gram.ss @ h
-        - h @ block.asset_drift
-        - 0.5 * gram.xi_xi
-        + block.bench_drift
-        - (h @ block.asset_vol - block.bench_vol) @ gamma
-        - (h @ block.asset_factor_loading - block.bench_factor_loading) @ x
-        - 0.5 / theta * gamma @ gamma
-    )
+    return -ell - _rowdot(track, gamma) - 0.5 / theta * _rowdot(gamma, gamma)
 
 
-def running_payoff_g1(model: ValidatedModel, theta, s, x, h) -> float:
-    """Transformed-measure running payoff (tilt already optimized out of the
-    exponential martingale term)."""
+def running_payoff_g1(model: ValidatedModel, theta, s, x, h) -> float | np.ndarray:
+    """Transformed-measure running payoff, the game payoff at its maximizing
+    tilt; h may be a stack of rows, one row gives a scalar."""
     _require_positive_theta(theta, "running_payoff_g1")
-    block = model.coefficients(s)
-    gram = model.gram_blocks(s)
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    return float(
-        0.5 * (theta + 1.0) * h @ gram.ss @ h
-        - h @ (block.asset_drift + block.asset_factor_loading @ x)
-        - theta * h @ gram.s_xi
-        + block.bench_drift
-        + block.bench_factor_loading @ x
-        + 0.5 * (theta - 1.0) * gram.xi_xi
-    )
+    ell, track = _reward(model, s, x, h)
+    return -ell + 0.5 * theta * _rowdot(track, track)
 
 
 def twostep_hamiltonian(model: ValidatedModel, theta, s, x, h, nu, p, M) -> float:
@@ -88,13 +78,13 @@ def twostep_hamiltonian(model: ValidatedModel, theta, s, x, h, nu, p, M) -> floa
     block = model.coefficients(s)
     gram = model.gram_blocks(s)
     x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
     nu = np.asarray(nu, dtype=float)
     p = np.asarray(p, dtype=float)
+    _, track = _reward(model, s, x, h)
     drift = (
         block.factor_drift
         + block.factor_mean_reversion @ x
-        - block.factor_vol @ (theta * (block.asset_vol.T @ h - block.bench_vol) - nu)
+        - block.factor_vol @ (theta * track - nu)
     )
     return float(
         drift @ p
@@ -111,9 +101,10 @@ def bellman_isaacs_integrand(
     x: np.ndarray,
     h: np.ndarray,
     gamma: np.ndarray,
-) -> float:
+) -> float | np.ndarray:
     """Drift + diffusion + payoff bracket whose saddle point the candidate
-    policies must realize."""
+    policies must realize.  h and gamma may be stacks of rows, evaluated at
+    the one state x; one row each gives a scalar."""
     block = model.coefficients(t)
     gram = model.gram_blocks(t)
     theta = model.theta
@@ -121,8 +112,9 @@ def bellman_isaacs_integrand(
     quad, _, _ = vc.at(t)
     grad = value_function(vc, t, x).gradient
     hess = -theta * quad
-    drift = block.factor_drift + block.factor_mean_reversion @ x + block.factor_vol @ np.asarray(gamma, dtype=float)
-    return float(
+    drift = (block.factor_drift + block.factor_mean_reversion @ x
+             + np.asarray(gamma, dtype=float) @ block.factor_vol.T)
+    return (
         drift @ grad
         + 0.5 * np.trace(gram.ll @ hess)
         + theta * running_payoff_g(model, theta, t, x, h, gamma)
@@ -175,41 +167,28 @@ def saddle_check(
     h_hat = np.asarray(h_center, dtype=float) if h_center is not None \
         else controls[table.h]
     g_hat = optimal_gamma(model, vc, t, x)
-    center = bellman_isaacs_integrand(model, vc, t, x, h_hat, g_hat)
     if radius is None:
         radius = 0.5 * (1.0 + float(np.linalg.norm(h_hat)))
-
-    # Vectorized bracket differences; only control-dependent payoff terms move.
-    a_vec = block.asset_drift + block.asset_factor_loading @ x
-    lam_grad = controls[table.value_tilt]
-    track = h_hat @ block.asset_vol - block.bench_vol
 
     # Each side's last probe is the Newton step of its own quadratic from the
     # centre, -(theta SS')^-1 grad for h and grad for gamma (Hessian -I),
     # shortened to the radius: it finds a centre off the extremum where
     # random probes in many dimensions miss the descent side.
     rng = np.random.default_rng(seed)
+    _, track = _reward(model, t, x, h_hat)
+    a_vec = block.asset_drift + block.asset_factor_loading @ x
     newton_h = gram.ss_solve(a_vec + block.asset_vol @ g_hat) - h_hat
-    newton_g = lam_grad - theta * track - g_hat
+    newton_g = controls[table.value_tilt] - theta * track - g_hat
     dh = np.vstack([_ball_samples(rng, probes, model.m, radius), _within(newton_h, radius)])
     dg = np.vstack([_ball_samples(rng, probes, model.d, radius), _within(newton_g, radius)])
 
-    # h perturbation at fixed candidate tilt: delta_BI must be >= 0.
-    H = h_hat + dh
-    quad_term = 0.5 * np.einsum("ij,jk,ik->i", H, gram.ss, H)
-    bi_h = theta * (quad_term - H @ a_vec - (H @ block.asset_vol) @ g_hat)
-    center_h = theta * (
-        0.5 * h_hat @ gram.ss @ h_hat - h_hat @ a_vec - (h_hat @ block.asset_vol) @ g_hat
-    )
-    viol_h = float(np.max(center_h - bi_h, initial=0.0))
-
-    # gamma perturbation at fixed candidate allocation: delta_BI must be <= 0.
-    G = g_hat + dg
-    bi_g = G @ lam_grad - theta * (G @ track) - 0.5 * np.einsum("ij,ij->i", G, G)
-    center_g = float(
-        g_hat @ lam_grad - theta * (g_hat @ track) - 0.5 * g_hat @ g_hat
-    )
-    viol_g = float(np.max(bi_g - center_g, initial=0.0))
+    # The bracket at [centre; probes] on each side, the other control at its
+    # candidate: an h probe must not decrease it, a gamma probe not increase it.
+    bi_h = bellman_isaacs_integrand(model, vc, t, x, np.vstack([h_hat, h_hat + dh]), g_hat)
+    bi_g = bellman_isaacs_integrand(model, vc, t, x, h_hat, np.vstack([g_hat, g_hat + dg]))
+    center = float(bi_h[0])
+    viol_h = float(np.max(bi_h[0] - bi_h[1:], initial=0.0))
+    viol_g = float(np.max(bi_g[1:] - bi_g[0], initial=0.0))
 
     report = SaddleReport(
         center_value=center,

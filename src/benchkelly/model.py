@@ -162,6 +162,26 @@ class ProjectionPair:
     pminus: np.ndarray  # (d, d)
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, broadcast over the leading ones."""
+    return np.einsum("...j,...j->...", a, b)
+
+
+def _log_excess_terms(block: CoefficientBlock, gram: GramBlocks, X: np.ndarray,
+                      H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The drift ell and noise loading track = Sigma' h - Xi of ln(V/L) under
+    allocations H at factor states X, each one row or a stack of rows."""
+    track = H @ block.asset_vol - block.bench_vol
+    ell = (
+        -0.5 * _rowdot(H @ gram.ss, H)
+        + H @ block.asset_drift
+        + 0.5 * gram.xi_xi
+        - block.bench_drift
+        + _rowdot(H @ block.asset_factor_loading - block.bench_factor_loading, X)
+    )
+    return ell, track
+
+
 def cholesky_pd(mat: np.ndarray):
     """Lower Cholesky factor of a symmetric positive definite matrix.
 

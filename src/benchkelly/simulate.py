@@ -13,7 +13,10 @@ increment dw + phi dt.  The supported measures differ only in phi:
 
 The kernel converts dw to the physical increment once per step; the state,
 the log excess return and every density then follow the physical-measure
-formulas.  Every allocation and tilt is read from the policy's affine gain
+formulas: the log excess return ln(V/L) moves by ell dt + track . dw, with
+ell and track = Sigma' h - Xi from model._log_excess_terms, the one
+definition of the benchmarked reward, which the game's payoffs read too.
+Every allocation and tilt is read from the policy's affine gain
 table (policy.gain_table): per step one X @ K[j] + k[j], sliced into
 [h | Lambda' Du].  A callable strategy (t, X) -> H replaces h, and
 custom_tilt(t, X, H) replaces gamma = Lambda' Du - theta (Sigma' h - Xi).
@@ -57,7 +60,7 @@ import numpy as np
 
 from . import policy
 from .errors import ConfigError, MeasureMismatch, NonfiniteState, ParseError
-from .model import ValidatedModel
+from .model import ValidatedModel, _log_excess_terms, _rowdot
 from .valuefn import ValueCoefficients
 
 MEASURES = ("physical", "tilted_gamma", "tilted_h")
@@ -186,12 +189,6 @@ def _block_noise(seed: int, first_path: int, count: int, steps: int, d: int,
     return out
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (paths, k) arrays, without the (paths, k)
-    temporary of (a * b).sum(axis=1)."""
-    return np.einsum("ij,ij->i", a, b)
-
-
 class _SegmentContext:
     """One coefficient segment's blocks, built once per segment and shared by
     every lane.
@@ -259,19 +256,11 @@ class _Lane:
         over step j from the states X; returns the step's physical increment
         and the new R."""
         cfg, table = self.cfg, self.table
-        block, gram = ctx.block, ctx.gram
         theta = model.theta
         C = None if table is None else table.controls(j, X)
         H = cfg.strategy(t, X) if callable(cfg.strategy) else C[:, table.h]
 
-        track = H @ block.asset_vol - block.bench_vol
-        ell = (
-            -0.5 * _rowdot(H @ gram.ss, H)
-            + H @ block.asset_drift
-            + 0.5 * gram.xi_xi
-            - block.bench_drift
-            + _rowdot(H @ block.asset_factor_loading - block.bench_factor_loading, X)
-        )
+        ell, track = _log_excess_terms(ctx.block, ctx.gram, X, H)
         if self.gamma:
             G = (cfg.custom_tilt(t, X, H) if cfg.custom_tilt is not None
                  else C[:, table.value_tilt] - theta * track)

@@ -405,6 +405,26 @@ def test_bootstrap_rejects_n_resamples(short_panel, n_resamples):
         bootstrap_gram_se(short_panel, n_resamples=n_resamples)
 
 
+def _first_rows(panel, rows):
+    return ReturnPanel(dates=panel.dates[:rows], asset_logret=panel.asset_logret[:rows],
+                       factor_levels=panel.factor_levels[:rows],
+                       bench_weights=panel.bench_weights, dt=panel.dt)
+
+
+@pytest.mark.parametrize("rows", [1, 39])
+def test_bootstrap_rejects_too_few_rows(short_panel, rows):
+    # n = 3 factors: estimate_drift's bound is 10 (n + 1) = 40 rows; a 1-row
+    # panel used to return all-zero SEs
+    with pytest.raises(InsufficientData, match="need at least 40 rows for 3 factors"):
+        bootstrap_gram_se(_first_rows(short_panel, rows), n_resamples=10)
+
+
+def test_bootstrap_at_the_row_bound_returns_finite_ses(short_panel):
+    se = bootstrap_gram_se(_first_rows(short_panel, 40), n_resamples=10)
+    for key, value in se.items():
+        assert np.all(np.isfinite(value)) and np.all(np.asarray(value) > 0.0), key
+
+
 def test_bootstrap_peak_allocation_is_the_prefix_table():
     # the bench's panel shape: T = 5040 rows, k = 12 series, K = 12 + 78 table columns
     T, m, n = 5040, 8, 3

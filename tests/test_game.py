@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from benchkelly.errors import SaddleViolation
+from benchkelly.errors import ConfigError, SaddleViolation
 from benchkelly.game import (
     bellman_isaacs_integrand,
     hamiltonians,
@@ -62,9 +62,57 @@ def test_payoff_pure_entropy(plain_model):
     assert val == pytest.approx(-0.25 * 0.49, abs=1e-15)
 
 
-def test_payoff_requires_positive_theta(plain_model):
-    with pytest.raises(ValueError):
-        running_payoff_g(plain_model, 0.0, 0.0, np.zeros(1), np.zeros(1), np.zeros(1))
+@pytest.mark.parametrize("fn", ["running_payoff_g", "running_payoff_g1",
+                                "twostep_hamiltonian", "saddle_check"])
+def test_payoff_requires_positive_theta(fn):
+    vm = validate_model(make_scalar_spec(theta=0.0))
+    x, zero = np.array([0.1]), np.zeros(1)
+    calls = {
+        "running_payoff_g": lambda: running_payoff_g(vm, 0.0, 0.0, x, zero, zero),
+        "running_payoff_g1": lambda: running_payoff_g1(vm, 0.0, 0.0, x, zero),
+        "twostep_hamiltonian": lambda: twostep_hamiltonian(vm, 0.0, 0.0, x, zero, zero, zero,
+                                                           np.zeros((1, 1))),
+        "saddle_check": lambda: saddle_check(
+            vm, solve_value_coefficients(vm, steps_per_year=12), 0.5, x, probes=10),
+    }
+    with pytest.raises(ConfigError, match=f"{fn} requires theta > 0"):
+        calls[fn]()
+
+
+def test_payoffs_on_a_stack_equal_the_row_by_row_calls(twofactor_model, twofactor_vc):
+    vm, vc = twofactor_model, twofactor_vc
+    rng = np.random.default_rng(13)
+    t, x = 0.35, np.array([0.4])
+    H = rng.standard_normal((6, vm.m))
+    G = rng.standard_normal((6, vm.d))
+    X = rng.standard_normal((6, vm.n))
+    stacks = {
+        "g": (running_payoff_g(vm, vm.theta, t, X, H, G),
+              [running_payoff_g(vm, vm.theta, t, *row) for row in zip(X, H, G)]),
+        "g1": (running_payoff_g1(vm, vm.theta, t, X, H),
+               [running_payoff_g1(vm, vm.theta, t, *row) for row in zip(X, H)]),
+        "bracket": (bellman_isaacs_integrand(vm, vc, t, x, H, G),
+                    [bellman_isaacs_integrand(vm, vc, t, x, h, g) for h, g in zip(H, G)]),
+    }
+    for name, (stacked, rows) in stacks.items():
+        assert np.ndim(rows[0]) == 0, name
+        assert stacked.shape == (6,), name
+        np.testing.assert_allclose(stacked, rows, rtol=1e-14, atol=0, err_msg=name)
+
+
+def test_transformed_payoff_is_the_game_payoff_at_the_maximizing_tilt():
+    # g1(h) = g(h, -theta (Sigma' h - Xi)): the tilt maximizes -track . gamma
+    # - |gamma|^2 / (2 theta), which leaves -ell + theta/2 |track|^2
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        vm = validate_model(make_random_spec(rng))
+        block = vm.coefficients(0.5)
+        x = rng.standard_normal(vm.n)
+        h = rng.standard_normal(vm.m)
+        gamma = -vm.theta * (block.asset_vol.T @ h - block.bench_vol)
+        g1 = running_payoff_g1(vm, vm.theta, 0.5, x, h)
+        g = running_payoff_g(vm, vm.theta, 0.5, x, h, gamma)
+        assert abs(g1 - g) <= 1e-12 * (1.0 + abs(g1))
 
 
 def test_transformed_payoff_no_position():

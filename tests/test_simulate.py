@@ -10,6 +10,7 @@ import pytest
 
 import benchkelly.simulate as sim_mod
 from benchkelly.errors import ConfigError, MeasureMismatch, NonfiniteState
+from benchkelly.game import running_payoff_g, running_payoff_g1
 from benchkelly.model import ModelSpec, validate_model
 from benchkelly.policy import gain_table
 from benchkelly.simulate import (
@@ -458,22 +459,6 @@ def _applied_controls(model, vc, t, X):
     return H, controls[:, table.value_tilt] - model.theta * (H @ block.asset_vol - block.bench_vol)
 
 
-def _batch_running_payoff(model, t, X, H, G):
-    """Vectorized game running payoff over a path batch."""
-    block = model.coefficients(t)
-    gram = model.gram_blocks(t)
-    theta = model.theta
-    return (
-        0.5 * ((H @ gram.ss) * H).sum(axis=1)
-        - H @ block.asset_drift
-        - 0.5 * gram.xi_xi
-        + block.bench_drift
-        - ((H @ block.asset_vol - block.bench_vol) * G).sum(axis=1)
-        - ((H @ block.asset_factor_loading - block.bench_factor_loading) * X).sum(axis=1)
-        - 0.5 / theta * (G * G).sum(axis=1)
-    )
-
-
 def test_game_value_matches_tilted_expectation(twofactor_model, twofactor_vc):
     # at the saddle, the expected accumulated payoff under the adverse tilt
     # equals the value surface at the start point
@@ -489,7 +474,7 @@ def test_game_value_matches_tilted_expectation(twofactor_model, twofactor_vc):
     for j in range(steps):
         X = bundle.states[:, j]
         H, G = _applied_controls(vm, vc, j * dt, X)
-        total += theta * dt * _batch_running_payoff(vm, j * dt, X, H, G)
+        total += theta * dt * running_payoff_g(vm, theta, j * dt, X, H, G)
     u0 = value_function(vc, 0.0, vm.x0).log_criterion
     se = total.std(ddof=1) / np.sqrt(len(total))
     assert abs(total.mean() - u0) < 3.0 * se + 5e-4  # MC band plus Euler bias allowance
@@ -498,8 +483,6 @@ def test_game_value_matches_tilted_expectation(twofactor_model, twofactor_vc):
 def test_transformed_measure_criterion_matches_value(twofactor_model, twofactor_vc):
     # under the allocation-induced measure, ln E[exp(theta * accumulated
     # transformed payoff)] at the candidate allocation equals the value
-    from benchkelly.game import running_payoff_g1
-
     vm, vc = twofactor_model, twofactor_vc
     theta = vm.theta
     steps, dt = 252, 1 / 252
@@ -510,22 +493,9 @@ def test_transformed_measure_criterion_matches_value(twofactor_model, twofactor_
     )
     total = np.zeros(bundle.config.n_paths)
     for j in range(steps):
-        t = j * dt
-        block = vm.coefficients(t)
-        gram = vm.gram_blocks(t)
         X = bundle.states[:, j]
-        H, _ = _applied_controls(vm, vc, t, X)
-        g1 = (
-            0.5 * (theta + 1.0) * ((H @ gram.ss) * H).sum(axis=1)
-            - (H * (block.asset_drift + X @ block.asset_factor_loading.T)).sum(axis=1)
-            - theta * H @ gram.s_xi
-            + block.bench_drift + X @ block.bench_factor_loading
-            + 0.5 * (theta - 1.0) * gram.xi_xi
-        )
-        if j == 0:
-            ref = running_payoff_g1(vm, theta, t, X[0], H[0])
-            assert g1[0] == pytest.approx(ref, rel=1e-12)
-        total += theta * dt * g1
+        H, _ = _applied_controls(vm, vc, j * dt, X)
+        total += theta * dt * running_payoff_g1(vm, theta, j * dt, X, H)
     vals = np.exp(total)
     mean = vals.mean()
     se = vals.std(ddof=1) / np.sqrt(len(vals))
