@@ -410,6 +410,10 @@ def cmd_report(config: dict, out: OutputWriter, args) -> int:
         raise ConfigError(
             "report needs inputs: config report.inputs or label=<paths.bin|terminals.csv> args"
         )
+    for item in inputs:
+        if set(item["label"]) & set(',"\r\n'):
+            raise ConfigError(f"report label {item['label']!r} holds a comma, a quote or a "
+                              "line break, which report.csv cannot carry")
     labeled = []
     for item in inputs:
         path = _resolve(config, item["paths"])
@@ -532,8 +536,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors, so a bad
+    argument exits like every other bad input; its subcommand parsers are
+    of this class too."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="benchkelly",
         description="Benchmarked risk-sensitive portfolio engine",
     )
@@ -563,8 +576,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = load_run_config(args.config)
         # a relative output directory is taken from the working directory
         out = OutputWriter(Path.cwd() / (args.out or config.get("output_dir", "out")))

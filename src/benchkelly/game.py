@@ -11,9 +11,11 @@ orders (their equality is the Isaacs condition), and probes the saddle
 structure of the Bellman-Isaacs integrand around the candidate policies by
 differences of the full bracket from its value at the candidates.
 
-All checks require theta > 0 (ConfigError otherwise); theta == 0 collapses
-the game to the plain growth-optimal problem and the order gap is
-identically zero.
+Every function reads theta from the model.  The payoffs, the twostep
+Hamiltonian and the saddle check raise ConfigError on a Kelly-mode model
+(theta == 0): it collapses the game to the plain growth-optimal problem,
+and the order gap is identically zero.  saddle_check takes the candidate
+pair and the value tilt from one policy.fractional_kelly evaluation.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, SaddleViolation
 from .model import ValidatedModel, _log_excess_terms, _rowdot
-from .policy import gain_table, optimal_gamma
+from .policy import fractional_kelly
 from .valuefn import ValueCoefficients, value_function
 
 SADDLE_RTOL = 1e-9
@@ -42,9 +44,10 @@ class SaddleReport:
         return self.max_violation_h <= tol and self.max_violation_gamma <= tol
 
 
-def _require_positive_theta(theta: float, who: str) -> None:
-    if theta <= 0.0:
-        raise ConfigError(f"{who} requires theta > 0 (Kelly mode has no game); got {theta}")
+def _require_positive_theta(model: ValidatedModel, who: str) -> None:
+    if model.theta <= 0.0:
+        raise ConfigError(
+            f"{who} requires theta > 0 (Kelly mode has no game); got {model.theta}")
 
 
 def _reward(model: ValidatedModel, s, x, h) -> tuple[np.ndarray, np.ndarray]:
@@ -53,28 +56,29 @@ def _reward(model: ValidatedModel, s, x, h) -> tuple[np.ndarray, np.ndarray]:
                              np.asarray(x, dtype=float), np.asarray(h, dtype=float))
 
 
-def running_payoff_g(model: ValidatedModel, theta, s, x, h, gamma) -> float | np.ndarray:
+def running_payoff_g(model: ValidatedModel, s, x, h, gamma) -> float | np.ndarray:
     """Game running payoff, quadratic in h, concave in gamma with entropy
     penalty; h and gamma may be stacks of rows, one row each gives a scalar."""
-    _require_positive_theta(theta, "running_payoff_g")
+    _require_positive_theta(model, "running_payoff_g")
     ell, track = _reward(model, s, x, h)
     gamma = np.asarray(gamma, dtype=float)
-    return -ell - _rowdot(track, gamma) - 0.5 / theta * _rowdot(gamma, gamma)
+    return -ell - _rowdot(track, gamma) - 0.5 / model.theta * _rowdot(gamma, gamma)
 
 
-def running_payoff_g1(model: ValidatedModel, theta, s, x, h) -> float | np.ndarray:
+def running_payoff_g1(model: ValidatedModel, s, x, h) -> float | np.ndarray:
     """Transformed-measure running payoff, the game payoff at its maximizing
     tilt; h may be a stack of rows, one row gives a scalar."""
-    _require_positive_theta(theta, "running_payoff_g1")
+    _require_positive_theta(model, "running_payoff_g1")
     ell, track = _reward(model, s, x, h)
-    return -ell + 0.5 * theta * _rowdot(track, track)
+    return -ell + 0.5 * model.theta * _rowdot(track, track)
 
 
-def twostep_hamiltonian(model: ValidatedModel, theta, s, x, h, nu, p, M) -> float:
+def twostep_hamiltonian(model: ValidatedModel, s, x, h, nu, p, M) -> float:
     """Inner expression of the transformed-measure Hamiltonian (sup over h,
     inf over nu).  Plugging nu = -theta Lambda' p turns the nu-part into the
     quadratic gradient term -theta/2 |Lambda' p|^2."""
-    _require_positive_theta(theta, "twostep_hamiltonian")
+    _require_positive_theta(model, "twostep_hamiltonian")
+    theta = model.theta
     block = model.coefficients(s)
     gram = model.gram_blocks(s)
     x = np.asarray(x, dtype=float)
@@ -89,7 +93,7 @@ def twostep_hamiltonian(model: ValidatedModel, theta, s, x, h, nu, p, M) -> floa
     return float(
         drift @ p
         + 0.5 * np.trace(gram.ll @ M)
-        - running_payoff_g1(model, theta, s, x, h)
+        - running_payoff_g1(model, s, x, h)
         + 0.5 / theta * nu @ nu
     )
 
@@ -117,7 +121,7 @@ def bellman_isaacs_integrand(
     return (
         drift @ grad
         + 0.5 * np.trace(gram.ll @ hess)
-        + theta * running_payoff_g(model, theta, t, x, h, gamma)
+        + theta * running_payoff_g(model, t, x, h, gamma)
     )
 
 
@@ -156,17 +160,14 @@ def saddle_check(
     SADDLE_RTOL*(1+|center|).  h_center overrides the allocation center (a
     non-candidate center must fail; used as a negative control).
     """
-    _require_positive_theta(model.theta, "saddle_check")
+    _require_positive_theta(model, "saddle_check")
     x = np.asarray(x, dtype=float)
     block = model.coefficients(t)
     gram = model.gram_blocks(t)
-    theta = model.theta
 
-    table = gain_table(model, vc, [t])
-    controls = table.controls(0, x[None, :])[0]
-    h_hat = np.asarray(h_center, dtype=float) if h_center is not None \
-        else controls[table.h]
-    g_hat = optimal_gamma(model, vc, t, x)
+    action = fractional_kelly(model, vc, t, x)
+    h_hat = action.allocation if h_center is None else np.asarray(h_center, dtype=float)
+    g_hat = action.tilt
     if radius is None:
         radius = 0.5 * (1.0 + float(np.linalg.norm(h_hat)))
 
@@ -178,7 +179,7 @@ def saddle_check(
     _, track = _reward(model, t, x, h_hat)
     a_vec = block.asset_drift + block.asset_factor_loading @ x
     newton_h = gram.ss_solve(a_vec + block.asset_vol @ g_hat) - h_hat
-    newton_g = controls[table.value_tilt] - theta * track - g_hat
+    newton_g = action.tilt_twostep - model.theta * track - g_hat
     dh = np.vstack([_ball_samples(rng, probes, model.m, radius), _within(newton_h, radius)])
     dg = np.vstack([_ball_samples(rng, probes, model.d, radius), _within(newton_g, radius)])
 
@@ -239,7 +240,7 @@ def hamiltonians(
 
     p = ve.gradient
     hess = -theta * quad
-    proj = model.projection_matrices(t, theta)
+    proj = model.projection_matrices(t)
     lam_p = block.factor_vol.T @ p
     common = float(
         drift @ p

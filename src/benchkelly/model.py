@@ -309,13 +309,11 @@ class ValidatedModel:
         """Noise contractions at time s; cached, bit-identical within a segment."""
         return self._grams[self.segment_index(s)]
 
-    def projection_matrices(self, s: float, theta: float | None = None) -> ProjectionPair:
-        """Pplus = I + theta Pi and Pminus = I - theta/(theta+1) Pi with
-        Pi = Sigma' (Sigma Sigma')^{-1} Sigma; Pminus @ Pplus == identity."""
-        if theta is None:
-            theta = self.theta
-        if theta < 0:
-            raise NegativeTheta(f"theta must be >= 0, got {theta}")
+    def projection_matrices(self, s: float) -> ProjectionPair:
+        """Pplus = I + theta Pi and Pminus = I - theta/(theta+1) Pi at the
+        model's theta, with Pi = Sigma' (Sigma Sigma')^{-1} Sigma;
+        Pminus @ Pplus == identity."""
+        theta = self.theta
         gram = self.gram_blocks(s)
         sigma = self.coefficients(s).asset_vol
         pi = sigma.T @ gram.ss_solve(sigma)

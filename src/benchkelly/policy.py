@@ -5,8 +5,10 @@ gradient quad(t) x + lin(t) is, so the optimal allocation, the Kelly
 allocation and the value tilt are X @ K(t) + k(t) for a state matrix X, with
 gains that depend on t alone.  gain_table builds those gains at the times a
 caller steps through, and it is the one source of every control:
-simulate_paths evaluates it once per step, and optimal_h, optimal_gamma,
-optimal_nu, fractional_kelly and game.saddle_check evaluate a one-row table.
+simulate_paths evaluates it once per step, and optimal_h, optimal_nu and
+fractional_kelly evaluate a one-row table.  fractional_kelly is the one point
+evaluation of the candidate pair: optimal_gamma reads its tilt, and
+game.saddle_check its allocation and both tilts.
 Every strategy of STRATEGIES, the benchmark's fixed or tracking weights too,
 is an allocation row.
 
@@ -20,11 +22,11 @@ The optimal allocation has two routes:
 With Du = -theta DCE the two share their arithmetic and differ only in where
 -theta multiplies, so they agree to rounding; the twostep route's tilt
 nu = -theta Lambda' DCE is the value tilt Lambda' Du by definition, and
-optimal_nu reads that column.  The runtime cross-checks keep references
-independent of the table: optimal_gamma's projected closed form
-P- Lambda' Du - theta/(theta+1) Sigma' kelly + theta P- Xi, and
-fractional_kelly's recomposition from the Kelly, benchmark-tracking and
-hedging portfolios and its regularized-Kelly identity.
+optimal_nu reads that column.  fractional_kelly's runtime cross-checks keep
+references independent of the table, at every theta: the tilt's projected
+closed form P- Lambda' Du - theta/(theta+1) Sigma' kelly + theta P- Xi, the
+recomposition from the Kelly, benchmark-tracking and hedging portfolios and
+the regularized-Kelly identity.
 
 At theta == 0 the general formula gives the Kelly allocation
 (SS')^{-1}(a + A x) bit for bit: its value-gradient terms vanish.
@@ -203,31 +205,8 @@ def optimal_gamma(
     t: float,
     x: np.ndarray,
 ) -> np.ndarray:
-    """Adverse measure tilt at (t, x).
-
-    Computed from its defining form (value tilt minus scaled tracking error)
-    and from the projected closed form; the two must agree to
-    CROSS_CHECK_TOL or the upstream solve is inconsistent.
-    """
-    block = model.coefficients(t)
-    theta = model.theta
-    table, row = _point_controls(model, vc, t, x)
-    value_tilt = row[table.value_tilt]
-    form1 = value_tilt - theta * (row[table.h] @ block.asset_vol - block.bench_vol)
-
-    kelly_table, kelly_row = _point_controls(model, None, t, x, "kelly")
-    proj = model.projection_matrices(t, theta)
-    form2 = (
-        proj.pminus @ value_tilt
-        - (theta / (theta + 1.0)) * (block.asset_vol.T @ kelly_row[kelly_table.h])
-        + theta * (proj.pminus @ block.bench_vol)
-    )
-    gap = float(np.abs(form1 - form2).max())
-    if gap > CROSS_CHECK_TOL * (1.0 + float(np.abs(form1).max())):
-        raise RepresentationMismatch(
-            f"tilt representations disagree by {gap:.3e} at t={t:g}"
-        )
-    return form1
+    """Adverse measure tilt at (t, x), as fractional_kelly checks it."""
+    return fractional_kelly(model, vc, t, x).tilt
 
 
 def optimal_nu(
@@ -248,7 +227,12 @@ def fractional_kelly(
     t: float,
     x: np.ndarray,
 ) -> PolicyAction:
-    """Full policy decomposition at (t, x) with all identity checks enforced."""
+    """Full policy decomposition at (t, x) with all identity checks enforced.
+
+    The tilt is computed from its defining form (value tilt minus scaled
+    tracking error) and from the projected closed form; the two must agree
+    to CROSS_CHECK_TOL or the upstream solve is inconsistent.
+    """
     x = np.asarray(x, dtype=float)
     block = model.coefficients(t)
     gram = model.gram_blocks(t)
@@ -258,6 +242,7 @@ def fractional_kelly(
 
     table, row = _point_controls(model, vc, t, x)
     allocation = row[table.h]
+    value_tilt = row[table.value_tilt]
     kelly_table, kelly_row = _point_controls(model, None, t, x, "kelly")
     kelly = kelly_row[kelly_table.h]
     bench_track = benchmark_tracking(model, t)
@@ -270,12 +255,21 @@ def fractional_kelly(
             f"fractional-Kelly recomposition deviates from the optimal allocation at t={t:g}"
         )
 
+    tilt = value_tilt - theta * (allocation @ sigma - block.bench_vol)
+    proj = model.projection_matrices(t)
+    closed_form = (
+        proj.pminus @ value_tilt
+        - (theta / (theta + 1.0)) * (sigma.T @ kelly)
+        + theta * (proj.pminus @ block.bench_vol)
+    )
+    gap = float(np.abs(tilt - closed_form).max())
+    if gap > CROSS_CHECK_TOL * (1.0 + float(np.abs(tilt).max())):
+        raise RepresentationMismatch(
+            f"tilt representations disagree by {gap:.3e} at t={t:g}"
+        )
     if theta == 0.0:
         # explicit zeros: the table's tilt at theta = 0 may carry -0.0
-        tilt, nu = np.zeros(model.d), np.zeros(model.d)
-    else:
-        tilt = optimal_gamma(model, vc, t, x)
-        nu = row[table.value_tilt]
+        tilt, value_tilt = np.zeros(model.d), np.zeros(model.d)
 
     regularized = kelly + gram.ss_solve(sigma @ tilt)
     if float(np.abs(allocation - regularized).max()) > 1e-12 * scale:
@@ -286,7 +280,7 @@ def fractional_kelly(
     return PolicyAction(
         allocation=allocation,
         tilt=tilt,
-        tilt_twostep=nu,
+        tilt_twostep=value_tilt,
         kelly=kelly,
         bench_track=bench_track,
         hedge=hedge,

@@ -593,8 +593,9 @@ def load_paths_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     n_paths, steps, n = struct.unpack("<QQQ", raw[8:32]) if len(raw) >= 32 else (0, 0, 0)
     n_state = n_paths * (steps + 1) * n
     size = 32 + 8 * (n_state + n_paths * (steps + 1))
-    if len(raw) < size:
-        raise ParseError(f"{path} is truncated: {len(raw)} bytes, its header needs {size}")
+    if len(raw) != size:
+        state = "truncated" if len(raw) < size else "longer than its header promises"
+        raise ParseError(f"{path} is {state}: {len(raw)} bytes, its header needs {size}")
     states = np.frombuffer(raw, dtype="<f8", count=n_state, offset=32)
     log_excess = np.frombuffer(raw, dtype="<f8", count=n_paths * (steps + 1),
                                offset=32 + 8 * n_state)

@@ -104,10 +104,11 @@ class ValueEval:
 class _SegmentTerms:
     """Per-coefficient-segment matrices entering the backward derivatives."""
 
-    def __init__(self, model: ValidatedModel, seg_start: float, theta: float):
+    def __init__(self, model: ValidatedModel, seg_start: float):
+        theta = model.theta
         block = model.coefficients(seg_start)
         gram = model.gram_blocks(seg_start)
-        proj = model.projection_matrices(seg_start, theta)
+        proj = model.projection_matrices(seg_start)
         f = 1.0 / (theta + 1.0)
         A = block.asset_factor_loading
         lam = block.factor_vol
@@ -228,7 +229,7 @@ def solve_value_coefficients(
     times = np.union1d(grid, knots[knots < T])
     taus = np.diff(times)
     segs = np.searchsorted(knots, times[:-1], side="right") - 1
-    terms = {seg: _SegmentTerms(model, float(knots[seg]), theta)
+    terms = {seg: _SegmentTerms(model, float(knots[seg]))
              for seg in np.unique(segs).tolist()}
 
     quad = np.zeros((len(times), n, n))
@@ -295,7 +296,7 @@ def solve_value_coefficients(
     )
     # Post-solve diagnostic: worst centered-difference residuals on a node sample.
     sample = np.linspace(1, n_steps - 1, min(n_steps - 1, 257)).astype(int) if n_steps > 1 else []
-    worst = riccati_residual(vc, model, grid[sample])
+    worst = riccati_residual(model, vc, grid[sample])
     for name, value in worst._asdict().items():
         vc.solver_meta[f"residual_{name}"] = value
     return vc
@@ -326,7 +327,7 @@ class Residual(NamedTuple):
     lin_rel: float
 
 
-def centered_rates(vc: ValueCoefficients, model: ValidatedModel, times):
+def centered_rates(model: ValidatedModel, vc: ValueCoefficients, times):
     """Centered differences of the time derivatives of (quad, lin, level) at
     the interior node nearest each of one time or a sequence of times, moved
     so its stencil lies in one coefficient segment; returns the nodes and
@@ -356,20 +357,21 @@ def centered_rates(vc: ValueCoefficients, model: ValidatedModel, times):
             (vc.level[j + 1] - vc.level[j - 1]) / dt)
 
 
-def riccati_residual(vc: ValueCoefficients, model: ValidatedModel, times) -> Residual:
-    """Worst defects of the quadratic and linear backward equations over one
+def riccati_residual(model: ValidatedModel, vc: ValueCoefficients, times) -> Residual:
+    """Worst defects of the model's quadratic and linear backward equations,
+    at the model's theta whatever theta vc was solved for, over one
     time or a sequence of times (each field maximized; 0 for none), at the
     nodes and by the centered differences of centered_rates.  Diagnostic
     only.  The relative defects are divided by (1 + the derivative): the
     defect carries the centered difference's O(step^2) truncation, which
     scales with it, so one tolerance serves models of any magnitude."""
-    nodes, d_quad, d_lin, _ = centered_rates(vc, model, times)
+    nodes, d_quad, d_lin, _ = centered_rates(model, vc, times)
     segs = np.searchsorted(model.spec.coeffs.knots, vc.grid[nodes], side="right") - 1
     terms: dict[int, _SegmentTerms] = {}
     worst = Residual(0.0, 0.0, 0.0, 0.0)
     for j, seg, dq_dt, dl_dt in zip(nodes.tolist(), segs.tolist(), d_quad, d_lin):
         if seg not in terms:
-            terms[seg] = _SegmentTerms(model, float(vc.grid[j]), vc.theta)
+            terms[seg] = _SegmentTerms(model, float(vc.grid[j]))
         expected = terms[seg].derivative(vc.quad[j], vc.lin[j])
         res_quad = float(np.abs(dq_dt - expected[0]).max())
         res_lin = float(np.abs(dl_dt - expected[1]).max())

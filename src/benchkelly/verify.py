@@ -84,7 +84,7 @@ def run(model: ValidatedModel, vc: valuefn.ValueCoefficients, seed: int, *, prob
     # backward-equation residuals at sampled interior nodes, scaled by the
     # local derivative magnitude (the raw defect is truncation-dominated)
     T = model.horizon
-    res = valuefn.riccati_residual(vc, model, np.linspace(0.1 * T, 0.9 * T, 7))
+    res = valuefn.riccati_residual(model, vc, np.linspace(0.1 * T, 0.9 * T, 7))
     add("backward_residuals", max(res.quad_rel, res.lin_rel) < residual_tol,
         f"quad={res.quad_rel:.2e} lin={res.lin_rel:.2e} (derivative-scaled) tol={residual_tol:g}")
 
@@ -92,7 +92,7 @@ def run(model: ValidatedModel, vc: valuefn.ValueCoefficients, seed: int, *, prob
     # Bellman-Isaacs equation d/dt CE = H / theta (-H at theta = 0) at each
     # time's grid node, H the closed form of game.hamiltonians
     times = np.linspace(0.05 * T, 0.95 * T, lattice_times)
-    nodes, d_quad, d_lin, d_level = valuefn.centered_rates(vc, model, times)
+    nodes, d_quad, d_lin, d_level = valuefn.centered_rates(model, vc, times)
     rng = np.random.default_rng(derive_seed(seed, "verify-lattice"))
     states = model.x0 + rng.standard_normal((lattice_states, model.n))
     y = states[0] + 0.5

@@ -36,7 +36,7 @@ def solve_rk4(model: ValidatedModel, steps_per_year: int = 1008) -> ValueCoeffic
         s = min(max(s, 0.0), T)
         seg = model.segment_index(s)
         if seg not in terms_cache:
-            terms_cache[seg] = _SegmentTerms(model, float(model.spec.coeffs.knots[seg]), theta)
+            terms_cache[seg] = _SegmentTerms(model, float(model.spec.coeffs.knots[seg]))
         return terms_cache[seg]
 
     Q = np.zeros((n, n))

@@ -38,9 +38,9 @@ def test_criterion_01_projection_identity():
             rng = np.random.default_rng(1000 + 100 * int(theta * 10) + k)
             m = int(rng.integers(1, 6))
             d = int(rng.integers(m, 13))
-            spec = make_random_spec(rng, theta=max(theta, 0.1), m=m, d=d)
+            spec = make_random_spec(rng, theta=theta, m=m, d=d)
             vm = validate_model(spec)
-            proj = vm.projection_matrices(0.0, theta=theta)
+            proj = vm.projection_matrices(0.0)
             gap = float(np.abs(proj.pminus @ proj.pplus - np.eye(d)).max())
             worst = max(worst, gap)
             count += 1
@@ -61,7 +61,7 @@ def test_criterion_02_riccati_correctness(scalar_model):
     ]
     # quad against the closed-form scalar Riccati solution at every node,
     # S sinh(k s) / (k cosh(k s) - L sinh(k s)) with k^2 = L^2 + theta M S
-    terms = valuefn._SegmentTerms(scalar_model, 0.0, scalar_model.theta)
+    terms = valuefn._SegmentTerms(scalar_model, 0.0)
     L, M, S = terms.lin_map[0, 0], terms.curvature_mix[0, 0], terms.quad_source[0, 0]
     kappa = np.sqrt(L * L + scalar_model.theta * M * S)
     closed_form = 0.0

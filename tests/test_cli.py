@@ -273,6 +273,35 @@ def test_report_argument_needs_label(workdir, capsys):
     assert err.startswith("ERROR CONFIG:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,detail", [
+    (["simulate", "--config", "config.json", "--paths", "abc"], "invalid int value: 'abc'"),
+    (["simulate", "--config", "config.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["simulate"], "required: --config"),
+], ids=["bad-int", "unknown-flag", "missing-config"])
+def test_usage_errors_are_config_errors(workdir, capsys, argv, detail):
+    code = run(workdir, *argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ERROR CONFIG:") and detail in err
+    assert "error:" not in err
+
+
+def test_help_exits_zero(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(workdir, "simulate", "--help")
+    assert exc.value.code == 0
+    assert "--paths" in capsys.readouterr().out
+
+
+def test_report_rejects_a_label_that_breaks_the_csv(workdir, capsys):
+    code = run(workdir, "report", "--config", str(workdir / "config.json"),
+               "--out", str(workdir / "r"), f"a,b={workdir / 'paths.bin'}")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ERROR CONFIG:") and "'a,b'" in err
+    assert not (workdir / "r" / "report.csv").exists()
+
+
 def test_simulate_flag_overrides(workdir):
     out = workdir / "flags"
     code = run(workdir, "simulate", "--config", str(workdir / "config.json"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from benchkelly import policy as policy_mod
 from benchkelly.errors import ConfigError, SaddleViolation
 from benchkelly.game import (
     bellman_isaacs_integrand,
@@ -11,7 +12,7 @@ from benchkelly.game import (
     twostep_hamiltonian,
 )
 from benchkelly.model import ModelSpec, validate_model
-from benchkelly.policy import optimal_gamma, optimal_h
+from benchkelly.policy import fractional_kelly, gain_table, optimal_gamma, optimal_h
 from benchkelly.valuefn import _SegmentTerms, solve_value_coefficients, value_function
 
 from conftest import (make_random_spec, make_scalar_spec, make_two_segment_spec,
@@ -47,18 +48,22 @@ def test_payoff_zero_case():
     spec = ModelSpec.constant(n=1, m=1, d=1, horizon_years=1.0, theta=1.0, x0=[0.0],
                               asset_vol=[[0.2]])
     vm = validate_model(spec)
-    val = running_payoff_g(vm, 1.0, 0.0, np.zeros(1), np.zeros(1), np.zeros(1))
+    val = running_payoff_g(vm, 0.0, np.zeros(1), np.zeros(1), np.zeros(1))
     assert val == 0.0
 
 
 def test_payoff_hand_value(plain_model):
-    val = running_payoff_g(plain_model, 1.0, 0.0, np.zeros(1), np.array([1.0]), np.zeros(1))
+    val = running_payoff_g(plain_model, 0.0, np.zeros(1), np.array([1.0]), np.zeros(1))
     assert val == pytest.approx(-0.02, abs=1e-15)
 
 
-def test_payoff_pure_entropy(plain_model):
+def test_payoff_pure_entropy():
+    spec = ModelSpec.constant(
+        n=1, m=1, d=1, horizon_years=1.0, theta=2.0, x0=[0.0],
+        asset_drift=[0.04], asset_vol=[[0.2]],
+    )
     gamma = np.array([0.7])
-    val = running_payoff_g(plain_model, 2.0, 0.0, np.array([3.0]), np.zeros(1), gamma)
+    val = running_payoff_g(validate_model(spec), 0.0, np.array([3.0]), np.zeros(1), gamma)
     assert val == pytest.approx(-0.25 * 0.49, abs=1e-15)
 
 
@@ -68,9 +73,9 @@ def test_payoff_requires_positive_theta(fn):
     vm = validate_model(make_scalar_spec(theta=0.0))
     x, zero = np.array([0.1]), np.zeros(1)
     calls = {
-        "running_payoff_g": lambda: running_payoff_g(vm, 0.0, 0.0, x, zero, zero),
-        "running_payoff_g1": lambda: running_payoff_g1(vm, 0.0, 0.0, x, zero),
-        "twostep_hamiltonian": lambda: twostep_hamiltonian(vm, 0.0, 0.0, x, zero, zero, zero,
+        "running_payoff_g": lambda: running_payoff_g(vm, 0.0, x, zero, zero),
+        "running_payoff_g1": lambda: running_payoff_g1(vm, 0.0, x, zero),
+        "twostep_hamiltonian": lambda: twostep_hamiltonian(vm, 0.0, x, zero, zero, zero,
                                                            np.zeros((1, 1))),
         "saddle_check": lambda: saddle_check(
             vm, solve_value_coefficients(vm, steps_per_year=12), 0.5, x, probes=10),
@@ -87,10 +92,10 @@ def test_payoffs_on_a_stack_equal_the_row_by_row_calls(twofactor_model, twofacto
     G = rng.standard_normal((6, vm.d))
     X = rng.standard_normal((6, vm.n))
     stacks = {
-        "g": (running_payoff_g(vm, vm.theta, t, X, H, G),
-              [running_payoff_g(vm, vm.theta, t, *row) for row in zip(X, H, G)]),
-        "g1": (running_payoff_g1(vm, vm.theta, t, X, H),
-               [running_payoff_g1(vm, vm.theta, t, *row) for row in zip(X, H)]),
+        "g": (running_payoff_g(vm, t, X, H, G),
+              [running_payoff_g(vm, t, *row) for row in zip(X, H, G)]),
+        "g1": (running_payoff_g1(vm, t, X, H),
+               [running_payoff_g1(vm, t, *row) for row in zip(X, H)]),
         "bracket": (bellman_isaacs_integrand(vm, vc, t, x, H, G),
                     [bellman_isaacs_integrand(vm, vc, t, x, h, g) for h, g in zip(H, G)]),
     }
@@ -110,8 +115,8 @@ def test_transformed_payoff_is_the_game_payoff_at_the_maximizing_tilt():
         x = rng.standard_normal(vm.n)
         h = rng.standard_normal(vm.m)
         gamma = -vm.theta * (block.asset_vol.T @ h - block.bench_vol)
-        g1 = running_payoff_g1(vm, vm.theta, 0.5, x, h)
-        g = running_payoff_g(vm, vm.theta, 0.5, x, h, gamma)
+        g1 = running_payoff_g1(vm, 0.5, x, h)
+        g = running_payoff_g(vm, 0.5, x, h, gamma)
         assert abs(g1 - g) <= 1e-12 * (1.0 + abs(g1))
 
 
@@ -122,12 +127,12 @@ def test_transformed_payoff_no_position():
     )
     vm = validate_model(spec)
     x = np.array([2.0])
-    val = running_payoff_g1(vm, 2.0, 0.0, x, np.zeros(1))
+    val = running_payoff_g1(vm, 0.0, x, np.zeros(1))
     assert val == pytest.approx(0.03 + 0.8, abs=1e-14)
 
 
 def test_transformed_payoff_hand_value(plain_model):
-    val = running_payoff_g1(plain_model, 1.0, 0.0, np.zeros(1), np.array([1.0]))
+    val = running_payoff_g1(plain_model, 0.0, np.zeros(1), np.array([1.0]))
     assert val == pytest.approx(0.0, abs=1e-15)
 
 
@@ -138,7 +143,7 @@ def test_transformed_payoff_theta_one_drops_bench_variance():
     )
     vm = validate_model(spec)
     # h = 0, c = 0, C = 0: only the (theta-1)/2 * |Xi|^2 term could remain
-    val = running_payoff_g1(vm, 1.0, 0.0, np.zeros(1), np.zeros(1))
+    val = running_payoff_g1(vm, 0.0, np.zeros(1), np.zeros(1))
     assert val == 0.0
 
 
@@ -174,6 +179,23 @@ def test_inner_maximizer_matches_grid_search():
     block = vm.coefficients(t)
     g_closed = block.factor_vol.T @ p - theta * (block.asset_vol.T @ h - block.bench_vol)
     assert abs(g_grid - g_closed[0]) <= (grid[1] - grid[0])
+
+
+def test_point_evaluations_build_two_gain_tables(monkeypatch, scalar_model, scalar_vc):
+    # fractional_kelly builds its optimal and Kelly rows once, and
+    # saddle_check reads the candidate pair from one fractional_kelly call
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args[2])
+        return gain_table(*args, **kwargs)
+
+    monkeypatch.setattr(policy_mod, "gain_table", counted)
+    x = np.array([0.3])
+    fractional_kelly(scalar_model, scalar_vc, 0.4, x)
+    assert len(builds) == 2
+    saddle_check(scalar_model, scalar_vc, 0.4, x, probes=10)
+    assert len(builds) == 4
 
 
 def test_saddle_zero_radius_is_exact(scalar_model, scalar_vc):
@@ -261,8 +283,8 @@ def test_twostep_tilt_generates_quadratic_gradient_term(scalar_model, scalar_vc)
         quad, _, _ = scalar_vc.at(t)
         lam = scalar_model.coefficients(t).factor_vol
         nu_hat = -theta * (lam.T @ p)
-        with_nu = twostep_hamiltonian(scalar_model, theta, t, x, h, nu_hat, p, quad)
-        at_zero = twostep_hamiltonian(scalar_model, theta, t, x, h, np.zeros(1), p, quad)
+        with_nu = twostep_hamiltonian(scalar_model, t, x, h, nu_hat, p, quad)
+        at_zero = twostep_hamiltonian(scalar_model, t, x, h, np.zeros(1), p, quad)
         expected = -0.5 * theta * float(p @ lam @ lam.T @ p)
         assert with_nu - at_zero == pytest.approx(expected, abs=1e-10)
 
@@ -284,7 +306,7 @@ def test_hamiltonian_is_the_assembled_time_derivative(case, twofactor_model, two
     nodes = np.linspace(0, len(vc.grid) - 1, 9).astype(int)
     for j in nodes.tolist():
         t = float(vc.grid[j])
-        d_quad, d_lin, d_level = _SegmentTerms(vm, t, vm.theta).derivative(vc.quad[j], vc.lin[j])
+        d_quad, d_lin, d_level = _SegmentTerms(vm, t).derivative(vc.quad[j], vc.lin[j])
         for x in rng.standard_normal((3, vm.n)):
             d_ce = 0.5 * float(x @ d_quad @ x) + float(d_lin @ x) + d_level
             ham, _ = hamiltonians(vm, vc, t, x)

@@ -119,15 +119,15 @@ def test_projection_hand_values_scalar():
     spec = ModelSpec.constant(
         n=1, m=1, d=1, horizon_years=1.0, theta=1.0, x0=[0.0], asset_vol=[[1.0]],
     )
-    proj = validate_model(spec).projection_matrices(0.0, theta=1.0)
+    proj = validate_model(spec).projection_matrices(0.0)
     assert proj.pplus[0, 0] == pytest.approx(2.0, abs=1e-15)
     assert proj.pminus[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_projection_theta_zero_identity():
     rng = np.random.default_rng(5)
-    vm = validate_model(make_random_spec(rng, m=2, d=5))
-    proj = vm.projection_matrices(0.0, theta=0.0)
+    vm = validate_model(make_random_spec(rng, theta=0.0, m=2, d=5))
+    proj = vm.projection_matrices(0.0)
     assert np.array_equal(proj.pplus, np.eye(vm.d))
     assert np.array_equal(proj.pminus, np.eye(vm.d))
 
@@ -135,15 +135,15 @@ def test_projection_theta_zero_identity():
 def test_projection_inverse_oracle():
     rng = np.random.default_rng(7)
     vm = validate_model(make_random_spec(rng, m=2, d=5, theta=0.7))
-    proj = vm.projection_matrices(0.3, theta=0.7)
+    proj = vm.projection_matrices(0.3)
     assert np.abs(proj.pminus - np.linalg.inv(proj.pplus)).max() < 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.1, 1.0, 10.0])
 def test_projection_pair_properties(theta):
     rng = np.random.default_rng(int(theta * 10) + 1)
-    vm = validate_model(make_random_spec(rng, theta=max(theta, 0.1)))
-    proj = vm.projection_matrices(0.0, theta=theta)
+    vm = validate_model(make_random_spec(rng, theta=theta))
+    proj = vm.projection_matrices(0.0)
     eye = np.eye(vm.d)
     assert np.abs(proj.pminus @ proj.pplus - eye).max() < 1e-12
     assert np.abs(proj.pplus - proj.pplus.T).max() < 1e-13

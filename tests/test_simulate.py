@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import benchkelly.simulate as sim_mod
-from benchkelly.errors import ConfigError, MeasureMismatch, NonfiniteState
+from benchkelly.errors import ConfigError, MeasureMismatch, NonfiniteState, ParseError
 from benchkelly.game import running_payoff_g, running_payoff_g1
 from benchkelly.model import ModelSpec, validate_model
 from benchkelly.policy import gain_table
@@ -390,6 +390,16 @@ def test_binary_dump_round_trip(tmp_path, scalar_model, scalar_vc):
     assert np.array_equal(log_excess, bundle.log_excess)
 
 
+def test_binary_dump_rejects_trailing_bytes(tmp_path, scalar_model, scalar_vc):
+    cfg = SimConfig(n_paths=4, steps=3, dt=1 / 252, seed=2, strategy="optimal")
+    path = tmp_path / "paths.bin"
+    save_paths_binary(simulate_paths(scalar_model, scalar_vc, cfg), path)
+    with open(path, "ab") as fh:
+        fh.write(np.zeros(1).tobytes())
+    with pytest.raises(ParseError, match="longer than its header promises"):
+        load_paths_binary(path)
+
+
 def test_binary_dump_needs_paths(tmp_path, scalar_model, scalar_vc):
     bundle = simulate_paths(
         scalar_model, scalar_vc,
@@ -474,7 +484,7 @@ def test_game_value_matches_tilted_expectation(twofactor_model, twofactor_vc):
     for j in range(steps):
         X = bundle.states[:, j]
         H, G = _applied_controls(vm, vc, j * dt, X)
-        total += theta * dt * running_payoff_g(vm, theta, j * dt, X, H, G)
+        total += theta * dt * running_payoff_g(vm, j * dt, X, H, G)
     u0 = value_function(vc, 0.0, vm.x0).log_criterion
     se = total.std(ddof=1) / np.sqrt(len(total))
     assert abs(total.mean() - u0) < 3.0 * se + 5e-4  # MC band plus Euler bias allowance
@@ -495,7 +505,7 @@ def test_transformed_measure_criterion_matches_value(twofactor_model, twofactor_
     for j in range(steps):
         X = bundle.states[:, j]
         H, _ = _applied_controls(vm, vc, j * dt, X)
-        total += theta * dt * running_payoff_g1(vm, theta, j * dt, X, H)
+        total += theta * dt * running_payoff_g1(vm, j * dt, X, H)
     vals = np.exp(total)
     mean = vals.mean()
     se = vals.std(ddof=1) / np.sqrt(len(vals))

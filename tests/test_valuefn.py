@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from benchkelly import valuefn
+from benchkelly import cli, valuefn
 from benchkelly.errors import (BlowUp, ConfigError, EigenvalueViolation, ParseError,
                                TimeOutOfRange)
 from benchkelly.model import ModelSpec, validate_model
@@ -190,7 +190,7 @@ def test_centered_rates_take_the_nodes_of_the_scalar_search(steps_per_year):
     times = np.concatenate([rng.uniform(0.0, 1.0, 200), grid, 0.5 * (grid[1:] + grid[:-1]),
                             [0.5 - 1e-15, 0.5, 0.5 + 1e-15]])
     times = times[(grid[0] < times) & (times < grid[-1])]
-    nodes, d_quad, d_lin, d_level = valuefn.centered_rates(vc, vm, times)
+    nodes, d_quad, d_lin, d_level = valuefn.centered_rates(vm, vc, times)
     assert nodes.tolist() == [_stencil_node(grid, vm.spec.coeffs.knots, t)
                               for t in times.tolist()]
     for j, dq, dl, dc in zip(nodes.tolist(), d_quad, d_lin, d_level):
@@ -204,7 +204,7 @@ def test_time_out_of_range(scalar_vc):
     with pytest.raises(TimeOutOfRange):
         value_function(scalar_vc, 1.5, np.zeros(1))
     with pytest.raises(TimeOutOfRange):
-        riccati_residual(scalar_vc, None, 0.0)
+        riccati_residual(None, scalar_vc, 0.0)
 
 
 def test_residual_zero_for_zero_solution():
@@ -215,14 +215,21 @@ def test_residual_zero_for_zero_solution():
     )
     vm = validate_model(spec)
     vc = solve_value_coefficients(vm, steps_per_year=504)
-    res = riccati_residual(vc, vm, 0.5)
+    res = riccati_residual(vm, vc, 0.5)
     assert res.quad < 1e-14 and res.lin < 1e-14
 
 
 def test_residual_small_at_fine_steps(scalar_model):
     vc = solve_value_coefficients(scalar_model, steps_per_year=10_000)
-    res = riccati_residual(vc, scalar_model, 0.5)
+    res = riccati_residual(scalar_model, vc, 0.5)
     assert res.quad < 1e-6 and res.lin < 1e-6
+
+
+def test_residual_reads_theta_from_the_model(scalar_vc):
+    # a theta = 1 solve does not solve the theta = 2 model's equations
+    other = validate_model(make_scalar_spec(theta=2.0))
+    res = riccati_residual(other, scalar_vc, np.linspace(0.1, 0.9, 7))
+    assert max(res.quad_rel, res.lin_rel) > cli._CONFIG["solver"]["residual_tol"][1]
 
 
 def test_refinement_shrinks_error_fourth_order(scalar_model):
@@ -349,8 +356,8 @@ def test_blowup_detected():
 def test_psd_loss_detected(monkeypatch, scalar_model):
     orig = valuefn._SegmentTerms.__init__
 
-    def flipped(self, model, seg_start, theta):
-        orig(self, model, seg_start, theta)
+    def flipped(self, model, seg_start):
+        orig(self, model, seg_start)
         self.quad_source = -self.quad_source
 
     monkeypatch.setattr(valuefn._SegmentTerms, "__init__", flipped)
@@ -470,10 +477,10 @@ def test_piecewise_coefficients_solve():
     vm, vc = _two_segment_model()
     # residuals hold inside each segment
     for t in (0.2, 0.8):
-        res = riccati_residual(vc, vm, t)
+        res = riccati_residual(vm, vc, t)
         assert res.quad < 1e-5 and res.lin < 1e-5
     # near the knot the stencil shifts inward rather than straddling it
-    res = riccati_residual(vc, vm, 0.5)
+    res = riccati_residual(vm, vc, 0.5)
     assert res.quad < 1e-3
     # the early (higher-vol) segment must price risk differently
     q_early = vc.at(0.25)[0][0, 0]
@@ -485,14 +492,14 @@ def test_residual_over_times_is_worst_single_time_residual():
     vm, vc = _two_segment_model()
     # both segments, the knot (the stencil shifts) and a repeated time
     times = [0.2, 0.5, 0.8, 0.2, 0.999]
-    worst = riccati_residual(vc, vm, times)
-    singles = [riccati_residual(vc, vm, t) for t in times]
+    worst = riccati_residual(vm, vc, times)
+    singles = [riccati_residual(vm, vc, t) for t in times]
     for field in worst._fields:
         assert getattr(worst, field) == max(getattr(r, field) for r in singles)
-    assert riccati_residual(vc, vm, np.array(times)) == worst
-    assert riccati_residual(vc, vm, [0.5]) == singles[1]
+    assert riccati_residual(vm, vc, np.array(times)) == worst
+    assert riccati_residual(vm, vc, [0.5]) == singles[1]
     with pytest.raises(TimeOutOfRange):
-        riccati_residual(vc, vm, [0.2, 1.0])
+        riccati_residual(vm, vc, [0.2, 1.0])
 
 
 def test_solver_meta_records_residuals(scalar_vc):
