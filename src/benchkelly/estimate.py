@@ -22,7 +22,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import date, timedelta
+from itertools import chain, islice
 from numbers import Integral, Real
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,7 @@ from .errors import (
 from .model import CoefficientBlock, CoefficientSet, ModelSpec, ValidatedModel, cholesky_pd
 
 DEFAULT_DT = 1.0 / 252.0
+PARSE_ROWS = 1024  # panel rows converted per np.array call
 
 
 @dataclass(frozen=True)
@@ -127,18 +130,31 @@ def load_panel(path: str | Path, schema: PanelSchema) -> ReturnPanel:
         if unknown:
             raise SchemaError(f"{path}: columns with no role: {unknown}")
 
+        # one conversion of every numeric cell per chunk of rows, which bounds
+        # the cell strings held at once; the row scan of a failing chunk
+        # names its first bad line, row length first, as a row-by-row parse
+        numeric = itemgetter(*asset_idx, *factor_idx)
         dates: list[str] = []
-        asset_rows: list[list[float]] = []
-        factor_rows: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row at line {line_no} has {len(row)} cells, expected {len(header)}")
+        parts: list[np.ndarray] = []
+        for chunk in iter(lambda: list(islice(reader, PARSE_ROWS)), []):
             try:
-                asset_rows.append([float(row[i]) for i in asset_idx])
-                factor_rows.append([float(row[i]) for i in factor_idx])
+                if any(len(row) != len(header) for row in chunk):
+                    raise ValueError("ragged rows")
+                parts.append(np.array(list(chain.from_iterable(map(numeric, chunk))),
+                                      dtype=float))
             except ValueError:
-                raise ParseError(f"{path}: missing or non-numeric value at line {line_no}") from None
-            dates.append(row[date_idx].strip())
+                cells: list[float] = []
+                for line_no, row in enumerate(chunk, start=len(dates) + 2):
+                    if len(row) != len(header):
+                        raise ParseError(f"{path}: row at line {line_no} has {len(row)} cells, "
+                                         f"expected {len(header)}") from None
+                    try:
+                        cells += map(float, numeric(row))
+                    except ValueError:
+                        raise ParseError(f"{path}: missing or non-numeric value at "
+                                         f"line {line_no}") from None
+                parts.append(np.array(cells))
+            dates += [row[date_idx].strip() for row in chunk]
 
     if not dates:
         raise ParseError(f"{path}: no data rows")
@@ -153,8 +169,9 @@ def load_panel(path: str | Path, schema: PanelSchema) -> ReturnPanel:
         if dates[i] <= dates[i - 1]:
             raise NonMonotoneDates(f"{path}: dates not strictly ascending at line {i + 2}")
 
-    asset_logret = np.asarray(asset_rows)
-    increments = np.asarray(factor_rows)
+    values = np.concatenate(parts).reshape(len(dates), -1)
+    asset_logret = np.ascontiguousarray(values[:, :len(asset_idx)])
+    increments = np.ascontiguousarray(values[:, len(asset_idx):])
     finite = np.isfinite(asset_logret).all(axis=1) & np.isfinite(increments).all(axis=1)
     if not finite.all():
         raise ParseError(f"{path}: non-finite value at line {int(np.argmin(finite)) + 2}")

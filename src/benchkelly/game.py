@@ -11,7 +11,9 @@ orders (their equality is the Isaacs condition), and probes the saddle
 structure of the Bellman-Isaacs integrand around the candidate policies by
 differences of the full bracket from its value at the candidates.
 
-Every function reads theta from the model.  The payoffs, the twostep
+Every function reads theta from the model, and those that take value
+coefficients raise ConfigError on ones solved at another theta or
+horizon (valuefn.check_solved_for).  The payoffs, the twostep
 Hamiltonian and the saddle check raise ConfigError on a Kelly-mode model
 (theta == 0): it collapses the game to the plain growth-optimal problem,
 and the order gap is identically zero.  saddle_check takes the candidate
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, SaddleViolation
 from .model import ValidatedModel, _log_excess_terms, _rowdot
 from .policy import fractional_kelly
-from .valuefn import ValueCoefficients, value_function
+from .valuefn import ValueCoefficients, check_solved_for, value_function
 
 SADDLE_RTOL = 1e-9
 
@@ -109,6 +111,7 @@ def bellman_isaacs_integrand(
     """Drift + diffusion + payoff bracket whose saddle point the candidate
     policies must realize.  h and gamma may be stacks of rows, evaluated at
     the one state x; one row each gives a scalar."""
+    check_solved_for(model, vc)
     block = model.coefficients(t)
     gram = model.gram_blocks(t)
     theta = model.theta
@@ -217,6 +220,7 @@ def hamiltonians(
     the reverse.  Their equality is the Isaacs condition.  At theta == 0 both
     reduce to the growth-optimal Hamiltonian and coincide exactly.
     """
+    check_solved_for(model, vc)
     x = np.asarray(x, dtype=float)
     block = model.coefficients(t)
     gram = model.gram_blocks(t)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, RepresentationMismatch
 from .model import ValidatedModel
-from .valuefn import ValueCoefficients, value_function
+from .valuefn import ValueCoefficients, check_solved_for, value_function
 
 CROSS_CHECK_TOL = 1e-10
 ROUTES = ("direct", "twostep")
@@ -114,10 +114,8 @@ def gain_table(
         raise ConfigError(f"unknown route '{route}'; choose from {ROUTES}")
     if strategy == "optimal" and vc is None:
         raise ConfigError("the optimal allocation needs solved value coefficients")
-    if vc is not None and (vc.theta != model.theta or vc.horizon != model.horizon):
-        raise ConfigError(
-            f"value coefficients solved for theta={vc.theta:g}, horizon={vc.horizon:g} "
-            f"do not belong to the model (theta={model.theta:g}, horizon={model.horizon:g})")
+    if vc is not None:
+        check_solved_for(model, vc)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     n, m, d = model.n, model.m, model.d
     theta = model.theta

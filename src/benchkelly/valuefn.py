@@ -13,12 +13,19 @@ three have zero terminal condition at the horizon.
 quad and lin are the blocks of one (n+1)-dimensional Riccati matrix
 P = [[quad, lin], [lin', r]].  On a constant-coefficient segment P = Y X^-1
 exactly, where [X; Y] follows a linear Hamiltonian flow (Radon's lemma), so
-the solver advances P node to node with the flow's matrix exponential,
-restarting from X = I at every step (the modified Davison-Maki recurrence;
-Davison & Maki, IEEE TAC 18(1), 1973; Kenney & Leipnik, IEEE TAC 30(10),
-1985).  The grid is refined at every knot, so each step lies in one
-segment and one exponential serves every step of a given length in it; quad
-and lin are exact on any grid up to rounding.  The level is r/2, minus the
+the solver advances P with the flow's matrix exponential, restarting from
+X = I (the modified Davison-Maki recurrence; Davison & Maki, IEEE TAC
+18(1), 1973; Kenney & Leipnik, IEEE TAC 30(10), 1985).  The grid is refined
+at every knot, so each piece lies in one segment.  A restart stays exact
+when it serves several nodes, so the solver walks the grid backward in
+blocks of up to BLOCK_PIECES pieces of one segment and one length: from P
+at a block's later end, its i-th earlier node flows through expm(-i tau
+Ham), and one stacked product and one stacked solve give the whole block.
+A whole grid step takes the step T/N as its length, not a difference of
+node times, whose ulp-sized error a block's longer flows would carry; and a
+block is cut short where its span times |Ham|_1 would pass 1, which keeps
+the restarts short on a stiff segment.  quad and lin are exact on any grid up
+to rounding.  The level is r/2, minus the
 constant source times the time to go, plus half the integral of tr(ll quad);
 that integral is taken by the corrected-trapezoid (Hermite) rule, whose error
 is O(step^4).
@@ -34,7 +41,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.linalg.lapack import dgesv
 
 from .errors import (BlowUp, ConfigError, EigenvalueViolation, ParseError,
                      TimeOutOfRange)
@@ -43,6 +49,7 @@ from .model import ValidatedModel
 BLOWUP_NORM = 1e12
 PSD_SOLVE_TOL = -1e-8
 TRACE_CHUNK = 512
+BLOCK_PIECES = 32
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,14 @@ class ValueCoefficients:
         """(quad, lin, level) at time t: the one-row case of at_times."""
         quad, lin, level = self.at_times(t)
         return quad[0], lin[0], float(level[0])
+
+
+def check_solved_for(model: ValidatedModel, vc: ValueCoefficients) -> None:
+    """Raise ConfigError unless vc was solved at the model's theta and horizon."""
+    if vc.theta != model.theta or vc.horizon != model.horizon:
+        raise ConfigError(
+            f"value coefficients solved for theta={vc.theta:g}, horizon={vc.horizon:g} "
+            f"do not belong to the model (theta={model.theta:g}, horizon={model.horizon:g})")
 
 
 @dataclass(frozen=True)
@@ -189,6 +204,56 @@ def _step_increment(ham: np.ndarray, tau: float) -> np.ndarray:
     return aug[:k, :k] @ expm(aug)[:k, k:]
 
 
+def _increment_table(ham: np.ndarray, tau: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """expm(-i tau Ham) - I for i = 1..count, split into the columns acting
+    on I and on P: two stacks (count, 2k, k).  Delta_{i+1} = Delta_i +
+    Delta_1 + Delta_i Delta_1 composes the flows without forming I + Delta."""
+    first = _step_increment(ham, tau)
+    table = np.empty((count, *ham.shape))
+    table[0] = first
+    for i in range(1, count):
+        table[i] = table[i - 1] + first + table[i - 1] @ first
+    k = ham.shape[0] // 2
+    return table[:, :, :k], table[:, :, k:]
+
+
+def _block_cap(ham: np.ndarray, tau: float) -> int:
+    """Pieces of length tau per block: BLOCK_PIECES, fewer where the block's
+    span times |Ham|_1 would pass 1."""
+    span = tau * float(np.linalg.norm(ham, 1))
+    if span * BLOCK_PIECES <= 1.0:
+        return BLOCK_PIECES
+    return max(1, int(1.0 / span))
+
+
+def _blocks(segs: np.ndarray, taus: np.ndarray, hams: dict) -> list[tuple[int, int]]:
+    """Blocks (lo, hi) of the pieces lo..hi-1, latest first: each lies in one
+    run of pieces of equal segment and length, holds at most _block_cap of
+    them, and a run's partial block is its earliest."""
+    change = np.flatnonzero((np.diff(segs) != 0) | (np.diff(taus) != 0)) + 1
+    starts, ends = np.r_[0, change].tolist(), np.r_[change, len(taus)].tolist()
+    blocks = []
+    for a, b in zip(starts[::-1], ends[::-1]):
+        cap = _block_cap(hams[int(segs[a])], float(taus[a]))
+        blocks += [(max(a, hi - cap), hi) for hi in range(b, a, -cap)]
+    return blocks
+
+
+def _solve_stack(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a stack; a singular system gives NaN in its slot
+    alone, so the caller's norm check names the first node it hits."""
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for i, (a, b) in enumerate(zip(lhs, rhs)):
+            try:
+                out[i] = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
 def _hermite(h, g, dg):
     """Corrected-trapezoid integrals over consecutive node pairs of values g
     and time derivatives dg, for step lengths h; exact for cubics."""
@@ -208,13 +273,16 @@ def solve_value_coefficients(
 ) -> ValueCoefficients:
     """Propagate the backward system from the zero terminal condition.
 
-    Exact segment flows node to node on a uniform grid refined at every knot
-    (see the module docstring); the augmented Riccati matrix is symmetrized
-    after every step.
-    Raises BlowUp when any node norm passes BLOWUP_NORM or a step's flow
+    Exact segment flows on a uniform grid refined at every knot, in blocks
+    restarted from their later end (see the module docstring): a block is
+    at most BLOCK_PIECES pieces of one segment and one length, and fewer
+    where its span times |Ham|_1 would pass 1; a whole grid step has the
+    length T/N.
+    The augmented Riccati matrix is symmetrized at every node.
+    Raises BlowUp when a node norm passes BLOWUP_NORM or a node's flow
     becomes singular (parameters outside the well-posed regime) and
     EigenvalueViolation when positive semidefiniteness degrades below
-    PSD_SOLVE_TOL, naming the first offending grid time.
+    PSD_SOLVE_TOL, naming the first offending grid time in backward order.
     """
     T = model.horizon
     theta = model.theta
@@ -224,43 +292,45 @@ def solve_value_coefficients(
     step = T / n_steps
 
     # the grid refined at every knot: piece p spans [times[p], times[p + 1]]
-    # inside segment segs[p], and each segment's pieces are contiguous
+    # inside segment segs[p], and each segment's pieces are contiguous; a
+    # whole grid step takes the step itself as its length, since np.diff
+    # carries about ulp(T) of error per piece into a block's longer flows
     knots = model.spec.coeffs.knots
     times = np.union1d(grid, knots[knots < T])
-    taus = np.diff(times)
+    on_grid = np.isin(times, grid)
+    taus = np.where(on_grid[:-1] & on_grid[1:], step, np.diff(times))
     segs = np.searchsorted(knots, times[:-1], side="right") - 1
     terms = {seg: _SegmentTerms(model, float(knots[seg]))
              for seg in np.unique(segs).tolist()}
+    hams = {seg: seg_terms.hamiltonian() for seg, seg_terms in terms.items()}
 
     quad = np.zeros((len(times), n, n))
     lin = np.zeros((len(times), n))
     level = np.zeros(len(times))
-    increments: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+    tables: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
     k = n + 1
     eye = np.eye(k)
     P = np.zeros((k, k))
-    for p, seg, tau in zip(range(len(taus) - 1, -1, -1), segs[::-1].tolist(),
-                           taus[::-1].tolist()):
-        # P one piece earlier: P + (dY - P dX)(I + dX)^-1 with
-        # [dX; dY] = (expm(-tau Ham) - I) [I; P]
-        if (seg, tau) not in increments:
-            delta = _step_increment(terms[seg].hamiltonian(), tau)
-            increments[seg, tau] = (delta[:, :k].copy(), delta[:, k:].copy())
-        on_eye, on_p = increments[seg, tau]
-        moved = on_eye + on_p @ P
-        dX, dY = moved[:k], moved[k:]
-        # LAPACK's driver directly: np.linalg.solve's call overhead alone costs
-        # more than this small solve
-        _, _, step_t, info = dgesv((eye + dX).T, (dY - P @ dX).T)
-        if info:
-            raise _blowup(float(times[p]))
-        P = P + step_t.T
-        P = 0.5 * (P + P.T)
-        if not np.abs(P).max() <= BLOWUP_NORM:  # also catches NaN
-            raise _blowup(float(times[p]))
-        quad[p] = P[:n, :n]
-        lin[p] = P[:n, n]
-        level[p] = 0.5 * P[n, n]
+    for lo, hi in _blocks(segs, taus, hams):
+        # node hi - i, i = 1..r, from P at node hi: P + (dY - P dX)(I + dX)^-1
+        # with [dX; dY] = (expm(-i tau Ham) - I) [I; P]
+        r = hi - lo
+        key = (int(segs[lo]), float(taus[lo]))
+        if key not in tables or len(tables[key][0]) < r:
+            tables[key] = _increment_table(hams[key[0]], key[1], r)
+        on_eye, on_p = tables[key]
+        moved = on_eye[:r] + on_p[:r] @ P
+        dX, dY = moved[:, :k], moved[:, k:]
+        step_t = _solve_stack((eye + dX).transpose(0, 2, 1), (dY - P @ dX).transpose(0, 2, 1))
+        nodes = P + step_t.transpose(0, 2, 1)
+        nodes = 0.5 * (nodes + nodes.transpose(0, 2, 1))
+        beyond = np.flatnonzero(~(np.abs(nodes).max(axis=(1, 2)) <= BLOWUP_NORM))  # NaN too
+        if beyond.size:
+            raise _blowup(float(times[hi - 1 - beyond[0]]))
+        quad[lo:hi] = nodes[::-1, :n, :n]
+        lin[lo:hi] = nodes[::-1, :n, n]
+        level[lo:hi] = 0.5 * nodes[::-1, n, n]
+        P = nodes[-1]
 
     # per piece, half the integral of tr(ll quad) minus that of the constant source
     parts = np.empty(len(taus))

@@ -15,6 +15,7 @@ from benchkelly.errors import (
     WeightSumError,
 )
 from benchkelly.estimate import (
+    PARSE_ROWS,
     PanelSchema,
     ReturnPanel,
     bootstrap_gram_se,
@@ -76,6 +77,19 @@ def test_load_panel_missing_cell_names_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_panel(path, PanelSchema(bench_weights=np.array([1.0])))
     assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("bad_row, expected", [
+    ("2020-01-01,0.0", "has 2 cells"),
+    ("2020-01-01,abc,0.0", "non-numeric value"),
+])
+def test_load_panel_names_a_bad_line_past_the_first_chunk(tmp_path, bad_row, expected):
+    rows = [f"{np.datetime64('2000-01-01') + t},0.01,0.001" for t in range(PARSE_ROWS + 100)]
+    rows[PARSE_ROWS + 50] = bad_row
+    path = _write_csv(tmp_path / "long.csv", "date,asset:x,factor:f", rows)
+    with pytest.raises(ParseError) as err:
+        load_panel(path, PanelSchema(bench_weights=np.array([1.0])))
+    assert f"line {PARSE_ROWS + 52} " in f"{err.value} " and expected in str(err.value)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])

@@ -84,6 +84,20 @@ def test_payoff_requires_positive_theta(fn):
         calls[fn]()
 
 
+@pytest.mark.parametrize("fn", ["hamiltonians", "bellman_isaacs_integrand"])
+def test_game_rejects_coefficients_solved_at_another_theta(fn, scalar_vc):
+    # the theta = 1 solve mixed into the theta = 2 model gave finite numbers
+    other = validate_model(make_scalar_spec(theta=2.0))
+    x = np.array([0.2])
+    calls = {
+        "hamiltonians": lambda: hamiltonians(other, scalar_vc, 0.3, x),
+        "bellman_isaacs_integrand": lambda: bellman_isaacs_integrand(
+            other, scalar_vc, 0.3, x, np.zeros(1), np.zeros(1)),
+    }
+    with pytest.raises(ConfigError, match="theta=1, horizon=1 do not belong"):
+        calls[fn]()
+
+
 def test_payoffs_on_a_stack_equal_the_row_by_row_calls(twofactor_model, twofactor_vc):
     vm, vc = twofactor_model, twofactor_vc
     rng = np.random.default_rng(13)

@@ -16,9 +16,9 @@ from benchkelly.cli import main
 from conftest import make_twofactor_spec
 
 GOLDEN = {
-    "value_coefficients.bin": "739d497fb1f1800435424767435afaca3eb4e9d902630b1fd2ecb9e691abc952",
-    "terminals.csv": "8037e175f146f329ce23392f5de4ac37aa7782437f57302349f2381ed0910b8c",
-    "policy.json": "783da7a829cabafbd2935225276f8f702332c9bece504c85b4668e3ff13f2c7e",
+    "value_coefficients.bin": "4ad08cd8c4297be2548fb3d5fe2fb04f5f0de4423d8f7ee678572fc91afb1166",
+    "terminals.csv": "56a0ad59f76bfa8b1313ec6a71444a82f905b2df8d2f32658bea1cb9b5649783",
+    "policy.json": "a6403bd45c6f8c6a7d1333021d542432f81da915a9a97d110c39f7fb74e60c8b",
 }
 
 
@@ -48,4 +48,5 @@ def test_golden_digest(golden_config, command, artifact):
     out = golden_config / command
     assert main([command, "--config", str(golden_config / "config.json"),
                  "--out", str(out)]) == 0
-    assert _digest(out / artifact) == GOLDEN[artifact]
+    digest = _digest(out / artifact)
+    assert digest == GOLDEN[artifact], f"{artifact}: new digest {digest}"

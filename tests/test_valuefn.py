@@ -1,6 +1,7 @@
 import dataclasses
 import struct
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -331,6 +332,87 @@ def test_knot_between_identical_blocks_matches_constant_model():
         assert np.abs(ours - theirs).max() <= 1e-13 * np.abs(theirs).max(), name
 
 
+def _mobius_reference(model, steps_per_year):
+    """(quad, lin) at the engine's grid nodes from the exact Moebius
+    recursion P <- Y X^-1, [X; Y] = expm(-tau Ham) [I; P], one piece at a
+    time on the grid refined at every knot, in 40-digit arithmetic with exact
+    piece lengths; only the float Hamiltonians are shared with the engine."""
+    T, n = model.horizon, model.n
+    k = n + 1
+    steps = max(1, round(steps_per_year * T))
+    knots = model.spec.coeffs.knots
+    with mpmath.workdps(40):
+        grid = [mpmath.mpf(T) * j / steps for j in range(steps + 1)]
+        times = sorted(set(grid) | {mpmath.mpf(float(s)) for s in knots if 0.0 < s < T})
+        hams = [mpmath.matrix(valuefn._SegmentTerms(model, float(s)).hamiltonian().tolist())
+                for s in knots]
+        flows = {}
+        P = mpmath.zeros(k, k)
+        quad, lin = np.zeros((steps + 1, n, n)), np.zeros((steps + 1, n))
+        for a, b in zip(times[-2::-1], times[:0:-1]):
+            seg = int(np.searchsorted(knots, float(a), side="right")) - 1
+            if (seg, b - a) not in flows:
+                flows[seg, b - a] = mpmath.expm(-(b - a) * hams[seg])
+            E = flows[seg, b - a]
+            X = E[:k, :k] + E[:k, k:] * P
+            Y = E[k:, :k] + E[k:, k:] * P
+            P = Y * X ** -1
+            if a in grid:
+                j = grid.index(a)
+                quad[j] = np.array(P[:n, :n].tolist(), dtype=float)
+                lin[j] = np.array(P[:n, n].tolist(), dtype=float)[:, 0]
+    return quad, lin
+
+
+def _assert_near_reference(vc, quad, lin, rtol):
+    assert np.abs(vc.quad - quad).max() <= rtol * np.abs(quad).max()
+    assert np.abs(vc.lin - lin).max() <= rtol * np.abs(lin).max()
+
+
+def test_blocks_match_the_exact_recursion():
+    # 252 pieces make seven blocks of 32 and a partial one of 28
+    vm = validate_model(make_twofactor_spec())
+    vc = solve_value_coefficients(vm, steps_per_year=252)
+    _assert_near_reference(vc, *_mobius_reference(vm, 252), 5e-15)
+
+
+def test_knot_inside_a_block_matches_the_exact_recursion():
+    # at 252 steps a year the blocks of a constant model would end at nodes
+    # 252, 220, 188 and 156; the knot at 0.7 lies between nodes 176 and 177
+    spec = make_twofactor_spec()
+    late = spec.coeffs.blocks[0]
+    early = late.replace(asset_vol=1.4 * late.asset_vol, factor_drift=[0.03])
+    vm = _piecewise(spec, [0.0, 0.7], [early, late])
+    vc = solve_value_coefficients(vm, steps_per_year=252)
+    _assert_near_reference(vc, *_mobius_reference(vm, 252), 5e-15)
+
+
+def test_norm_cap_shortens_blocks_and_matches_rk4():
+    # a large factor drift gives |Ham|_1 ~ 61, so 252 steps a year make
+    # blocks of 4 pieces
+    vm = validate_model(make_scalar_spec(factor_drift=[60.0]))
+    cap = valuefn._block_cap(valuefn._SegmentTerms(vm, 0.0).hamiltonian(), 1.0 / 252)
+    assert 1 < cap < valuefn.BLOCK_PIECES
+    vc = solve_value_coefficients(vm, steps_per_year=252)
+    ref = solve_rk4(vm, steps_per_year=8 * 252)
+    for name in ("quad", "lin", "level"):
+        ours, oracle = getattr(vc, name), getattr(ref, name)[::8]
+        assert np.abs(ours - oracle).max() <= 1e-12 * np.abs(oracle).max(), name
+
+
+def test_singular_flow_inside_a_block_raises_blowup_at_its_node(monkeypatch, scalar_model):
+    # Delta = N with N^2 = 0 in dyadic arithmetic: Delta_i = i N exactly, and
+    # I + dX = 1 - i/8 in its corner is singular at the eighth node only
+    def nilpotent(ham, tau):
+        delta = np.zeros_like(ham)
+        delta[0, 0], delta[0, 2], delta[2, 0], delta[2, 2] = -0.125, 0.125, -0.125, 0.125
+        return delta
+
+    monkeypatch.setattr(valuefn, "_step_increment", nilpotent)
+    with pytest.raises(BlowUp, match=f"t={1.0 - 8 / 252:g};"):
+        solve_value_coefficients(scalar_model, steps_per_year=252)
+
+
 def test_singular_step_raises_blowup(monkeypatch, scalar_model):
     # an increment of -I makes I + dX singular at the first step
     monkeypatch.setattr(valuefn, "_step_increment", lambda ham, tau: -np.eye(len(ham)))
@@ -349,7 +431,7 @@ def test_blowup_detected():
     # strongly unstable factor dynamics push the quadratic coefficient past the cap
     spec = make_scalar_spec(theta=0.0, factor_mean_reversion=[[30.0]], asset_factor_loading=[[50.0]])
     vm = validate_model(spec)
-    with pytest.raises(BlowUp):
+    with pytest.raises(BlowUp, match="t=0.654762;"):
         solve_value_coefficients(vm, steps_per_year=504)
 
 
