@@ -10,7 +10,7 @@ estimates models from return panels, and reports performance metrics.
 from .errors import EngineError
 from .model import ModelSpec, ValidatedModel, validate_model
 from .valuefn import ValueCoefficients, solve_value_coefficients, value_function
-from .policy import PolicyAction, fractional_kelly, optimal_gamma, optimal_h, optimal_nu
+from .policy import PolicyAction, fractional_kelly, optimal_h
 from .simulate import PathBundle, SimConfig, simulate_lanes, simulate_paths
 
 __all__ = [
@@ -23,9 +23,7 @@ __all__ = [
     "value_function",
     "PolicyAction",
     "fractional_kelly",
-    "optimal_gamma",
     "optimal_h",
-    "optimal_nu",
     "PathBundle",
     "SimConfig",
     "simulate_lanes",

@@ -16,8 +16,9 @@ coefficients raise ConfigError on ones solved at another theta or
 horizon (valuefn.check_solved_for).  The payoffs, the twostep
 Hamiltonian and the saddle check raise ConfigError on a Kelly-mode model
 (theta == 0): it collapses the game to the plain growth-optimal problem,
-and the order gap is identically zero.  saddle_check takes the candidate
-pair and the value tilt from one policy.fractional_kelly evaluation.
+and the order gap is identically zero.  saddle_check probes around the
+policy.PolicyAction its caller passes, and each function that takes value
+coefficients reads quad and lin from one vc.at and theta from the model.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, SaddleViolation
 from .model import ValidatedModel, _log_excess_terms, _rowdot
-from .policy import fractional_kelly
-from .valuefn import ValueCoefficients, check_solved_for, value_function
+from .valuefn import ValueCoefficients, check_solved_for
 
 SADDLE_RTOL = 1e-9
 
@@ -116,8 +116,8 @@ def bellman_isaacs_integrand(
     gram = model.gram_blocks(t)
     theta = model.theta
     x = np.asarray(x, dtype=float)
-    quad, _, _ = vc.at(t)
-    grad = value_function(vc, t, x).gradient
+    quad, lin, _ = vc.at(t)
+    grad = -theta * (quad @ x + lin)
     hess = -theta * quad
     drift = (block.factor_drift + block.factor_mean_reversion @ x
              + np.asarray(gamma, dtype=float) @ block.factor_vol.T)
@@ -147,12 +147,14 @@ def saddle_check(
     vc: ValueCoefficients,
     t: float,
     x: np.ndarray,
+    action,
     probes: int = 10_000,
     radius: float | None = None,
     seed: int = 0,
-    h_center: np.ndarray | None = None,
 ) -> SaddleReport:
-    """Probe the saddle inequalities around the candidate pair at (t, x).
+    """Probe the saddle inequalities around the candidate pair at (t, x):
+    the allocation and tilt of action, a policy.PolicyAction (the caller's
+    fractional_kelly evaluation, or a moved one as a negative control).
 
     Perturbing the allocation away from the candidate must not decrease the
     bracket; perturbing the tilt must not increase it.  Perturbations are
@@ -160,16 +162,14 @@ def saddle_check(
     exact probe per side, the Newton step of that side's quadratic (not in
     the report's probe_count, which counts the random ones).  Raises
     SaddleViolation when the worst violation exceeds
-    SADDLE_RTOL*(1+|center|).  h_center overrides the allocation center (a
-    non-candidate center must fail; used as a negative control).
+    SADDLE_RTOL*(1+|center|).
     """
     _require_positive_theta(model, "saddle_check")
     x = np.asarray(x, dtype=float)
     block = model.coefficients(t)
     gram = model.gram_blocks(t)
 
-    action = fractional_kelly(model, vc, t, x)
-    h_hat = action.allocation if h_center is None else np.asarray(h_center, dtype=float)
+    h_hat = action.allocation
     g_hat = action.tilt
     if radius is None:
         radius = 0.5 * (1.0 + float(np.linalg.norm(h_hat)))
@@ -225,15 +225,15 @@ def hamiltonians(
     block = model.coefficients(t)
     gram = model.gram_blocks(t)
     theta = model.theta
-    quad, _, _ = vc.at(t)
-    ve = value_function(vc, t, x)
+    quad, lin, _ = vc.at(t)
+    ce_grad = quad @ x + lin
     drift = block.factor_drift + block.factor_mean_reversion @ x
     a_vec = block.asset_drift + block.asset_factor_loading @ x
     kelly = gram.ss_solve(a_vec)
 
     if theta == 0.0:
         kelly_value = float(
-            drift @ ve.ce_gradient
+            drift @ ce_grad
             + 0.5 * np.trace(gram.ll @ quad)
             + 0.5 * a_vec @ kelly
             + 0.5 * gram.xi_xi
@@ -242,7 +242,7 @@ def hamiltonians(
         )
         return kelly_value, kelly_value
 
-    p = ve.gradient
+    p = -theta * ce_grad
     hess = -theta * quad
     proj = model.projection_matrices(t)
     lam_p = block.factor_vol.T @ p

@@ -5,10 +5,11 @@ gradient quad(t) x + lin(t) is, so the optimal allocation, the Kelly
 allocation and the value tilt are X @ K(t) + k(t) for a state matrix X, with
 gains that depend on t alone.  gain_table builds those gains at the times a
 caller steps through, and it is the one source of every control:
-simulate_paths evaluates it once per step, and optimal_h, optimal_nu and
-fractional_kelly evaluate a one-row table.  fractional_kelly is the one point
-evaluation of the candidate pair: optimal_gamma reads its tilt, and
-game.saddle_check its allocation and both tilts.
+simulate_paths evaluates it once per step, verify.run once per route over
+its lattice times, and optimal_h and fractional_kelly evaluate a one-row
+table.  fractional_kelly is the one point evaluation of the candidate
+pair: its tilt is the adverse tilt gamma, its tilt_twostep the value tilt
+nu, and game.saddle_check probes around the action a caller passes it.
 Every strategy of STRATEGIES, the benchmark's fixed or tracking weights too,
 is an allocation row.
 
@@ -21,8 +22,8 @@ The optimal allocation has two routes:
 
 With Du = -theta DCE the two share their arithmetic and differ only in where
 -theta multiplies, so they agree to rounding; the twostep route's tilt
-nu = -theta Lambda' DCE is the value tilt Lambda' Du by definition, and
-optimal_nu reads that column.  fractional_kelly's runtime cross-checks keep
+nu = -theta Lambda' DCE is the value tilt Lambda' Du by definition, the
+table's tilt column.  fractional_kelly's runtime cross-checks keep
 references independent of the table, at every theta: the tilt's projected
 closed form P- Lambda' Du - theta/(theta+1) Sigma' kelly + theta P- Xi, the
 recomposition from the Kelly, benchmark-tracking and hedging portfolios and
@@ -195,28 +196,6 @@ def optimal_h(
     """Optimal allocation at (t, x) by the requested route."""
     table, row = _point_controls(model, vc, t, x, route=route)
     return row[table.h]
-
-
-def optimal_gamma(
-    model: ValidatedModel,
-    vc: ValueCoefficients,
-    t: float,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Adverse measure tilt at (t, x), as fractional_kelly checks it."""
-    return fractional_kelly(model, vc, t, x).tilt
-
-
-def optimal_nu(
-    model: ValidatedModel,
-    vc: ValueCoefficients,
-    t: float,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Transformed-measure tilt -theta Lambda' DCE(t, x): the value tilt
-    Lambda' Du, since u = -theta CE."""
-    table, row = _point_controls(model, vc, t, x)
-    return row[table.value_tilt]
 
 
 def fractional_kelly(

@@ -158,15 +158,17 @@ class _SegmentTerms:
 
     def derivative(self, quad, lin):
         """Time derivatives d/dt of (quad, lin, level), forward in t (the
-        centered differences of riccati_residual take them so)."""
+        centered differences of riccati_residual take them so), for one
+        (quad, lin) or stacks (k, n, n) and (k, n)."""
         th = self.theta
+        col = lin[..., None]
         d_quad = self.quad_rate(quad)
-        d_lin = (-self.lin_map @ lin + th * (quad @ self.curvature_mix @ lin)
+        d_lin = ((-self.lin_map @ col + th * (quad @ self.curvature_mix @ col))[..., 0]
                  - quad @ self.lin_drift - self.lin_source)
         d_level = (
-            0.5 * th * float(lin @ self.curvature_mix @ lin)
-            - float(self.lin_drift @ lin)
-            - 0.5 * float(np.trace(self.level_quad_trace @ quad))
+            0.5 * th * (lin[..., None, :] @ self.curvature_mix @ col)[..., 0, 0]
+            - lin @ self.lin_drift
+            - 0.5 * np.trace(self.level_quad_trace @ quad, axis1=-2, axis2=-1)
             + self.level_const
         )
         return d_quad, d_lin, d_level
@@ -401,9 +403,13 @@ def centered_rates(model: ValidatedModel, vc: ValueCoefficients, times):
     """Centered differences of the time derivatives of (quad, lin, level) at
     the interior node nearest each of one time or a sequence of times, moved
     so its stencil lies in one coefficient segment; returns the nodes and
-    the three derivatives, shapes (k,), (k, n, n), (k, n), (k,)."""
+    the three derivatives, shapes (k,), (k, n, n), (k, n), (k,); ConfigError
+    on a grid of fewer than three nodes, which holds no stencil."""
     grid = vc.grid
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.size and len(grid) < 3:
+        raise ConfigError(f"centered differences need a value grid of three or more nodes, "
+                          f"got {len(grid)}; solve with more steps_per_year")
     outside = times[~((grid[0] < times) & (times < grid[-1]))]
     if outside.size:
         raise TimeOutOfRange(f"residual needs an interior time, got {outside[0]:g}")
@@ -437,18 +443,17 @@ def riccati_residual(model: ValidatedModel, vc: ValueCoefficients, times) -> Res
     scales with it, so one tolerance serves models of any magnitude."""
     nodes, d_quad, d_lin, _ = centered_rates(model, vc, times)
     segs = np.searchsorted(model.spec.coeffs.knots, vc.grid[nodes], side="right") - 1
-    terms: dict[int, _SegmentTerms] = {}
-    worst = Residual(0.0, 0.0, 0.0, 0.0)
-    for j, seg, dq_dt, dl_dt in zip(nodes.tolist(), segs.tolist(), d_quad, d_lin):
-        if seg not in terms:
-            terms[seg] = _SegmentTerms(model, float(vc.grid[j]))
-        expected = terms[seg].derivative(vc.quad[j], vc.lin[j])
-        res_quad = float(np.abs(dq_dt - expected[0]).max())
-        res_lin = float(np.abs(dl_dt - expected[1]).max())
-        worst = Residual(*map(max, worst, (
-            res_quad, res_lin, res_quad / (1.0 + float(np.abs(dq_dt).max())),
-            res_lin / (1.0 + float(np.abs(dl_dt).max())))))
-    return worst
+    expected_quad, expected_lin = np.empty_like(d_quad), np.empty_like(d_lin)
+    for seg in np.unique(segs).tolist():
+        rows = np.flatnonzero(segs == seg)
+        at = nodes[rows]
+        terms = _SegmentTerms(model, float(vc.grid[at[0]]))
+        expected_quad[rows], expected_lin[rows], _ = terms.derivative(vc.quad[at], vc.lin[at])
+    res_quad = np.abs(d_quad - expected_quad).max(axis=(1, 2))
+    res_lin = np.abs(d_lin - expected_lin).max(axis=1)
+    return Residual(*(float(np.max(v, initial=0.0)) for v in (
+        res_quad, res_lin, res_quad / (1.0 + np.abs(d_quad).max(axis=(1, 2))),
+        res_lin / (1.0 + np.abs(d_lin).max(axis=1)))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ quadratic coefficient and the backward equations; then, in one pass over a
 (t, x) lattice, the solve against the game's Bellman-Isaacs equation and the
 policy and game identities; and last the change-of-measure identities on a
 small shared-seed simulation of two lanes.  Each check is one row
-(invariant, status, detail) with status PASS, FAIL or SKIP.
+(invariant, status, detail) with status PASS, FAIL or SKIP.  The lattice
+pass makes one policy.fractional_kelly call per point, around whose action
+game.saddle_check probes (a point where it raises fails
+policy_decompositions and is not probed), and one gain table per route.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ def derive_seed(seed: int, role: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _worst(values) -> float:
+    """The largest of the values, 0 for none; a NaN among them is the result."""
+    return float(np.max(values, initial=0.0))
+
+
 def run(model: ValidatedModel, vc: valuefn.ValueCoefficients, seed: int, *, probes: int,
         sim_paths: int, lattice_times: int, lattice_states: int, residual_tol: float,
         inject_corruption: bool = False) -> list[dict]:
@@ -59,21 +67,17 @@ def run(model: ValidatedModel, vc: valuefn.ValueCoefficients, seed: int, *, prob
         vc = dataclasses.replace(vc, quad=1.5 * vc.quad + 0.1, solver_meta=dict(vc.solver_meta))
 
     # projection identities at segment starts
-    worst_inv, worst_idem = 0.0, 0.0
     eye = np.eye(model.d)
-    for knot in model.spec.coeffs.knots:
-        proj = model.projection_matrices(float(knot))
-        worst_inv = max(worst_inv, float(np.abs(proj.pminus @ proj.pplus - eye).max()))
-        if theta > 0:
-            pi = (eye - proj.pminus) * ((theta + 1.0) / theta)
-            worst_idem = max(worst_idem, float(np.abs(pi @ pi - pi).max()))
+    projs = [model.projection_matrices(float(knot)) for knot in model.spec.coeffs.knots]
+    worst_inv = _worst([np.abs(proj.pminus @ proj.pplus - eye).max() for proj in projs])
     add("projection_inverse", worst_inv < 1e-12, f"max |P-P+ - I| = {worst_inv:.2e}")
     if theta > 0:
+        pis = [(eye - proj.pminus) * ((theta + 1.0) / theta) for proj in projs]
+        worst_idem = _worst([np.abs(pi @ pi - pi).max() for pi in pis])
         add("projection_idempotent", worst_idem < 1e-10, f"max |Pi^2 - Pi| = {worst_idem:.2e}")
 
     # terminal conditions and symmetry/PSD
-    term = max(float(np.abs(vc.quad[-1]).max()), float(np.abs(vc.lin[-1]).max()),
-               abs(float(vc.level[-1])))
+    term = _worst([np.abs(vc.quad[-1]).max(), np.abs(vc.lin[-1]).max(), abs(vc.level[-1])])
     add("terminal_condition", term == 0.0, f"max terminal coefficient = {term:.2e}")
     asym = float(np.abs(vc.quad - vc.quad.transpose(0, 2, 1)).max())
     add("quad_symmetry", asym < 1e-12, f"max |Q - Q'| = {asym:.2e}")
@@ -85,7 +89,7 @@ def run(model: ValidatedModel, vc: valuefn.ValueCoefficients, seed: int, *, prob
     # local derivative magnitude (the raw defect is truncation-dominated)
     T = model.horizon
     res = valuefn.riccati_residual(model, vc, np.linspace(0.1 * T, 0.9 * T, 7))
-    add("backward_residuals", max(res.quad_rel, res.lin_rel) < residual_tol,
+    add("backward_residuals", _worst([res.quad_rel, res.lin_rel]) < residual_tol,
         f"quad={res.quad_rel:.2e} lin={res.lin_rel:.2e} (derivative-scaled) tol={residual_tol:g}")
 
     # policy and game identities in one pass over the (t, x) lattice; the
@@ -96,37 +100,45 @@ def run(model: ValidatedModel, vc: valuefn.ValueCoefficients, seed: int, *, prob
     rng = np.random.default_rng(derive_seed(seed, "verify-lattice"))
     states = model.x0 + rng.standard_normal((lattice_states, model.n))
     y = states[0] + 0.5
-    worst_hjb, worst_route, worst_affine, worst_h, worst_g, worst_gap = (0.0,) * 6
+    # the route and affine rows read each route's gain table over the lattice
+    # times, at the states, at y and at the midpoints (x + y) / 2 at once
+    points = np.vstack([states, y, 0.5 * (states + y)])
+    direct, twostep = (policy_mod.gain_table(model, vc, times, route=route)
+                       for route in policy_mod.ROUTES)
+    hjb, route_gaps, affine, viol_h, viol_g, order_gaps = [], [], [], [], [], []
     policy_err, saddle_err = None, None
     for i, t in enumerate(times.tolist()):
-        hy = policy_mod.optimal_h(model, vc, t, y)
+        h, hy, hm = np.split(direct.controls(i, points)[:, direct.h],
+                             [lattice_states, lattice_states + 1])
+        h2 = twostep.controls(i, states)[:, twostep.h]
+        route_gaps.append(np.abs(h - h2).max(axis=1) / (1.0 + np.abs(h).max(axis=1)))
+        affine.append(np.abs(hm - 0.5 * (h + hy)).max())
         for k, x in enumerate(states):
             d_ce = 0.5 * float(x @ d_quad[i] @ x) + float(d_lin[i] @ x) + d_level[i]
             ham, _ = game.hamiltonians(model, vc, float(vc.grid[nodes[i]]), x)
             rate = ham / theta if theta > 0 else -ham
-            worst_hjb = max(worst_hjb, abs(d_ce - rate) / (1.0 + abs(d_ce)))
+            hjb.append(abs(d_ce - rate) / (1.0 + abs(d_ce)))
             try:
-                policy_mod.fractional_kelly(model, vc, t, x)
+                action = policy_mod.fractional_kelly(model, vc, t, x)
             except RepresentationMismatch as exc:
-                policy_err = str(exc)
-            h = policy_mod.optimal_h(model, vc, t, x, "direct")
-            h2 = policy_mod.optimal_h(model, vc, t, x, "twostep")
-            worst_route = max(worst_route, float(np.abs(h - h2).max() / (1.0 + np.abs(h).max())))
-            hm = policy_mod.optimal_h(model, vc, t, 0.5 * (x + y))
-            worst_affine = max(worst_affine, float(np.abs(hm - 0.5 * (h + hy)).max()))
+                policy_err, action = str(exc), None
             if theta == 0.0:
                 continue
+            hp, hn = game.hamiltonians(model, vc, t, x)
+            order_gaps.append(abs(hp - hn) / (1.0 + abs(hp)))
+            if action is None:
+                continue
+            if inject_corruption:
+                action = dataclasses.replace(action, allocation=action.allocation + 0.1)
             try:
-                rep = game.saddle_check(
-                    model, vc, t, x, probes=probes, seed=derive_seed(seed, f"saddle-{i}-{k}"),
-                    h_center=h + 0.1 if inject_corruption else None)
+                rep = game.saddle_check(model, vc, t, x, action, probes=probes,
+                                        seed=derive_seed(seed, f"saddle-{i}-{k}"))
                 scale = 1.0 + abs(rep.center_value)
-                worst_h = max(worst_h, rep.max_violation_h / scale)
-                worst_g = max(worst_g, rep.max_violation_gamma / scale)
+                viol_h.append(rep.max_violation_h / scale)
+                viol_g.append(rep.max_violation_gamma / scale)
             except SaddleViolation as exc:
                 saddle_err = str(exc)
-            hp, hn = game.hamiltonians(model, vc, t, x)
-            worst_gap = max(worst_gap, abs(hp - hn) / (1.0 + abs(hp)))
+    worst_hjb, worst_route, worst_affine = _worst(hjb), _worst(route_gaps), _worst(affine)
     add("hjb_residual", worst_hjb < residual_tol,
         f"max defect = {worst_hjb:.2e} (derivative-scaled) tol={residual_tol:g}")
     add("policy_decompositions", policy_err is None, policy_err or "all identity checks hold")
@@ -137,6 +149,7 @@ def run(model: ValidatedModel, vc: valuefn.ValueCoefficients, seed: int, *, prob
         rows.extend({"invariant": name, "status": "SKIP", "detail": reason}
                     for name, reason in _KELLY_SKIPS)
         return rows
+    worst_h, worst_g, worst_gap = _worst(viol_h), _worst(viol_g), _worst(order_gaps)
     add("saddle_probes", saddle_err is None,
         saddle_err or f"worst relative violations h={worst_h:.2e} tilt={worst_g:.2e}")
     add("isaacs_gap", worst_gap < 1e-9, f"max relative gap = {worst_gap:.2e}")

@@ -142,7 +142,9 @@ def test_criterion_04_decomposition_identities():
 
 def test_criterion_05_saddle_and_isaacs(scalar_model, scalar_vc):
     start = time.perf_counter()
-    rep = saddle_check(scalar_model, scalar_vc, 0.5, np.array([0.1]),
+    x = np.array([0.1])
+    rep = saddle_check(scalar_model, scalar_vc, 0.5, x,
+                       fractional_kelly(scalar_model, scalar_vc, 0.5, x),
                        probes=10_000, radius=0.5, seed=55)
     tol = 1e-9 * (1.0 + abs(rep.center_value))
     saddle_ok = rep.max_violation_h < tol and rep.max_violation_gamma < tol

@@ -199,6 +199,19 @@ def test_verify_negative_control(workdir, capsys):
     assert {"backward_residuals", "hjb_residual", "saddle_probes"} <= failed
 
 
+def test_verify_rejects_a_grid_without_centered_stencils(workdir, capsys):
+    # one step a year over the one-year horizon leaves two grid nodes; the
+    # residual rows' centered differences would divide 0 by 0
+    config = json.loads((workdir / "config.json").read_text())
+    config["solver"]["steps_per_year"] = 1
+    (workdir / "two_nodes.json").write_text(json.dumps(config))
+    code = run(workdir, "verify", "--config", str(workdir / "two_nodes.json"),
+               "--out", str(workdir / "ver2"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR CONFIG:") and "three or more nodes" in err
+
+
 def test_verify_fails_checks_with_infinite_standard_errors(workdir, capsys):
     # one simulated path has no standard error; its Monte-Carlo rows check
     # nothing and fail rather than pass inside a 3 * inf band

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from benchkelly.game import (
     twostep_hamiltonian,
 )
 from benchkelly.model import ModelSpec, validate_model
-from benchkelly.policy import fractional_kelly, gain_table, optimal_gamma, optimal_h
+from benchkelly.policy import fractional_kelly, gain_table
 from benchkelly.valuefn import _SegmentTerms, solve_value_coefficients, value_function
 
 from conftest import (make_random_spec, make_scalar_spec, make_two_segment_spec,
@@ -71,14 +73,15 @@ def test_payoff_pure_entropy():
                                 "twostep_hamiltonian", "saddle_check"])
 def test_payoff_requires_positive_theta(fn):
     vm = validate_model(make_scalar_spec(theta=0.0))
+    vc = solve_value_coefficients(vm, steps_per_year=12)
     x, zero = np.array([0.1]), np.zeros(1)
     calls = {
         "running_payoff_g": lambda: running_payoff_g(vm, 0.0, x, zero, zero),
         "running_payoff_g1": lambda: running_payoff_g1(vm, 0.0, x, zero),
         "twostep_hamiltonian": lambda: twostep_hamiltonian(vm, 0.0, x, zero, zero, zero,
                                                            np.zeros((1, 1))),
-        "saddle_check": lambda: saddle_check(
-            vm, solve_value_coefficients(vm, steps_per_year=12), 0.5, x, probes=10),
+        "saddle_check": lambda: saddle_check(vm, vc, 0.5, x, fractional_kelly(vm, vc, 0.5, x),
+                                             probes=10),
     }
     with pytest.raises(ConfigError, match=f"{fn} requires theta > 0"):
         calls[fn]()
@@ -197,7 +200,7 @@ def test_inner_maximizer_matches_grid_search():
 
 def test_point_evaluations_build_two_gain_tables(monkeypatch, scalar_model, scalar_vc):
     # fractional_kelly builds its optimal and Kelly rows once, and
-    # saddle_check reads the candidate pair from one fractional_kelly call
+    # saddle_check builds none: it probes around the action it is given
     builds = []
 
     def counted(*args, **kwargs):
@@ -206,20 +209,24 @@ def test_point_evaluations_build_two_gain_tables(monkeypatch, scalar_model, scal
 
     monkeypatch.setattr(policy_mod, "gain_table", counted)
     x = np.array([0.3])
-    fractional_kelly(scalar_model, scalar_vc, 0.4, x)
+    action = fractional_kelly(scalar_model, scalar_vc, 0.4, x)
     assert len(builds) == 2
-    saddle_check(scalar_model, scalar_vc, 0.4, x, probes=10)
-    assert len(builds) == 4
+    saddle_check(scalar_model, scalar_vc, 0.4, x, action, probes=10)
+    assert len(builds) == 2
 
 
 def test_saddle_zero_radius_is_exact(scalar_model, scalar_vc):
-    rep = saddle_check(scalar_model, scalar_vc, 0.4, np.array([0.3]), probes=200, radius=0.0)
+    x = np.array([0.3])
+    rep = saddle_check(scalar_model, scalar_vc, 0.4, x,
+                       fractional_kelly(scalar_model, scalar_vc, 0.4, x), probes=200, radius=0.0)
     assert rep.max_violation_h == 0.0
     assert rep.max_violation_gamma == 0.0
 
 
 def test_saddle_probes_scalar_model(scalar_model, scalar_vc):
-    rep = saddle_check(scalar_model, scalar_vc, 0.5, np.array([0.1]),
+    x = np.array([0.1])
+    rep = saddle_check(scalar_model, scalar_vc, 0.5, x,
+                       fractional_kelly(scalar_model, scalar_vc, 0.5, x),
                        probes=10_000, radius=0.5, seed=7)
     tol = 1e-9 * (1.0 + abs(rep.center_value))
     assert rep.max_violation_h < tol
@@ -229,15 +236,16 @@ def test_saddle_probes_scalar_model(scalar_model, scalar_vc):
 
 def test_saddle_violation_raised_off_center(scalar_model, scalar_vc):
     x = np.array([0.3])
-    h_bad = optimal_h(scalar_model, scalar_vc, 0.5, x) + 0.2
+    action = fractional_kelly(scalar_model, scalar_vc, 0.5, x)
+    shifted = dataclasses.replace(action, allocation=action.allocation + 0.2)
     with pytest.raises(SaddleViolation):
-        saddle_check(scalar_model, scalar_vc, 0.5, x, probes=2000, h_center=h_bad)
+        saddle_check(scalar_model, scalar_vc, 0.5, x, shifted, probes=2000)
 
 
 def test_saddle_curvature_signs(scalar_model, scalar_vc):
     t, x = 0.3, np.array([0.2])
-    h_hat = optimal_h(scalar_model, scalar_vc, t, x)
-    g_hat = optimal_gamma(scalar_model, scalar_vc, t, x)
+    action = fractional_kelly(scalar_model, scalar_vc, t, x)
+    h_hat, g_hat = action.allocation, action.tilt
     center = bellman_isaacs_integrand(scalar_model, scalar_vc, t, x, h_hat, g_hat)
     rng = np.random.default_rng(3)
     for _ in range(10):

@@ -10,9 +10,7 @@ from benchkelly.policy import (
     benchmark_tracking,
     fractional_kelly,
     gain_table,
-    optimal_gamma,
     optimal_h,
-    optimal_nu,
 )
 from benchkelly.valuefn import solve_value_coefficients, value_function
 
@@ -111,7 +109,7 @@ def test_gamma_theta_zero_reduces_to_gradient_term():
     vm = validate_model(spec)
     vc = solve_value_coefficients(vm, steps_per_year=252)
     x = np.array([0.3])
-    gamma = optimal_gamma(vm, vc, 0.5, x)
+    gamma = fractional_kelly(vm, vc, 0.5, x).tilt
     lam = vm.coefficients(0.5).factor_vol
     grad = value_function(vc, 0.5, x).gradient
     assert np.array_equal(gamma, lam.T @ grad)
@@ -127,7 +125,7 @@ def test_gamma_zero_gradient_form():
     vm = validate_model(spec)
     vc = solve_value_coefficients(vm, steps_per_year=252)
     x = np.array([0.7])
-    gamma = optimal_gamma(vm, vc, 0.2, x)
+    gamma = fractional_kelly(vm, vc, 0.2, x).tilt
     block = vm.coefficients(0.2)
     gram = vm.gram_blocks(0.2)
     expected = -0.5 * (block.asset_vol.T @ gram.ss_solve(block.asset_drift))
@@ -135,19 +133,19 @@ def test_gamma_zero_gradient_form():
 
 
 def test_gamma_dual_forms_agree(solved_random):
-    # optimal_gamma cross-asserts its two representations internally
+    # fractional_kelly cross-asserts the tilt's two representations internally
     for vm, vc, rng in solved_random:
         for _ in range(50):
             t = float(rng.uniform(0, vm.horizon))
             x = rng.standard_normal(vm.n)
-            optimal_gamma(vm, vc, t, x)  # raises RepresentationMismatch on failure
+            fractional_kelly(vm, vc, t, x)  # raises RepresentationMismatch on failure
 
 
 def test_nu_equals_factor_loading_of_gradient(solved_random):
     for vm, vc, rng in solved_random:
         t = float(rng.uniform(0, vm.horizon))
         x = rng.standard_normal(vm.n)
-        nu = optimal_nu(vm, vc, t, x)
+        nu = fractional_kelly(vm, vc, t, x).tilt_twostep
         lam = vm.coefficients(t).factor_vol
         grad = value_function(vc, t, x).gradient
         assert np.abs(nu - lam.T @ grad).max() < 1e-12 * (1.0 + np.abs(nu).max())
@@ -160,7 +158,7 @@ def test_nu_zero_without_factor_noise():
     )
     vm = validate_model(spec)
     vc = solve_value_coefficients(vm, steps_per_year=252)
-    assert np.all(optimal_nu(vm, vc, 0.5, np.array([1.0])) == 0.0)
+    assert np.all(fractional_kelly(vm, vc, 0.5, np.array([1.0])).tilt_twostep == 0.0)
 
 
 def test_fractional_kelly_fields(scalar_model, scalar_vc):
@@ -208,10 +206,9 @@ def test_decomposition_reproduces_optimal(solved_random):
 def test_policies_affine_in_state(scalar_model, scalar_vc, x, y, t):
     xa, xb = np.array([x]), np.array([y])
     mid = 0.5 * (xa + xb)
-    for fn in (optimal_h, optimal_gamma, optimal_nu):
-        fa = fn(scalar_model, scalar_vc, t, xa)
-        fb = fn(scalar_model, scalar_vc, t, xb)
-        fm = fn(scalar_model, scalar_vc, t, mid)
+    actions = [fractional_kelly(scalar_model, scalar_vc, t, z) for z in (xa, xb, mid)]
+    for field in ("allocation", "tilt", "tilt_twostep"):
+        fa, fb, fm = (getattr(action, field) for action in actions)
         assert np.abs(fm - 0.5 * (fa + fb)).max() <= 1e-12 * (1.0 + np.abs(fm).max())
 
 
@@ -233,9 +230,9 @@ def test_point_evaluators_are_one_row_batch_calls(theta, route):
         G = D[direct.value_tilt] - vm.theta * (D[direct.h] @ block.asset_vol - block.bench_vol)
         kelly = gain_table(vm, None, [t], "kelly")
         assert np.array_equal(optimal_h(vm, vc, t, x, route), C[table.h])
-        assert np.array_equal(optimal_nu(vm, vc, t, x), D[direct.value_tilt])
-        assert np.array_equal(optimal_gamma(vm, vc, t, x), G)
         action = fractional_kelly(vm, vc, t, x)
+        assert np.array_equal(action.tilt_twostep, D[direct.value_tilt])
+        assert np.array_equal(action.tilt, G)
         assert np.array_equal(action.allocation, D[direct.h])
         assert np.array_equal(action.kelly, kelly.controls(0, x[None, :])[0, kelly.h])
 
@@ -257,7 +254,7 @@ def test_batch_evaluators_match_pointwise(solved_random):
         for i, x in enumerate(X):
             assert np.abs(H[i] - optimal_h(vm, vc, t, x)).max() < 1e-13 * (1 + np.abs(H[i]).max())
             assert np.abs(H2[i] - optimal_h(vm, vc, t, x, "twostep")).max() < 1e-13 * (1 + np.abs(H[i]).max())
-            assert np.abs(G[i] - optimal_gamma(vm, vc, t, x)).max() < 1e-12 * (1 + np.abs(G[i]).max())
+            assert np.abs(G[i] - fractional_kelly(vm, vc, t, x).tilt).max() < 1e-12 * (1 + np.abs(G[i]).max())
             lam_grad = vm.coefficients(t).factor_vol.T @ value_function(vc, t, x).gradient
             assert np.abs(VT[i] - lam_grad).max() < 1e-13 * (1 + np.abs(VT[i]).max())
             assert np.abs(K[i] - fractional_kelly(vm, vc, t, x).kelly).max() < 1e-13 * (1 + np.abs(K[i]).max())

@@ -1,9 +1,12 @@
 """The README's reference tables name exactly what the code accepts and reports."""
 
 import dataclasses
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import benchkelly
 from benchkelly import cli, verify
 from benchkelly.simulate import SimConfig
 
@@ -47,3 +50,30 @@ def test_readme_verify_table_names_every_row_in_order(scalar_model, scalar_vc):
     rows = verify.run(scalar_model, scalar_vc, 7, probes=10, sim_paths=10, lattice_times=1,
                       lattice_states=1, residual_tol=1e-3)
     assert documented == [row["invariant"] for row in rows]
+
+
+def _has(obj, name: str) -> bool:
+    fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else ()
+    return hasattr(obj, name) or name in fields
+
+
+def test_readme_dotted_names_resolve():
+    # a backticked head.name outside code blocks, whose head is a module, a
+    # config block or an exported name, names an attribute of the module or
+    # export, or a key of the block (verify.sim_paths is a key)
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    modules = {info.name for info in pkgutil.iter_modules(benchkelly.__path__)}
+    unresolved = []
+    for head, name in re.findall(r"`(\w+)\.(\w+)(?:\(\))?`", text):
+        owners = [importlib.import_module(f"benchkelly.{head}")] if head in modules else []
+        if head in benchkelly.__all__:
+            owners.append(getattr(benchkelly, head))
+        if not owners and head not in cli._CONFIG:
+            continue
+        if not (any(_has(owner, name) for owner in owners) or name in cli._CONFIG.get(head, {})):
+            unresolved.append(f"{head}.{name}")
+    assert unresolved == []
+
+
+def test_package_exports_resolve():
+    assert [name for name in benchkelly.__all__ if not hasattr(benchkelly, name)] == []

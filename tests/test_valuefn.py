@@ -226,6 +226,17 @@ def test_residual_small_at_fine_steps(scalar_model):
     assert res.quad < 1e-6 and res.lin < 1e-6
 
 
+def test_residual_keeps_a_nan(scalar_model, scalar_vc):
+    # one NaN defect makes the worst defect NaN, wherever it falls among the times
+    middle = len(scalar_vc.grid) // 2
+    lin = scalar_vc.lin.copy()
+    lin[middle] = np.nan
+    vc = dataclasses.replace(scalar_vc, lin=lin)
+    res = riccati_residual(scalar_model, vc, scalar_vc.grid[[10, middle + 1, middle + 20]])
+    assert np.isnan(res.lin) and np.isnan(res.lin_rel)
+    assert np.isfinite(res.quad)
+
+
 def test_residual_reads_theta_from_the_model(scalar_vc):
     # a theta = 1 solve does not solve the theta = 2 model's equations
     other = validate_model(make_scalar_spec(theta=2.0))
@@ -582,6 +593,21 @@ def test_residual_over_times_is_worst_single_time_residual():
     assert riccati_residual(vm, vc, [0.5]) == singles[1]
     with pytest.raises(TimeOutOfRange):
         riccati_residual(vm, vc, [0.2, 1.0])
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_stacked_derivative_is_the_per_node_derivative(n):
+    # riccati_residual evaluates a segment's nodes as one stack; each stack
+    # entry is bit for bit the single-matrix call that tests/rk4_reference.py makes
+    vm = validate_model(make_random_spec(np.random.default_rng(n), n=n, m=4, d=n + 4))
+    vc = solve_value_coefficients(vm, steps_per_year=52)
+    nodes = np.arange(3, len(vc.grid), 7)
+    terms = valuefn._SegmentTerms(vm, 0.0)
+    stacked = terms.derivative(vc.quad[nodes], vc.lin[nodes])
+    for i, j in enumerate(nodes.tolist()):
+        single = terms.derivative(vc.quad[j], vc.lin[j])
+        for part, one in zip(stacked, single):
+            assert part[i].tobytes() == np.asarray(one).tobytes()
 
 
 def test_solver_meta_records_residuals(scalar_vc):

@@ -1,7 +1,9 @@
 import numpy as np
 
+from benchkelly import game, verify
+from benchkelly import policy as policy_mod
 from benchkelly import simulate as sim_mod
-from benchkelly import verify
+from benchkelly.errors import RepresentationMismatch
 from benchkelly.model import validate_model
 from benchkelly.valuefn import solve_value_coefficients
 
@@ -20,6 +22,44 @@ def test_run_checks_every_invariant_in_order(scalar_model, scalar_vc):
                       lattice_times=2, lattice_states=2, residual_tol=1e-3)
     assert tuple(r["invariant"] for r in rows) == ROWS
     assert [r for r in rows if r["status"] != "PASS"] == []
+
+
+def _counted(monkeypatch, module, name, counts, fail=None):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        if fail is not None:
+            raise fail
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_verify_evaluates_each_lattice_point_once(monkeypatch, scalar_model, scalar_vc):
+    # one fractional_kelly per lattice point, with its optimal and Kelly
+    # rows; one gain table per route over all the lattice times; one per lane
+    counts = {}
+    for name in ("fractional_kelly", "gain_table"):
+        _counted(monkeypatch, policy_mod, name, counts)
+    verify.run(scalar_model, scalar_vc, 7, probes=20, sim_paths=50, lattice_times=3,
+               lattice_states=2, residual_tol=1e-3)
+    points, lanes = 3 * 2, 2
+    assert counts == {"fractional_kelly": points, "gain_table": 2 + 2 * points + lanes}
+
+
+def test_failed_point_fails_decompositions_and_skips_its_probes(monkeypatch, scalar_model,
+                                                                 scalar_vc):
+    counts = {}
+    _counted(monkeypatch, policy_mod, "fractional_kelly", counts,
+             fail=RepresentationMismatch("tilt representations disagree"))
+    _counted(monkeypatch, game, "saddle_check", counts)
+    rows = {r["invariant"]: r for r in verify.run(
+        scalar_model, scalar_vc, 7, probes=20, sim_paths=50, lattice_times=1,
+        lattice_states=2, residual_tol=1e-3)}
+    assert rows["policy_decompositions"]["status"] == "FAIL"
+    assert "tilt representations disagree" in rows["policy_decompositions"]["detail"]
+    assert counts == {"fractional_kelly": 2}
 
 
 
