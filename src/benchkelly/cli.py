@@ -33,7 +33,6 @@ from .errors import (
     EngineError,
     EquivalenceFailure,
     RepresentationMismatch,
-    SaddleViolation,
 )
 
 EXIT_OK = 0
@@ -42,7 +41,6 @@ EXIT_VERIFY = 2
 
 # failures of the mathematics (as opposed to bad inputs) exit with code 2
 _VERIFY_ERRORS = (
-    SaddleViolation,
     EigenvalueViolation,
     EquivalenceFailure,
     RepresentationMismatch,

@@ -47,10 +47,6 @@ class RepresentationMismatch(EngineError):
     code = "REPRESENTATION_MISMATCH"
 
 
-class SaddleViolation(EngineError):
-    code = "SADDLE_VIOLATION"
-
-
 class ConfigError(EngineError):
     code = "CONFIG"
 

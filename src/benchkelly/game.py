@@ -17,8 +17,9 @@ horizon (valuefn.check_solved_for).  The payoffs, the twostep
 Hamiltonian and the saddle check raise ConfigError on a Kelly-mode model
 (theta == 0): it collapses the game to the plain growth-optimal problem,
 and the order gap is identically zero.  saddle_check probes around the
-policy.PolicyAction its caller passes, and each function that takes value
-coefficients reads quad and lin from one vc.at and theta from the model.
+policy.PolicyAction its caller passes and returns a SaddleReport, whose
+passed() is the one verdict.  Each function that takes value coefficients
+reads quad and lin from one vc.at and theta from the model.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SaddleViolation
+from .errors import ConfigError
 from .model import ValidatedModel, _log_excess_terms, _rowdot
 from .valuefn import ValueCoefficients, check_solved_for
 
@@ -160,8 +161,8 @@ def saddle_check(
     bracket; perturbing the tilt must not increase it.  Perturbations are
     uniform in balls of the given radius (default 0.5*(1+|h|)), plus one
     exact probe per side, the Newton step of that side's quadratic (not in
-    the report's probe_count, which counts the random ones).  Raises
-    SaddleViolation when the worst violation exceeds
+    the report's probe_count, which counts the random ones).  The report
+    passes when neither side's worst violation exceeds
     SADDLE_RTOL*(1+|center|).
     """
     _require_positive_theta(model, "saddle_check")
@@ -194,18 +195,12 @@ def saddle_check(
     viol_h = float(np.max(bi_h[0] - bi_h[1:], initial=0.0))
     viol_g = float(np.max(bi_g[1:] - bi_g[0], initial=0.0))
 
-    report = SaddleReport(
+    return SaddleReport(
         center_value=center,
         max_violation_h=viol_h,
         max_violation_gamma=viol_g,
         probe_count=probes,
     )
-    if not report.passed():
-        raise SaddleViolation(
-            f"saddle violated at t={t:g}: h-side {viol_h:.3e}, tilt-side {viol_g:.3e} "
-            f"against tolerance {SADDLE_RTOL * (1.0 + abs(center)):.3e}"
-        )
-    return report
 
 
 def hamiltonians(

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, RepresentationMismatch
+from .errors import ConfigError, NonfiniteState, RepresentationMismatch
 from .model import ValidatedModel
 from .valuefn import ValueCoefficients, check_solved_for, value_function
 
@@ -72,14 +72,13 @@ class PolicyAction:
 class GainTable:
     """Affine feedback gains at a sequence of times.
 
-    The controls at times[j] for the factor states in the rows of X are
-    controls(j, X) = X @ gain[j] + offset[j].  Their columns hold the
+    controls(j, X) = X @ gain[j] + offset[j] are the controls at the table's
+    j-th time, at the factor states in the rows of X.  Their columns hold the
     allocation h and the value tilt Lambda' Du; the slices h and value_tilt
     select them, and a column group the table was built without has slice
     None (see gain_table).
     """
 
-    times: np.ndarray    # (k,)
     gain: np.ndarray     # (k, n, w)
     offset: np.ndarray   # (k, w)
     h: slice | None
@@ -90,7 +89,7 @@ class GainTable:
 
     def allocation_only(self) -> GainTable:
         """This table without its tilt columns."""
-        return GainTable(self.times, np.ascontiguousarray(self.gain[:, :, self.h]),
+        return GainTable(np.ascontiguousarray(self.gain[:, :, self.h]),
                          np.ascontiguousarray(self.offset[:, self.h]), self.h, None)
 
 
@@ -110,6 +109,8 @@ def gain_table(
     the segment's benchmark_tracking), and the value tilt is present when vc
     is given.  Each coefficient segment's rows take (quad, lin) from one
     vc.at_times read and come from one stacked solve against Sigma Sigma'.
+    Raises NonfiniteState, naming the first time read, on coefficients that
+    are not finite there.
     """
     if route not in ROUTES:
         raise ConfigError(f"unknown route '{route}'; choose from {ROUTES}")
@@ -137,6 +138,10 @@ def gain_table(
         gram = model.gram_blocks(t0)
         if vc is not None:
             quad, lin, _ = vc.at_times(times[rows])
+            bad = ~(np.isfinite(quad).all(axis=(1, 2)) & np.isfinite(lin).all(axis=1))
+            if bad.any():
+                raise NonfiniteState(f"value coefficients are not finite at "
+                                     f"t={times[rows][bad][0]:g}")
             # the gradient X quad' + lin as gains: quad' and lin
             quad_t = np.swapaxes(quad, 1, 2)
         if strategy == "benchmark":
@@ -170,7 +175,7 @@ def gain_table(
             lam = block.factor_vol
             gain[rows, :, value_tilt] = (-theta * quad_t) @ lam
             offset[rows, value_tilt] = (-theta * lin) @ lam
-    return GainTable(times=times, gain=gain, offset=offset, h=h, value_tilt=value_tilt)
+    return GainTable(gain=gain, offset=offset, h=h, value_tilt=value_tilt)
 
 
 def _point_controls(model: ValidatedModel, vc: ValueCoefficients | None, t: float, x,

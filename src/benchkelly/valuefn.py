@@ -284,7 +284,8 @@ def solve_value_coefficients(
     Raises BlowUp when a node norm passes BLOWUP_NORM or a node's flow
     becomes singular (parameters outside the well-posed regime) and
     EigenvalueViolation when positive semidefiniteness degrades below
-    PSD_SOLVE_TOL, naming the first offending grid time in backward order.
+    PSD_SOLVE_TOL, naming the first offending grid time in backward order;
+    ConfigError on a one-step grid, which leaves the residual no node to check.
     """
     T = model.horizon
     theta = model.theta
@@ -367,7 +368,7 @@ def solve_value_coefficients(
                      "min_eigenvalue": float(min_eigs.min())},
     )
     # Post-solve diagnostic: worst centered-difference residuals on a node sample.
-    sample = np.linspace(1, n_steps - 1, min(n_steps - 1, 257)).astype(int) if n_steps > 1 else []
+    sample = np.linspace(1, n_steps - 1, min(n_steps - 1, 257)).astype(int)
     worst = riccati_residual(model, vc, grid[sample])
     for name, value in worst._asdict().items():
         vc.solver_meta[f"residual_{name}"] = value
@@ -403,11 +404,11 @@ def centered_rates(model: ValidatedModel, vc: ValueCoefficients, times):
     """Centered differences of the time derivatives of (quad, lin, level) at
     the interior node nearest each of one time or a sequence of times, moved
     so its stencil lies in one coefficient segment; returns the nodes and
-    the three derivatives, shapes (k,), (k, n, n), (k, n), (k,); ConfigError
-    on a grid of fewer than three nodes, which holds no stencil."""
+    the three derivatives, shapes (k,), (k, n, n), (k, n), (k,); ConfigError,
+    even for no times, on a grid of fewer than three nodes (no stencil)."""
     grid = vc.grid
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size and len(grid) < 3:
+    if len(grid) < 3:
         raise ConfigError(f"centered differences need a value grid of three or more nodes, "
                           f"got {len(grid)}; solve with more steps_per_year")
     outside = times[~((grid[0] < times) & (times < grid[-1]))]

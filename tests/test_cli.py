@@ -212,6 +212,19 @@ def test_verify_rejects_a_grid_without_centered_stencils(workdir, capsys):
     assert err.startswith("ERROR CONFIG:") and "three or more nodes" in err
 
 
+def test_solve_rejects_a_grid_without_centered_stencils(workdir, capsys):
+    # two grid nodes leave the post-solve residual nothing to measure; it
+    # must not read as a residual of 0
+    config = json.loads((workdir / "config.json").read_text())
+    config["solver"]["steps_per_year"] = 1
+    (workdir / "two_nodes.json").write_text(json.dumps(config))
+    code = run(workdir, "solve", "--config", str(workdir / "two_nodes.json"),
+               "--out", str(workdir / "sol2"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR CONFIG:") and "three or more nodes" in err
+
+
 def test_verify_fails_checks_with_infinite_standard_errors(workdir, capsys):
     # one simulated path has no standard error; its Monte-Carlo rows check
     # nothing and fail rather than pass inside a 3 * inf band

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from benchkelly import policy as policy_mod
-from benchkelly.errors import ConfigError, SaddleViolation
+from benchkelly.errors import ConfigError
 from benchkelly.game import (
     bellman_isaacs_integrand,
     hamiltonians,
@@ -238,8 +238,7 @@ def test_saddle_violation_raised_off_center(scalar_model, scalar_vc):
     x = np.array([0.3])
     action = fractional_kelly(scalar_model, scalar_vc, 0.5, x)
     shifted = dataclasses.replace(action, allocation=action.allocation + 0.2)
-    with pytest.raises(SaddleViolation):
-        saddle_check(scalar_model, scalar_vc, 0.5, x, shifted, probes=2000)
+    assert not saddle_check(scalar_model, scalar_vc, 0.5, x, shifted, probes=2000).passed()
 
 
 def test_saddle_curvature_signs(scalar_model, scalar_vc):

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benchkelly.errors import ConfigError
+from benchkelly.errors import ConfigError, NonfiniteState
 from benchkelly.model import ModelSpec, validate_model
 from benchkelly.policy import (
     ROUTES,
@@ -12,6 +14,7 @@ from benchkelly.policy import (
     gain_table,
     optimal_h,
 )
+from benchkelly.simulate import SimConfig, simulate_paths
 from benchkelly.valuefn import solve_value_coefficients, value_function
 
 from conftest import make_random_spec, make_scalar_spec, make_two_segment_spec, make_twofactor_spec
@@ -325,3 +328,19 @@ def test_gain_table_rejects_coefficients_of_another_model(scalar_model, scalar_v
     shorter = validate_model(make_scalar_spec(horizon=0.5))
     with pytest.raises(ConfigError, match="horizon"):
         fractional_kelly(shorter, scalar_vc, 0.1, np.array([0.2]))
+
+
+def test_gain_table_rejects_nonfinite_coefficients(scalar_model, scalar_vc):
+    # every caller of the table fails typed, naming the first time it reads
+    x = np.array([0.2])
+    nan_vc = dataclasses.replace(scalar_vc, lin=np.full_like(scalar_vc.lin, np.nan))
+    with pytest.raises(NonfiniteState, match="t=0.1$"):
+        fractional_kelly(scalar_model, nan_vc, 0.1, x)
+    with pytest.raises(NonfiniteState, match="t=0.1$"):
+        optimal_h(scalar_model, nan_vc, 0.1, x)
+    late = scalar_vc.grid > 0.5
+    late_vc = dataclasses.replace(scalar_vc, lin=np.where(late[:, None], np.nan, scalar_vc.lin))
+    assert np.isfinite(optimal_h(scalar_model, late_vc, 0.1, x)).all()
+    # the simulator's steps j / 252: 126 is the node at 0.5, 127 interpolates a NaN
+    with pytest.raises(NonfiniteState, match=f"t={127 / 252:g}$"):
+        simulate_paths(scalar_model, late_vc, SimConfig(n_paths=8, steps=252, seed=1))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 
 from benchkelly import game, verify
@@ -38,14 +40,17 @@ def _counted(monkeypatch, module, name, counts, fail=None):
 
 def test_verify_evaluates_each_lattice_point_once(monkeypatch, scalar_model, scalar_vc):
     # one fractional_kelly per lattice point, with its optimal and Kelly
-    # rows; one gain table per route over all the lattice times; one per lane
+    # rows, and one game.hamiltonians, which hjb_residual and isaacs_gap
+    # share; one gain table per route over all the lattice times; one per lane
     counts = {}
     for name in ("fractional_kelly", "gain_table"):
         _counted(monkeypatch, policy_mod, name, counts)
+    _counted(monkeypatch, game, "hamiltonians", counts)
     verify.run(scalar_model, scalar_vc, 7, probes=20, sim_paths=50, lattice_times=3,
                lattice_states=2, residual_tol=1e-3)
     points, lanes = 3 * 2, 2
-    assert counts == {"fractional_kelly": points, "gain_table": 2 + 2 * points + lanes}
+    assert counts == {"fractional_kelly": points, "gain_table": 2 + 2 * points + lanes,
+                      "hamiltonians": points}
 
 
 def test_failed_point_fails_decompositions_and_skips_its_probes(monkeypatch, scalar_model,
@@ -60,6 +65,9 @@ def test_failed_point_fails_decompositions_and_skips_its_probes(monkeypatch, sca
     assert rows["policy_decompositions"]["status"] == "FAIL"
     assert "tilt representations disagree" in rows["policy_decompositions"]["detail"]
     assert counts == {"fractional_kelly": 2}
+    # a saddle row that probed nothing checked nothing
+    assert rows["saddle_probes"]["status"] == "FAIL"
+    assert rows["saddle_probes"]["detail"].endswith("at 0 probed points")
 
 
 
@@ -75,7 +83,12 @@ def test_saddle_negative_control_bites_with_many_assets():
     vm = validate_model(make_random_spec(np.random.default_rng(3), theta=1.5, n=3, m=8, d=10))
     vc = solve_value_coefficients(vm, steps_per_year=252)
     assert _rows(vm, vc)["saddle_probes"]["status"] == "PASS"
-    assert _rows(vm, vc, inject_corruption=True)["saddle_probes"]["status"] == "FAIL"
+    corrupted = _rows(vm, vc, inject_corruption=True)["saddle_probes"]
+    assert corrupted["status"] == "FAIL"
+    # the failing row still reports its worst violations and its points
+    found = re.fullmatch(r"worst relative violations h=(\S+) tilt=(\S+) at 4 probed points",
+                         corrupted["detail"])
+    assert found and max(map(float, found.groups())) > game.SADDLE_RTOL
 
 
 def test_verify_draws_its_noise_once(monkeypatch, scalar_model, scalar_vc):
