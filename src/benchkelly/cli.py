@@ -136,9 +136,8 @@ _CONFIG = {
     },
     "metrics": {"level": (_FRACTION, 0.95),
                 "downside_denominator": (_one_of(("below", "full")), "below")},
-    "verify": {"probes": (_COUNT, 2000), "sim_paths": (_COUNT, 4000),
-               "lattice_times": (_COUNT, 3), "lattice_states": (_COUNT, 3),
-               "inject_corruption": (_SWITCH, False)},
+    "verify": {"sim_paths": (_COUNT, 4000), "lattice_times": (_COUNT, 3),
+               "lattice_states": (_COUNT, 3), "inject_corruption": (_SWITCH, False)},
     "policy": {"t": (_NUMBER, 0.0), "x": (_VECTOR, None)},
     "estimation": {"panel": (_TEXT, None), "bench_weights": (_VECTOR, None),
                    "date_column": (_TEXT, "date"), "asset_prefix": (_TEXT, "asset:"),
@@ -500,7 +499,7 @@ def cmd_verify(config: dict, out: OutputWriter, args) -> int:
         validated, _solve(config, validated), seed, inject_corruption=inject,
         residual_tol=_setting(config, "solver", "residual_tol"),
         **{key: _setting(config, "verify", key)
-           for key in ("probes", "sim_paths", "lattice_times", "lattice_states")})
+           for key in ("sim_paths", "lattice_times", "lattice_states")})
 
     width = max(len(r["invariant"]) for r in rows)
     lines = [f"{r['invariant']:<{width}}  {r['status']:<4}  {r['detail']}" for r in rows]

@@ -1,4 +1,4 @@
-"""Running payoffs, Hamiltonians, and numerical saddle-point verification.
+"""Running payoffs, Hamiltonians, and the exact saddle-point certificate.
 
 The exponential criterion is equivalent to a two-player zero-sum game: the
 investor picks the allocation h, an adversary picks a measure tilt gamma and
@@ -7,23 +7,25 @@ ell and noise loading track of ln(V/L) from model._log_excess_terms, as the
 simulator does: g = -ell - track . gamma - |gamma|^2 / (2 theta), and g1 =
 -ell + theta/2 |track|^2, g at its maximizing tilt gamma = -theta track.
 This module evaluates them, the inner Hamiltonian in both optimization
-orders (their equality is the Isaacs condition), and probes the saddle
-structure of the Bellman-Isaacs integrand around the candidate policies by
-differences of the full bracket from its value at the candidates.
+orders (their equality is the Isaacs condition), and certifies the saddle
+structure of the Bellman-Isaacs integrand at the candidate policies from
+the gradient and Hessian of the full bracket in each control.
 
 Every function reads theta from the model, and those that take value
 coefficients raise ConfigError on ones solved at another theta or
 horizon (valuefn.check_solved_for).  The payoffs, the twostep
-Hamiltonian and the saddle check raise ConfigError on a Kelly-mode model
-(theta == 0): it collapses the game to the plain growth-optimal problem,
-and the order gap is identically zero.  saddle_check probes around the
-policy.PolicyAction its caller passes and returns a SaddleReport, whose
-passed() is the one verdict.  Each function that takes value coefficients
-reads quad and lin from one vc.at and theta from the model.
+Hamiltonian and the saddle certificate raise ConfigError on a Kelly-mode
+model (theta == 0): it collapses the game to the plain growth-optimal
+problem, and the order gap is identically zero.  saddle_certificate
+examines the policy.PolicyAction its caller passes and returns a
+SaddleReport, whose passed() is the one verdict.  Each function that takes
+value coefficients reads quad and lin from one vc.at and theta from the
+model.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,19 +34,22 @@ from .errors import ConfigError
 from .model import ValidatedModel, _log_excess_terms, _rowdot
 from .valuefn import ValueCoefficients, check_solved_for
 
-SADDLE_RTOL = 1e-9
+SADDLE_GRAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SaddleReport:
     center_value: float
-    max_violation_h: float
-    max_violation_gamma: float
-    probe_count: int  # random probes per side; the Newton probe is not counted
+    grad_h: float  # radius * |gradient| / (1 + |center|), per control
+    grad_gamma: float
+    curvature_h: float  # least eigenvalue of the allocation's Hessian
+    curvature_gamma: float  # largest eigenvalue of the tilt's Hessian
 
     def passed(self) -> bool:
-        tol = SADDLE_RTOL * (1.0 + abs(self.center_value))
-        return self.max_violation_h <= tol and self.max_violation_gamma <= tol
+        # a NaN gradient or curvature compares False and fails
+        return (math.isfinite(self.center_value)
+                and self.grad_h <= SADDLE_GRAD_TOL and self.grad_gamma <= SADDLE_GRAD_TOL
+                and self.curvature_h > 0.0 and self.curvature_gamma < 0.0)
 
 
 def _require_positive_theta(model: ValidatedModel, who: str) -> None:
@@ -129,77 +134,59 @@ def bellman_isaacs_integrand(
     )
 
 
-def _ball_samples(rng, count: int, dim: int, radius: float) -> np.ndarray:
-    z = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    radii = radius * rng.random(count) ** (1.0 / dim)
-    return z / norms * radii[:, None]
+def _polarize(bracket, center: np.ndarray, radius: float):
+    """Value, gradient and Hessian at center of a bracket quadratic in its
+    one stacked argument, read from one call on the rows center,
+    center +- radius e_i and center + radius (e_i + e_j), i < j: exact up
+    to rounding, as the bracket has no terms above second order."""
+    dim = center.size
+    eye = np.eye(dim)
+    i, j = np.triu_indices(dim, 1)
+    values = bracket(center + radius * np.vstack([np.zeros(dim), eye, -eye, eye[i] + eye[j]]))
+    value, plus, minus, pairs = np.split(values, [1, 1 + dim, 1 + 2 * dim])
+    hess = np.diag(plus + minus - 2.0 * value)
+    hess[i, j] = hess[j, i] = pairs - plus[i] - plus[j] + value
+    return float(value[0]), (plus - minus) / (2.0 * radius), hess / radius**2
 
 
-def _within(step: np.ndarray, radius: float) -> np.ndarray:
-    """The step, scaled down to the given length if it is longer."""
-    norm = float(np.linalg.norm(step))
-    return step * (radius / norm) if norm > radius else step
+def _curvature(hess: np.ndarray, which: int) -> float:
+    """An extreme eigenvalue of hess (0 the least, -1 the largest), NaN for
+    a non-finite hess, on which eigvalsh can return numbers or raise."""
+    return float(np.linalg.eigvalsh(hess)[which]) if np.isfinite(hess).all() else float("nan")
 
 
-def saddle_check(
+def saddle_certificate(
     model: ValidatedModel,
     vc: ValueCoefficients,
     t: float,
     x: np.ndarray,
     action,
-    probes: int = 10_000,
-    radius: float | None = None,
-    seed: int = 0,
 ) -> SaddleReport:
-    """Probe the saddle inequalities around the candidate pair at (t, x):
-    the allocation and tilt of action, a policy.PolicyAction (the caller's
-    fractional_kelly evaluation, or a moved one as a negative control).
+    """Certify the candidate pair at (t, x) as the saddle point of the
+    Bellman-Isaacs bracket: the allocation and tilt of action, a
+    policy.PolicyAction (the caller's fractional_kelly evaluation, or a
+    moved one as a negative control).
 
-    Perturbing the allocation away from the candidate must not decrease the
-    bracket; perturbing the tilt must not increase it.  Perturbations are
-    uniform in balls of the given radius (default 0.5*(1+|h|)), plus one
-    exact probe per side, the Newton step of that side's quadratic (not in
-    the report's probe_count, which counts the random ones).  The report
-    passes when neither side's worst violation exceeds
-    SADDLE_RTOL*(1+|center|).
+    The bracket is quadratic in each control, so the pair is its saddle
+    point exactly when both gradients vanish there, the allocation's
+    Hessian is positive definite and the tilt's negative definite.  Each
+    side's gradient and Hessian are polarized from one bracket call at the
+    radius 0.5*(1+|h|), the other control at its candidate.
     """
-    _require_positive_theta(model, "saddle_check")
-    x = np.asarray(x, dtype=float)
-    block = model.coefficients(t)
-    gram = model.gram_blocks(t)
-
-    h_hat = action.allocation
-    g_hat = action.tilt
-    if radius is None:
-        radius = 0.5 * (1.0 + float(np.linalg.norm(h_hat)))
-
-    # Each side's last probe is the Newton step of its own quadratic from the
-    # centre, -(theta SS')^-1 grad for h and grad for gamma (Hessian -I),
-    # shortened to the radius: it finds a centre off the extremum where
-    # random probes in many dimensions miss the descent side.
-    rng = np.random.default_rng(seed)
-    _, track = _reward(model, t, x, h_hat)
-    a_vec = block.asset_drift + block.asset_factor_loading @ x
-    newton_h = gram.ss_solve(a_vec + block.asset_vol @ g_hat) - h_hat
-    newton_g = action.tilt_twostep - model.theta * track - g_hat
-    dh = np.vstack([_ball_samples(rng, probes, model.m, radius), _within(newton_h, radius)])
-    dg = np.vstack([_ball_samples(rng, probes, model.d, radius), _within(newton_g, radius)])
-
-    # The bracket at [centre; probes] on each side, the other control at its
-    # candidate: an h probe must not decrease it, a gamma probe not increase it.
-    bi_h = bellman_isaacs_integrand(model, vc, t, x, np.vstack([h_hat, h_hat + dh]), g_hat)
-    bi_g = bellman_isaacs_integrand(model, vc, t, x, h_hat, np.vstack([g_hat, g_hat + dg]))
-    center = float(bi_h[0])
-    viol_h = float(np.max(bi_h[0] - bi_h[1:], initial=0.0))
-    viol_g = float(np.max(bi_g[1:] - bi_g[0], initial=0.0))
-
+    _require_positive_theta(model, "saddle_certificate")
+    h_hat, g_hat = action.allocation, action.tilt
+    radius = 0.5 * (1.0 + float(np.linalg.norm(h_hat)))
+    center, grad_h, hess_h = _polarize(
+        lambda h: bellman_isaacs_integrand(model, vc, t, x, h, g_hat), h_hat, radius)
+    _, grad_g, hess_g = _polarize(
+        lambda g: bellman_isaacs_integrand(model, vc, t, x, h_hat, g), g_hat, radius)
+    scale = radius / (1.0 + abs(center))
     return SaddleReport(
         center_value=center,
-        max_violation_h=viol_h,
-        max_violation_gamma=viol_g,
-        probe_count=probes,
+        grad_h=scale * float(np.linalg.norm(grad_h)),
+        grad_gamma=scale * float(np.linalg.norm(grad_g)),
+        curvature_h=_curvature(hess_h, 0),
+        curvature_gamma=_curvature(hess_g, -1),
     )
 
 

@@ -9,7 +9,7 @@ simulate_paths evaluates it once per step, verify.run once per route over
 its lattice times, and optimal_h and fractional_kelly evaluate a one-row
 table.  fractional_kelly is the one point evaluation of the candidate
 pair: its tilt is the adverse tilt gamma, its tilt_twostep the value tilt
-nu, and game.saddle_check probes around the action a caller passes it.
+nu, and game.saddle_certificate examines the action a caller passes it.
 Every strategy of STRATEGIES, the benchmark's fixed or tracking weights too,
 is an allocation row.
 

@@ -8,9 +8,10 @@ small shared-seed simulation of two lanes.  Each check is one row
 (invariant, status, detail) with status PASS, FAIL or SKIP.  The lattice
 pass takes each time at the grid node of its centered difference and makes,
 per point, one game.hamiltonians call (for hjb_residual and isaacs_gap) and
-one policy.fractional_kelly call, around whose action game.saddle_check
-probes (a point where it raises fails policy_decompositions and is not
-probed; saddle_probes needs one probed point); and one gain table per route.
+one policy.fractional_kelly call, whose action game.saddle_certificate
+certifies (a point where it raises fails policy_decompositions and is not
+certified; saddle_probes needs one certified point); and one gain table per
+route.
 """
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ def _worst(values) -> float:
     return float(np.max(values, initial=0.0))
 
 
-def run(model: ValidatedModel, vc: valuefn.ValueCoefficients, seed: int, *, probes: int,
-        sim_paths: int, lattice_times: int, lattice_states: int, residual_tol: float,
+def run(model: ValidatedModel, vc: valuefn.ValueCoefficients, seed: int, *, sim_paths: int,
+        lattice_times: int, lattice_states: int, residual_tol: float,
         inject_corruption: bool = False) -> list[dict]:
     """Run every checkable identity; returns one row per invariant.
 
     inject_corruption is the negative control: it corrupts the quadratic
-    coefficient and moves the saddle probes off the optimal allocation, so
-    the affected rows must fail.
+    coefficient and moves the allocation the saddle certificate examines off
+    the optimum, so the affected rows must fail.
     """
     theta = model.theta
     rows: list[dict] = []
@@ -117,7 +118,7 @@ def run(model: ValidatedModel, vc: valuefn.ValueCoefficients, seed: int, *, prob
         h2 = twostep.controls(i, states)[:, twostep.h]
         route_gaps.append(np.abs(h - h2).max(axis=1) / (1.0 + np.abs(h).max(axis=1)))
         affine.append(np.abs(hm - 0.5 * (h + hy)).max())
-        for k, x in enumerate(states):
+        for x in states:
             d_ce = 0.5 * float(x @ d_quad[i] @ x) + float(d_lin[i] @ x) + d_level[i]
             hp, hn = game.hamiltonians(model, vc, t, x)
             rate = hp / theta if theta > 0 else -hp
@@ -133,8 +134,7 @@ def run(model: ValidatedModel, vc: valuefn.ValueCoefficients, seed: int, *, prob
                 continue
             if inject_corruption:
                 action = dataclasses.replace(action, allocation=action.allocation + 0.1)
-            reports.append(game.saddle_check(model, vc, t, x, action, probes=probes,
-                                             seed=derive_seed(seed, f"saddle-{i}-{k}")))
+            reports.append(game.saddle_certificate(model, vc, t, x, action))
     worst_hjb, worst_route, worst_affine = _worst(hjb), _worst(route_gaps), _worst(affine)
     add("hjb_residual", worst_hjb < residual_tol,
         f"max defect = {worst_hjb:.2e} (derivative-scaled) tol={residual_tol:g}")
@@ -146,13 +146,14 @@ def run(model: ValidatedModel, vc: valuefn.ValueCoefficients, seed: int, *, prob
         rows.extend({"invariant": name, "status": "SKIP", "detail": reason}
                     for name, reason in _KELLY_SKIPS)
         return rows
-    worst_h = _worst([rep.max_violation_h / (1.0 + abs(rep.center_value)) for rep in reports])
-    worst_g = _worst([rep.max_violation_gamma / (1.0 + abs(rep.center_value))
-                      for rep in reports])
+    # the least h and the largest tilt curvature; a NaN among them is the result
+    curv_h = float(np.min([rep.curvature_h for rep in reports], initial=np.inf))
+    curv_g = float(np.max([rep.curvature_gamma for rep in reports], initial=-np.inf))
     worst_gap = _worst(order_gaps)
     add("saddle_probes", bool(reports) and all(rep.passed() for rep in reports),
-        f"worst relative violations h={worst_h:.2e} tilt={worst_g:.2e} "
-        f"at {len(reports)} probed points")
+        f"worst gradients h={_worst([rep.grad_h for rep in reports]):.2e} "
+        f"tilt={_worst([rep.grad_gamma for rep in reports]):.2e}, curvatures "
+        f"h>={curv_h:.2e} tilt<={curv_g:.2e} at {len(reports)} certified points")
     add("isaacs_gap", worst_gap < 1e-9, f"max relative gap = {worst_gap:.2e}")
 
     # measure-theory suite on a small shared-seed simulation

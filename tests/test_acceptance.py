@@ -14,7 +14,7 @@ from benchkelly.analytics import risk_ratios
 from benchkelly.cli import main as cli_main
 from benchkelly.estimate import bootstrap_gram_se, estimate_model, gram_blocks_of_cov, \
     realized_covariance, synthesize_panel
-from benchkelly.game import hamiltonians, saddle_check
+from benchkelly.game import hamiltonians, saddle_certificate
 from benchkelly.model import validate_model
 from benchkelly.policy import fractional_kelly, optimal_h
 from benchkelly.simulate import SimConfig, kl_estimate, martingale_check, mc_criterion, \
@@ -143,11 +143,8 @@ def test_criterion_04_decomposition_identities():
 def test_criterion_05_saddle_and_isaacs(scalar_model, scalar_vc):
     start = time.perf_counter()
     x = np.array([0.1])
-    rep = saddle_check(scalar_model, scalar_vc, 0.5, x,
-                       fractional_kelly(scalar_model, scalar_vc, 0.5, x),
-                       probes=10_000, radius=0.5, seed=55)
-    tol = 1e-9 * (1.0 + abs(rep.center_value))
-    saddle_ok = rep.max_violation_h < tol and rep.max_violation_gamma < tol
+    rep = saddle_certificate(scalar_model, scalar_vc, 0.5, x,
+                             fractional_kelly(scalar_model, scalar_vc, 0.5, x))
     rng = np.random.default_rng(56)
     worst_gap = 0.0
     for _ in range(100):
@@ -157,8 +154,9 @@ def test_criterion_05_saddle_and_isaacs(scalar_model, scalar_vc):
         worst_gap = max(worst_gap, abs(hp - hm) / (1.0 + abs(hp)))
     elapsed = time.perf_counter() - start
     report(5, "saddle and order-interchange suite",
-           saddle_ok and worst_gap < 1e-9 and elapsed < 10.0,
-           f"violations h = {rep.max_violation_h:.2e} tilt = {rep.max_violation_gamma:.2e}, "
+           rep.passed() and worst_gap < 1e-9 and elapsed < 10.0,
+           f"gradients h = {rep.grad_h:.2e} tilt = {rep.grad_gamma:.2e}, curvatures "
+           f"h = {rep.curvature_h:.2e} tilt = {rep.curvature_gamma:.2e}, "
            f"order gap = {worst_gap:.2e}, {elapsed:.1f}s")
 
 

@@ -23,7 +23,7 @@ def workdir(tmp_path):
         "simulation": {"n_paths": 400, "steps": 126, "dt": 1 / 252, "seed": 42,
                        "strategy": "optimal", "dump_paths": True},
         "metrics": {"level": 0.95},
-        "verify": {"probes": 1500, "sim_paths": 1500, "lattice_times": 2, "lattice_states": 2},
+        "verify": {"sim_paths": 1500, "lattice_times": 2, "lattice_states": 2},
         "output_dir": "out",
     }
     (tmp_path / "config.json").write_text(json.dumps(config))
@@ -468,10 +468,11 @@ def test_simulate_stores_paths_only_for_dump(workdir, monkeypatch):
     pytest.param("solve", "solver", {"steps_per_year": 100.7}, id="solve-steps-fraction"),
     pytest.param("solve", "solver", {"steps_per_year": 0}, id="solve-steps-zero"),
     pytest.param("solve", "solver", {"residual_tol": "tight"}, id="solve-tol-text"),
-    pytest.param("verify", "verify", {"probes": "many"}, id="verify-probes-text"),
+    pytest.param("verify", "verify", {"lattice_states": "many"}, id="verify-lattice-text"),
     pytest.param("verify", "verify", {"sim_paths": "4k"}, id="verify-sim-paths-text"),
     pytest.param("verify", "verify", {"inject_corruption": "no"}, id="verify-inject-text"),
-    pytest.param("verify", "verify", {"lattice_times": 0, "probes": 0}, id="verify-zero-counts"),
+    pytest.param("verify", "verify", {"lattice_times": 0, "sim_paths": 0},
+                 id="verify-zero-counts"),
     pytest.param("verify", "verify", {"residual_tol": 1e-3}, id="verify-removed-tol"),
     pytest.param("verify", "verify", [], id="verify-not-object"),
     pytest.param("experiment", "metrics", {"level": "high"}, id="experiment-level-text"),
@@ -502,6 +503,17 @@ def test_commands_reject_bad_config(workdir, capsys, command, block, values):
     assert code == 1
     assert err.startswith("ERROR CONFIG:")
     assert "Traceback" not in err
+
+
+def test_verify_rejects_the_probes_key(workdir, capsys):
+    # the saddle certificate draws no random probes, so the key has no meaning
+    config = json.loads((workdir / "config.json").read_text())
+    config["verify"] = {"probes": 10}
+    (workdir / "probes.json").write_text(json.dumps(config))
+    code = run(workdir, "verify", "--config", str(workdir / "probes.json"),
+               "--out", str(workdir / "o"))
+    assert code == 1
+    assert "ERROR CONFIG: unknown verify config keys: ['probes']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name,value", [
@@ -630,7 +642,7 @@ def test_experiment_benchmark_uses_simulation_weights(workdir):
 def test_verify_gates_residuals_on_solver_tolerance(workdir):
     config = json.loads((workdir / "config.json").read_text())
     config["solver"]["residual_tol"] = 1e-300
-    config["verify"] = {"probes": 10, "sim_paths": 10, "lattice_times": 1, "lattice_states": 1}
+    config["verify"] = {"sim_paths": 10, "lattice_times": 1, "lattice_states": 1}
     (workdir / "tight.json").write_text(json.dumps(config))
     out = workdir / "tight"
     assert run(workdir, "verify", "--config", str(workdir / "tight.json"),

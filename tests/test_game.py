@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from benchkelly import game
 from benchkelly import policy as policy_mod
 from benchkelly.errors import ConfigError
 from benchkelly.game import (
@@ -10,7 +11,7 @@ from benchkelly.game import (
     hamiltonians,
     running_payoff_g,
     running_payoff_g1,
-    saddle_check,
+    saddle_certificate,
     twostep_hamiltonian,
 )
 from benchkelly.model import ModelSpec, validate_model
@@ -70,7 +71,7 @@ def test_payoff_pure_entropy():
 
 
 @pytest.mark.parametrize("fn", ["running_payoff_g", "running_payoff_g1",
-                                "twostep_hamiltonian", "saddle_check"])
+                                "twostep_hamiltonian", "saddle_certificate"])
 def test_payoff_requires_positive_theta(fn):
     vm = validate_model(make_scalar_spec(theta=0.0))
     vc = solve_value_coefficients(vm, steps_per_year=12)
@@ -80,8 +81,8 @@ def test_payoff_requires_positive_theta(fn):
         "running_payoff_g1": lambda: running_payoff_g1(vm, 0.0, x, zero),
         "twostep_hamiltonian": lambda: twostep_hamiltonian(vm, 0.0, x, zero, zero, zero,
                                                            np.zeros((1, 1))),
-        "saddle_check": lambda: saddle_check(vm, vc, 0.5, x, fractional_kelly(vm, vc, 0.5, x),
-                                             probes=10),
+        "saddle_certificate": lambda: saddle_certificate(vm, vc, 0.5, x,
+                                                         fractional_kelly(vm, vc, 0.5, x)),
     }
     with pytest.raises(ConfigError, match=f"{fn} requires theta > 0"):
         calls[fn]()
@@ -200,7 +201,7 @@ def test_inner_maximizer_matches_grid_search():
 
 def test_point_evaluations_build_two_gain_tables(monkeypatch, scalar_model, scalar_vc):
     # fractional_kelly builds its optimal and Kelly rows once, and
-    # saddle_check builds none: it probes around the action it is given
+    # saddle_certificate builds none: it examines the action it is given
     builds = []
 
     def counted(*args, **kwargs):
@@ -211,34 +212,96 @@ def test_point_evaluations_build_two_gain_tables(monkeypatch, scalar_model, scal
     x = np.array([0.3])
     action = fractional_kelly(scalar_model, scalar_vc, 0.4, x)
     assert len(builds) == 2
-    saddle_check(scalar_model, scalar_vc, 0.4, x, action, probes=10)
+    saddle_certificate(scalar_model, scalar_vc, 0.4, x, action)
     assert len(builds) == 2
 
 
-def test_saddle_zero_radius_is_exact(scalar_model, scalar_vc):
-    x = np.array([0.3])
-    rep = saddle_check(scalar_model, scalar_vc, 0.4, x,
-                       fractional_kelly(scalar_model, scalar_vc, 0.4, x), probes=200, radius=0.0)
-    assert rep.max_violation_h == 0.0
-    assert rep.max_violation_gamma == 0.0
-
-
 def test_saddle_probes_scalar_model(scalar_model, scalar_vc):
+    # theta = 1, Sigma = 0.2: the allocation's Hessian is theta SS' = 0.04,
+    # the tilt's -1
     x = np.array([0.1])
-    rep = saddle_check(scalar_model, scalar_vc, 0.5, x,
-                       fractional_kelly(scalar_model, scalar_vc, 0.5, x),
-                       probes=10_000, radius=0.5, seed=7)
-    tol = 1e-9 * (1.0 + abs(rep.center_value))
-    assert rep.max_violation_h < tol
-    assert rep.max_violation_gamma < tol
-    assert rep.probe_count == 10_000
+    rep = saddle_certificate(scalar_model, scalar_vc, 0.5, x,
+                             fractional_kelly(scalar_model, scalar_vc, 0.5, x))
+    assert rep.passed()
+    assert max(rep.grad_h, rep.grad_gamma) <= game.SADDLE_GRAD_TOL
+    assert rep.curvature_h == pytest.approx(0.04, rel=1e-12)
+    assert rep.curvature_gamma == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_saddle_violation_raised_off_center(scalar_model, scalar_vc):
     x = np.array([0.3])
     action = fractional_kelly(scalar_model, scalar_vc, 0.5, x)
     shifted = dataclasses.replace(action, allocation=action.allocation + 0.2)
-    assert not saddle_check(scalar_model, scalar_vc, 0.5, x, shifted, probes=2000).passed()
+    rep = saddle_certificate(scalar_model, scalar_vc, 0.5, x, shifted)
+    assert rep.grad_h > game.SADDLE_GRAD_TOL
+    assert not rep.passed()
+
+
+@pytest.mark.parametrize("control", ["allocation", "tilt"])
+def test_saddle_certificate_fails_a_small_shift(control, twofactor_model, twofactor_vc):
+    # a 1e-4 shift moves the bracket's saddle inequalities only to second
+    # order, by about 1e-9 of the bracket here; its gradient moves to first
+    t, x = 0.5, np.array([0.5])
+    action = fractional_kelly(twofactor_model, twofactor_vc, t, x)
+    assert saddle_certificate(twofactor_model, twofactor_vc, t, x, action).passed()
+    shifted = dataclasses.replace(action, **{control: getattr(action, control) + 1e-4})
+    rep = saddle_certificate(twofactor_model, twofactor_vc, t, x, shifted)
+    assert max(rep.grad_h, rep.grad_gamma) > 1e3 * game.SADDLE_GRAD_TOL
+    assert not rep.passed()
+
+
+@pytest.mark.parametrize("theta", [0.1, 1.0, 5.0])
+def test_saddle_curvatures_are_the_brackets_hessians(theta):
+    # the bracket holds theta/2 h'SS'h and -|gamma|^2/2, so the polarized
+    # curvatures are theta lambda_min(SS') and -1 at every theta
+    vm = validate_model(make_twofactor_spec(theta=theta))
+    vc = solve_value_coefficients(vm, steps_per_year=252)
+    t, x = 0.5, np.array([0.5])
+    rep = saddle_certificate(vm, vc, t, x, fractional_kelly(vm, vc, t, x))
+    expected = theta * np.linalg.eigvalsh(vm.gram_blocks(t).ss)[0]
+    assert abs(rep.curvature_h - expected) <= 1e-9 * expected
+    assert abs(rep.curvature_gamma + 1.0) <= 1e-9
+    assert rep.passed()
+
+
+def test_saddle_certificate_makes_one_bracket_call_per_side(monkeypatch, twofactor_model,
+                                                            twofactor_vc):
+    rows = []
+
+    def counted(model, vc, t, x, h, gamma):
+        rows.append((np.shape(h), np.shape(gamma)))
+        return bellman_isaacs_integrand(model, vc, t, x, h, gamma)
+
+    monkeypatch.setattr(game, "bellman_isaacs_integrand", counted)
+    t, x = 0.5, np.array([0.5])
+    saddle_certificate(twofactor_model, twofactor_vc, t, x,
+                       fractional_kelly(twofactor_model, twofactor_vc, t, x))
+    m, d = twofactor_model.m, twofactor_model.d
+    # the centre, +-r e_i and r (e_i + e_j) for i < j
+    assert rows == [((1 + 2 * m + m * (m - 1) // 2, m), (d,)),
+                    ((m,), (1 + 2 * d + d * (d - 1) // 2, d))]
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_saddle_certificate_fails_a_nan_bracket(monkeypatch, side, twofactor_model,
+                                                twofactor_vc):
+    # a NaN in one side's last row reaches only an off-diagonal Hessian
+    # entry, on which eigvalsh can return numbers or raise
+    calls = []
+
+    def with_nan(*args):
+        values = bellman_isaacs_integrand(*args)
+        if len(calls) == side:
+            values[-1] = np.nan
+        calls.append(values.size)
+        return values
+
+    monkeypatch.setattr(game, "bellman_isaacs_integrand", with_nan)
+    t, x = 0.5, np.array([0.5])
+    rep = saddle_certificate(twofactor_model, twofactor_vc, t, x,
+                             fractional_kelly(twofactor_model, twofactor_vc, t, x))
+    assert np.isnan([rep.curvature_h, rep.curvature_gamma][side])
+    assert not rep.passed()
 
 
 def test_saddle_curvature_signs(scalar_model, scalar_vc):

@@ -47,7 +47,7 @@ def test_readme_config_table_names_every_block_and_key():
 def test_readme_verify_table_names_every_row_in_order(scalar_model, scalar_vc):
     documented = [name for row in _table("| invariant | what it checks | tolerance |")
                   for name in _names(row[0])]
-    rows = verify.run(scalar_model, scalar_vc, 7, probes=10, sim_paths=10, lattice_times=1,
+    rows = verify.run(scalar_model, scalar_vc, 7, sim_paths=10, lattice_times=1,
                       lattice_states=1, residual_tol=1e-3)
     assert documented == [row["invariant"] for row in rows]
 

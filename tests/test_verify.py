@@ -20,7 +20,7 @@ ROWS = (
 
 
 def test_run_checks_every_invariant_in_order(scalar_model, scalar_vc):
-    rows = verify.run(scalar_model, scalar_vc, 7, probes=200, sim_paths=400,
+    rows = verify.run(scalar_model, scalar_vc, 7, sim_paths=400,
                       lattice_times=2, lattice_states=2, residual_tol=1e-3)
     assert tuple(r["invariant"] for r in rows) == ROWS
     assert [r for r in rows if r["status"] != "PASS"] == []
@@ -46,7 +46,7 @@ def test_verify_evaluates_each_lattice_point_once(monkeypatch, scalar_model, sca
     for name in ("fractional_kelly", "gain_table"):
         _counted(monkeypatch, policy_mod, name, counts)
     _counted(monkeypatch, game, "hamiltonians", counts)
-    verify.run(scalar_model, scalar_vc, 7, probes=20, sim_paths=50, lattice_times=3,
+    verify.run(scalar_model, scalar_vc, 7, sim_paths=50, lattice_times=3,
                lattice_states=2, residual_tol=1e-3)
     points, lanes = 3 * 2, 2
     assert counts == {"fractional_kelly": points, "gain_table": 2 + 2 * points + lanes,
@@ -58,37 +58,38 @@ def test_failed_point_fails_decompositions_and_skips_its_probes(monkeypatch, sca
     counts = {}
     _counted(monkeypatch, policy_mod, "fractional_kelly", counts,
              fail=RepresentationMismatch("tilt representations disagree"))
-    _counted(monkeypatch, game, "saddle_check", counts)
+    _counted(monkeypatch, game, "saddle_certificate", counts)
     rows = {r["invariant"]: r for r in verify.run(
-        scalar_model, scalar_vc, 7, probes=20, sim_paths=50, lattice_times=1,
+        scalar_model, scalar_vc, 7, sim_paths=50, lattice_times=1,
         lattice_states=2, residual_tol=1e-3)}
     assert rows["policy_decompositions"]["status"] == "FAIL"
     assert "tilt representations disagree" in rows["policy_decompositions"]["detail"]
     assert counts == {"fractional_kelly": 2}
-    # a saddle row that probed nothing checked nothing
+    # a saddle row that certified nothing checked nothing
     assert rows["saddle_probes"]["status"] == "FAIL"
-    assert rows["saddle_probes"]["detail"].endswith("at 0 probed points")
+    assert rows["saddle_probes"]["detail"].endswith("at 0 certified points")
 
 
 
 def _rows(model, vc, **kwargs):
     return {r["invariant"]: r for r in verify.run(
-        model, vc, 7, probes=200, sim_paths=200, lattice_times=2, lattice_states=2,
+        model, vc, 7, sim_paths=200, lattice_times=2, lattice_states=2,
         residual_tol=1e-3, **kwargs)}
 
 
 def test_saddle_negative_control_bites_with_many_assets():
-    # in m = 8 dimensions almost no random probe lands on the descent side
-    # of the shifted centre; the Newton probe of each side does
+    # in m = 8 dimensions almost no random perturbation lands on the descent
+    # side of the shifted centre; the gradient of each side does not miss it
     vm = validate_model(make_random_spec(np.random.default_rng(3), theta=1.5, n=3, m=8, d=10))
     vc = solve_value_coefficients(vm, steps_per_year=252)
     assert _rows(vm, vc)["saddle_probes"]["status"] == "PASS"
     corrupted = _rows(vm, vc, inject_corruption=True)["saddle_probes"]
     assert corrupted["status"] == "FAIL"
-    # the failing row still reports its worst violations and its points
-    found = re.fullmatch(r"worst relative violations h=(\S+) tilt=(\S+) at 4 probed points",
-                         corrupted["detail"])
-    assert found and max(map(float, found.groups())) > game.SADDLE_RTOL
+    # the failing row still reports its worst gradients, its curvatures and
+    # its points
+    found = re.fullmatch(r"worst gradients h=(\S+) tilt=(\S+), curvatures h>=\S+ tilt<=\S+ "
+                         r"at 4 certified points", corrupted["detail"])
+    assert found and max(map(float, found.groups())) > game.SADDLE_GRAD_TOL
 
 
 def test_verify_draws_its_noise_once(monkeypatch, scalar_model, scalar_vc):
@@ -109,7 +110,7 @@ def test_verify_draws_its_noise_once(monkeypatch, scalar_model, scalar_vc):
 
     monkeypatch.setattr(sim_mod, "_block_noise", counted)
     monkeypatch.setattr(sim_mod, "simulate_lanes", recorded)
-    rows = verify.run(scalar_model, scalar_vc, 7, probes=20, sim_paths=400,
+    rows = verify.run(scalar_model, scalar_vc, 7, sim_paths=400,
                       lattice_times=1, lattice_states=1, residual_tol=1e-3)
     assert all(r["status"] == "PASS" for r in rows)
     (cfgs, bundles), = lanes
