@@ -97,12 +97,12 @@ class CoefficientSet:
     def constant(block: CoefficientBlock) -> "CoefficientSet":
         return CoefficientSet(knots=np.array([0.0]), blocks=(block,))
 
-    def segment_index(self, s: float) -> int:
-        idx = int(np.searchsorted(self.knots, s, side="right")) - 1
-        return max(idx, 0)
+    def segment_indices(self, times) -> np.ndarray:
+        """The segment of each time: that of the last knot at or before it."""
+        return np.maximum(np.searchsorted(self.knots, times, side="right") - 1, 0)
 
     def at(self, s: float) -> CoefficientBlock:
-        return self.blocks[self.segment_index(s)]
+        return self.blocks[int(self.segment_indices(s))]
 
 
 @dataclass(frozen=True)
@@ -292,18 +292,21 @@ class ValidatedModel:
     def x0(self) -> np.ndarray:
         return self._spec.x0
 
-    def _check_time(self, s: float) -> None:
+    def segment_indices(self, times) -> np.ndarray:
+        """The coefficient segment of each of the times, one array lookup;
+        raises TimeOutOfRange naming the first time outside [0, horizon]."""
+        times = np.asarray(times, dtype=float)
         T = self._spec.horizon_years
-        if not (0.0 <= s <= T * (1 + 1e-12) + 1e-15):
-            raise TimeOutOfRange(f"time {s:g} outside [0, {T:g}]")
-
-    def coefficients(self, s: float) -> CoefficientBlock:
-        self._check_time(s)
-        return self._spec.coeffs.at(s)
+        inside = (times >= 0.0) & (times <= T * (1 + 1e-12) + 1e-15)
+        if not inside.all():
+            raise TimeOutOfRange(f"time {times.flat[np.argmin(inside)]:g} outside [0, {T:g}]")
+        return self._spec.coeffs.segment_indices(times)
 
     def segment_index(self, s: float) -> int:
-        self._check_time(s)
-        return self._spec.coeffs.segment_index(s)
+        return int(self.segment_indices(s))
+
+    def coefficients(self, s: float) -> CoefficientBlock:
+        return self._spec.coeffs.blocks[self.segment_index(s)]
 
     def gram_blocks(self, s: float) -> GramBlocks:
         """Noise contractions at time s; cached, bit-identical within a segment."""

@@ -5,11 +5,12 @@ gradient quad(t) x + lin(t) is, so the optimal allocation, the Kelly
 allocation and the value tilt are X @ K(t) + k(t) for a state matrix X, with
 gains that depend on t alone.  gain_table builds those gains at the times a
 caller steps through, and it is the one source of every control:
-simulate_paths evaluates it once per step, verify.run once per route over
-its lattice times, and optimal_h and fractional_kelly evaluate a one-row
-table.  fractional_kelly is the one point evaluation of the candidate
-pair: its tilt is the adverse tilt gamma, its tilt_twostep the value tilt
-nu, and game.saddle_certificate examines the action a caller passes it.
+simulate_paths evaluates it at every step's states, a chunk of steps at a
+time, verify.run once per route over its lattice times, and optimal_h and
+fractional_kelly evaluate a one-row table.  fractional_kelly is the one
+point evaluation of the candidate pair: its tilt is the adverse tilt gamma,
+its tilt_twostep the value tilt nu, and game.saddle_certificate examines
+the action a caller passes it.
 Every strategy of STRATEGIES, the benchmark's fixed or tracking weights too,
 is an allocation row.
 
@@ -73,10 +74,13 @@ class GainTable:
     """Affine feedback gains at a sequence of times.
 
     controls(j, X) = X @ gain[j] + offset[j] are the controls at the table's
-    j-th time, at the factor states in the rows of X.  Their columns hold the
-    allocation h and the value tilt Lambda' Du; the slices h and value_tilt
-    select them, and a column group the table was built without has slice
-    None (see gain_table).
+    j-th time, at the factor states in the rows of X, or, for a slice j, at
+    each of its times, at the states stacked (times, rows, n).  A stacked
+    matmul calls BLAS once per time, so each time's controls are bitwise
+    its own one-time call.  Their columns hold the allocation h and the
+    value tilt Lambda' Du; the slices h and value_tilt select them, and a
+    column group the table was built without has slice None (see
+    gain_table).
     """
 
     gain: np.ndarray     # (k, n, w)
@@ -84,8 +88,8 @@ class GainTable:
     h: slice | None
     value_tilt: slice | None
 
-    def controls(self, j: int, X: np.ndarray) -> np.ndarray:
-        return X @ self.gain[j] + self.offset[j]
+    def controls(self, j: int | slice, X: np.ndarray) -> np.ndarray:
+        return X @ self.gain[j] + self.offset[j, None]
 
     def allocation_only(self) -> GainTable:
         """This table without its tilt columns."""
@@ -130,7 +134,7 @@ def gain_table(
     gain = np.empty((len(times), n, width))
     offset = np.empty((len(times), width))
 
-    segs = np.array([model.segment_index(t) for t in times.tolist()], dtype=int)
+    segs = model.segment_indices(times)
     for seg in np.unique(segs).tolist():
         rows = np.flatnonzero(segs == seg)
         t0 = float(times[rows[0]])

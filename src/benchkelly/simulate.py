@@ -17,9 +17,9 @@ formulas: the log excess return ln(V/L) moves by ell dt + track . dw, with
 ell and track = Sigma' h - Xi from model._log_excess_terms, the one
 definition of the benchmarked reward, which the game's payoffs read too.
 Every allocation and tilt is read from the policy's affine gain
-table (policy.gain_table): per step one X @ K[j] + k[j], sliced into
-[h | Lambda' Du].  A callable strategy (t, X) -> H replaces h, and
-custom_tilt(t, X, H) replaces gamma = Lambda' Du - theta (Sigma' h - Xi).
+table (policy.gain_table), sliced into [h | Lambda' Du].  A callable
+strategy (t, X) -> H replaces h, and custom_tilt(t, X, H) replaces
+gamma = Lambda' Du - theta (Sigma' h - Xi); both are called once per step.
 
 keep names the outputs a bundle returns ("states", "log_excess",
 "densities"), the rest are None.  A run computes only what it keeps:
@@ -44,6 +44,18 @@ BLOCK_ALIGN paths, and runs the blocks on up to WORKERS threads.  Results
 are bit-identical for a given config and model at any worker count, and
 equal those of one block holding every path.  Antithetic pairing maps
 stream i to paths (2i, 2i+1) with mirrored increments.
+
+A block runs in chunks: consecutive steps of one coefficient segment whose
+(steps, paths, d) increments fit CHUNK_BYTES.  Under P no control moves the
+factor state, so per chunk the physical state alone steps through the
+chunk, X + (f + X B') dt + Z[i] with Z = dW @ Lambda' from one stacked
+product, and each physical-measure lane is then evaluated once over the
+chunk's stacked states: X @ K[j0:j1] + k[j0:j1], the reward terms and the
+density increments.  A tilted lane's drift tilt needs its controls, so it
+is evaluated, and its own state advanced, a step at a time.  A stacked
+matmul calls BLAS once per (paths, .) slice, the per-step shapes, and the
+log excess return and the densities are summed step by step, so a run is
+bit for bit the step-by-step loop.
 """
 
 from __future__ import annotations
@@ -77,6 +89,10 @@ SHARED_FIELDS = ("n_paths", "steps", "dt", "seed", "antithetic")
 NOISE_BUFFER_BYTES = 32 * 2**20
 MIN_BLOCK_PATHS = 1024
 BLOCK_ALIGN = 8
+# A block runs in chunks: runs of consecutive steps of one coefficient
+# segment whose (steps, paths, d) increments fit CHUNK_BYTES, so a chunk's
+# stacked arrays stay in a core's cache.
+CHUNK_BYTES = 256 * 2**10
 # threads that run the blocks of one call, one per CPU the process may use;
 # the partition, and so every result, does not depend on it
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -205,10 +221,71 @@ class _SegmentContext:
         self.lam_t = np.ascontiguousarray(self.block.factor_vol.T)
         self.fmr_t = np.ascontiguousarray(self.block.factor_mean_reversion.T)
 
-    def advance(self, X: np.ndarray, dw: np.ndarray, dt: float) -> np.ndarray:
-        """The factor states X one Euler step on, driven by the physical
-        increments dw."""
-        return X + (self.block.factor_drift + X @ self.fmr_t) * dt + dw @ self.lam_t
+    def advance(self, X: np.ndarray, noise_term: np.ndarray, dt: float,
+                out: np.ndarray) -> None:
+        """Write to out the factor states X one Euler step on, given the
+        step's noise term dw @ Lambda' of the physical increments dw."""
+        np.add(X + (self.block.factor_drift + X @ self.fmr_t) * dt, noise_term, out=out)
+
+
+class _Nodes:
+    """A path block's working arrays, reused by every chunk.
+
+    x[owner] holds the owner's factor states and r every lane's log excess
+    return at a chunk's nodes, a row per node.  A chunk's start lies in row
+    s.  A chunk of several steps moves it to row 0, so that its states stack,
+    and puts the nodes after its steps in rows 1, ..., c; a one-step chunk
+    puts its one node in whichever of rows 0 and 1 does not hold its start,
+    so stepping one step a chunk copies no node.  terms takes each step's ell
+    dt and track . dw, interleaved, and dens its four density
+    log-increments; add sums them in step order into r and the running log
+    densities acc, so each sum is bitwise the per-step R + ell dt + track .
+    dw and acc + increment.  A row holds every lane, so one add serves them
+    all; np.add.accumulate along the rows would run one inner loop per path,
+    and took four times as long at (21, 1000).
+    """
+
+    __slots__ = ("x", "r", "terms", "acc", "dens", "s")
+
+    def __init__(self, model: ValidatedModel, owners: set, lanes: int, count: int,
+                 width: int, densities: bool):
+        self.x = {owner: np.empty((width + 1, count, model.n)) for owner in owners}
+        for X in self.x.values():
+            X[0] = model.x0
+        self.r = np.zeros((width + 1, lanes, count))
+        self.terms = np.empty((2 * width, lanes, count))
+        self.acc = np.zeros((lanes, 4, count)) if densities else None
+        self.dens = np.empty((width, lanes, 4, count)) if densities else None
+        self.s = 0
+
+    def rows(self, c: int) -> tuple[slice, slice]:
+        """The rows of a chunk of c steps: its nodes before and after each step."""
+        s = self.s
+        if c == 1:
+            self.s = 0 if s == 1 else 1
+            return slice(s, s + 1), slice(self.s, self.s + 1)
+        if s:
+            for X in self.x.values():
+                X[0] = X[s]
+            self.r[0] = self.r[s]
+        self.s = c
+        return slice(0, c), slice(1, c + 1)
+
+    def terms_of(self, k: int, i0: int, i1: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Where lane k's terms of the chunk's steps i0, ..., i1 - 1 go."""
+        return (self.terms[2 * i0:2 * i1, k],
+                None if self.dens is None else self.dens[i0:i1, k])
+
+    def add(self, c: int, at: slice, after: slice) -> np.ndarray:
+        """Add the chunk's c steps; returns R after each, (c, lanes, paths)."""
+        r_at, r_after, terms = self.r[at], self.r[after], self.terms
+        for i in range(c):
+            np.add(r_at[i], terms[2 * i], out=r_after[i])
+            np.add(r_after[i], terms[2 * i + 1], out=r_after[i])
+        if self.dens is not None:
+            for i in range(c):
+                np.add(self.acc, self.dens[i], out=self.acc)
+        return r_after
 
 
 class _Lane:
@@ -239,71 +316,78 @@ class _Lane:
         self.log_excess = (np.empty((n_paths, cfg.steps + 1))
                            if "log_excess" in cfg.keep else None)
 
-    def start_block(self, sl: slice, x_start: np.ndarray) -> tuple[np.ndarray, ...] | None:
-        """Store the first node of the block's paths; returns the block's
-        density accumulators (None without densities)."""
+    def start_block(self, sl: slice, x_start: np.ndarray) -> None:
+        """Store the first node of the block's paths."""
         if self.states is not None:
             self.states[sl, 0] = x_start
         if self.log_excess is not None:
             self.log_excess[sl, 0] = 0.0
-        # the densities accumulate in place, in views of the block's outputs
-        return tuple(col[sl] for col in self.densities_out) if self.densities else None
 
-    def step(self, model: ValidatedModel, ctx: _SegmentContext, j: int, t: float,
-             X: np.ndarray, dW_j: np.ndarray, dt: float, R: np.ndarray,
-             acc: tuple[np.ndarray, ...] | None) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the log excess return R and the density accumulators acc
-        over step j from the states X; returns the step's physical increment
-        and the new R."""
+    def increments(self, model: ValidatedModel, ctx: _SegmentContext, j: int | slice,
+                   X: np.ndarray, dW: np.ndarray, dt: float, r_inc: np.ndarray,
+                   d_inc: np.ndarray | None) -> np.ndarray:
+        """Evaluate step j at its states X, (paths, n), under the sampled
+        increments dW, (paths, d), or each step of a slice j at its states
+        stacked (c, paths, n) and increments (c, paths, d): write their ell dt
+        and track . dw, interleaved, to r_inc and their density
+        log-increments to d_inc (see _Nodes); returns their physical
+        increments.
+
+        Every product keeps the per-step shapes: a stacked matmul calls BLAS
+        once per (paths, .) slice, so the terms are bitwise the per-step ones.
+        """
         cfg, table = self.cfg, self.table
         theta = model.theta
         C = None if table is None else table.controls(j, X)
-        H = cfg.strategy(t, X) if callable(cfg.strategy) else C[:, table.h]
+        H = (_each_step(cfg.strategy, j, dt, X) if callable(cfg.strategy)
+             else C[..., table.h])
 
         ell, track = _log_excess_terms(ctx.block, ctx.gram, X, H)
         if self.gamma:
-            G = (cfg.custom_tilt(t, X, H) if cfg.custom_tilt is not None
-                 else C[:, table.value_tilt] - theta * track)
+            G = (_each_step(cfg.custom_tilt, j, dt, X, H) if cfg.custom_tilt is not None
+                 else C[..., table.value_tilt] - theta * track)
 
         # the physical increment dw + phi dt, phi the sampling measure's
         # drift tilt; from here on every formula is the physical one
         if cfg.measure == "physical":
-            dw = dW_j
+            dw = dW
         else:
             phi = G if cfg.measure == "tilted_gamma" else -theta * track
-            dw = dW_j + phi * dt
+            dw = dW + phi * dt
         track_dw = _rowdot(track, dw)
+        np.multiply(ell, dt, out=r_inc[0::2])
+        r_inc[1::2] = track_dw
 
         if self.densities:
-            acc_tilt, acc_alloc, acc_link, acc_tilt_sq = acc
             g_sq = _rowdot(G, G)
-            acc_tilt += _rowdot(G, dw) - 0.5 * dt * g_sq
-            acc_alloc += -theta * track_dw - 0.5 * theta**2 * dt * _rowdot(track, track)
-            acc_tilt_sq += 0.5 * dt * g_sq
+            np.subtract(_rowdot(G, dw), 0.5 * dt * g_sq, out=d_inc[:, 0])
+            np.subtract(-theta * track_dw, 0.5 * theta**2 * dt * _rowdot(track, track),
+                        out=d_inc[:, 1])
             # the link density by the value tilt, in the increment of the
             # allocation-induced measure
-            value_tilt = C[:, table.value_tilt]
+            value_tilt = C[..., table.value_tilt]
             dwh = dw + (theta * dt) * track
-            acc_link += _rowdot(value_tilt, dwh) - 0.5 * dt * _rowdot(value_tilt, value_tilt)
+            np.subtract(_rowdot(value_tilt, dwh), 0.5 * dt * _rowdot(value_tilt, value_tilt),
+                        out=d_inc[:, 2])
+            np.multiply(0.5 * dt, g_sq, out=d_inc[:, 3])
+        return dw
 
-        return dw, R + ell * dt + track_dw
-
-    def store(self, sl: slice, j: int, X: np.ndarray, R: np.ndarray, x_finite: bool) -> None:
-        """Raise NonfiniteState on a non-finite state or log excess return
-        after step j; else keep what the lane stores of the block's paths."""
-        if not (x_finite and np.isfinite(R).all()):
-            bad = np.argwhere(~np.isfinite(X).all(axis=1) | ~np.isfinite(R))
-            raise NonfiniteState(
-                f"non-finite state at path {sl.start + int(bad[0, 0])}, step {j + 1}"
-            )
+    def store(self, sl: slice, j0: int, X: np.ndarray, R: np.ndarray) -> None:
+        """Keep what the lane stores of the states X, (c, paths, n), and the
+        log excess returns R, (c, paths), after steps j0, ..., j0 + c - 1."""
+        nodes = slice(j0 + 1, j0 + 1 + len(R))
         if self.states is not None:
-            self.states[sl, j + 1] = X
+            self.states[sl, nodes] = X.swapaxes(0, 1)
         if self.log_excess is not None:
-            self.log_excess[sl, j + 1] = R
+            self.log_excess[sl, nodes] = R.T
 
-    def end_block(self, sl: slice, X: np.ndarray, R: np.ndarray) -> None:
+    def end_block(self, sl: slice, X: np.ndarray, R: np.ndarray,
+                  densities: np.ndarray | None) -> None:
         self.terminal_state[sl] = X
         self.terminal_r[sl] = R
+        if self.densities:
+            for col, value in zip(self.densities_out, densities):
+                col[sl] = value
 
     def bundle(self) -> PathBundle:
         log_tilt, log_alloc, log_link, tilt_sq = self.densities_out
@@ -320,6 +404,15 @@ class _Lane:
         )
 
 
+def _each_step(fn: Callable, j: int | slice, dt: float, *args: np.ndarray) -> np.ndarray:
+    """A callable policy fn(t, *args) at step j, or at each step of a slice
+    j, on its rows of the stacked args, stacked."""
+    if not isinstance(j, slice):
+        return fn(j * dt, *args)
+    return np.stack([fn(step * dt, *(a[i] for a in args))
+                     for i, step in enumerate(range(j.start, j.stop))])
+
+
 def _partition(n_paths: int, steps: int, d: int) -> list[tuple[int, int]]:
     """The path blocks (first path, count) of a run.  They depend only on the
     sizes, never on the worker count or the host; every block but the last
@@ -329,52 +422,115 @@ def _partition(n_paths: int, steps: int, d: int) -> list[tuple[int, int]]:
     return [(first, min(size, n_paths - first)) for first in range(0, n_paths, size)]
 
 
+def _chunk_length(paths: int, d: int) -> int:
+    """Steps per chunk of a block of paths: as many as keep the chunk's
+    (steps, paths, d) increments within CHUNK_BYTES, at least one.  Like the
+    partition, it depends only on the sizes."""
+    return max(1, CHUNK_BYTES // (paths * d * 8))
+
+
+def _chunks(runs: list[tuple[int, int, _SegmentContext]], width: int):
+    """The chunks (first step, end step, context) of a block: each run of one
+    segment's steps cut into pieces of width steps, the last one shorter."""
+    for s0, s1, ctx in runs:
+        for j0 in range(s0, s1, width):
+            yield j0, min(j0 + width, s1), ctx
+
+
+def _raise_nonfinite(sl: slice, j0: int, xs: list[np.ndarray], R: np.ndarray) -> None:
+    """Raise NonfiniteState at the chunk's first step after which a lane's
+    state or log excess return is not finite: at that step's first such lane,
+    in lane order, and its lowest such path.  xs[k] holds lane k's states
+    after each step, R[:, k] its log excess returns."""
+    for i in range(len(R)):
+        for X, R_k in zip(xs, R[i]):
+            bad = ~np.isfinite(X[i]).all(axis=1) | ~np.isfinite(R_k)
+            if bad.any():
+                raise NonfiniteState(
+                    f"non-finite state at path {sl.start + int(np.argmax(bad))}, step {j0 + i + 1}")
+
+
 def _run_block(model: ValidatedModel, shared: SimConfig, lanes: list[_Lane],
-               contexts: list[_SegmentContext], block: tuple[int, int]) -> None:
+               runs: list[tuple[int, int, _SegmentContext]], block: tuple[int, int]) -> None:
     """Simulate one path block of every lane.
 
-    It draws the block's noise once.  Per step it evaluates each lane's gain
-    table once, then advances each factor state once, by the physical
-    increment of the first lane that reads it: the physical-measure lanes
-    share one state and each tilted lane owns its own.  It reads only shared
-    state and writes only its own slice of the lanes' outputs, so blocks may
-    run on any thread in any order.
+    It draws the block's noise once and steps through it in chunks of
+    _chunk_length steps of one coefficient segment.  Each factor state has
+    one owner: the physical-measure lanes share one, and each tilted lane
+    owns its own.  No control moves the physical state, so per chunk it
+    advances alone, step by step, from one stacked product dW @ Lambda'; a
+    tilted lane's drift tilt needs its controls, so it is evaluated and its
+    state advanced a step at a time.  Then each physical-measure lane is
+    evaluated once over the chunk's stacked states.  A chunk ends early at
+    the first non-finite state, so no callable ever sees one.  The block
+    reads only shared state and writes only its own slice of the lanes'
+    outputs, so blocks may run on any thread in any order.
     """
     first, count = block
     sl = slice(first, first + count)
     dt = shared.dt
-    # the owner of each lane's factor state
+    width = _chunk_length(count, model.d)
     owners = ["physical" if lane.cfg.measure == "physical" else k
               for k, lane in enumerate(lanes)]
+    tilted = [k for k, owner in enumerate(owners) if owner == k]
+    physical = [k for k, owner in enumerate(owners) if owner == "physical"]
+    storing = [k for k, lane in enumerate(lanes)
+               if lane.states is not None or lane.log_excess is not None]
     # pool threads do not inherit the caller's errstate; overflow inside a
     # diverging path is expected right before NonfiniteState fires
     with np.errstate(over="ignore", invalid="ignore"):
-        noise = _block_noise(shared.seed, first, count, len(contexts), model.d, shared.antithetic)
+        noise = _block_noise(shared.seed, first, count, shared.steps, model.d, shared.antithetic)
         sq_dt = np.sqrt(dt)
-        x_start = np.broadcast_to(model.x0, (count, model.n))
-        states = {owner: x_start.copy() for owner in set(owners)}
-        # per lane: its log excess return and its density accumulators
-        R = [np.zeros(count) for _ in lanes]
-        acc = [lane.start_block(sl, x_start) for lane in lanes]
+        nodes = _Nodes(model, set(owners), len(lanes), count, width,
+                       any(lane.densities for lane in lanes))
+        for lane in lanes:
+            lane.start_block(sl, model.x0)
+        noise_term = np.empty((width, count, model.n))
 
-        for j, ctx in enumerate(contexts):
-            t = j * dt
-            # step j's increments, scaled from the strided noise slice into
-            # one contiguous (paths, d) array that every lane reads
-            dW_j = noise[:, j, :] * sq_dt
-            increments = {}
-            for k, (lane, owner) in enumerate(zip(lanes, owners)):
-                dw, R[k] = lane.step(model, ctx, j, t, states[owner], dW_j, dt, R[k], acc[k])
-                increments.setdefault(owner, dw)
-            finite = {}
-            for owner, dw in increments.items():
-                states[owner] = ctx.advance(states[owner], dw, dt)
-                finite[owner] = bool(np.isfinite(states[owner]).all())
-            for k, (lane, owner) in enumerate(zip(lanes, owners)):
-                lane.store(sl, j, states[owner], R[k], finite[owner])
+        for j0, j1, ctx in _chunks(runs, width):
+            c = j1 - j0
+            at, after = nodes.rows(c)
+            # the chunk's increments, scaled from the strided noise slab into
+            # one contiguous (steps, paths, d) array that every lane reads; a
+            # new one each chunk, as one array per block made a lone
+            # tilted_gamma lane (1024 paths, d = 20, on the calling thread)
+            # take 30k page faults in place of 0.6k and 1.4 times as long
+            dW = np.multiply(noise[:, j0:j1].swapaxes(0, 1), sq_dt, order="C")
+            finite = True
+            if physical:
+                P, P_next = nodes.x["physical"][at], nodes.x["physical"][after]
+                np.matmul(dW, ctx.lam_t, out=noise_term[:c])
+                for i in range(c):
+                    ctx.advance(P[i], noise_term[i], dt, P_next[i])
+                if not np.isfinite(P_next).all():
+                    finite = False
+                    c = int(np.argmin(np.isfinite(P_next).all(axis=(1, 2)))) + 1
+            for k in tilted:
+                X, X_next = nodes.x[k][at], nodes.x[k][after]
+                for i in range(c):
+                    dw = lanes[k].increments(model, ctx, j0 + i, X[i], dW[i], dt,
+                                             *nodes.terms_of(k, i, i + 1))
+                    ctx.advance(X[i], dw @ ctx.lam_t, dt, X_next[i])
+                    if not np.isfinite(X_next[i]).all():
+                        finite = False
+                        c = i + 1
+                        break
+            if physical:
+                # a one-step chunk takes the per-step shapes, which cost less
+                chunk = (j0, P[0], dW[0]) if c == 1 else (slice(j0, j0 + c), P[:c], dW[:c])
+                for k in physical:
+                    lanes[k].increments(model, ctx, *chunk, dt, *nodes.terms_of(k, 0, c))
 
+            R = nodes.add(c, at, after)[:c]
+            if not (finite and np.isfinite(R).all()):
+                _raise_nonfinite(sl, j0, [nodes.x[owner][after] for owner in owners], R)
+            for k in storing:
+                lanes[k].store(sl, j0, nodes.x[owners[k]][after], R[:, k])
+
+        s = nodes.s
         for k, (lane, owner) in enumerate(zip(lanes, owners)):
-            lane.end_block(sl, states[owner], R[k])
+            lane.end_block(sl, nodes.x[owner][s], nodes.r[s, k],
+                           None if nodes.acc is None else nodes.acc[k])
 
 
 def _simulate(model: ValidatedModel, vc: ValueCoefficients | None,
@@ -382,24 +538,21 @@ def _simulate(model: ValidatedModel, vc: ValueCoefficients | None,
     """The Euler kernel over validated lanes that share n_paths, steps, dt,
     seed and antithetic.
 
-    It builds every step's coefficient segment and every lane's gain table
-    before any block runs, then runs the path blocks of _partition: inline
-    when there is one block or one worker, else on a pool of up to WORKERS
-    threads that is joined before it returns.
+    It builds every coefficient segment's context and every lane's gain
+    table before any block runs, then runs the path blocks of _partition:
+    inline when there is one block or one worker, else on a pool of up to
+    WORKERS threads that is joined before it returns.
     """
     shared = cfgs[0]
     dt, steps = shared.dt, shared.steps
     times = np.array([j * dt for j in range(steps)])
-    segments: dict[int, _SegmentContext] = {}
-    contexts = []
-    for j in range(steps):
-        seg = model.segment_index(j * dt)
-        if seg not in segments:
-            segments[seg] = _SegmentContext(model, j * dt)
-        contexts.append(segments[seg])
+    # the runs of steps in one coefficient segment, each with its context
+    segs = model.segment_indices(times)
+    starts = [0, *(np.flatnonzero(np.diff(segs)) + 1).tolist(), steps]
+    runs = [(s0, s1, _SegmentContext(model, times[s0])) for s0, s1 in zip(starts, starts[1:])]
     lanes = [_Lane(model, vc, cfg, times) for cfg in cfgs]
 
-    run = functools.partial(_run_block, model, shared, lanes, contexts)
+    run = functools.partial(_run_block, model, shared, lanes, runs)
     blocks = _partition(shared.n_paths, steps, model.d)
     workers = min(WORKERS, len(blocks))
     if workers == 1:
@@ -422,8 +575,8 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
     the start).  Each step shifts the sampled increment by the measure's
     drift tilt to the physical increment, which drives the state and every
     density log-increment.  Every allocation and tilt comes from the
-    policy's gain table, evaluated once per step.  The one-lane call of the
-    kernel that simulate_lanes runs.
+    policy's gain table, evaluated at every step's states.  The one-lane
+    call of the kernel that simulate_lanes runs.
     """
     _validate_config(model, vc, cfg)
     return _simulate(model, vc, (cfg,))[0]

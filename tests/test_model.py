@@ -178,6 +178,26 @@ def test_piecewise_segment_lookup_and_caching():
     assert vm.coefficients(0.6).asset_drift[0] == 0.08
 
 
+def test_segment_indices_is_one_lookup_of_many_times():
+    b0 = CoefficientBlock.zeros(1, 1, 1).replace(asset_vol=[[0.2]])
+    spec = ModelSpec(
+        n=1, m=1, d=1,
+        coeffs=CoefficientSet(knots=np.array([0.0, 0.5]), blocks=(b0, b0)),
+        horizon_years=1.0, theta=1.0, x0=np.zeros(1),
+    )
+    vm = validate_model(spec)
+    times = np.array([0.0, 0.1, 0.49, 0.5, 0.9, 1.0])
+    assert vm.segment_indices(times).tolist() == [0, 0, 0, 1, 1, 1]
+    assert [vm.segment_index(t) for t in times.tolist()] == [0, 0, 0, 1, 1, 1]
+    # the error names the first time outside [0, horizon], NaN included
+    with pytest.raises(TimeOutOfRange, match=r"^time 1\.5 outside \[0, 1\]$"):
+        vm.segment_indices([0.2, 1.5, -0.1])
+    with pytest.raises(TimeOutOfRange, match=r"^time -0\.1 outside"):
+        vm.segment_indices([0.2, -0.1, 1.5])
+    with pytest.raises(TimeOutOfRange, match=r"^time nan outside"):
+        vm.segment_indices([0.2, float("nan")])
+
+
 @pytest.mark.parametrize("name,value", [
     ("asset_drift", [float("nan")]),
     ("asset_vol", [[float("inf")]]),

@@ -28,7 +28,8 @@ from benchkelly.simulate import (
 )
 from benchkelly.valuefn import solve_value_coefficients, value_function
 
-from conftest import kelly_allocation, make_random_spec, make_scalar_spec
+from conftest import kelly_allocation, make_random_spec, make_scalar_spec, make_two_segment_spec
+from euler_reference import simulate_reference
 
 
 @pytest.fixture(scope="module")
@@ -624,6 +625,122 @@ def test_partition_is_cache_sized_and_aligned():
         blocks = sim_mod._partition(n_paths, steps, d)
         assert sum(count for _, count in blocks) == n_paths
         assert all(count % sim_mod.BLOCK_ALIGN == 0 for _, count in blocks[:-1])
+
+
+def test_chunk_length_is_cache_sized(monkeypatch):
+    # an experiment block (1000 paths, d = 3) runs ten steps a chunk, a wide
+    # verify block (1024 or 928 paths, d = 20) one
+    assert sim_mod._chunk_length(1000, 3) == 10
+    assert sim_mod._chunk_length(1024, 20) == 1
+    assert sim_mod._chunk_length(928, 20) == 1
+    assert sim_mod._chunk_length(10**6, 40) == 1
+    assert sim_mod._chunk_length(1, 1) == sim_mod.CHUNK_BYTES // 8
+    # the length depends on the block's sizes alone
+    assert list(inspect.signature(sim_mod._chunk_length).parameters) == ["paths", "d"]
+    monkeypatch.setattr(sim_mod, "WORKERS", 7)
+    assert sim_mod._chunk_length(1000, 3) == 10
+
+
+@pytest.fixture(scope="module")
+def solved_two_segment():
+    rng = np.random.default_rng(29)
+    vm = validate_model(make_two_segment_spec(rng, theta=1.5))
+    return vm, solve_value_coefficients(vm, steps_per_year=252)
+
+
+def _assert_bundles_equal(got, want):
+    for a_bundle, b_bundle in zip(got, want, strict=True):
+        for name in _BUNDLE_ARRAYS:
+            a, b = getattr(a_bundle, name), getattr(b_bundle, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.tobytes() == b.tobytes(), (a_bundle.config.strategy,
+                                                    a_bundle.config.measure, name)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("steps_per_chunk", [1, 5, 7, 10**6])
+@pytest.mark.parametrize("segments", [1, 2])
+def test_chunked_kernel_is_the_per_step_loop(monkeypatch, solved_wide, solved_two_segment,
+                                             segments, steps_per_chunk, antithetic):
+    # every strategy, a callable one too, under every measure, custom tilts
+    # and partial keeps, over two blocks (8 and 6 paths), in chunks of one
+    # step, of 5 and 6 steps or 7 and 9 (none divides the 13 steps) and of
+    # the whole run; the two-segment model's knot at step 8 falls inside a
+    # chunk, and at 7 steps the first block runs chunks of 7, 1 and 5 steps,
+    # a one-step chunk between two longer ones
+    vm, vc = solved_wide if segments == 1 else solved_two_segment
+    monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
+    monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 8)
+    monkeypatch.setattr(sim_mod, "CHUNK_BYTES", steps_per_chunk * 8 * vm.d * 8)
+    base = dict(n_paths=14, steps=13, dt=1 / 16, seed=4, antithetic=antithetic)
+    assert sim_mod._partition(14, 13, vm.d) == [(0, 8), (8, 6)]
+    assert vm.segment_indices(np.arange(13) / 16).tolist() == (
+        [0] * 13 if segments == 1 else [0] * 8 + [1] * 5)
+
+    def tilt(t, X, H):
+        return 0.2 * np.tanh(H @ np.ones((vm.m, vm.d)) + X[:, :1]) - t
+
+    strategies = [dict(strategy="optimal"), dict(strategy="optimal", route="twostep"),
+                  dict(strategy="kelly"), dict(strategy="benchmark"),
+                  dict(strategy=lambda t, X: 0.5 * kelly_allocation(vm, t, X) + t)]
+    cfgs = [SimConfig(measure=measure, **strategy, **base)
+            for measure in sim_mod.MEASURES for strategy in strategies]
+    cfgs += [SimConfig(strategy="kelly", custom_tilt=tilt, **base),
+             SimConfig(strategy="optimal", measure="tilted_gamma", custom_tilt=tilt, **base),
+             SimConfig(strategy="kelly", measure="tilted_gamma", custom_tilt=tilt,
+                       keep=("states",), **base),
+             SimConfig(strategy="benchmark", keep=("log_excess",), **base),
+             SimConfig(strategy="optimal", measure="tilted_h", keep=(), **base)]
+    _assert_bundles_equal(simulate_lanes(vm, vc, cfgs), simulate_reference(vm, vc, cfgs))
+    # a physical lane alone, with no tilted owner beside it
+    solo = [SimConfig(strategy="optimal", keep=("densities",), **base)]
+    _assert_bundles_equal(simulate_lanes(vm, vc, solo), simulate_reference(vm, vc, solo))
+
+
+@pytest.mark.parametrize("diverging", ["allocation", "factor_state"])
+def test_divergence_inside_a_chunk_matches_the_per_step_loop(monkeypatch, scalar_model,
+                                                            scalar_vc, diverging):
+    # a run fails inside a chunk of the whole run: through a callable
+    # allocation that turns infinite once the state leaves a band (the
+    # tilted_h lane's state follows it to inf), or through an explosive
+    # factor state no control moves; the error names the reference loop's
+    # path and step at one and two workers, and no callable sees a
+    # non-finite state
+    monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
+    monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 8)
+    seen = []
+    if diverging == "allocation":
+        vm, vc = scalar_model, scalar_vc
+        x0 = float(vm.x0[0])
+
+        def strategy(t, X):
+            seen.append(bool(np.isfinite(X).all()))
+            return np.where(np.abs(X - x0) > 0.04, np.inf, 0.5)
+    else:
+        vm, vc = validate_model(make_scalar_spec(factor_mean_reversion=[[1e12]])), None
+
+        def strategy(t, X):
+            seen.append(bool(np.isfinite(X).all()))
+            return np.full((X.shape[0], 1), 0.5)
+
+    cfg = SimConfig(n_paths=64, steps=40, dt=1 / 252, seed=3, strategy=strategy, keep=())
+    assert sim_mod._chunk_length(8, vm.d) > cfg.steps
+    tilted = dataclasses.replace(cfg, measure="tilted_h")
+    # the physical lane alone, and beside a tilted one in both lane orders:
+    # the first failing lane of a step names the path
+    for cfgs in ([cfg], [cfg, tilted], [tilted, cfg]):
+        with pytest.raises(NonfiniteState) as err:
+            simulate_reference(vm, vc, cfgs)
+        expected = str(err.value)
+        step = int(re.fullmatch(r"non-finite state at path \d+, step (\d+)", expected).group(1))
+        assert 1 < step < cfg.steps
+        for workers in (1, 2):
+            monkeypatch.setattr(sim_mod, "WORKERS", workers)
+            with pytest.raises(NonfiniteState) as err:
+                simulate_lanes(vm, vc, cfgs)
+            assert str(err.value) == expected
+    assert seen and all(seen)
 
 
 @pytest.fixture(scope="module")
