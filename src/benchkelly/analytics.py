@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InsufficientData
+from .errors import ConfigError, InsufficientData
 
 MIN_SAMPLES = 100
 
@@ -83,7 +83,8 @@ def performance_report(
     if count < 2:
         raise InsufficientData("need at least 2 observations for any statistic")
     if downside_denominator not in ("below", "full"):
-        raise ValueError("downside_denominator must be 'below' or 'full'")
+        raise ConfigError(
+            f"downside_denominator must be 'below' or 'full', got {downside_denominator!r}")
 
     mean = float(r.mean())
     centered = r - mean

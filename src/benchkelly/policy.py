@@ -12,7 +12,9 @@ point evaluation of the candidate pair: its tilt is the adverse tilt gamma,
 its tilt_twostep the value tilt nu, and game.saddle_certificate examines
 the action a caller passes it.
 Every strategy of STRATEGIES, the benchmark's fixed or tracking weights too,
-is an allocation row.
+is an allocation row.  Any other affine policy is a GainTable of its own,
+such as a scaled Kelly table, which simulate_paths takes as its strategy,
+row j at step j.
 
 The optimal allocation has two routes:
 
@@ -92,9 +94,10 @@ class GainTable:
         return X @ self.gain[j] + self.offset[j, None]
 
     def allocation_only(self) -> GainTable:
-        """This table without its tilt columns."""
-        return GainTable(np.ascontiguousarray(self.gain[:, :, self.h]),
-                         np.ascontiguousarray(self.offset[:, self.h]), self.h, None)
+        """This table's allocation columns alone, as columns 0, ..., m - 1."""
+        offset = np.ascontiguousarray(self.offset[:, self.h])
+        return GainTable(np.ascontiguousarray(self.gain[:, :, self.h]), offset,
+                         slice(0, offset.shape[1]), None)
 
 
 def gain_table(
@@ -107,15 +110,17 @@ def gain_table(
 ) -> GainTable:
     """Gains of the controls at each of the given times.
 
-    The columns are [h | Lambda' Du]: h is the strategy's allocation,
-    present for the strategies of STRATEGIES ("optimal" by the given route,
-    "kelly", or "benchmark": zero gains and the offset bench_weights, else
-    the segment's benchmark_tracking), and the value tilt is present when vc
-    is given.  Each coefficient segment's rows take (quad, lin) from one
-    vc.at_times read and come from one stacked solve against Sigma Sigma'.
-    Raises NonfiniteState, naming the first time read, on coefficients that
-    are not finite there.
+    The columns are [h | Lambda' Du]: h is the allocation of a strategy of
+    STRATEGIES ("optimal" by the given route, "kelly", or "benchmark": zero
+    gains and the offset bench_weights, else the segment's
+    benchmark_tracking), and the value tilt is present when vc is given.
+    Each coefficient segment's rows take (quad, lin) from one vc.at_times
+    read and come from one stacked solve against Sigma Sigma'.  Raises
+    NonfiniteState, naming the first time read, on coefficients that are
+    not finite there.
     """
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy '{strategy}'; choose from {STRATEGIES}")
     if route not in ROUTES:
         raise ConfigError(f"unknown route '{route}'; choose from {ROUTES}")
     if strategy == "optimal" and vc is None:
@@ -125,12 +130,9 @@ def gain_table(
     times = np.atleast_1d(np.asarray(times, dtype=float))
     n, m, d = model.n, model.m, model.d
     theta = model.theta
-    h = slice(0, m) if strategy in STRATEGIES else None
-    width = 0 if h is None else m
-    value_tilt = None
-    if vc is not None:
-        value_tilt = slice(width, width + d)
-        width += d
+    h = slice(0, m)
+    value_tilt = None if vc is None else slice(m, m + d)
+    width = m if vc is None else m + d
     gain = np.empty((len(times), n, width))
     offset = np.empty((len(times), width))
 
@@ -152,7 +154,7 @@ def gain_table(
             gain[rows, :, h] = 0.0
             offset[rows, h] = (benchmark_tracking(model, t0) if bench_weights is None
                                else bench_weights)
-        elif h is not None:
+        else:
             # the allocation's right-hand side before the solve, as gains
             # (r, n, m) and offsets (r, m)
             rhs = np.empty((len(rows), n + 1, m))

@@ -16,16 +16,16 @@ the log excess return and every density then follow the physical-measure
 formulas: the log excess return ln(V/L) moves by ell dt + track . dw, with
 ell and track = Sigma' h - Xi from model._log_excess_terms, the one
 definition of the benchmarked reward, which the game's payoffs read too.
-Every allocation and tilt is read from the policy's affine gain
-table (policy.gain_table), sliced into [h | Lambda' Du].  A callable
-strategy (t, X) -> H replaces h, and custom_tilt(t, X, H) replaces
-gamma = Lambda' Du - theta (Sigma' h - Xi); both are called once per step.
+Every allocation and tilt is read from an affine gain table sliced into
+[h | Lambda' Du]: policy.gain_table's for a named strategy, else the
+strategy itself, a policy.GainTable whose row j applies at step j.  gamma
+is always Lambda' Du - theta (Sigma' h - Xi): no Python policy runs per step.
 
 keep names the outputs a bundle returns ("states", "log_excess",
 "densities"), the rest are None.  A run computes only what it keeps:
 densities only when kept, gamma only then or under tilted_gamma (its
 drift), and only the gain columns it reads.  Value coefficients are needed
-for "optimal", for densities and for tilted_gamma without custom_tilt.
+for "optimal", and for densities and tilted_gamma under a named strategy.
 
 One private kernel runs one or more lanes: configs that share the paths,
 the steps, the seed and antithetic pairing but may differ in strategy,
@@ -55,7 +55,8 @@ density increments.  A tilted lane's drift tilt needs its controls, so it
 is evaluated, and its own state advanced, a step at a time.  A stacked
 matmul calls BLAS once per (paths, .) slice, the per-step shapes, and the
 log excess return and the densities are summed step by step, so a run is
-bit for bit the step-by-step loop.
+bit for bit the step-by-step loop.  A chunk runs to its end before its
+states are tested for finiteness.
 """
 
 from __future__ import annotations
@@ -66,14 +67,13 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from . import policy
 from .errors import ConfigError, MeasureMismatch, NonfiniteState, ParseError
 from .model import ValidatedModel, _log_excess_terms, _rowdot
-from .valuefn import ValueCoefficients
+from .valuefn import ValueCoefficients, check_solved_for
 
 MEASURES = ("physical", "tilted_gamma", "tilted_h")
 # the outputs a bundle can keep: two full path arrays, four density columns
@@ -100,23 +100,18 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation request; defaults mirror a 5-year daily experiment.
-
-    A callable strategy or custom_tilt may be called concurrently, on
-    different path blocks from different threads.
-    """
+    """Simulation request; defaults mirror a 5-year daily experiment."""
 
     n_paths: int = 5000
     steps: int = 1260
     dt: float = 1.0 / 252.0
     seed: int = 0
     measure: str = "physical"
-    # a name of policy.STRATEGIES or a policy (t, X[batch,n]) -> H[batch,m]
-    strategy: str | Callable = "optimal"
+    # a name of policy.STRATEGIES or a policy.GainTable, row j at step j
+    strategy: str | policy.GainTable = "optimal"
     route: str = "direct"                 # allocation route when strategy == "optimal"
     antithetic: bool = False
-    bench_weights: np.ndarray | None = None
-    custom_tilt: Callable | None = None   # (t, X, H) -> gamma[batch,d]
+    bench_weights: np.ndarray | None = None   # the benchmark strategy's weights
     keep: tuple[str, ...] = OUTPUTS       # the outputs the bundle returns
 
 
@@ -158,9 +153,22 @@ def _validate_config(model: ValidatedModel, vc, cfg: SimConfig) -> None:
         )
     if cfg.measure not in MEASURES:
         raise ConfigError(f"unknown measure '{cfg.measure}'; choose from {MEASURES}")
-    if not callable(cfg.strategy) and cfg.strategy not in policy.STRATEGIES:
-        raise ConfigError(
-            f"unknown strategy '{cfg.strategy}'; choose from {policy.STRATEGIES}")
+    table = cfg.strategy if isinstance(cfg.strategy, policy.GainTable) else None
+    if table is None and cfg.strategy not in policy.STRATEGIES:
+        raise ConfigError(f"unknown strategy '{cfg.strategy}'; choose from "
+                          f"{policy.STRATEGIES} or pass a policy.GainTable")
+    # gamma, and so the value tilt, feeds the densities and tilted_gamma's drift
+    tilts = "densities" in cfg.keep or cfg.measure == "tilted_gamma"
+    if table is not None:
+        gain, offset = np.shape(table.gain), np.shape(table.offset)
+        if len(gain) != 3 or gain[:2] != (cfg.steps, model.n) or offset != (cfg.steps, gain[2]):
+            raise ConfigError(f"a gain-table strategy needs gains ({cfg.steps}, {model.n}, k) and "
+                              f"offsets ({cfg.steps}, k), a row a step; got {gain} and {offset}")
+        columns = table.offset[0]
+        if table.h is None or len(columns[table.h]) != model.m:
+            raise ConfigError(f"a gain-table strategy needs {model.m} allocation columns h")
+        if tilts and (table.value_tilt is None or len(columns[table.value_tilt]) != model.d):
+            raise ConfigError(f"densities and tilted_gamma read {model.d} value_tilt columns")
     if cfg.route not in policy.ROUTES:
         raise ConfigError(f"unknown route '{cfg.route}'; choose from {policy.ROUTES}")
     if cfg.bench_weights is not None and np.shape(cfg.bench_weights) != (model.m,):
@@ -172,11 +180,10 @@ def _validate_config(model: ValidatedModel, vc, cfg: SimConfig) -> None:
         raise ConfigError(f"keep names unknown outputs {unknown}; choose from {OUTPUTS}")
     if cfg.antithetic and cfg.n_paths % 2 != 0:
         raise ConfigError("antithetic pairing needs an even n_paths")
-    # every tilt comes from the coefficients unless custom_tilt replaces gamma
-    if vc is None and (cfg.strategy == "optimal" or "densities" in cfg.keep or (
-            cfg.measure == "tilted_gamma" and cfg.custom_tilt is None)):
-        raise ConfigError("strategy 'optimal', kept densities and tilted_gamma without "
-                          "a custom tilt need solved value coefficients")
+    # a named strategy's tilts come from the coefficients
+    if vc is None and table is None and (cfg.strategy == "optimal" or tilts):
+        raise ConfigError("a named strategy needs solved value coefficients when it is "
+                          "'optimal', keeps densities or samples tilted_gamma")
 
 
 def _block_noise(seed: int, first_path: int, count: int, steps: int, d: int,
@@ -232,20 +239,18 @@ class _Nodes:
     """A path block's working arrays, reused by every chunk.
 
     x[owner] holds the owner's factor states and r every lane's log excess
-    return at a chunk's nodes, a row per node.  A chunk's start lies in row
-    s.  A chunk of several steps moves it to row 0, so that its states stack,
-    and puts the nodes after its steps in rows 1, ..., c; a one-step chunk
-    puts its one node in whichever of rows 0 and 1 does not hold its start,
-    so stepping one step a chunk copies no node.  terms takes each step's ell
-    dt and track . dw, interleaved, and dens its four density
-    log-increments; add sums them in step order into r and the running log
-    densities acc, so each sum is bitwise the per-step R + ell dt + track .
-    dw and acc + increment.  A row holds every lane, so one add serves them
-    all; np.add.accumulate along the rows would run one inner loop per path,
-    and took four times as long at (21, 1000).
+    return at the nodes of a chunk of c steps: row i before its step i and
+    row i + 1 after it, so that its states stack; start moves the previous
+    chunk's last node to row 0.  terms takes each step's ell dt and
+    track . dw, interleaved, and dens its four density log-increments; add
+    sums them in step order into r and the running log densities acc, so
+    each sum is bitwise the per-step R + ell dt + track . dw and
+    acc + increment.  A row holds every lane, so one add serves them all;
+    np.add.accumulate along the rows would run one inner loop per path, and
+    took four times as long at (21, 1000).
     """
 
-    __slots__ = ("x", "r", "terms", "acc", "dens", "s")
+    __slots__ = ("x", "r", "terms", "acc", "dens", "c")
 
     def __init__(self, model: ValidatedModel, owners: set, lanes: int, count: int,
                  width: int, densities: bool):
@@ -256,36 +261,31 @@ class _Nodes:
         self.terms = np.empty((2 * width, lanes, count))
         self.acc = np.zeros((lanes, 4, count)) if densities else None
         self.dens = np.empty((width, lanes, 4, count)) if densities else None
-        self.s = 0
+        self.c = 0
 
-    def rows(self, c: int) -> tuple[slice, slice]:
-        """The rows of a chunk of c steps: its nodes before and after each step."""
-        s = self.s
-        if c == 1:
-            self.s = 0 if s == 1 else 1
-            return slice(s, s + 1), slice(self.s, self.s + 1)
-        if s:
+    def start(self, c: int) -> None:
+        """Start a chunk of c steps at the previous chunk's last node."""
+        if self.c:
             for X in self.x.values():
-                X[0] = X[s]
-            self.r[0] = self.r[s]
-        self.s = c
-        return slice(0, c), slice(1, c + 1)
+                X[0] = X[self.c]
+            self.r[0] = self.r[self.c]
+        self.c = c
 
     def terms_of(self, k: int, i0: int, i1: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Where lane k's terms of the chunk's steps i0, ..., i1 - 1 go."""
         return (self.terms[2 * i0:2 * i1, k],
                 None if self.dens is None else self.dens[i0:i1, k])
 
-    def add(self, c: int, at: slice, after: slice) -> np.ndarray:
-        """Add the chunk's c steps; returns R after each, (c, lanes, paths)."""
-        r_at, r_after, terms = self.r[at], self.r[after], self.terms
-        for i in range(c):
-            np.add(r_at[i], terms[2 * i], out=r_after[i])
-            np.add(r_after[i], terms[2 * i + 1], out=r_after[i])
+    def add(self) -> np.ndarray:
+        """Add the chunk's steps; returns R after each, (c, lanes, paths)."""
+        r, terms = self.r, self.terms
+        for i in range(self.c):
+            np.add(r[i], terms[2 * i], out=r[i + 1])
+            np.add(r[i + 1], terms[2 * i + 1], out=r[i + 1])
         if self.dens is not None:
-            for i in range(c):
+            for i in range(self.c):
                 np.add(self.acc, self.dens[i], out=self.acc)
-        return r_after
+        return r[1:self.c + 1]
 
 
 class _Lane:
@@ -299,14 +299,15 @@ class _Lane:
         self.cfg = cfg
         self.densities = "densities" in cfg.keep
         # gamma feeds the densities and is tilted_gamma's drift; the value
-        # tilt feeds gamma (unless custom_tilt replaces it) and the link
+        # tilt feeds gamma and the link
         self.gamma = self.densities or cfg.measure == "tilted_gamma"
-        tilts = self.densities or (self.gamma and cfg.custom_tilt is None)
-        self.table = None
-        if tilts or not callable(cfg.strategy):
-            table = policy.gain_table(model, vc, times, cfg.strategy, cfg.route,
-                                      cfg.bench_weights)
-            self.table = table if tilts else table.allocation_only()
+        table = cfg.strategy
+        if not isinstance(table, policy.GainTable):
+            # only the tilts and the optimal allocation read the coefficients
+            reads_vc = self.gamma or table == "optimal"
+            table = policy.gain_table(model, vc if reads_vc else None, times, table,
+                                      cfg.route, cfg.bench_weights)
+        self.table = table if self.gamma else table.allocation_only()
         self.terminal_state = np.empty((n_paths, n))
         self.terminal_r = np.empty(n_paths)
         # log densities: tilt, alloc, link, then the tilt-norm integral
@@ -323,14 +324,13 @@ class _Lane:
         if self.log_excess is not None:
             self.log_excess[sl, 0] = 0.0
 
-    def increments(self, model: ValidatedModel, ctx: _SegmentContext, j: int | slice,
+    def increments(self, model: ValidatedModel, ctx: _SegmentContext, j: slice,
                    X: np.ndarray, dW: np.ndarray, dt: float, r_inc: np.ndarray,
                    d_inc: np.ndarray | None) -> np.ndarray:
-        """Evaluate step j at its states X, (paths, n), under the sampled
-        increments dW, (paths, d), or each step of a slice j at its states
-        stacked (c, paths, n) and increments (c, paths, d): write their ell dt
-        and track . dw, interleaved, to r_inc and their density
-        log-increments to d_inc (see _Nodes); returns their physical
+        """Evaluate each step of the slice j at its states stacked
+        (c, paths, n) under its sampled increments stacked (c, paths, d):
+        write their ell dt and track . dw, interleaved, to r_inc and their
+        density log-increments to d_inc (see _Nodes); returns their physical
         increments.
 
         Every product keeps the per-step shapes: a stacked matmul calls BLAS
@@ -338,14 +338,10 @@ class _Lane:
         """
         cfg, table = self.cfg, self.table
         theta = model.theta
-        C = None if table is None else table.controls(j, X)
-        H = (_each_step(cfg.strategy, j, dt, X) if callable(cfg.strategy)
-             else C[..., table.h])
-
-        ell, track = _log_excess_terms(ctx.block, ctx.gram, X, H)
+        C = table.controls(j, X)
+        ell, track = _log_excess_terms(ctx.block, ctx.gram, X, C[..., table.h])
         if self.gamma:
-            G = (_each_step(cfg.custom_tilt, j, dt, X, H) if cfg.custom_tilt is not None
-                 else C[..., table.value_tilt] - theta * track)
+            G = C[..., table.value_tilt] - theta * track
 
         # the physical increment dw + phi dt, phi the sampling measure's
         # drift tilt; from here on every formula is the physical one
@@ -404,15 +400,6 @@ class _Lane:
         )
 
 
-def _each_step(fn: Callable, j: int | slice, dt: float, *args: np.ndarray) -> np.ndarray:
-    """A callable policy fn(t, *args) at step j, or at each step of a slice
-    j, on its rows of the stacked args, stacked."""
-    if not isinstance(j, slice):
-        return fn(j * dt, *args)
-    return np.stack([fn(step * dt, *(a[i] for a in args))
-                     for i, step in enumerate(range(j.start, j.stop))])
-
-
 def _partition(n_paths: int, steps: int, d: int) -> list[tuple[int, int]]:
     """The path blocks (first path, count) of a run.  They depend only on the
     sizes, never on the worker count or the host; every block but the last
@@ -460,11 +447,11 @@ def _run_block(model: ValidatedModel, shared: SimConfig, lanes: list[_Lane],
     owns its own.  No control moves the physical state, so per chunk it
     advances alone, step by step, from one stacked product dW @ Lambda'; a
     tilted lane's drift tilt needs its controls, so it is evaluated and its
-    state advanced a step at a time.  Then each physical-measure lane is
-    evaluated once over the chunk's stacked states.  A chunk ends early at
-    the first non-finite state, so no callable ever sees one.  The block
-    reads only shared state and writes only its own slice of the lanes'
-    outputs, so blocks may run on any thread in any order.
+    state advanced a step at a time.  Each physical-measure lane is
+    evaluated once over the chunk's stacked states.  A chunk runs to its
+    end; then one test finds a non-finite state.  The block reads only
+    shared state and writes only its own slice of the lanes' outputs, so
+    blocks may run on any thread in any order.
     """
     first, count = block
     sl = slice(first, first + count)
@@ -477,7 +464,7 @@ def _run_block(model: ValidatedModel, shared: SimConfig, lanes: list[_Lane],
     storing = [k for k, lane in enumerate(lanes)
                if lane.states is not None or lane.log_excess is not None]
     # pool threads do not inherit the caller's errstate; overflow inside a
-    # diverging path is expected right before NonfiniteState fires
+    # diverging path is expected before NonfiniteState fires at the chunk's end
     with np.errstate(over="ignore", invalid="ignore"):
         noise = _block_noise(shared.seed, first, count, shared.steps, model.d, shared.antithetic)
         sq_dt = np.sqrt(dt)
@@ -489,47 +476,37 @@ def _run_block(model: ValidatedModel, shared: SimConfig, lanes: list[_Lane],
 
         for j0, j1, ctx in _chunks(runs, width):
             c = j1 - j0
-            at, after = nodes.rows(c)
+            nodes.start(c)
             # the chunk's increments, scaled from the strided noise slab into
             # one contiguous (steps, paths, d) array that every lane reads; a
             # new one each chunk, as one array per block made a lone
             # tilted_gamma lane (1024 paths, d = 20, on the calling thread)
             # take 30k page faults in place of 0.6k and 1.4 times as long
             dW = np.multiply(noise[:, j0:j1].swapaxes(0, 1), sq_dt, order="C")
-            finite = True
             if physical:
-                P, P_next = nodes.x["physical"][at], nodes.x["physical"][after]
+                P = nodes.x["physical"]
                 np.matmul(dW, ctx.lam_t, out=noise_term[:c])
                 for i in range(c):
-                    ctx.advance(P[i], noise_term[i], dt, P_next[i])
-                if not np.isfinite(P_next).all():
-                    finite = False
-                    c = int(np.argmin(np.isfinite(P_next).all(axis=(1, 2)))) + 1
-            for k in tilted:
-                X, X_next = nodes.x[k][at], nodes.x[k][after]
-                for i in range(c):
-                    dw = lanes[k].increments(model, ctx, j0 + i, X[i], dW[i], dt,
-                                             *nodes.terms_of(k, i, i + 1))
-                    ctx.advance(X[i], dw @ ctx.lam_t, dt, X_next[i])
-                    if not np.isfinite(X_next[i]).all():
-                        finite = False
-                        c = i + 1
-                        break
-            if physical:
-                # a one-step chunk takes the per-step shapes, which cost less
-                chunk = (j0, P[0], dW[0]) if c == 1 else (slice(j0, j0 + c), P[:c], dW[:c])
+                    ctx.advance(P[i], noise_term[i], dt, P[i + 1])
                 for k in physical:
-                    lanes[k].increments(model, ctx, *chunk, dt, *nodes.terms_of(k, 0, c))
+                    lanes[k].increments(model, ctx, slice(j0, j1), P[:c], dW, dt,
+                                        *nodes.terms_of(k, 0, c))
+            for k in tilted:
+                X = nodes.x[k]
+                for i in range(c):
+                    dw = lanes[k].increments(model, ctx, slice(j0 + i, j0 + i + 1), X[i:i + 1],
+                                             dW[i:i + 1], dt, *nodes.terms_of(k, i, i + 1))
+                    ctx.advance(X[i], dw[0] @ ctx.lam_t, dt, X[i + 1])
 
-            R = nodes.add(c, at, after)[:c]
-            if not (finite and np.isfinite(R).all()):
-                _raise_nonfinite(sl, j0, [nodes.x[owner][after] for owner in owners], R)
+            R = nodes.add()
+            if not (np.isfinite(R).all() and all(np.isfinite(X[1:c + 1]).all()
+                                                 for X in nodes.x.values())):
+                _raise_nonfinite(sl, j0, [nodes.x[owner][1:c + 1] for owner in owners], R)
             for k in storing:
-                lanes[k].store(sl, j0, nodes.x[owners[k]][after], R[:, k])
+                lanes[k].store(sl, j0, nodes.x[owners[k]][1:c + 1], R[:, k])
 
-        s = nodes.s
         for k, (lane, owner) in enumerate(zip(lanes, owners)):
-            lane.end_block(sl, nodes.x[owner][s], nodes.r[s, k],
+            lane.end_block(sl, nodes.x[owner][nodes.c], nodes.r[nodes.c, k],
                            None if nodes.acc is None else nodes.acc[k])
 
 
@@ -538,11 +515,14 @@ def _simulate(model: ValidatedModel, vc: ValueCoefficients | None,
     """The Euler kernel over validated lanes that share n_paths, steps, dt,
     seed and antithetic.
 
-    It builds every coefficient segment's context and every lane's gain
-    table before any block runs, then runs the path blocks of _partition:
+    It checks the coefficients and builds every coefficient segment's
+    context and every lane's gain table before any block runs, then runs
+    the path blocks of _partition:
     inline when there is one block or one worker, else on a pool of up to
     WORKERS threads that is joined before it returns.
     """
+    if vc is not None:
+        check_solved_for(model, vc)  # lanes that read none pass none to gain_table
     shared = cfgs[0]
     dt, steps = shared.dt, shared.steps
     times = np.array([j * dt for j in range(steps)])
@@ -575,7 +555,7 @@ def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
     the start).  Each step shifts the sampled increment by the measure's
     drift tilt to the physical increment, which drives the state and every
     density log-increment.  Every allocation and tilt comes from the
-    policy's gain table, evaluated at every step's states.  The one-lane
+    strategy's gain table, evaluated at every step's states.  The one-lane
     call of the kernel that simulate_lanes runs.
     """
     _validate_config(model, vc, cfg)
@@ -694,7 +674,7 @@ def martingale_check(bundle: PathBundle, which: str = "tilt") -> MartingaleCheck
     elif which == "alloc":
         log_density = bundle.log_density_alloc
     else:
-        raise ValueError("which must be 'tilt' or 'alloc'")
+        raise ConfigError(f"which must be 'tilt' or 'alloc', got {which!r}")
     mean, se = _mean_and_se(np.exp(log_density), bundle.config.antithetic)
     return MartingaleCheck(mean, se)
 

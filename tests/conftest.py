@@ -51,11 +51,15 @@ def make_twofactor_spec(theta=1.0):
     )
 
 
-def kelly_allocation(model, t, X):
-    """The Kelly allocation at time t for each state row of X (a custom
-    strategy's policy)."""
-    table = gain_table(model, None, [t], "kelly")
-    return table.controls(0, X)[:, table.h]
+def scaled_kelly_table(model, vc, steps, dt, scale):
+    """A fractional- or levered-Kelly strategy: the Kelly gain table of
+    steps rows, row j at time j dt, with its allocation columns scaled.
+    Given vc it keeps its value-tilt columns."""
+    table = gain_table(model, vc, [j * dt for j in range(steps)], "kelly")
+    gain, offset = table.gain.copy(), table.offset.copy()
+    gain[..., table.h] *= scale
+    offset[..., table.h] *= scale
+    return dataclasses.replace(table, gain=gain, offset=offset)
 
 
 def make_random_spec(rng, theta=None, n=None, m=None, d=None, horizon=1.0):

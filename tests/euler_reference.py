@@ -37,12 +37,11 @@ class _Lane:
         self.cfg = cfg
         self.densities = "densities" in cfg.keep
         self.gamma = self.densities or cfg.measure == "tilted_gamma"
-        tilts = self.densities or (self.gamma and cfg.custom_tilt is None)
-        self.table = None
-        if tilts or not callable(cfg.strategy):
+        table = cfg.strategy
+        if not isinstance(table, policy.GainTable):
             table = policy.gain_table(model, vc, times, cfg.strategy, cfg.route,
                                       cfg.bench_weights)
-            self.table = table if tilts else table.allocation_only()
+        self.table = table if self.gamma else table.allocation_only()
         self.terminal_state = np.empty((n_paths, n))
         self.terminal_r = np.empty(n_paths)
         self.densities_out = tuple(np.zeros(n_paths) if self.densities else None for _ in range(4))
@@ -59,12 +58,11 @@ class _Lane:
     def step(self, model, ctx, j, t, X, dW_j, dt, R, acc):
         cfg, table = self.cfg, self.table
         theta = model.theta
-        C = None if table is None else table.controls(j, X)
-        H = cfg.strategy(t, X) if callable(cfg.strategy) else C[:, table.h]
+        C = table.controls(j, X)
+        H = C[:, table.h]
         ell, track = _log_excess_terms(ctx.block, ctx.gram, X, H)
         if self.gamma:
-            G = (cfg.custom_tilt(t, X, H) if cfg.custom_tilt is not None
-                 else C[:, table.value_tilt] - theta * track)
+            G = C[:, table.value_tilt] - theta * track
         if cfg.measure == "physical":
             dw = dW_j
         else:

@@ -21,7 +21,7 @@ from benchkelly.simulate import SimConfig, kl_estimate, martingale_check, mc_cri
     simulate_paths
 from benchkelly.valuefn import solve_value_coefficients, value_function
 
-from conftest import kelly_allocation, make_random_spec, make_scalar_spec
+from conftest import make_random_spec, make_scalar_spec, scaled_kelly_table
 
 
 def report(num, name, ok, detail):
@@ -173,7 +173,8 @@ def test_criterion_06_value_function_mc_oracle(twofactor_model, twofactor_vc):
 
     sub = simulate_paths(
         vm, vc,
-        SimConfig(strategy=lambda t, X: 2.0 * kelly_allocation(vm, t, X), **base),
+        SimConfig(strategy=scaled_kelly_table(vm, None, base["steps"], base["dt"], 2.0),
+                  **base),
     )
     mc_sub = mc_criterion(sub, vm.theta)
     joint = float(np.hypot(mc_opt.std_error, mc_sub.std_error))

@@ -10,7 +10,7 @@ from benchkelly.analytics import (
     performance_report,
     risk_ratios,
 )
-from benchkelly.errors import InsufficientData
+from benchkelly.errors import ConfigError, InsufficientData
 
 # Published reference columns: (mean, std, var, cvar) in % per day with their
 # expected ratios (sharpe, mean-to-var, mean-to-cvar).
@@ -143,7 +143,7 @@ def test_downside_denominator_switch(sample_returns):
     below = performance_report(sample_returns, downside_denominator="below")
     full = performance_report(sample_returns, downside_denominator="full")
     assert full.semideviation < below.semideviation
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         performance_report(sample_returns, downside_denominator="sideways")
 
 

@@ -370,7 +370,7 @@ def test_seed_override_changes_results(workdir):
 
 
 @pytest.mark.parametrize("simulation", [
-    {"custom_tilt": "x"},    # library-only SimConfig fields
+    {"custom_tilt": "x"},    # not a key: a removed SimConfig field
     {"keep": []},
     {"n_paths": "ten"},
     {"steps": 12.5},

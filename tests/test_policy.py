@@ -330,6 +330,13 @@ def test_gain_table_rejects_coefficients_of_another_model(scalar_model, scalar_v
         fractional_kelly(shorter, scalar_vc, 0.1, np.array([0.2]))
 
 
+def test_gain_table_rejects_an_unknown_strategy(scalar_model, scalar_vc):
+    # every table has allocation columns: only the named strategies build one
+    for strategy in ("custom", None):
+        with pytest.raises(ConfigError, match="unknown strategy"):
+            gain_table(scalar_model, scalar_vc, [0.1], strategy)
+
+
 def test_gain_table_rejects_nonfinite_coefficients(scalar_model, scalar_vc):
     # every caller of the table fails typed, naming the first time it reads
     x = np.array([0.2])

@@ -6,8 +6,10 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+
 import benchkelly
-from benchkelly import cli, verify
+from benchkelly import cli, policy, verify
 from benchkelly.simulate import SimConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -77,3 +79,19 @@ def test_readme_dotted_names_resolve():
 
 def test_package_exports_resolve():
     assert [name for name in benchkelly.__all__ if not hasattr(benchkelly, name)] == []
+
+
+def test_readme_quick_start_runs_a_half_kelly_table():
+    # the quick start runs as written; its half-Kelly lane is a scaled Kelly
+    # gain table
+    text = README.read_text()
+    start = text.index("```python", text.index("## Library quick start"))
+    namespace = {}
+    exec(text[start + len("```python"):text.index("```", start + 3)], namespace)
+    half_kelly, kelly = namespace["half_kelly"], namespace["kelly"]
+    table, kelly_table = half_kelly.config.strategy, namespace["kelly_table"]
+    assert isinstance(table, policy.GainTable)
+    assert np.array_equal(table.gain, 0.5 * kelly_table.gain)
+    assert np.array_equal(table.offset, 0.5 * kelly_table.offset)
+    assert np.isfinite(half_kelly.terminal_log_excess).all()
+    assert not np.array_equal(half_kelly.terminal_log_excess, kelly.terminal_log_excess)

@@ -12,7 +12,7 @@ import benchkelly.simulate as sim_mod
 from benchkelly.errors import ConfigError, MeasureMismatch, NonfiniteState, ParseError
 from benchkelly.game import running_payoff_g, running_payoff_g1
 from benchkelly.model import ModelSpec, validate_model
-from benchkelly.policy import gain_table
+from benchkelly.policy import GainTable, gain_table
 from benchkelly.simulate import (
     KlEstimate,
     MartingaleCheck,
@@ -28,7 +28,8 @@ from benchkelly.simulate import (
 )
 from benchkelly.valuefn import solve_value_coefficients, value_function
 
-from conftest import kelly_allocation, make_random_spec, make_scalar_spec, make_two_segment_spec
+from conftest import make_random_spec, make_scalar_spec, make_two_segment_spec, scaled_kelly_table
+import euler_reference
 from euler_reference import simulate_reference
 
 
@@ -70,16 +71,29 @@ def test_log_excess_starts_at_zero(scalar_model, scalar_vc):
     assert np.all(bundle.log_excess[:, 0] == 0.0)
 
 
-def test_zero_tilt_matches_physical_bitwise(scalar_model, scalar_vc):
-    zero_tilt = lambda t, X, H: np.zeros((X.shape[0], scalar_model.d))
-    base = SimConfig(n_paths=50, steps=40, dt=1 / 252, seed=9, strategy="optimal",
-                     custom_tilt=zero_tilt)
-    phys = simulate_paths(scalar_model, scalar_vc, base)
-    tilted = simulate_paths(
-        scalar_model, scalar_vc,
-        SimConfig(n_paths=50, steps=40, dt=1 / 252, seed=9, strategy="optimal",
-                  measure="tilted_gamma", custom_tilt=zero_tilt),
-    )
+@pytest.fixture(scope="module")
+def kelly_mode():
+    """The scalar model at theta = 0: its value tilt and gamma are zeros."""
+    vm = validate_model(make_scalar_spec(theta=0.0))
+    return vm, solve_value_coefficients(vm, steps_per_year=252)
+
+
+def _table(gain_h, offset_h, gain_tilt=None, offset_tilt=None):
+    """A gain table [h | value tilt] from its column groups, (steps, n, .)
+    gains and (steps, .) offsets; without tilt gains it has no tilt columns."""
+    m = offset_h.shape[-1]
+    if gain_tilt is None:
+        return GainTable(gain_h, offset_h, slice(0, m), None)
+    return GainTable(np.concatenate([gain_h, gain_tilt], axis=-1),
+                     np.concatenate([offset_h, offset_tilt], axis=-1),
+                     slice(0, m), slice(m, m + offset_tilt.shape[-1]))
+
+
+def test_zero_tilt_matches_physical_bitwise(kelly_mode):
+    vm, vc = kelly_mode
+    base = dict(n_paths=50, steps=40, dt=1 / 252, seed=9, strategy="optimal")
+    phys = simulate_paths(vm, vc, SimConfig(**base))
+    tilted = simulate_paths(vm, vc, SimConfig(measure="tilted_gamma", **base))
     assert np.array_equal(phys.states, tilted.states)
     assert np.array_equal(phys.log_excess, tilted.log_excess)
     assert np.all(tilted.log_density_tilt == 0.0)
@@ -107,26 +121,28 @@ def _drift_tilt_spec(theta, **drifts):
 def test_tilted_run_is_physical_run_of_drift_shifted_model(measure):
     # Girsanov: sampling with Brownian drift c is sampling P of the model whose
     # drifts absorb the tilt: factor drift + Lambda c, asset drift + Sigma c,
-    # benchmark drift + Xi . c
+    # benchmark drift + Xi . c; the allocation is the constant h0 and gamma
+    # the value tilt c + theta (Sigma' h0 - Xi) less theta (Sigma' h0 - Xi)
     theta = 1.5
     spec = _drift_tilt_spec(theta)
     block = spec.coeffs.blocks[0]
     h0 = np.array([0.8, -0.3])
     c = np.array([0.3, -0.2, 0.5])
+    track = h0 @ block.asset_vol - block.bench_vol
     if measure == "tilted_h":
-        c = -theta * (block.asset_vol.T @ h0 - block.bench_vol)
+        c = -theta * track
     shifted = _drift_tilt_spec(
         theta,
         factor_drift=block.factor_drift + block.factor_vol @ c,
         asset_drift=block.asset_drift + block.asset_vol @ c,
         bench_drift=float(block.bench_drift + block.bench_vol @ c),
     )
-    base = dict(n_paths=200, steps=100, dt=1 / 252, seed=19, keep=("states", "log_excess"),
-                strategy=lambda t, X: np.tile(h0, (X.shape[0], 1)))
-    tilted = simulate_paths(
-        validate_model(spec), None,
-        SimConfig(measure=measure, custom_tilt=lambda t, X, H: np.tile(c, (X.shape[0], 1)),
-                  **base))
+    steps = 100
+    table = _table(np.zeros((steps, 2, 2)), np.tile(h0, (steps, 1)),
+                   np.zeros((steps, 2, 3)), np.tile(c + theta * track, (steps, 1)))
+    base = dict(n_paths=200, steps=steps, dt=1 / 252, seed=19, keep=("states", "log_excess"),
+                strategy=table)
+    tilted = simulate_paths(validate_model(spec), None, SimConfig(measure=measure, **base))
     physical = simulate_paths(validate_model(shifted), None, SimConfig(**base))
     assert np.abs(tilted.states - physical.states).max() < 1e-12
     assert np.abs(tilted.log_excess - physical.log_excess).max() < 1e-12
@@ -204,11 +220,16 @@ def test_martingale_means(scalar_bundle):
         assert chk.ok, f"{which}: mean {chk.mean} se {chk.std_error}"
 
 
-def test_martingale_exact_for_zero_tilt(scalar_model, scalar_vc):
+def test_martingale_check_rejects_an_unknown_density(scalar_bundle):
+    with pytest.raises(ConfigError, match="which"):
+        martingale_check(scalar_bundle, "link")
+
+
+def test_martingale_exact_for_zero_tilt(kelly_mode):
+    vm, vc = kelly_mode
     cfg = SimConfig(n_paths=50, steps=20, dt=1 / 252, seed=2, strategy="optimal",
-                    custom_tilt=lambda t, X, H: np.zeros((X.shape[0], 1)),
                     keep=("densities",))
-    bundle = simulate_paths(scalar_model, scalar_vc, cfg)
+    bundle = simulate_paths(vm, vc, cfg)
     chk = martingale_check(bundle, "tilt")
     assert chk.mean == 1.0
 
@@ -274,14 +295,21 @@ def test_kl_dual_estimators(scalar_model, scalar_vc):
     assert kl.from_tilt_norm > 0.0
 
 
-def test_kl_constant_deterministic_tilt(scalar_model, scalar_vc):
+def test_kl_constant_deterministic_tilt(scalar_model):
+    # Kelly rows whose value tilt theta (X K + k) Sigma + g0 - theta Xi makes
+    # gamma = value tilt - theta ((X K + k) Sigma - Xi) the constant g0
+    vm = scalar_model
     g0 = np.array([0.8])
     steps, dt = 126, 1 / 252
+    kelly = scaled_kelly_table(vm, None, steps, dt, 1.0)
+    block = vm.coefficients(0.0)
+    sigma = block.asset_vol
+    strategy = _table(kelly.gain, kelly.offset, vm.theta * kelly.gain @ sigma,
+                      g0 + vm.theta * (kelly.offset @ sigma - block.bench_vol))
     bundle = simulate_paths(
-        scalar_model, scalar_vc,
+        vm, None,
         SimConfig(n_paths=5000, steps=steps, dt=dt, measure="tilted_gamma",
-                  strategy="kelly", custom_tilt=lambda t, X, H: np.tile(g0, (X.shape[0], 1)),
-                  seed=17, keep=("densities",)),
+                  strategy=strategy, seed=17, keep=("densities",)),
     )
     kl = kl_estimate(bundle)
     closed_form = 0.5 * float(g0 @ g0) * steps * dt
@@ -294,7 +322,8 @@ def test_suboptimal_strategy_orders_criterion(scalar_model, scalar_vc):
     opt = simulate_paths(scalar_model, scalar_vc, SimConfig(strategy="optimal", **base))
     double_kelly = simulate_paths(
         scalar_model, scalar_vc,
-        SimConfig(strategy=lambda t, X: 2.0 * kelly_allocation(scalar_model, t, X), **base),
+        SimConfig(strategy=scaled_kelly_table(scalar_model, scalar_vc, base["steps"],
+                                              base["dt"], 2.0), **base),
     )
     mc_opt = mc_criterion(opt, scalar_model.theta)
     mc_sub = mc_criterion(double_kelly, scalar_model.theta)
@@ -320,7 +349,7 @@ def test_certainty_equivalent_monotone_in_theta(scalar_bundle):
 
 def test_nonfinite_state_detected(scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=4, steps=10, dt=1 / 252, seed=1,
-                    strategy=lambda t, X: np.full((X.shape[0], 1), 1e200), keep=())
+                    strategy=_table(np.zeros((10, 1, 1)), np.full((10, 1), 1e200)), keep=())
     with pytest.raises(NonfiniteState) as err:
         simulate_paths(scalar_model, scalar_vc, cfg)
     assert "path" in str(err.value) and "step" in str(err.value)
@@ -334,7 +363,7 @@ def test_nonfinite_state_detected(scalar_model, scalar_vc):
     dict(measure="sideways"),
     dict(strategy="oracle"),
     dict(antithetic=True, n_paths=7),
-    dict(strategy="custom"),                  # the removed name; a policy is a callable
+    dict(strategy="custom"),                  # the removed name; a policy is a gain table
     dict(route="bogus"),
     dict(strategy="benchmark", bench_weights=np.array([0.5, 0.5])),  # m == 1
     dict(strategy="benchmark", bench_weights=np.array([[1.0]])),
@@ -348,6 +377,43 @@ def test_config_validation(scalar_model, scalar_vc, bad):
         simulate_paths(scalar_model, scalar_vc, SimConfig(**base))
 
 
+@pytest.mark.parametrize("make, cfg, match", [
+    (lambda t: t, dict(steps=9), r"\(9, 1, k\)"),                       # a row a step
+    (lambda t: dataclasses.replace(t, gain=t.gain[:9], offset=t.offset[:9]), {},
+     r"\(10, 1, k\)"),
+    (lambda t: dataclasses.replace(t, gain=np.repeat(t.gain, 2, axis=1)), {},
+     r"\(10, 1, k\)"),
+    (lambda t: dataclasses.replace(t, gain=t.gain[:, 0]), {}, r"\(10, 1, k\)"),
+    (lambda t: dataclasses.replace(t, offset=t.offset[:1]), {}, r"offsets \(10, k\)"),
+    (lambda t: dataclasses.replace(t, offset=t.offset[:, :1]), {}, r"offsets \(10, k\)"),
+    (lambda t: dataclasses.replace(t, h=None), {}, "allocation columns"),
+    (lambda t: dataclasses.replace(t, value_tilt=None), dict(keep=("densities",)),
+     "value_tilt"),
+    (lambda t: dataclasses.replace(t, value_tilt=None),
+     dict(measure="tilted_gamma", keep=()), "value_tilt"),
+], ids=["too-many-rows", "too-few-rows", "wrong-state-width", "no-column-axis",
+        "short-offset", "offset-width", "no-h", "no-value-tilt-densities",
+        "no-value-tilt-tilted_gamma"])
+def test_table_strategy_must_fit_the_run(scalar_model, scalar_vc, make, cfg, match):
+    table = make(scaled_kelly_table(scalar_model, scalar_vc, 10, 1 / 252, 0.5))
+    config = SimConfig(**{"n_paths": 4, "steps": 10, "dt": 1 / 252, **cfg, "strategy": table})
+    with pytest.raises(ConfigError, match=match):
+        simulate_paths(scalar_model, None, config)
+
+
+def test_table_strategy_without_tilt_columns_runs_where_no_tilt_is_read(scalar_model):
+    # a table of allocation columns alone is a strategy for physical and
+    # tilted_h lanes that keep no densities
+    table = scaled_kelly_table(scalar_model, None, 10, 1 / 252, 0.5)
+    assert table.value_tilt is None
+    for measure in ("physical", "tilted_h"):
+        bundle = simulate_paths(scalar_model, None, SimConfig(
+            n_paths=4, steps=10, dt=1 / 252, measure=measure, strategy=table,
+            keep=("states", "log_excess")))
+        assert np.isfinite(bundle.terminal_log_excess).all()
+        assert bundle.log_density_tilt is None
+
+
 def test_optimal_needs_coefficients(scalar_model):
     with pytest.raises(ConfigError):
         simulate_paths(scalar_model, None,
@@ -358,22 +424,25 @@ def test_optimal_needs_coefficients(scalar_model):
     dict(strategy="kelly", keep=("densities",)),
     dict(strategy="benchmark", keep=("log_excess", "densities")),
     dict(strategy="kelly", measure="tilted_gamma", keep=()),
-], ids=["kelly-densities", "benchmark-densities", "tilted_gamma-without-custom-tilt"])
+], ids=["kelly-densities", "benchmark-densities", "tilted_gamma"])
 def test_every_tilt_needs_coefficients(scalar_model, cfg):
-    # every adverse tilt is the table's value tilt unless custom_tilt replaces
-    # it: densities and tilted_gamma's drift need the coefficients
+    # a named strategy's adverse tilt is its table's value tilt: densities
+    # and tilted_gamma's drift need the coefficients
     with pytest.raises(ConfigError, match="value coefficients"):
         simulate_paths(scalar_model, None, SimConfig(n_paths=4, steps=4, dt=1 / 252, **cfg))
 
 
 @pytest.mark.parametrize("cfg", [
-    dict(measure="tilted_h"),
-    dict(measure="tilted_gamma", custom_tilt=lambda t, X, H: np.full((len(X), 1), 0.3)),
-], ids=["tilted_h", "tilted_gamma-custom-tilt"])
+    dict(measure="tilted_h", strategy="kelly"),
+    dict(measure="tilted_gamma", keep=("densities",)),
+], ids=["tilted_h", "tilted_gamma-gain-table"])
 def test_lanes_without_tilts_run_without_coefficients(scalar_model, scalar_vc, cfg):
-    # tilted_h's drift -theta (Sigma' h - Xi) and a custom tilt read no
-    # coefficients; the run is the one with coefficients, bit for bit
-    config = SimConfig(n_paths=8, steps=10, dt=1 / 252, seed=2, strategy="kelly", keep=(), **cfg)
+    # tilted_h's drift -theta (Sigma' h - Xi) and a gain-table strategy,
+    # whose value tilt is its own, read no coefficients; the run is the one
+    # with coefficients, bit for bit
+    cfg = {"strategy": scaled_kelly_table(scalar_model, scalar_vc, 10, 1 / 252, 0.5),
+           "keep": (), **cfg}
+    config = SimConfig(n_paths=8, steps=10, dt=1 / 252, seed=2, **cfg)
     without = simulate_paths(scalar_model, None, config)
     with_vc = simulate_paths(scalar_model, scalar_vc, config)
     assert without.terminal_state.tobytes() == with_vc.terminal_state.tobytes()
@@ -440,22 +509,15 @@ def test_density_readers_need_kept_densities(tmp_path, scalar_model, scalar_vc, 
 
 @pytest.mark.parametrize("measure", ["physical", "tilted_gamma", "tilted_h"])
 def test_optimal_strategy_is_the_policy_module(twofactor_model, twofactor_vc, measure):
-    # the optimal strategy and adverse tilt are the policy's gain table, bit for bit
+    # the optimal strategy and adverse tilt are the policy's gain table, bit
+    # for bit: the table as the strategy, run without coefficients, is the
+    # strategy "optimal"
     vm, vc = twofactor_model, twofactor_vc
     steps, dt = 40, 1 / 252
     table = gain_table(vm, vc, [j * dt for j in range(steps)])
-
-    def policy(t, X):
-        return table.controls(round(t / dt), X)[:, table.h]
-
-    def tilt(t, X, H):
-        block = vm.coefficients(t)
-        value_tilt = table.controls(round(t / dt), X)[:, table.value_tilt]
-        return value_tilt - vm.theta * (H @ block.asset_vol - block.bench_vol)
-
     base = dict(n_paths=64, steps=steps, dt=dt, seed=6, measure=measure)
     optimal = simulate_paths(vm, vc, SimConfig(strategy="optimal", **base))
-    custom = simulate_paths(vm, vc, SimConfig(strategy=policy, custom_tilt=tilt, **base))
+    custom = simulate_paths(vm, None, SimConfig(strategy=table, **base))
     for name in ("states", "log_excess", "log_density_tilt", "log_density_alloc",
                  "log_density_link", "tilt_sq_integral"):
         assert getattr(optimal, name).tobytes() == getattr(custom, name).tobytes(), name
@@ -549,14 +611,14 @@ def test_each_lane_is_its_solo_run(monkeypatch, solved_wide, antithetic):
     class WidthSpy(sim_mod._Lane):
         def __init__(self, model, vc, cfg, *args):
             super().__init__(model, vc, cfg, *args)
-            widths[id(cfg)] = None if self.table is None else self.table.gain.shape[-1]
+            widths[id(cfg)] = self.table.gain.shape[-1]
 
     monkeypatch.setattr(sim_mod, "_Lane", WidthSpy)
+    base = dict(n_paths=10, steps=12, dt=1 / 252, seed=8, antithetic=antithetic)
     strategies = [dict(strategy="optimal"), dict(strategy="optimal", route="twostep"),
                   dict(strategy="kelly"), dict(strategy="benchmark"),
                   dict(strategy="benchmark", bench_weights=np.array([0.7, 0.3])),
-                  dict(strategy=lambda t, X: 0.5 * kelly_allocation(vm, t, X))]
-    base = dict(n_paths=10, steps=12, dt=1 / 252, seed=8, antithetic=antithetic)
+                  dict(strategy=scaled_kelly_table(vm, vc, base["steps"], base["dt"], 0.5))]
     assert len(sim_mod._partition(base["n_paths"], base["steps"], vm.d)) > 1
     cfgs = [SimConfig(measure=measure, **strategy, **base)
             for measure in sim_mod.MEASURES for strategy in strategies]
@@ -613,6 +675,32 @@ def test_simulation_rejects_coefficients_of_another_model(scalar_vc):
     vm = validate_model(make_scalar_spec(theta=5.0))
     with pytest.raises(ConfigError, match="theta"):
         simulate_paths(vm, scalar_vc, SimConfig(n_paths=4, steps=4, dt=1 / 252))
+    # not even given to lanes that read none of them
+    for strategy in ("kelly", scaled_kelly_table(vm, None, 4, 1 / 252, 0.5)):
+        with pytest.raises(ConfigError, match="theta"):
+            simulate_paths(vm, scalar_vc, SimConfig(n_paths=4, steps=4, dt=1 / 252,
+                                                    strategy=strategy, keep=()))
+
+
+def test_lanes_read_coefficients_only_when_they_need_them(monkeypatch, solved_two_segment):
+    # the experiment's four lanes: only the two optimal ones read the
+    # coefficients, once per segment; the benchmark and Kelly allocations
+    # read none
+    vm, vc = solved_two_segment
+    reads = []
+    at_times = type(vc).at_times
+
+    def spy(self, times):
+        reads.append(len(times))
+        return at_times(self, times)
+
+    monkeypatch.setattr(type(vc), "at_times", spy)
+    base = dict(n_paths=4, steps=12, dt=1 / 16, keep=("log_excess",))
+    simulate_lanes(vm, vc, [SimConfig(strategy="benchmark", **base),
+                            SimConfig(strategy="optimal", route="twostep", **base),
+                            SimConfig(strategy="optimal", **base),
+                            SimConfig(strategy="kelly", **base)])
+    assert reads == [8, 4, 8, 4]
 
 
 def test_partition_is_cache_sized_and_aligned():
@@ -663,8 +751,9 @@ def _assert_bundles_equal(got, want):
 @pytest.mark.parametrize("segments", [1, 2])
 def test_chunked_kernel_is_the_per_step_loop(monkeypatch, solved_wide, solved_two_segment,
                                              segments, steps_per_chunk, antithetic):
-    # every strategy, a callable one too, under every measure, custom tilts
-    # and partial keeps, over two blocks (8 and 6 paths), in chunks of one
+    # every strategy, a gain table too, under every measure, tables with
+    # value tilts of their own and partial keeps, over two blocks (8 and 6
+    # paths), in chunks of one
     # step, of 5 and 6 steps or 7 and 9 (none divides the 13 steps) and of
     # the whole run; the two-segment model's knot at step 8 falls inside a
     # chunk, and at 7 steps the first block runs chunks of 7, 1 and 5 steps,
@@ -678,17 +767,26 @@ def test_chunked_kernel_is_the_per_step_loop(monkeypatch, solved_wide, solved_tw
     assert vm.segment_indices(np.arange(13) / 16).tolist() == (
         [0] * 13 if segments == 1 else [0] * 8 + [1] * 5)
 
-    def tilt(t, X, H):
-        return 0.2 * np.tanh(H @ np.ones((vm.m, vm.d)) + X[:, :1]) - t
+    times = np.arange(13) * base["dt"]
+    # half-Kelly rows with offsets shifted by the step's time
+    shifted = scaled_kelly_table(vm, vc, 13, base["dt"], 0.5)
+    shifted.offset[:, shifted.h] += times[:, None]
+    rng = np.random.default_rng(5)
+
+    def own_tilt(strategy):
+        # the strategy's allocation rows beside value-tilt gains of their own
+        table = gain_table(vm, vc, times, strategy)
+        return _table(table.gain[..., table.h], table.offset[:, table.h],
+                      0.2 * rng.standard_normal((13, vm.n, vm.d)),
+                      0.1 * rng.standard_normal((13, vm.d)) - times[:, None])
 
     strategies = [dict(strategy="optimal"), dict(strategy="optimal", route="twostep"),
-                  dict(strategy="kelly"), dict(strategy="benchmark"),
-                  dict(strategy=lambda t, X: 0.5 * kelly_allocation(vm, t, X) + t)]
+                  dict(strategy="kelly"), dict(strategy="benchmark"), dict(strategy=shifted)]
     cfgs = [SimConfig(measure=measure, **strategy, **base)
             for measure in sim_mod.MEASURES for strategy in strategies]
-    cfgs += [SimConfig(strategy="kelly", custom_tilt=tilt, **base),
-             SimConfig(strategy="optimal", measure="tilted_gamma", custom_tilt=tilt, **base),
-             SimConfig(strategy="kelly", measure="tilted_gamma", custom_tilt=tilt,
+    cfgs += [SimConfig(strategy=own_tilt("kelly"), **base),
+             SimConfig(strategy=own_tilt("optimal"), measure="tilted_gamma", **base),
+             SimConfig(strategy=own_tilt("kelly"), measure="tilted_gamma",
                        keep=("states",), **base),
              SimConfig(strategy="benchmark", keep=("log_excess",), **base),
              SimConfig(strategy="optimal", measure="tilted_h", keep=(), **base)]
@@ -698,49 +796,89 @@ def test_chunked_kernel_is_the_per_step_loop(monkeypatch, solved_wide, solved_tw
     _assert_bundles_equal(simulate_lanes(vm, vc, solo), simulate_reference(vm, vc, solo))
 
 
+def _blowup_table(steps, center):
+    """A scalar allocation 10^(150 + j / 5) (x - center) at step j: it grows
+    tenfold every five steps and with the state's distance from center, so
+    each path's reward overflows at a step of its own."""
+    gain = 10.0 ** (150 + 0.2 * np.arange(steps))
+    return _table(gain[:, None, None], (-center * gain)[:, None])
+
+
+def _failure(message):
+    """The (path, step) a NonfiniteState message names."""
+    path, step = re.fullmatch(r"non-finite state at path (\d+), step (\d+)", message).groups()
+    return int(path), int(step)
+
+
 @pytest.mark.parametrize("diverging", ["allocation", "factor_state"])
 def test_divergence_inside_a_chunk_matches_the_per_step_loop(monkeypatch, scalar_model,
                                                             scalar_vc, diverging):
-    # a run fails inside a chunk of the whole run: through a callable
-    # allocation that turns infinite once the state leaves a band (the
-    # tilted_h lane's state follows it to inf), or through an explosive
-    # factor state no control moves; the error names the reference loop's
-    # path and step at one and two workers, and no callable sees a
-    # non-finite state
+    # a run fails inside a chunk of the whole run: through an allocation
+    # that overflows on some paths before others (the tilted_h lane's state
+    # follows it to inf, earlier), or through an explosive factor state no
+    # control moves; each chunk runs to its end, and the error names the
+    # reference loop's path and step at one and two workers
     monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
     monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 8)
-    seen = []
+    steps, dt = 40, 1 / 252
     if diverging == "allocation":
         vm, vc = scalar_model, scalar_vc
-        x0 = float(vm.x0[0])
-
-        def strategy(t, X):
-            seen.append(bool(np.isfinite(X).all()))
-            return np.where(np.abs(X - x0) > 0.04, np.inf, 0.5)
+        strategy = _blowup_table(steps, float(vm.x0[0]))
     else:
         vm, vc = validate_model(make_scalar_spec(factor_mean_reversion=[[1e12]])), None
+        strategy = _table(np.zeros((steps, 1, 1)), np.full((steps, 1), 0.5))
 
-        def strategy(t, X):
-            seen.append(bool(np.isfinite(X).all()))
-            return np.full((X.shape[0], 1), 0.5)
-
-    cfg = SimConfig(n_paths=64, steps=40, dt=1 / 252, seed=3, strategy=strategy, keep=())
+    cfg = SimConfig(n_paths=64, steps=steps, dt=dt, seed=3, strategy=strategy, keep=())
     assert sim_mod._chunk_length(8, vm.d) > cfg.steps
     tilted = dataclasses.replace(cfg, measure="tilted_h")
     # the physical lane alone, and beside a tilted one in both lane orders:
-    # the first failing lane of a step names the path
-    for cfgs in ([cfg], [cfg, tilted], [tilted, cfg]):
+    # the first failing step decides, then the first failing lane names the
+    # path
+    lanes = [[cfg], [cfg, tilted], [tilted, cfg]]
+    if diverging == "allocation":
+        # a second physical lane, centred elsewhere, whose reward overflows
+        # at the same step on another path
+        other = dataclasses.replace(cfg, strategy=_blowup_table(steps, float(vm.x0[0]) + 0.01))
+        lanes += [[cfg, other], [other, cfg]]
+    failures = []
+    for cfgs in lanes:
         with pytest.raises(NonfiniteState) as err:
             simulate_reference(vm, vc, cfgs)
         expected = str(err.value)
-        step = int(re.fullmatch(r"non-finite state at path \d+, step (\d+)", expected).group(1))
-        assert 1 < step < cfg.steps
+        failures.append(_failure(expected))
+        assert 1 < failures[-1][1] < cfg.steps
         for workers in (1, 2):
             monkeypatch.setattr(sim_mod, "WORKERS", workers)
             with pytest.raises(NonfiniteState) as err:
                 simulate_lanes(vm, vc, cfgs)
             assert str(err.value) == expected
-    assert seen and all(seen)
+    if diverging == "allocation":
+        # the reference names a path other than the block's first, and
+        # where both lanes fail at one step the lane order picks the path
+        assert failures[0][0] != 0
+        assert failures[3][1] == failures[4][1] and failures[3][0] != failures[4][0]
+
+
+def test_a_state_that_fails_on_a_chunks_last_step_raises(monkeypatch):
+    # an explosive factor state turns infinite on the run's last step, while
+    # the log excess return, which reads the state before the step, is still
+    # finite: the chunk's test of its states names the step
+    monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
+    monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 8)
+    vm = validate_model(make_scalar_spec(factor_mean_reversion=[[1e12]]))
+
+    def cfgs(steps):
+        table = _table(np.zeros((steps, 1, 1)), np.full((steps, 1), 0.5))
+        cfg = SimConfig(n_paths=16, steps=steps, dt=1 / 252, seed=3, strategy=table, keep=())
+        return [cfg, dataclasses.replace(cfg, measure="tilted_h")]
+
+    with pytest.raises(NonfiniteState) as err:
+        simulate_reference(vm, None, cfgs(40))
+    step = int(re.search(r"step (\d+)", str(err.value)).group(1))
+    assert sim_mod._chunk_length(8, vm.d) > step
+    for run in (simulate_reference, simulate_lanes):
+        with pytest.raises(NonfiniteState, match=f"step {step}$"):
+            run(vm, None, cfgs(step))
 
 
 @pytest.fixture(scope="module")
@@ -800,16 +938,24 @@ def test_partition_and_workers_do_not_change_results(monkeypatch, solved_multi, 
 
 def test_diverging_run_raises_the_same_error_at_any_worker_count(monkeypatch, scalar_model,
                                                                  scalar_vc):
-    # a path's allocation blows up once its state leaves a band, at
-    # different steps in different blocks; the lowest failing block reports,
-    # as on one worker, and no worker thread turns the inf - inf of the
-    # running payoff into a warning (Tier-1 makes warnings errors)
+    # a path's allocation overflows at a step set by its distance from x0,
+    # at different steps in different blocks; the lowest failing block
+    # reports, as on one worker, and no worker thread turns the overflow or
+    # the inf - inf of the running payoff into a warning (Tier-1 makes
+    # warnings errors)
     monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
     monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 8)
-    x0 = float(scalar_model.x0[0])
-
-    def strategy(t, X):
-        return np.where(np.abs(X - x0) > 0.004, np.inf, 0.5)
+    strategy = _blowup_table(40, float(scalar_model.x0[0]))
+    cfg = SimConfig(n_paths=64, steps=40, dt=1 / 252, seed=3, strategy=strategy, keep=())
+    # the reference loop over one block at a time: a later block fails at
+    # an earlier step than the first block
+    failing_steps = []
+    for block in sim_mod._partition(cfg.n_paths, cfg.steps, scalar_model.d):
+        with monkeypatch.context() as m, pytest.raises(NonfiniteState) as err:
+            m.setattr(euler_reference, "_partition", lambda *sizes: [block])
+            simulate_reference(scalar_model, scalar_vc, [cfg])
+        failing_steps.append(_failure(str(err.value))[1])
+    assert min(failing_steps[1:]) < failing_steps[0]
 
     noise = sim_mod._block_noise
 
@@ -820,7 +966,6 @@ def test_diverging_run_raises_the_same_error_at_any_worker_count(monkeypatch, sc
         return noise(seed, first_path, *args)
 
     monkeypatch.setattr(sim_mod, "_block_noise", first_block_late)
-    cfg = SimConfig(n_paths=64, steps=40, dt=1 / 252, seed=3, strategy=strategy, keep=())
     # a second lane under tilted_h owns a factor state of its own
     lanes = [[cfg], [cfg, dataclasses.replace(cfg, measure="tilted_h")]]
     for cfgs in lanes:
