@@ -10,8 +10,8 @@ estimates models from return panels, and reports performance metrics.
 from .errors import EngineError
 from .model import ModelSpec, ValidatedModel, validate_model
 from .valuefn import ValueCoefficients, solve_value_coefficients, value_function
-from .policy import PolicyAction, fractional_kelly, optimal_h
-from .simulate import PathBundle, SimConfig, simulate_lanes, simulate_paths
+from .policy import PolicyAction, fractional_kelly
+from .simulate import PathBundle, SimConfig, simulate_lanes
 
 __all__ = [
     "EngineError",
@@ -23,11 +23,9 @@ __all__ = [
     "value_function",
     "PolicyAction",
     "fractional_kelly",
-    "optimal_h",
     "PathBundle",
     "SimConfig",
     "simulate_lanes",
-    "simulate_paths",
 ]
 
 __version__ = "0.1.0"

@@ -108,7 +108,8 @@ def _one_of(choices: tuple) -> tuple:
 
 # value kinds: (what the value must be, its check, the reader's conversion)
 _COUNT = ("an integer >= 1", lambda v: _number(v) and isinstance(v, int) and v >= 1, int)
-_INTEGER = ("an integer", lambda v: _number(v) and isinstance(v, int), int)
+_SEED = ("an integer in [0, 2^64)",
+         lambda v: _number(v) and isinstance(v, int) and 0 <= v < 2**64, int)
 _NUMBER = ("a finite number", _number, float)
 _POSITIVE = ("a positive number", lambda v: _number(v) and v > 0, float)
 _FRACTION = ("a number in (0, 1)", lambda v: _number(v) and 0 < v < 1, float)
@@ -129,7 +130,7 @@ _CONFIG = {
     "solver": {"steps_per_year": (_COUNT, 1008), "residual_tol": (_POSITIVE, 1e-3)},
     "simulation": {
         "n_paths": (_COUNT, None), "steps": (_COUNT, None), "dt": (_POSITIVE, None),
-        "seed": (_INTEGER, None), "measure": (_one_of(sim_mod.MEASURES), None),
+        "seed": (_SEED, None), "measure": (_one_of(sim_mod.MEASURES), None),
         "strategy": (_one_of(policy_mod.STRATEGIES), None),
         "route": (_one_of(policy_mod.ROUTES), None), "antithetic": (_SWITCH, None),
         "bench_weights": (_VECTOR, None), "dump_paths": (_SWITCH, False),
@@ -152,8 +153,11 @@ _TOP_LEVEL = {"model": _TEXT, "output_dir": _TEXT, **_OVERRIDES}
 
 
 def _check_config(config: dict) -> None:
-    """Reject ill-typed top-level keys, and unknown keys and ill-typed values
-    in every block of _CONFIG."""
+    """Reject unknown and ill-typed top-level keys, and unknown keys and
+    ill-typed values in every block of _CONFIG."""
+    unknown = sorted(set(config) - set(_TOP_LEVEL) - set(_CONFIG))
+    if unknown:
+        raise ConfigError(f"unknown top-level config keys: {unknown}")
     for key, (expected, check, _) in _TOP_LEVEL.items():
         if key in config and not check(config[key]):
             raise ConfigError(f"{key} must be {expected}, got {config[key]!r}")
@@ -187,12 +191,12 @@ def load_run_config(path: str | Path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    config["_dir"] = str(path.parent)
     has_model = "model" in config
     has_est = "estimation" in config
     if has_model == has_est:
         raise ConfigError("config must supply exactly one of 'model' or 'estimation'")
     _check_config(config)
+    config["_dir"] = str(path.parent)
     return config
 
 
@@ -343,7 +347,7 @@ def cmd_simulate(config: dict, out: OutputWriter, args) -> int:
     keep = sim_mod.OUTPUTS if dump_paths else ("densities",)
     cfg = _sim_config(config, args.seed, keep=keep, **overrides)
     # the terminals CSV holds the densities, and they need the coefficients
-    bundle = sim_mod.simulate_paths(validated, _solve(config, validated), cfg)
+    (bundle,) = sim_mod.simulate_lanes(validated, _solve(config, validated), [cfg])
 
     sim_mod.save_terminals_csv(bundle, out.outdir / "terminals.csv")
     out.record("terminals.csv")
@@ -533,6 +537,17 @@ _COMMANDS = {
 }
 
 
+def _seed_argument(text: str) -> int:
+    """--seed's value, held to the config seed's kind."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if not _SEED[1](seed):
+        raise argparse.ArgumentTypeError(f"must be {_SEED[0]}, got {text!r}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are ConfigErrors, so a bad
     argument exits like every other bad input; its subcommand parsers are
@@ -552,7 +567,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (default: config output_dir)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_seed_argument, default=None,
+                       help=f"override the config seed, {_SEED[0]}")
         p.add_argument("--threads", type=int, default=None,
                        help="accepted for interface compatibility and ignored; the "
                             "simulator uses one thread per CPU the process may use, "

@@ -101,9 +101,6 @@ class CoefficientSet:
         """The segment of each time: that of the last knot at or before it."""
         return np.maximum(np.searchsorted(self.knots, times, side="right") - 1, 0)
 
-    def at(self, s: float) -> CoefficientBlock:
-        return self.blocks[int(self.segment_indices(s))]
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -302,15 +299,12 @@ class ValidatedModel:
             raise TimeOutOfRange(f"time {times.flat[np.argmin(inside)]:g} outside [0, {T:g}]")
         return self._spec.coeffs.segment_indices(times)
 
-    def segment_index(self, s: float) -> int:
-        return int(self.segment_indices(s))
-
     def coefficients(self, s: float) -> CoefficientBlock:
-        return self._spec.coeffs.blocks[self.segment_index(s)]
+        return self._spec.coeffs.blocks[int(self.segment_indices(s))]
 
     def gram_blocks(self, s: float) -> GramBlocks:
         """Noise contractions at time s; cached, bit-identical within a segment."""
-        return self._grams[self.segment_index(s)]
+        return self._grams[int(self.segment_indices(s))]
 
     def projection_matrices(self, s: float) -> ProjectionPair:
         """Pplus = I + theta Pi and Pminus = I - theta/(theta+1) Pi at the

@@ -4,16 +4,18 @@ All policies are affine in the factor state: the certainty-equivalent
 gradient quad(t) x + lin(t) is, so the optimal allocation, the Kelly
 allocation and the value tilt are X @ K(t) + k(t) for a state matrix X, with
 gains that depend on t alone.  gain_table builds those gains at the times a
-caller steps through, and it is the one source of every control:
-simulate_paths evaluates it at every step's states, a chunk of steps at a
-time, verify.run once per route over its lattice times, and optimal_h and
-fractional_kelly evaluate a one-row table.  fractional_kelly is the one
-point evaluation of the candidate pair: its tilt is the adverse tilt gamma,
-its tilt_twostep the value tilt nu, and game.saddle_certificate examines
-the action a caller passes it.
+caller steps through, and it is the one source of every control, at any
+time and state and by either route: simulate.simulate_lanes evaluates it at
+every step's states, a chunk of steps at a time, verify.run once per route
+over its lattice times, and fractional_kelly a one-row table.  A single
+allocation is a one-row table's controls at one state: with
+table = gain_table(model, vc, [t]), it is table.controls(0, x[None])[0, table.h].
+fractional_kelly is the one point evaluation of the candidate pair: its
+tilt is the adverse tilt gamma, its tilt_twostep the value tilt nu, and
+game.saddle_certificate examines the action a caller passes it.
 Every strategy of STRATEGIES, the benchmark's fixed or tracking weights too,
 is an allocation row.  Any other affine policy is a GainTable of its own,
-such as a scaled Kelly table, which simulate_paths takes as its strategy,
+such as a scaled Kelly table, which simulate_lanes takes as its strategy,
 row j at step j.
 
 The optimal allocation has two routes:
@@ -184,29 +186,10 @@ def gain_table(
     return GainTable(gain=gain, offset=offset, h=h, value_tilt=value_tilt)
 
 
-def _point_controls(model: ValidatedModel, vc: ValueCoefficients | None, t: float, x,
-                    strategy: str = "optimal", route: str = "direct"):
-    """A one-row gain table at time t and its controls at state x."""
-    table = gain_table(model, vc, [t], strategy, route)
-    return table, table.controls(0, np.asarray(x, dtype=float)[None, :])[0]
-
-
 def benchmark_tracking(model: ValidatedModel, t: float) -> np.ndarray:
     """Benchmark-tracking portfolio (SS')^{-1} Sigma Xi at time t."""
     gram = model.gram_blocks(t)
     return gram.ss_solve(gram.s_xi)
-
-
-def optimal_h(
-    model: ValidatedModel,
-    vc: ValueCoefficients,
-    t: float,
-    x: np.ndarray,
-    route: str = "direct",
-) -> np.ndarray:
-    """Optimal allocation at (t, x) by the requested route."""
-    table, row = _point_controls(model, vc, t, x, route=route)
-    return row[table.h]
 
 
 def fractional_kelly(
@@ -228,11 +211,13 @@ def fractional_kelly(
     sigma = block.asset_vol
     kf = 1.0 / (theta + 1.0)
 
-    table, row = _point_controls(model, vc, t, x)
+    # one-row tables at t, their controls at x
+    table = gain_table(model, vc, [t])
+    row = table.controls(0, x[None, :])[0]
     allocation = row[table.h]
     value_tilt = row[table.value_tilt]
-    kelly_table, kelly_row = _point_controls(model, None, t, x, "kelly")
-    kelly = kelly_row[kelly_table.h]
+    kelly_table = gain_table(model, None, [t], "kelly")
+    kelly = kelly_table.controls(0, x[None, :])[0, kelly_table.h]
     bench_track = benchmark_tracking(model, t)
     hedge = gram.ss_solve(gram.sl @ value_function(vc, t, x).ce_gradient)
 

@@ -33,8 +33,8 @@ route, measure and the outputs they keep.  Per path block the noise is
 drawn once for all lanes.  Each factor state has one owner: the lanes under
 the physical measure share one, and each tilted lane owns its own; each
 lane keeps its own log excess return and densities.
-simulate_paths is the one-lane call and simulate_lanes the many-lane call;
-each lane's bundle is bit for bit its one-lane run.
+simulate_lanes is the one entry point, for one lane or many; each lane's
+bundle is bit for bit its one-lane run.
 
 Per-path randomness comes from a counter-based Philox stream keyed by
 (seed, stream index), so a path block is an independent unit of work.  A
@@ -105,7 +105,7 @@ class SimConfig:
     n_paths: int = 5000
     steps: int = 1260
     dt: float = 1.0 / 252.0
-    seed: int = 0
+    seed: int = 0                         # a Philox key word, in [0, 2^64)
     measure: str = "physical"
     # a name of policy.STRATEGIES or a policy.GainTable, row j at step j
     strategy: str | policy.GainTable = "optimal"
@@ -151,6 +151,8 @@ def _validate_config(model: ValidatedModel, vc, cfg: SimConfig) -> None:
         raise ConfigError(
             f"simulation span {cfg.steps * cfg.dt:g} exceeds model horizon {model.horizon:g}"
         )
+    if not (isinstance(cfg.seed, (int, np.integer)) and 0 <= int(cfg.seed) < 2**64):
+        raise ConfigError(f"seed must be an integer in [0, 2^64), got {cfg.seed!r}")
     if cfg.measure not in MEASURES:
         raise ConfigError(f"unknown measure '{cfg.measure}'; choose from {MEASURES}")
     table = cfg.strategy if isinstance(cfg.strategy, policy.GainTable) else None
@@ -197,7 +199,7 @@ def _block_noise(seed: int, first_path: int, count: int, steps: int, d: int,
     Philox(key=[seed, stream]).
     """
     out = np.empty((count, steps, d))
-    bits = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64))
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bits)
     # the fresh generator's state: zero counter, empty buffer
     state = bits.state
@@ -547,28 +549,19 @@ def _simulate(model: ValidatedModel, vc: ValueCoefficients | None,
     return tuple(lane.bundle() for lane in lanes)
 
 
-def simulate_paths(model: ValidatedModel, vc: ValueCoefficients | None,
-                   cfg: SimConfig) -> PathBundle:
-    """Simulate the factor state, log excess return, and density processes.
+def simulate_lanes(model: ValidatedModel, vc: ValueCoefficients | None,
+                   cfgs) -> tuple[PathBundle, ...]:
+    """Simulate the factor state, log excess return, and density processes
+    of several configs on one noise draw; one PathBundle per config.
 
+    The configs must agree on n_paths, steps, dt, seed and antithetic, and
+    may differ in anything else (strategy, route, measure, what they keep).
+    Each bundle is bit for bit the one a call with its config alone returns.
     The log excess return starts at 0 (wealth normalized to the benchmark at
     the start).  Each step shifts the sampled increment by the measure's
     drift tilt to the physical increment, which drives the state and every
     density log-increment.  Every allocation and tilt comes from the
-    strategy's gain table, evaluated at every step's states.  The one-lane
-    call of the kernel that simulate_lanes runs.
-    """
-    _validate_config(model, vc, cfg)
-    return _simulate(model, vc, (cfg,))[0]
-
-
-def simulate_lanes(model: ValidatedModel, vc: ValueCoefficients | None,
-                   cfgs) -> tuple[PathBundle, ...]:
-    """Simulate several configs on one noise draw; one PathBundle per config.
-
-    The configs must agree on n_paths, steps, dt, seed and antithetic, and
-    may differ in anything else (strategy, route, measure, what they keep).
-    Each bundle is bit for bit the one simulate_paths returns for its config.
+    strategy's gain table, evaluated at every step's states.
     """
     cfgs = tuple(cfgs)
     if not cfgs:

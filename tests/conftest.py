@@ -94,6 +94,17 @@ def make_two_segment_spec(rng, theta):
         knots=np.array([0.0, 0.5]), blocks=(first.coeffs.blocks[0], second.coeffs.blocks[0])))
 
 
+def random_points(rng, count, horizon, n):
+    """count (t, x) draws, a point at a time: t uniform on [0, horizon) and
+    x standard normal in n dimensions; the times (count,) and states
+    (count, n) for one gain table over the times."""
+    times, X = np.empty(count), np.empty((count, n))
+    for i in range(count):
+        times[i] = rng.uniform(0, horizon)
+        X[i] = rng.standard_normal(n)
+    return times, X
+
+
 @pytest.fixture(scope="session")
 def scalar_model():
     return model_mod.validate_model(make_scalar_spec())

@@ -139,7 +139,7 @@ def simulate_reference(model, vc, cfgs):
     segments = {}
     contexts = []
     for j in range(steps):
-        seg = model.segment_index(j * dt)
+        seg = int(model.segment_indices(j * dt))
         if seg not in segments:
             segments[seg] = _Segment(model, j * dt)
         contexts.append(segments[seg])

@@ -34,7 +34,7 @@ def solve_rk4(model: ValidatedModel, steps_per_year: int = 1008) -> ValueCoeffic
 
     def terms_at(s: float) -> _SegmentTerms:
         s = min(max(s, 0.0), T)
-        seg = model.segment_index(s)
+        seg = int(model.segment_indices(s))
         if seg not in terms_cache:
             terms_cache[seg] = _SegmentTerms(model, float(model.spec.coeffs.knots[seg]))
         return terms_cache[seg]

@@ -16,12 +16,12 @@ from benchkelly.estimate import bootstrap_gram_se, estimate_model, gram_blocks_o
     realized_covariance, synthesize_panel
 from benchkelly.game import hamiltonians, saddle_certificate
 from benchkelly.model import validate_model
-from benchkelly.policy import fractional_kelly, optimal_h
+from benchkelly.policy import ROUTES, fractional_kelly, gain_table
 from benchkelly.simulate import SimConfig, kl_estimate, martingale_check, mc_criterion, \
-    simulate_paths
+    simulate_lanes
 from benchkelly.valuefn import solve_value_coefficients, value_function
 
-from conftest import make_random_spec, make_scalar_spec, scaled_kelly_table
+from conftest import make_random_spec, make_scalar_spec, random_points, scaled_kelly_table
 
 
 def report(num, name, ok, detail):
@@ -84,12 +84,12 @@ def test_criterion_03_route_equivalence(tmp_path):
         rng = np.random.default_rng(seed)
         vm = validate_model(make_random_spec(rng))
         vc = solve_value_coefficients(vm, steps_per_year=252)
-        for _ in range(100):
-            t = float(rng.uniform(0, vm.horizon))
-            x = rng.standard_normal(vm.n)
-            h1 = optimal_h(vm, vc, t, x, "direct")
-            h2 = optimal_h(vm, vc, t, x, "twostep")
-            worst_h = max(worst_h, float(np.abs(h1 - h2).max() / (1 + np.abs(h1).max())))
+        times, X = random_points(rng, 100, vm.horizon, vm.n)
+        # one table per route over all the times, each row at its own state
+        h1, h2 = (table.controls(slice(None), X[:, None, :])[:, 0, table.h]
+                  for table in (gain_table(vm, vc, times, route=route) for route in ROUTES))
+        gaps = np.abs(h1 - h2).max(axis=1) / (1 + np.abs(h1).max(axis=1))
+        worst_h = max(worst_h, float(gaps.max()))
 
     # the experiment command's two optimal-route metric columns must coincide
     model_mod.save_model(make_scalar_spec(), tmp_path / "model.json")
@@ -120,11 +120,11 @@ def test_criterion_04_decomposition_identities():
         rng = np.random.default_rng(seed)
         vm = validate_model(make_random_spec(rng))
         vc = solve_value_coefficients(vm, steps_per_year=252)
-        for _ in range(50):
-            t = float(rng.uniform(0, vm.horizon))
-            x = rng.standard_normal(vm.n)
+        times, X = random_points(rng, 50, vm.horizon, vm.n)
+        table = gain_table(vm, vc, times)
+        H = table.controls(slice(None), X[:, None, :])[:, 0, table.h]
+        for t, x, h in zip(times.tolist(), X, H):
             action = fractional_kelly(vm, vc, t, x)  # raises beyond 1e-12 internally
-            h = optimal_h(vm, vc, t, x)
             scale = 1.0 + float(np.abs(h).max())
             kf = action.kelly_fraction
             recomposed = kf * action.kelly + (1 - kf) * action.bench_track - (1 - kf) * action.hedge
@@ -166,15 +166,15 @@ def test_criterion_06_value_function_mc_oracle(twofactor_model, twofactor_vc):
     u0 = value_function(vc, 0.0, vm.x0).log_criterion
     base = dict(n_paths=100_000, steps=252, dt=1 / 252, seed=7, antithetic=True,
                 keep=())
-    opt = simulate_paths(vm, vc, SimConfig(strategy="optimal", **base))
+    (opt,) = simulate_lanes(vm, vc, [SimConfig(strategy="optimal", **base)])
     mc_opt = mc_criterion(opt, vm.theta)
     se_log = mc_opt.std_error / mc_opt.estimate
     z = abs(np.log(mc_opt.estimate) - u0) / se_log
 
-    sub = simulate_paths(
+    (sub,) = simulate_lanes(
         vm, vc,
-        SimConfig(strategy=scaled_kelly_table(vm, None, base["steps"], base["dt"], 2.0),
-                  **base),
+        [SimConfig(strategy=scaled_kelly_table(vm, None, base["steps"], base["dt"], 2.0),
+                   **base)],
     )
     mc_sub = mc_criterion(sub, vm.theta)
     joint = float(np.hypot(mc_opt.std_error, mc_sub.std_error))
@@ -190,15 +190,16 @@ def test_criterion_07_measure_theory_suite(twofactor_model, twofactor_vc):
     start = time.perf_counter()
     vm, vc = twofactor_model, twofactor_vc
     base = dict(steps=252, dt=1 / 252, keep=("densities",))
-    phys = simulate_paths(vm, vc, SimConfig(n_paths=10_000, seed=72, strategy="optimal", **base))
+    (phys,) = simulate_lanes(vm, vc, [SimConfig(n_paths=10_000, seed=72, strategy="optimal",
+                                                **base)])
     fact_gap = float(np.abs(
         phys.log_density_tilt - (phys.log_density_alloc + phys.log_density_link)
     ).max())
     mart_tilt = martingale_check(phys, "tilt")
     mart_alloc = martingale_check(phys, "alloc")
-    tilted = simulate_paths(vm, vc, SimConfig(n_paths=20_000, seed=172,
-                                              measure="tilted_gamma",
-                                              strategy="optimal", **base))
+    (tilted,) = simulate_lanes(vm, vc, [SimConfig(n_paths=20_000, seed=172,
+                                                  measure="tilted_gamma",
+                                                  strategy="optimal", **base)])
     kl = kl_estimate(tilted)
     elapsed = time.perf_counter() - start
     report(7, "measure-theory suite",
@@ -215,10 +216,13 @@ def test_criterion_08_kelly_limit():
     vc = solve_value_coefficients(vm, steps_per_year=504)
     rng = np.random.default_rng(80)
     worst = 0.0
-    for _ in range(200):
-        t = float(rng.uniform(0, 1))
-        x = rng.uniform(-1.0, 1.0, size=1)  # typical factor-state magnitudes
-        h = optimal_h(vm, vc, t, x)
+    times, X = np.empty(200), np.empty((200, 1))
+    for i in range(200):
+        times[i] = rng.uniform(0, 1)
+        X[i] = rng.uniform(-1.0, 1.0, size=1)  # typical factor-state magnitudes
+    table = gain_table(vm, vc, times)
+    H = table.controls(slice(None), X[:, None, :])[:, 0, table.h]
+    for t, x, h in zip(times.tolist(), X, H):
         block = vm.coefficients(t)
         kelly = vm.gram_blocks(t).ss_solve(block.asset_drift + block.asset_factor_loading @ x)
         worst = max(worst, float(np.abs(h - kelly).max()))
@@ -229,7 +233,8 @@ def test_criterion_08_kelly_limit():
     x = np.array([0.3])
     block = vm0.coefficients(0.2)
     explicit = vm0.gram_blocks(0.2).ss_solve(block.asset_drift + block.asset_factor_loading @ x)
-    exact = np.array_equal(optimal_h(vm0, vc0, 0.2, x), explicit)
+    table0 = gain_table(vm0, vc0, [0.2])
+    exact = np.array_equal(table0.controls(0, x[None, :])[0, table0.h], explicit)
     report(8, "Kelly limit",
            worst < 1e-6 and exact,
            f"theta=1e-8 gap = {worst:.2e}, theta=0 exact = {exact}")
@@ -266,8 +271,8 @@ def test_criterion_10_estimation_round_trip():
 
     vc_gen = solve_value_coefficients(generator, steps_per_year=504)
     vc_fit = solve_value_coefficients(fitted, steps_per_year=504)
-    h_gen = optimal_h(generator, vc_gen, 0.0, np.zeros(1))
-    h_fit = optimal_h(fitted, vc_fit, 0.0, np.zeros(1))
+    h_gen, h_fit = (table.controls(0, np.zeros((1, 1)))[0, table.h] for table in (
+        gain_table(generator, vc_gen, [0.0]), gain_table(fitted, vc_fit, [0.0])))
     rel_err = float(np.abs(h_fit - h_gen).max() / np.abs(h_gen).max())
 
     est_blocks = gram_blocks_of_cov(realized_covariance(panel), panel.m, panel.n)

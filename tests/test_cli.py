@@ -406,6 +406,29 @@ def test_verify_rejects_bad_simulation_seed(workdir, capsys):
     assert err.startswith("ERROR CONFIG:")
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["minus-one", "two-to-the-64"])
+def test_seeds_outside_the_philox_key_range_fail(workdir, capsys, command, seed):
+    # a Philox key word is an unsigned 64-bit integer: a seed outside
+    # [0, 2^64) would alias one inside it, in the config or as --seed
+    config = json.loads((workdir / "config.json").read_text())
+    config["simulation"]["seed"] = seed
+    (workdir / "bad.json").write_text(json.dumps(config))
+    code = run(workdir, command, "--config", str(workdir / "bad.json"),
+               "--out", str(workdir / "o"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"ERROR CONFIG: simulation.seed must be an integer in [0, 2^64), "
+                          f"got {seed}")
+    code = run(workdir, command, "--config", str(workdir / "config.json"),
+               "--out", str(workdir / "o"), "--seed", str(seed))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"ERROR CONFIG: benchkelly {command}: argument --seed: must be an "
+                          f"integer in [0, 2^64), got '{seed}'")
+    assert not (workdir / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["policy", "simulate", "experiment"])
 def test_commands_reject_coefficients_of_another_model(workdir, monkeypatch, capsys, command):
     # coefficients solved at theta = 1 handed to a theta = 5 model end in a
@@ -446,13 +469,13 @@ def test_simulate_stores_paths_only_for_dump(workdir, monkeypatch):
     import benchkelly.simulate as sim_mod
 
     stored = []
-    real = sim_mod.simulate_paths
+    real = sim_mod.simulate_lanes
 
-    def spy(model, vc, cfg):
-        stored.append(cfg.keep)
-        return real(model, vc, cfg)
+    def spy(model, vc, cfgs):
+        stored.extend(cfg.keep for cfg in cfgs)
+        return real(model, vc, cfgs)
 
-    monkeypatch.setattr(sim_mod, "simulate_paths", spy)
+    monkeypatch.setattr(sim_mod, "simulate_lanes", spy)
     config = json.loads((workdir / "config.json").read_text())
     config["simulation"]["dump_paths"] = False
     (workdir / "nodump.json").write_text(json.dumps(config))
@@ -489,6 +512,11 @@ def test_simulate_stores_paths_only_for_dump(workdir, monkeypatch):
     pytest.param("validate", "output_dir", ["out"], id="validate-output-dir-list"),
     pytest.param("report", "report", {"inputs": [{"label": "a"}]}, id="report-input-no-paths"),
     pytest.param("report", "report", "oops", id="report-not-object"),
+    # an unknown top-level key is not ignored: a misspelled block, or the
+    # directory the loader records itself
+    pytest.param("validate", "simulaton", {"n_paths": 5}, id="validate-misspelled-block"),
+    pytest.param("simulate", "simulaton", {"n_paths": 5}, id="simulate-misspelled-block"),
+    pytest.param("simulate", "_dir", "elsewhere", id="simulate-loader-dir"),
 ])
 def test_commands_reject_bad_config(workdir, capsys, command, block, values):
     config = json.loads((workdir / "config.json").read_text())

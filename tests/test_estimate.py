@@ -30,8 +30,8 @@ from benchkelly.estimate import (
     synthesize_panel,
 )
 from benchkelly.model import CoefficientSet, ModelSpec, validate_model
-from benchkelly.policy import optimal_h
-from benchkelly.simulate import SimConfig, simulate_paths
+from benchkelly.policy import gain_table
+from benchkelly.simulate import SimConfig, simulate_lanes
 from benchkelly.valuefn import solve_value_coefficients
 
 from bootstrap_reference import bootstrap_gram_se_rows
@@ -316,10 +316,10 @@ def test_estimated_model_benchmark_exact_replication():
     panel = synthesize_panel(vm, years=5.0, weights=np.array([1.0]), seed=9)
     rep = estimate_model(panel, theta=1.0, horizon_years=1.0)
     est_model = validate_model(rep.model_spec)
-    bundle = simulate_paths(
+    (bundle,) = simulate_lanes(
         est_model, None,
-        SimConfig(n_paths=32, steps=60, dt=1 / 252, seed=1, strategy="benchmark",
-                  bench_weights=np.array([1.0]), keep=()),
+        [SimConfig(n_paths=32, steps=60, dt=1 / 252, seed=1, strategy="benchmark",
+                   bench_weights=np.array([1.0]), keep=())],
     )
     assert np.abs(bundle.terminal_log_excess).max() < 1e-12
 
@@ -342,10 +342,11 @@ def test_rotation_invariance_of_policy():
     vr = validate_model(rotated)
     vc1 = solve_value_coefficients(vm, steps_per_year=504)
     vc2 = solve_value_coefficients(vr, steps_per_year=504)
-    for x in (np.array([0.0]), np.array([0.4]), np.array([-1.0])):
-        h1 = optimal_h(vm, vc1, 0.2, x)
-        h2 = optimal_h(vr, vc2, 0.2, x)
-        assert np.abs(h1 - h2).max() < 1e-10
+    table1, table2 = gain_table(vm, vc1, [0.2]), gain_table(vr, vc2, [0.2])
+    X = np.array([[0.0], [0.4], [-1.0]])
+    h1 = table1.controls(0, X)[:, table1.h]
+    h2 = table2.controls(0, X)[:, table2.h]
+    assert np.abs(h1 - h2).max() < 1e-10
 
 
 def test_estimate_model_default_x0_is_last_level():

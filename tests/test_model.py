@@ -188,7 +188,7 @@ def test_segment_indices_is_one_lookup_of_many_times():
     vm = validate_model(spec)
     times = np.array([0.0, 0.1, 0.49, 0.5, 0.9, 1.0])
     assert vm.segment_indices(times).tolist() == [0, 0, 0, 1, 1, 1]
-    assert [vm.segment_index(t) for t in times.tolist()] == [0, 0, 0, 1, 1, 1]
+    assert [int(vm.segment_indices(t)) for t in times.tolist()] == [0, 0, 0, 1, 1, 1]
     # the error names the first time outside [0, horizon], NaN included
     with pytest.raises(TimeOutOfRange, match=r"^time 1\.5 outside \[0, 1\]$"):
         vm.segment_indices([0.2, 1.5, -0.1])
@@ -271,7 +271,7 @@ def test_model_file_piecewise_round_trip(tmp_path):
     model_mod.save_model(spec, path)
     loaded = model_mod.load_model(path)
     assert len(loaded.coeffs.blocks) == 2
-    assert loaded.coeffs.at(2.5).asset_vol[0, 0] == 0.25
+    assert validate_model(loaded).coefficients(2.5).asset_vol[0, 0] == 0.25
 
 
 def test_model_file_missing_key(tmp_path):

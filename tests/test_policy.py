@@ -12,12 +12,12 @@ from benchkelly.policy import (
     benchmark_tracking,
     fractional_kelly,
     gain_table,
-    optimal_h,
 )
-from benchkelly.simulate import SimConfig, simulate_paths
+from benchkelly.simulate import SimConfig, simulate_lanes
 from benchkelly.valuefn import solve_value_coefficients, value_function
 
-from conftest import make_random_spec, make_scalar_spec, make_two_segment_spec, make_twofactor_spec
+from conftest import make_random_spec, make_scalar_spec, make_two_segment_spec, make_twofactor_spec, \
+    random_points
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,8 @@ def test_hand_value_no_hedge():
     )
     vm = validate_model(spec)
     vc = solve_value_coefficients(vm, steps_per_year=252)
-    h = optimal_h(vm, vc, 0.3, np.zeros(1))
+    table = gain_table(vm, vc, [0.3])
+    h = table.controls(0, np.zeros((1, 1)))[0, table.h]
     assert h[0] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -52,7 +53,8 @@ def test_zero_numerator_gives_zero_allocation():
     vm = validate_model(spec)
     vc = solve_value_coefficients(vm, steps_per_year=252)
     x = np.array([-0.2])  # a + A x = 0.04 - 0.04
-    h = optimal_h(vm, vc, 0.0, x)
+    table = gain_table(vm, vc, [0.0])
+    h = table.controls(0, x[None, :])[0, table.h]
     # Lambda = 0 kills the gradient correction entirely
     assert abs(h[0]) < 1e-14
 
@@ -65,7 +67,8 @@ def test_theta_zero_is_exact_kelly(scalar_model):
     block = vm.coefficients(0.2)
     gram = vm.gram_blocks(0.2)
     expected = gram.ss_solve(block.asset_drift + block.asset_factor_loading @ x)
-    assert np.array_equal(optimal_h(vm, vc, 0.2, x), expected)
+    table = gain_table(vm, vc, [0.2])
+    assert np.array_equal(table.controls(0, x[None, :])[0, table.h], expected)
 
 
 def test_theta_zero_optimal_table_is_the_kelly_table():
@@ -89,22 +92,21 @@ def test_kelly_limit_small_theta():
     vm = validate_model(spec)
     vc = solve_value_coefficients(vm, steps_per_year=504)
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        t = float(rng.uniform(0, 1))
-        x = rng.standard_normal(1)
-        h = optimal_h(vm, vc, t, x)
+    times, X = random_points(rng, 20, 1.0, 1)
+    table = gain_table(vm, vc, times)
+    H = table.controls(slice(None), X[:, None, :])[:, 0, table.h]
+    for t, x, h in zip(times.tolist(), X, H):
         kelly = fractional_kelly(vm, vc, t, x).kelly
         assert np.abs(h - kelly).max() < 1e-6
 
 
 def test_route_equivalence_random_points(solved_random):
+    # one table per route over all the times, each row at its own state
     for vm, vc, rng in solved_random:
-        for _ in range(100):
-            t = float(rng.uniform(0, vm.horizon))
-            x = rng.standard_normal(vm.n)
-            h1 = optimal_h(vm, vc, t, x, route="direct")
-            h2 = optimal_h(vm, vc, t, x, route="twostep")
-            assert np.abs(h1 - h2).max() <= 1e-12 * (1.0 + np.abs(h1).max())
+        times, X = random_points(rng, 100, vm.horizon, vm.n)
+        h1, h2 = (table.controls(slice(None), X[:, None, :])[:, 0, table.h]
+                  for table in (gain_table(vm, vc, times, route=route) for route in ROUTES))
+        assert np.all(np.abs(h1 - h2).max(axis=1) <= 1e-12 * (1.0 + np.abs(h1).max(axis=1)))
 
 
 def test_gamma_theta_zero_reduces_to_gradient_term():
@@ -187,11 +189,11 @@ def test_pure_fractional_kelly_degenerate_benchmark():
 
 def test_decomposition_reproduces_optimal(solved_random):
     for vm, vc, rng in solved_random:
-        for _ in range(30):
-            t = float(rng.uniform(0, vm.horizon))
-            x = rng.standard_normal(vm.n)
+        times, X = random_points(rng, 30, vm.horizon, vm.n)
+        table = gain_table(vm, vc, times)
+        H = table.controls(slice(None), X[:, None, :])[:, 0, table.h]
+        for t, x, h in zip(times.tolist(), X, H):
             action = fractional_kelly(vm, vc, t, x)
-            h = optimal_h(vm, vc, t, x)
             assert np.abs(action.allocation - h).max() <= 1e-12 * (1.0 + np.abs(h).max())
             # regularized form: h* = kelly + (SS)^-1 Sigma gamma*
             gram = vm.gram_blocks(t)
@@ -218,7 +220,8 @@ def test_policies_affine_in_state(scalar_model, scalar_vc, x, y, t):
 @pytest.mark.parametrize("theta", [1.0, 0.0])
 @pytest.mark.parametrize("route", ["direct", "twostep"])
 def test_point_evaluators_are_one_row_batch_calls(theta, route):
-    # the point evaluators read one row of the gain table the simulator steps through
+    # the point evaluator reads one-row gain tables, the tables the simulator
+    # steps through; either route's value tilt is the twostep tilt nu
     rng = np.random.default_rng(31)
     vm = validate_model(make_random_spec(rng, theta=theta, n=3, m=4, d=7))
     vc = solve_value_coefficients(vm, steps_per_year=252)
@@ -232,16 +235,16 @@ def test_point_evaluators_are_one_row_batch_calls(theta, route):
         D = direct.controls(0, x[None, :])[0]
         G = D[direct.value_tilt] - vm.theta * (D[direct.h] @ block.asset_vol - block.bench_vol)
         kelly = gain_table(vm, None, [t], "kelly")
-        assert np.array_equal(optimal_h(vm, vc, t, x, route), C[table.h])
         action = fractional_kelly(vm, vc, t, x)
-        assert np.array_equal(action.tilt_twostep, D[direct.value_tilt])
+        assert np.array_equal(action.tilt_twostep, C[table.value_tilt])
         assert np.array_equal(action.tilt, G)
         assert np.array_equal(action.allocation, D[direct.h])
         assert np.array_equal(action.kelly, kelly.controls(0, x[None, :])[0, kelly.h])
 
 
 def test_batch_evaluators_match_pointwise(solved_random):
-    # a 7-row evaluation of the gain table agrees with the one-row point evaluators
+    # a 7-row evaluation of the gain table agrees with one-row evaluations
+    # and with the point evaluators
     for vm, vc, rng in solved_random:
         t = float(rng.uniform(0, vm.horizon))
         X = rng.standard_normal((7, vm.n))
@@ -255,8 +258,10 @@ def test_batch_evaluators_match_pointwise(solved_random):
         H, VT = C[:, direct.h], C[:, direct.value_tilt]
         G = VT - vm.theta * (H @ block.asset_vol - block.bench_vol)
         for i, x in enumerate(X):
-            assert np.abs(H[i] - optimal_h(vm, vc, t, x)).max() < 1e-13 * (1 + np.abs(H[i]).max())
-            assert np.abs(H2[i] - optimal_h(vm, vc, t, x, "twostep")).max() < 1e-13 * (1 + np.abs(H[i]).max())
+            h = direct.controls(0, x[None, :])[0, direct.h]
+            h2 = twostep.controls(0, x[None, :])[0, twostep.h]
+            assert np.abs(H[i] - h).max() < 1e-13 * (1 + np.abs(H[i]).max())
+            assert np.abs(H2[i] - h2).max() < 1e-13 * (1 + np.abs(H[i]).max())
             assert np.abs(G[i] - fractional_kelly(vm, vc, t, x).tilt).max() < 1e-12 * (1 + np.abs(G[i]).max())
             lam_grad = vm.coefficients(t).factor_vol.T @ value_function(vc, t, x).gradient
             assert np.abs(VT[i] - lam_grad).max() < 1e-13 * (1 + np.abs(VT[i]).max())
@@ -324,7 +329,7 @@ def test_gain_table_benchmark_rows(weights):
 def test_gain_table_rejects_coefficients_of_another_model(scalar_model, scalar_vc):
     other = validate_model(make_scalar_spec(theta=5.0))
     with pytest.raises(ConfigError, match="theta"):
-        optimal_h(other, scalar_vc, 0.1, np.array([0.2]))
+        gain_table(other, scalar_vc, [0.1])
     shorter = validate_model(make_scalar_spec(horizon=0.5))
     with pytest.raises(ConfigError, match="horizon"):
         fractional_kelly(shorter, scalar_vc, 0.1, np.array([0.2]))
@@ -344,10 +349,10 @@ def test_gain_table_rejects_nonfinite_coefficients(scalar_model, scalar_vc):
     with pytest.raises(NonfiniteState, match="t=0.1$"):
         fractional_kelly(scalar_model, nan_vc, 0.1, x)
     with pytest.raises(NonfiniteState, match="t=0.1$"):
-        optimal_h(scalar_model, nan_vc, 0.1, x)
+        gain_table(scalar_model, nan_vc, [0.1, 0.2])
     late = scalar_vc.grid > 0.5
     late_vc = dataclasses.replace(scalar_vc, lin=np.where(late[:, None], np.nan, scalar_vc.lin))
-    assert np.isfinite(optimal_h(scalar_model, late_vc, 0.1, x)).all()
+    assert np.isfinite(gain_table(scalar_model, late_vc, [0.1]).controls(0, x[None, :])).all()
     # the simulator's steps j / 252: 126 is the node at 0.5, 127 interpolates a NaN
     with pytest.raises(NonfiniteState, match=f"t={127 / 252:g}$"):
-        simulate_paths(scalar_model, late_vc, SimConfig(n_paths=8, steps=252, seed=1))
+        simulate_lanes(scalar_model, late_vc, [SimConfig(n_paths=8, steps=252, seed=1)])

@@ -46,6 +46,15 @@ def test_readme_config_table_names_every_block_and_key():
         (block, key) for block, keys in cli._CONFIG.items() for key in keys)
 
 
+def test_readme_names_every_top_level_key():
+    # the paragraph on top-level keys names every key _check_config accepts
+    # beside the blocks
+    text = README.read_text()
+    start = text.index("Exactly one of `model` / `estimation`")
+    paragraph = text[start:text.index("\n\n", start)]
+    assert set(cli._TOP_LEVEL) <= set(_names(paragraph))
+
+
 def test_readme_verify_table_names_every_row_in_order(scalar_model, scalar_vc):
     documented = [name for row in _table("| invariant | what it checks | tolerance |")
                   for name in _names(row[0])]

@@ -24,7 +24,6 @@ from benchkelly.simulate import (
     save_paths_binary,
     save_terminals_csv,
     simulate_lanes,
-    simulate_paths,
 )
 from benchkelly.valuefn import solve_value_coefficients, value_function
 
@@ -53,21 +52,21 @@ def spanned_model():
 def scalar_bundle(scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=4000, steps=252, dt=1 / 252, seed=11,
                     strategy="optimal", keep=("densities",))
-    return simulate_paths(scalar_model, scalar_vc, cfg)
+    return simulate_lanes(scalar_model, scalar_vc, [cfg])[0]
 
 
 def test_benchmark_replication_zero_excess(spanned_model):
     vm, w = spanned_model
     cfg = SimConfig(n_paths=64, steps=120, dt=1 / 252, seed=3,
                     strategy="benchmark", bench_weights=w, keep=("log_excess",))
-    bundle = simulate_paths(vm, None, cfg)
+    (bundle,) = simulate_lanes(vm, None, [cfg])
     assert np.abs(bundle.terminal_log_excess).max() < 1e-12
     assert np.abs(bundle.log_excess).max() < 1e-12
 
 
 def test_log_excess_starts_at_zero(scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=8, steps=10, dt=1 / 252, seed=1, strategy="optimal")
-    bundle = simulate_paths(scalar_model, scalar_vc, cfg)
+    (bundle,) = simulate_lanes(scalar_model, scalar_vc, [cfg])
     assert np.all(bundle.log_excess[:, 0] == 0.0)
 
 
@@ -92,8 +91,8 @@ def _table(gain_h, offset_h, gain_tilt=None, offset_tilt=None):
 def test_zero_tilt_matches_physical_bitwise(kelly_mode):
     vm, vc = kelly_mode
     base = dict(n_paths=50, steps=40, dt=1 / 252, seed=9, strategy="optimal")
-    phys = simulate_paths(vm, vc, SimConfig(**base))
-    tilted = simulate_paths(vm, vc, SimConfig(measure="tilted_gamma", **base))
+    (phys,) = simulate_lanes(vm, vc, [SimConfig(**base)])
+    (tilted,) = simulate_lanes(vm, vc, [SimConfig(measure="tilted_gamma", **base)])
     assert np.array_equal(phys.states, tilted.states)
     assert np.array_equal(phys.log_excess, tilted.log_excess)
     assert np.all(tilted.log_density_tilt == 0.0)
@@ -142,8 +141,8 @@ def test_tilted_run_is_physical_run_of_drift_shifted_model(measure):
                    np.zeros((steps, 2, 3)), np.tile(c + theta * track, (steps, 1)))
     base = dict(n_paths=200, steps=steps, dt=1 / 252, seed=19, keep=("states", "log_excess"),
                 strategy=table)
-    tilted = simulate_paths(validate_model(spec), None, SimConfig(measure=measure, **base))
-    physical = simulate_paths(validate_model(shifted), None, SimConfig(**base))
+    (tilted,) = simulate_lanes(validate_model(spec), None, [SimConfig(measure=measure, **base)])
+    (physical,) = simulate_lanes(validate_model(shifted), None, [SimConfig(**base)])
     assert np.abs(tilted.states - physical.states).max() < 1e-12
     assert np.abs(tilted.log_excess - physical.log_excess).max() < 1e-12
     assert np.abs(tilted.log_excess).max() > 1e-3  # the identity is not vacuous
@@ -151,19 +150,19 @@ def test_tilted_run_is_physical_run_of_drift_shifted_model(measure):
 
 def test_reproducibility_same_config(scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=100, steps=30, dt=1 / 252, seed=5, strategy="optimal")
-    b1 = simulate_paths(scalar_model, scalar_vc, cfg)
-    b2 = simulate_paths(scalar_model, scalar_vc, cfg)
+    (b1,) = simulate_lanes(scalar_model, scalar_vc, [cfg])
+    (b2,) = simulate_lanes(scalar_model, scalar_vc, [cfg])
     assert np.array_equal(b1.states, b2.states)
     assert np.array_equal(b1.log_density_tilt, b2.log_density_tilt)
 
 
 def test_reproducibility_across_block_sizes(monkeypatch, scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=100, steps=30, dt=1 / 252, seed=5, strategy="optimal")
-    b1 = simulate_paths(scalar_model, scalar_vc, cfg)
+    (b1,) = simulate_lanes(scalar_model, scalar_vc, [cfg])
     monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
     monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 17)
     assert len(sim_mod._partition(cfg.n_paths, cfg.steps, scalar_model.d)) > 1
-    b2 = simulate_paths(scalar_model, scalar_vc, cfg)
+    (b2,) = simulate_lanes(scalar_model, scalar_vc, [cfg])
     assert np.array_equal(b1.states, b2.states)
     assert np.array_equal(b1.terminal_log_excess, b2.terminal_log_excess)
 
@@ -185,12 +184,12 @@ def test_block_noise_is_the_per_path_philox_stream(seed, first_path, antithetic)
 
 
 def test_paths_independent_of_path_count(scalar_model, scalar_vc):
-    small = simulate_paths(scalar_model, scalar_vc,
-                           SimConfig(n_paths=10, steps=20, dt=1 / 252, seed=4,
-                                     strategy="optimal", keep=("densities",)))
-    large = simulate_paths(scalar_model, scalar_vc,
-                           SimConfig(n_paths=40, steps=20, dt=1 / 252, seed=4,
-                                     strategy="optimal", keep=("densities",)))
+    (small,) = simulate_lanes(scalar_model, scalar_vc,
+                              [SimConfig(n_paths=10, steps=20, dt=1 / 252, seed=4,
+                                         strategy="optimal", keep=("densities",))])
+    (large,) = simulate_lanes(scalar_model, scalar_vc,
+                              [SimConfig(n_paths=40, steps=20, dt=1 / 252, seed=4,
+                                         strategy="optimal", keep=("densities",))])
     assert np.array_equal(small.terminal_log_excess, large.terminal_log_excess[:10])
 
 
@@ -204,10 +203,10 @@ def test_pathwise_density_factorization(scalar_bundle):
 
 def test_factorization_under_tilted_measures(scalar_model, scalar_vc):
     for measure in ("tilted_gamma", "tilted_h"):
-        bundle = simulate_paths(
+        (bundle,) = simulate_lanes(
             scalar_model, scalar_vc,
-            SimConfig(n_paths=500, steps=100, dt=1 / 252, seed=21, measure=measure,
-                      strategy="optimal", keep=("densities",)),
+            [SimConfig(n_paths=500, steps=100, dt=1 / 252, seed=21, measure=measure,
+                       strategy="optimal", keep=("densities",))],
         )
         gap = np.abs(bundle.log_density_tilt
                      - (bundle.log_density_alloc + bundle.log_density_link)).max()
@@ -229,7 +228,7 @@ def test_martingale_exact_for_zero_tilt(kelly_mode):
     vm, vc = kelly_mode
     cfg = SimConfig(n_paths=50, steps=20, dt=1 / 252, seed=2, strategy="optimal",
                     keep=("densities",))
-    bundle = simulate_paths(vm, vc, cfg)
+    (bundle,) = simulate_lanes(vm, vc, [cfg])
     chk = martingale_check(bundle, "tilt")
     assert chk.mean == 1.0
 
@@ -238,7 +237,7 @@ def test_mc_criterion_zero_returns(spanned_model):
     vm, w = spanned_model
     cfg = SimConfig(n_paths=200, steps=100, dt=1 / 252, seed=3,
                     strategy="benchmark", bench_weights=w, keep=())
-    bundle = simulate_paths(vm, None, cfg)
+    (bundle,) = simulate_lanes(vm, None, [cfg])
     mc = mc_criterion(bundle, vm.theta)
     assert mc.estimate == pytest.approx(1.0, abs=1e-12)
     assert mc.certainty_equivalent == pytest.approx(0.0, abs=1e-12)
@@ -252,10 +251,10 @@ def test_mc_criterion_log_utility_limit(scalar_bundle):
 
 
 def test_mc_criterion_requires_physical(scalar_model, scalar_vc):
-    bundle = simulate_paths(
+    (bundle,) = simulate_lanes(
         scalar_model, scalar_vc,
-        SimConfig(n_paths=16, steps=10, dt=1 / 252, seed=1, measure="tilted_gamma",
-                  strategy="optimal", keep=("densities",)),
+        [SimConfig(n_paths=16, steps=10, dt=1 / 252, seed=1, measure="tilted_gamma",
+                   strategy="optimal", keep=("densities",))],
     )
     with pytest.raises(MeasureMismatch):
         mc_criterion(bundle, 1.0)
@@ -271,8 +270,8 @@ def test_infinite_standard_error_checks_nothing(scalar_model, scalar_vc):
     assert not KlEstimate(0.2, 0.2, inf, 0.0).consistent
     assert not KlEstimate(0.2, 0.2, 0.0, inf).consistent
     base = dict(n_paths=1, steps=10, dt=1 / 252, seed=3, keep=("densities",))
-    physical = simulate_paths(scalar_model, scalar_vc, SimConfig(**base))
-    tilted = simulate_paths(scalar_model, scalar_vc, SimConfig(measure="tilted_gamma", **base))
+    (physical,) = simulate_lanes(scalar_model, scalar_vc, [SimConfig(**base)])
+    (tilted,) = simulate_lanes(scalar_model, scalar_vc, [SimConfig(measure="tilted_gamma", **base)])
     for which in ("tilt", "alloc"):
         chk = martingale_check(physical, which)
         assert chk.std_error == inf and not chk.ok
@@ -285,10 +284,10 @@ def test_kl_requires_tilted(scalar_bundle):
 
 
 def test_kl_dual_estimators(scalar_model, scalar_vc):
-    bundle = simulate_paths(
+    (bundle,) = simulate_lanes(
         scalar_model, scalar_vc,
-        SimConfig(n_paths=20_000, steps=126, dt=1 / 252, seed=13,
-                  measure="tilted_gamma", strategy="optimal", keep=("densities",)),
+        [SimConfig(n_paths=20_000, steps=126, dt=1 / 252, seed=13,
+                   measure="tilted_gamma", strategy="optimal", keep=("densities",))],
     )
     kl = kl_estimate(bundle)
     assert kl.consistent
@@ -306,10 +305,10 @@ def test_kl_constant_deterministic_tilt(scalar_model):
     sigma = block.asset_vol
     strategy = _table(kelly.gain, kelly.offset, vm.theta * kelly.gain @ sigma,
                       g0 + vm.theta * (kelly.offset @ sigma - block.bench_vol))
-    bundle = simulate_paths(
+    (bundle,) = simulate_lanes(
         vm, None,
-        SimConfig(n_paths=5000, steps=steps, dt=dt, measure="tilted_gamma",
-                  strategy=strategy, seed=17, keep=("densities",)),
+        [SimConfig(n_paths=5000, steps=steps, dt=dt, measure="tilted_gamma",
+                   strategy=strategy, seed=17, keep=("densities",))],
     )
     kl = kl_estimate(bundle)
     closed_form = 0.5 * float(g0 @ g0) * steps * dt
@@ -319,11 +318,11 @@ def test_kl_constant_deterministic_tilt(scalar_model):
 
 def test_suboptimal_strategy_orders_criterion(scalar_model, scalar_vc):
     base = dict(n_paths=20_000, steps=252, dt=1 / 252, seed=29, keep=("densities",))
-    opt = simulate_paths(scalar_model, scalar_vc, SimConfig(strategy="optimal", **base))
-    double_kelly = simulate_paths(
+    (opt,) = simulate_lanes(scalar_model, scalar_vc, [SimConfig(strategy="optimal", **base)])
+    (double_kelly,) = simulate_lanes(
         scalar_model, scalar_vc,
-        SimConfig(strategy=scaled_kelly_table(scalar_model, scalar_vc, base["steps"],
-                                              base["dt"], 2.0), **base),
+        [SimConfig(strategy=scaled_kelly_table(scalar_model, scalar_vc, base["steps"],
+                                               base["dt"], 2.0), **base)],
     )
     mc_opt = mc_criterion(opt, scalar_model.theta)
     mc_sub = mc_criterion(double_kelly, scalar_model.theta)
@@ -334,8 +333,8 @@ def test_suboptimal_strategy_orders_criterion(scalar_model, scalar_vc):
 def test_antithetic_halves_variance(scalar_model, scalar_vc):
     base = dict(n_paths=20_000, steps=126, dt=1 / 252, seed=1, strategy="optimal",
                 keep=("densities",))
-    plain = simulate_paths(scalar_model, scalar_vc, SimConfig(antithetic=False, **base))
-    anti = simulate_paths(scalar_model, scalar_vc, SimConfig(antithetic=True, **base))
+    (plain,) = simulate_lanes(scalar_model, scalar_vc, [SimConfig(antithetic=False, **base)])
+    (anti,) = simulate_lanes(scalar_model, scalar_vc, [SimConfig(antithetic=True, **base)])
     se_plain = mc_criterion(plain, 1.0).std_error
     se_anti = mc_criterion(anti, 1.0).std_error
     assert (se_anti / se_plain) ** 2 <= 0.5 / 0.8
@@ -351,7 +350,7 @@ def test_nonfinite_state_detected(scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=4, steps=10, dt=1 / 252, seed=1,
                     strategy=_table(np.zeros((10, 1, 1)), np.full((10, 1), 1e200)), keep=())
     with pytest.raises(NonfiniteState) as err:
-        simulate_paths(scalar_model, scalar_vc, cfg)
+        simulate_lanes(scalar_model, scalar_vc, [cfg])
     assert "path" in str(err.value) and "step" in str(err.value)
 
 
@@ -369,12 +368,23 @@ def test_nonfinite_state_detected(scalar_model, scalar_vc):
     dict(strategy="benchmark", bench_weights=np.array([[1.0]])),
     dict(keep=("states", "paths")),
     dict(keep=("density",)),
+    dict(seed=-1),                            # a Philox key word: -1 would run as 2^64 - 1
+    dict(seed=2**64),                         # and 2^64 as 0
+    dict(seed=0.5),
 ])
 def test_config_validation(scalar_model, scalar_vc, bad):
     base = dict(n_paths=10, steps=10, dt=1 / 252, seed=0, strategy="optimal")
     base.update(bad)
     with pytest.raises(ConfigError):
-        simulate_paths(scalar_model, scalar_vc, SimConfig(**base))
+        simulate_lanes(scalar_model, scalar_vc, [SimConfig(**base)])
+
+
+def test_the_key_range_ends_run_on_streams_of_their_own(scalar_model, scalar_vc):
+    # a seed is a Philox key word, an unsigned 64-bit integer
+    runs = [simulate_lanes(scalar_model, scalar_vc, [SimConfig(
+        n_paths=4, steps=4, dt=1 / 252, seed=seed, keep=("states",))])[0].states
+        for seed in (0, 2**64 - 1)]
+    assert np.isfinite(runs[1]).all() and not np.array_equal(*runs)
 
 
 @pytest.mark.parametrize("make, cfg, match", [
@@ -398,7 +408,7 @@ def test_table_strategy_must_fit_the_run(scalar_model, scalar_vc, make, cfg, mat
     table = make(scaled_kelly_table(scalar_model, scalar_vc, 10, 1 / 252, 0.5))
     config = SimConfig(**{"n_paths": 4, "steps": 10, "dt": 1 / 252, **cfg, "strategy": table})
     with pytest.raises(ConfigError, match=match):
-        simulate_paths(scalar_model, None, config)
+        simulate_lanes(scalar_model, None, [config])
 
 
 def test_table_strategy_without_tilt_columns_runs_where_no_tilt_is_read(scalar_model):
@@ -407,17 +417,17 @@ def test_table_strategy_without_tilt_columns_runs_where_no_tilt_is_read(scalar_m
     table = scaled_kelly_table(scalar_model, None, 10, 1 / 252, 0.5)
     assert table.value_tilt is None
     for measure in ("physical", "tilted_h"):
-        bundle = simulate_paths(scalar_model, None, SimConfig(
+        (bundle,) = simulate_lanes(scalar_model, None, [SimConfig(
             n_paths=4, steps=10, dt=1 / 252, measure=measure, strategy=table,
-            keep=("states", "log_excess")))
+            keep=("states", "log_excess"))])
         assert np.isfinite(bundle.terminal_log_excess).all()
         assert bundle.log_density_tilt is None
 
 
 def test_optimal_needs_coefficients(scalar_model):
     with pytest.raises(ConfigError):
-        simulate_paths(scalar_model, None,
-                       SimConfig(n_paths=4, steps=4, dt=1 / 252, strategy="optimal"))
+        simulate_lanes(scalar_model, None,
+                       [SimConfig(n_paths=4, steps=4, dt=1 / 252, strategy="optimal")])
 
 
 @pytest.mark.parametrize("cfg", [
@@ -429,7 +439,7 @@ def test_every_tilt_needs_coefficients(scalar_model, cfg):
     # a named strategy's adverse tilt is its table's value tilt: densities
     # and tilted_gamma's drift need the coefficients
     with pytest.raises(ConfigError, match="value coefficients"):
-        simulate_paths(scalar_model, None, SimConfig(n_paths=4, steps=4, dt=1 / 252, **cfg))
+        simulate_lanes(scalar_model, None, [SimConfig(n_paths=4, steps=4, dt=1 / 252, **cfg)])
 
 
 @pytest.mark.parametrize("cfg", [
@@ -443,8 +453,8 @@ def test_lanes_without_tilts_run_without_coefficients(scalar_model, scalar_vc, c
     cfg = {"strategy": scaled_kelly_table(scalar_model, scalar_vc, 10, 1 / 252, 0.5),
            "keep": (), **cfg}
     config = SimConfig(n_paths=8, steps=10, dt=1 / 252, seed=2, **cfg)
-    without = simulate_paths(scalar_model, None, config)
-    with_vc = simulate_paths(scalar_model, scalar_vc, config)
+    (without,) = simulate_lanes(scalar_model, None, [config])
+    (with_vc,) = simulate_lanes(scalar_model, scalar_vc, [config])
     assert without.terminal_state.tobytes() == with_vc.terminal_state.tobytes()
     assert without.terminal_log_excess.tobytes() == with_vc.terminal_log_excess.tobytes()
     assert np.all(np.isfinite(without.terminal_log_excess))
@@ -452,7 +462,7 @@ def test_lanes_without_tilts_run_without_coefficients(scalar_model, scalar_vc, c
 
 def test_binary_dump_round_trip(tmp_path, scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=12, steps=8, dt=1 / 252, seed=2, strategy="optimal")
-    bundle = simulate_paths(scalar_model, scalar_vc, cfg)
+    (bundle,) = simulate_lanes(scalar_model, scalar_vc, [cfg])
     path = tmp_path / "paths.bin"
     save_paths_binary(bundle, path)
     states, log_excess = load_paths_binary(path)
@@ -463,7 +473,7 @@ def test_binary_dump_round_trip(tmp_path, scalar_model, scalar_vc):
 def test_binary_dump_rejects_trailing_bytes(tmp_path, scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=4, steps=3, dt=1 / 252, seed=2, strategy="optimal")
     path = tmp_path / "paths.bin"
-    save_paths_binary(simulate_paths(scalar_model, scalar_vc, cfg), path)
+    save_paths_binary(simulate_lanes(scalar_model, scalar_vc, [cfg])[0], path)
     with open(path, "ab") as fh:
         fh.write(np.zeros(1).tobytes())
     with pytest.raises(ParseError, match="longer than its header promises"):
@@ -471,9 +481,9 @@ def test_binary_dump_rejects_trailing_bytes(tmp_path, scalar_model, scalar_vc):
 
 
 def test_binary_dump_needs_paths(tmp_path, scalar_model, scalar_vc):
-    bundle = simulate_paths(
+    (bundle,) = simulate_lanes(
         scalar_model, scalar_vc,
-        SimConfig(n_paths=4, steps=4, dt=1 / 252, strategy="optimal", keep=("densities",)),
+        [SimConfig(n_paths=4, steps=4, dt=1 / 252, strategy="optimal", keep=("densities",))],
     )
     with pytest.raises(ConfigError):
         save_paths_binary(bundle, tmp_path / "x.bin")
@@ -482,7 +492,7 @@ def test_binary_dump_needs_paths(tmp_path, scalar_model, scalar_vc):
 def test_terminal_csv_round_trip(tmp_path, scalar_model, scalar_vc):
     cfg = SimConfig(n_paths=6, steps=5, dt=1 / 252, seed=3, strategy="optimal",
                     keep=("densities",))
-    bundle = simulate_paths(scalar_model, scalar_vc, cfg)
+    (bundle,) = simulate_lanes(scalar_model, scalar_vc, [cfg])
     path = tmp_path / "terminals.csv"
     save_terminals_csv(bundle, path)
     rows = path.read_text().strip().splitlines()
@@ -498,9 +508,9 @@ def test_terminal_csv_round_trip(tmp_path, scalar_model, scalar_vc):
 ], ids=["martingale_check", "kl_estimate", "save_terminals_csv"])
 def test_density_readers_need_kept_densities(tmp_path, scalar_model, scalar_vc, measure, read):
     # a bundle that kept no densities has no columns a reader could take for data
-    bundle = simulate_paths(
+    (bundle,) = simulate_lanes(
         scalar_model, scalar_vc,
-        SimConfig(n_paths=8, steps=5, dt=1 / 252, seed=4, measure=measure, keep=("log_excess",)))
+        [SimConfig(n_paths=8, steps=5, dt=1 / 252, seed=4, measure=measure, keep=("log_excess",))])
     assert bundle.log_density_tilt is None
     with pytest.raises(ConfigError, match="keep"):
         read(bundle, tmp_path / "terminals.csv")
@@ -516,8 +526,8 @@ def test_optimal_strategy_is_the_policy_module(twofactor_model, twofactor_vc, me
     steps, dt = 40, 1 / 252
     table = gain_table(vm, vc, [j * dt for j in range(steps)])
     base = dict(n_paths=64, steps=steps, dt=dt, seed=6, measure=measure)
-    optimal = simulate_paths(vm, vc, SimConfig(strategy="optimal", **base))
-    custom = simulate_paths(vm, None, SimConfig(strategy=table, **base))
+    (optimal,) = simulate_lanes(vm, vc, [SimConfig(strategy="optimal", **base)])
+    (custom,) = simulate_lanes(vm, None, [SimConfig(strategy=table, **base)])
     for name in ("states", "log_excess", "log_density_tilt", "log_density_alloc",
                  "log_density_link", "tilt_sq_integral"):
         assert getattr(optimal, name).tobytes() == getattr(custom, name).tobytes(), name
@@ -538,10 +548,10 @@ def test_game_value_matches_tilted_expectation(twofactor_model, twofactor_vc):
     vm, vc = twofactor_model, twofactor_vc
     theta = vm.theta
     steps, dt = 252, 1 / 252
-    bundle = simulate_paths(
+    (bundle,) = simulate_lanes(
         vm, vc,
-        SimConfig(n_paths=20_000, steps=steps, dt=dt, seed=37, measure="tilted_gamma",
-                  strategy="optimal"),
+        [SimConfig(n_paths=20_000, steps=steps, dt=dt, seed=37, measure="tilted_gamma",
+                   strategy="optimal")],
     )
     total = np.zeros(bundle.config.n_paths)
     for j in range(steps):
@@ -559,10 +569,10 @@ def test_transformed_measure_criterion_matches_value(twofactor_model, twofactor_
     vm, vc = twofactor_model, twofactor_vc
     theta = vm.theta
     steps, dt = 252, 1 / 252
-    bundle = simulate_paths(
+    (bundle,) = simulate_lanes(
         vm, vc,
-        SimConfig(n_paths=20_000, steps=steps, dt=dt, seed=41, measure="tilted_h",
-                  strategy="optimal"),
+        [SimConfig(n_paths=20_000, steps=steps, dt=dt, seed=41, measure="tilted_h",
+                   strategy="optimal")],
     )
     total = np.zeros(bundle.config.n_paths)
     for j in range(steps):
@@ -580,9 +590,9 @@ def test_theta_zero_densities_trivial():
     spec = make_scalar_spec(theta=0.0)
     vm = validate_model(spec)
     vc = solve_value_coefficients(vm, steps_per_year=252)
-    bundle = simulate_paths(vm, vc, SimConfig(n_paths=32, steps=20, dt=1 / 252,
-                                              seed=5, strategy="optimal",
-                                              keep=("densities",)))
+    (bundle,) = simulate_lanes(vm, vc, [SimConfig(n_paths=32, steps=20, dt=1 / 252,
+                                                  seed=5, strategy="optimal",
+                                                  keep=("densities",))])
     assert np.all(bundle.log_density_alloc == 0.0)
     assert np.all(bundle.log_density_tilt == 0.0)
 
@@ -602,7 +612,7 @@ def solved_wide():
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_each_lane_is_its_solo_run(monkeypatch, solved_wide, antithetic):
     # every strategy under every measure on one noise draw, over several path
-    # blocks: each lane's bundle is byte for byte its simulate_paths run
+    # blocks: each lane's bundle is byte for byte its one-lane run
     vm, vc = solved_wide
     monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
     monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 4)
@@ -631,7 +641,7 @@ def test_each_lane_is_its_solo_run(monkeypatch, solved_wide, antithetic):
     lanes = simulate_lanes(vm, vc, cfgs)
     assert len(lanes) == len(cfgs)
     for cfg, lane in zip(cfgs, lanes):
-        solo = simulate_paths(vm, vc, cfg)
+        (solo,) = simulate_lanes(vm, vc, [cfg])
         assert lane.config is cfg
         for name in _BUNDLE_ARRAYS:
             a, b = getattr(lane, name), getattr(solo, name)
@@ -674,12 +684,12 @@ def test_simulation_rejects_coefficients_of_another_model(scalar_vc):
     # coefficients solved at theta = 1 must not drive a theta = 5 model
     vm = validate_model(make_scalar_spec(theta=5.0))
     with pytest.raises(ConfigError, match="theta"):
-        simulate_paths(vm, scalar_vc, SimConfig(n_paths=4, steps=4, dt=1 / 252))
+        simulate_lanes(vm, scalar_vc, [SimConfig(n_paths=4, steps=4, dt=1 / 252)])
     # not even given to lanes that read none of them
     for strategy in ("kelly", scaled_kelly_table(vm, None, 4, 1 / 252, 0.5)):
         with pytest.raises(ConfigError, match="theta"):
-            simulate_paths(vm, scalar_vc, SimConfig(n_paths=4, steps=4, dt=1 / 252,
-                                                    strategy=strategy, keep=()))
+            simulate_lanes(vm, scalar_vc, [SimConfig(n_paths=4, steps=4, dt=1 / 252,
+                                                     strategy=strategy, keep=())])
 
 
 def test_lanes_read_coefficients_only_when_they_need_them(monkeypatch, solved_two_segment):

@@ -117,11 +117,11 @@ def test_verify_draws_its_noise_once(monkeypatch, scalar_model, scalar_vc):
     blocks = sim_mod._partition(400, cfgs[0].steps, scalar_model.d)
     assert len(blocks) > 1
     assert sorted(draws) == [first for first, _ in blocks]
-    # each lane is bit for bit its own simulate_paths run
+    # each lane is bit for bit its own one-lane run
     assert [cfg.measure for cfg in cfgs] == ["physical", "tilted_gamma"]
     monkeypatch.setattr(sim_mod, "_block_noise", block_noise)
     for cfg, bundle in zip(cfgs, bundles):
-        solo = sim_mod.simulate_paths(scalar_model, scalar_vc, cfg)
+        (solo,) = sim_mod.simulate_lanes(scalar_model, scalar_vc, [cfg])
         for name, value in vars(solo).items():
             if isinstance(value, np.ndarray):
                 assert value.tobytes() == getattr(bundle, name).tobytes(), name
