@@ -159,24 +159,51 @@ class ProjectionPair:
     pminus: np.ndarray  # (d, d)
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, broadcast over the leading ones."""
-    return np.einsum("...j,...j->...", a, b)
+def _rowdot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Dot products over the last axis, broadcast over the leading ones,
+    written to out when given."""
+    return np.einsum("...j,...j->...", a, b, out=out)
+
+
+def _track(block: CoefficientBlock, H: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The noise loading track = Sigma' h - Xi of ln(V/L) under allocations
+    H, one row or a stack of rows, written to out when given."""
+    track = np.matmul(H, block.asset_vol, out=out)
+    return np.subtract(track, block.bench_vol, out=track)
+
+
+def _log_excess_drift(block: CoefficientBlock, gram: GramBlocks, X: np.ndarray,
+                      H: np.ndarray, out: np.ndarray | None = None,
+                      work: tuple | None = None) -> np.ndarray:
+    """The drift ell of ln(V/L) under allocations H, one row or a stack of
+    rows, at factor states X, one row or one per row of H:
+    ell = -h' Sigma Sigma' h / 2 + h' a + |Xi|^2 / 2 - c + (h' A - C') x,
+    summed in that order.
+
+    Given out and work = (H @ Sigma Sigma', H @ A - C, a row dot), arrays
+    of those shapes, ell and its partial terms are written to them; else
+    they are made here.  Either way the operations and their order are the
+    same.
+    """
+    lead = H.shape[:-1]
+    ell = np.empty(lead) if out is None else out
+    h_ss, h_ab, dot = work or (np.empty(H.shape), np.empty(lead + X.shape[-1:]), np.empty(lead))
+    np.multiply(-0.5, _rowdot(np.matmul(H, gram.ss, out=h_ss), H, out=ell), out=ell)
+    np.add(ell, np.matmul(H, block.asset_drift, out=dot), out=ell)
+    np.add(ell, 0.5 * gram.xi_xi, out=ell)
+    np.subtract(ell, block.bench_drift, out=ell)
+    np.matmul(H, block.asset_factor_loading, out=h_ab)
+    np.subtract(h_ab, block.bench_factor_loading, out=h_ab)
+    np.add(ell, _rowdot(h_ab, X, out=dot), out=ell)
+    return ell
 
 
 def _log_excess_terms(block: CoefficientBlock, gram: GramBlocks, X: np.ndarray,
                       H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The drift ell and noise loading track = Sigma' h - Xi of ln(V/L) under
-    allocations H at factor states X, each one row or a stack of rows."""
-    track = H @ block.asset_vol - block.bench_vol
-    ell = (
-        -0.5 * _rowdot(H @ gram.ss, H)
-        + H @ block.asset_drift
-        + 0.5 * gram.xi_xi
-        - block.bench_drift
-        + _rowdot(H @ block.asset_factor_loading - block.bench_factor_loading, X)
-    )
-    return ell, track
+    """The drift ell and noise loading track of ln(V/L) under allocations H
+    at factor states X (see _log_excess_drift and _track), the one
+    definition of the benchmarked reward."""
+    return _log_excess_drift(block, gram, X, H), _track(block, H)
 
 
 def cholesky_pd(mat: np.ndarray):

@@ -81,7 +81,8 @@ class GainTable:
     j-th time, at the factor states in the rows of X, or, for a slice j, at
     each of its times, at the states stacked (times, rows, n).  A stacked
     matmul calls BLAS once per time, so each time's controls are bitwise
-    its own one-time call.  Their columns hold the allocation h and the
+    its own one-time call; given out, the controls are written into it,
+    bitwise the same.  Their columns hold the allocation h and the
     value tilt Lambda' Du; the slices h and value_tilt select them, and a
     column group the table was built without has slice None (see
     gain_table).
@@ -92,8 +93,9 @@ class GainTable:
     h: slice | None
     value_tilt: slice | None
 
-    def controls(self, j: int | slice, X: np.ndarray) -> np.ndarray:
-        return X @ self.gain[j] + self.offset[j, None]
+    def controls(self, j: int | slice, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        C = np.matmul(X, self.gain[j], out=out)
+        return np.add(C, self.offset[j, None], out=C)
 
     def allocation_only(self) -> GainTable:
         """This table's allocation columns alone, as columns 0, ..., m - 1."""

@@ -14,7 +14,8 @@ increment dw + phi dt.  The supported measures differ only in phi:
 The kernel converts dw to the physical increment once per step; the state,
 the log excess return and every density then follow the physical-measure
 formulas: the log excess return ln(V/L) moves by ell dt + track . dw, with
-ell and track = Sigma' h - Xi from model._log_excess_terms, the one
+ell and track = Sigma' h - Xi from model._log_excess_drift and
+model._track, the two halves of model._log_excess_terms, the one
 definition of the benchmarked reward, which the game's payoffs read too.
 Every allocation and tilt is read from an affine gain table sliced into
 [h | Lambda' Du]: policy.gain_table's for a named strategy, else the
@@ -46,17 +47,25 @@ equal those of one block holding every path.  Antithetic pairing maps
 stream i to paths (2i, 2i+1) with mirrored increments.
 
 A block runs in chunks: consecutive steps of one coefficient segment whose
-(steps, paths, d) increments fit CHUNK_BYTES.  Under P no control moves the
-factor state, so per chunk the physical state alone steps through the
-chunk, X + (f + X B') dt + Z[i] with Z = dW @ Lambda' from one stacked
-product, and each physical-measure lane is then evaluated once over the
-chunk's stacked states: X @ K[j0:j1] + k[j0:j1], the reward terms and the
-density increments.  A tilted lane's drift tilt needs its controls, so it
-is evaluated, and its own state advanced, a step at a time.  A stacked
-matmul calls BLAS once per (paths, .) slice, the per-step shapes, and the
-log excess return and the densities are summed step by step, so a run is
-bit for bit the step-by-step loop.  A chunk runs to its end before its
-states are tested for finiteness.
+(steps, paths, d) increments fit CHUNK_BYTES, but at least MIN_CHUNK_STEPS
+of them.  Under P no control moves the factor state, so per chunk the
+physical state alone steps through the chunk, X + (f + X B') dt + Z[i]
+with Z = dW @ Lambda' from one stacked product, and each physical-measure
+lane is then evaluated once over the chunk's stacked states:
+X @ K[j0:j1] + k[j0:j1], the reward terms and the density increments.  A
+tilted lane's drift tilt needs its controls, so its controls, track and
+tilt are evaluated, and its own state advanced, a step at a time; its
+reward terms and density increments are then evaluated once over the
+chunk.  A stacked matmul calls BLAS once per (paths, .) slice, the
+per-step shapes, and the log excess return and the densities are summed
+step by step, so a run is bit for bit the step-by-step loop.  A chunk runs
+to its end before its states are tested for finiteness.
+
+A block makes its arrays once, when it starts: the noise, the nodes, and a
+workspace of every per-step array (see _Nodes).  Each step writes its
+products, reward terms, tilts and increments into the workspace through
+out=, with the same operations in the same order, so the step loop makes
+no array and its results are bitwise those of one that does.
 """
 
 from __future__ import annotations
@@ -67,12 +76,13 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import policy
 from .errors import ConfigError, MeasureMismatch, NonfiniteState, ParseError
-from .model import ValidatedModel, _log_excess_terms, _rowdot
+from .model import ValidatedModel, _log_excess_drift, _rowdot, _track
 from .valuefn import ValueCoefficients, check_solved_for
 
 MEASURES = ("physical", "tilted_gamma", "tilted_h")
@@ -91,8 +101,14 @@ MIN_BLOCK_PATHS = 1024
 BLOCK_ALIGN = 8
 # A block runs in chunks: runs of consecutive steps of one coefficient
 # segment whose (steps, paths, d) increments fit CHUNK_BYTES, so a chunk's
-# stacked arrays stay in a core's cache.
+# stacked arrays stay in a core's cache, but of at least MIN_CHUNK_STEPS
+# steps.  A lane evaluated over a chunk makes one numpy call where a step
+# at a time makes one a step, and each call takes the interpreter lock:
+# at one-step chunks two threads stepping wide blocks (1024 paths, d = 20)
+# took as long as one after the other, and at three steps the two verify
+# lanes ran on two workers in 0.78 s against 1.05 s.
 CHUNK_BYTES = 256 * 2**10
+MIN_CHUNK_STEPS = 3
 # threads that run the blocks of one call, one per CPU the process may use;
 # the partition, and so every result, does not depend on it
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -232,13 +248,38 @@ class _SegmentContext:
 
     def advance(self, X: np.ndarray, noise_term: np.ndarray, dt: float,
                 out: np.ndarray) -> None:
-        """Write to out the factor states X one Euler step on, given the
-        step's noise term dw @ Lambda' of the physical increments dw."""
-        np.add(X + (self.block.factor_drift + X @ self.fmr_t) * dt, noise_term, out=out)
+        """Write to out the factor states X one Euler step on,
+        X + (f + X B') dt + noise_term, given the step's noise term
+        dw @ Lambda' of the physical increments dw; out holds the partial
+        terms, so the step makes no array."""
+        np.matmul(X, self.fmr_t, out=out)
+        np.add(self.block.factor_drift, out, out=out)
+        np.multiply(out, dt, out=out)
+        np.add(X, out, out=out)
+        np.add(out, noise_term, out=out)
+
+
+class _StepArrays(NamedTuple):
+    """The arrays one lane's evaluation of a chunk's steps writes,
+    (steps, paths, .) each: rows of a block's buffers (see _Nodes.step_arrays)."""
+
+    controls: dict[int, np.ndarray]  # C, one array per table width
+    ell: np.ndarray
+    track: np.ndarray
+    h_ss: np.ndarray                 # H @ Sigma Sigma'
+    h_ab: np.ndarray                 # H @ A less the benchmark's factor loading
+    dot: np.ndarray                  # a row dot of ell's
+    gamma: np.ndarray                # G
+    dw: np.ndarray                   # a tilted lane's physical increments
+    dwh: np.ndarray
+    # track . dw, |G|^2, G . dw, |track|^2, value tilt . dwh, |value tilt|^2
+    dots: np.ndarray                 # (6, steps, paths)
 
 
 class _Nodes:
-    """A path block's working arrays, reused by every chunk.
+    """A path block's workspace: every array its steps write, made once
+    when the block starts and reused by every chunk, so no step makes an
+    array.
 
     x[owner] holds the owner's factor states and r every lane's log excess
     return at the nodes of a chunk of c steps: row i before its step i and
@@ -250,13 +291,25 @@ class _Nodes:
     acc + increment.  A row holds every lane, so one add serves them all;
     np.add.accumulate along the rows would run one inner loop per path, and
     took four times as long at (21, 1000).
+
+    dW and noise_term take the chunk's increments and their noise term
+    dW @ Lambda'; step_arrays(i0, i1) gives the per-step arrays of the
+    chunk's steps i0, ..., i1 - 1, which one lane at a time writes.  A
+    buffer holds width steps and the arrays of steps i0 to i1 are its rows
+    i0 to i1, contiguous like an array of their own, so every product and
+    row dot rounds as it would into a new array.  A step loop with arrays
+    of its own has the allocator hand out and take back a dozen 80-230 KB
+    arrays a step at the wide block (1024 paths, d = 20); on the calling
+    thread glibc trimmed their pages and faulted them in again, about 120k
+    minor faults for the two verify lanes at 4000 x 252 on one worker.
     """
 
-    __slots__ = ("x", "r", "terms", "acc", "dens", "c")
+    __slots__ = ("x", "r", "terms", "acc", "dens", "c", "dW", "noise_term", "_buffers")
 
     def __init__(self, model: ValidatedModel, owners: set, lanes: int, count: int,
-                 width: int, densities: bool):
-        self.x = {owner: np.empty((width + 1, count, model.n)) for owner in owners}
+                 width: int, densities: bool, table_widths: set[int]):
+        n, m, d = model.n, model.m, model.d
+        self.x = {owner: np.empty((width + 1, count, n)) for owner in owners}
         for X in self.x.values():
             X[0] = model.x0
         self.r = np.zeros((width + 1, lanes, count))
@@ -264,6 +317,21 @@ class _Nodes:
         self.acc = np.zeros((lanes, 4, count)) if densities else None
         self.dens = np.empty((width, lanes, 4, count)) if densities else None
         self.c = 0
+        self.dW = np.empty((width, count, d))
+        self.noise_term = np.empty((width, count, n))
+        self._buffers = _StepArrays(
+            controls={w: np.empty((width, count, w)) for w in table_widths},
+            ell=np.empty((width, count)), track=np.empty((width, count, d)),
+            h_ss=np.empty((width, count, m)), h_ab=np.empty((width, count, n)),
+            dot=np.empty((width, count)), gamma=np.empty((width, count, d)),
+            dw=np.empty((width, count, d)), dwh=np.empty((width, count, d)),
+            dots=np.empty((6, width, count)))
+
+    def step_arrays(self, i0: int, i1: int) -> _StepArrays:
+        """The per-step arrays of the chunk's steps i0, ..., i1 - 1."""
+        full = self._buffers
+        return _StepArrays({w: C[i0:i1] for w, C in full.controls.items()},
+                           *(a[i0:i1] for a in full[1:-1]), full.dots[:, i0:i1])
 
     def start(self, c: int) -> None:
         """Start a chunk of c steps at the previous chunk's last node."""
@@ -326,49 +394,65 @@ class _Lane:
         if self.log_excess is not None:
             self.log_excess[sl, 0] = 0.0
 
-    def increments(self, model: ValidatedModel, ctx: _SegmentContext, j: slice,
-                   X: np.ndarray, dW: np.ndarray, dt: float, r_inc: np.ndarray,
-                   d_inc: np.ndarray | None) -> np.ndarray:
-        """Evaluate each step of the slice j at its states stacked
-        (c, paths, n) under its sampled increments stacked (c, paths, d):
-        write their ell dt and track . dw, interleaved, to r_inc and their
-        density log-increments to d_inc (see _Nodes); returns their physical
-        increments.
+    def step(self, model: ValidatedModel, ctx: _SegmentContext, j: slice, X: np.ndarray,
+             dW: np.ndarray, dt: float, s: _StepArrays) -> np.ndarray:
+        """Write to s the controls of the steps of the slice j at their states
+        stacked (c, paths, n), their allocations' track and, when the lane
+        reads it, G; returns their physical increments, under the sampled
+        increments dW stacked (c, paths, d): dW itself under P, else s.dw.
+        A tilted lane steps its state by them, so it calls this a step at a
+        time.
 
         Every product keeps the per-step shapes: a stacked matmul calls BLAS
-        once per (paths, .) slice, so the terms are bitwise the per-step ones.
+        once per (paths, .) slice, so each step's arrays are bitwise its own.
         """
-        cfg, table = self.cfg, self.table
-        theta = model.theta
-        C = table.controls(j, X)
-        ell, track = _log_excess_terms(ctx.block, ctx.gram, X, C[..., table.h])
+        table, theta = self.table, model.theta
+        C = table.controls(j, X, out=s.controls[table.offset.shape[1]])
+        track = _track(ctx.block, C[..., table.h], out=s.track)
         if self.gamma:
-            G = C[..., table.value_tilt] - theta * track
-
+            # G = value tilt - theta track
+            G = np.subtract(C[..., table.value_tilt], np.multiply(theta, track, out=s.gamma),
+                            out=s.gamma)
         # the physical increment dw + phi dt, phi the sampling measure's
         # drift tilt; from here on every formula is the physical one
-        if cfg.measure == "physical":
-            dw = dW
-        else:
-            phi = G if cfg.measure == "tilted_gamma" else -theta * track
-            dw = dW + phi * dt
-        track_dw = _rowdot(track, dw)
+        if self.cfg.measure == "physical":
+            return dW
+        phi = G if self.cfg.measure == "tilted_gamma" else np.multiply(-theta, track, out=s.dw)
+        return np.add(dW, np.multiply(phi, dt, out=s.dw), out=s.dw)
+
+    def increments(self, model: ValidatedModel, ctx: _SegmentContext, X: np.ndarray,
+                   dw: np.ndarray, dt: float, r_inc: np.ndarray, d_inc: np.ndarray | None,
+                   s: _StepArrays) -> None:
+        """Evaluate the steps that step wrote to s, at their states stacked
+        (c, paths, n) under their physical increments dw: write their ell dt
+        and track . dw, interleaved, to r_inc and their density
+        log-increments to d_inc (see _Nodes).  Every other array it writes
+        is one of s.  Stacked over the steps, every product and row dot is
+        bitwise the per-step one.
+        """
+        table, theta = self.table, model.theta
+        C, track, G = s.controls[table.offset.shape[1]], s.track, s.gamma
+        ell = _log_excess_drift(ctx.block, ctx.gram, X, C[..., table.h], out=s.ell,
+                                work=(s.h_ss, s.h_ab, s.dot))
+        track_dw, g_sq, g_dw, track_sq, vt_dwh, vt_sq = s.dots
+        _rowdot(track, dw, out=track_dw)
         np.multiply(ell, dt, out=r_inc[0::2])
         r_inc[1::2] = track_dw
 
         if self.densities:
-            g_sq = _rowdot(G, G)
-            np.subtract(_rowdot(G, dw), 0.5 * dt * g_sq, out=d_inc[:, 0])
-            np.subtract(-theta * track_dw, 0.5 * theta**2 * dt * _rowdot(track, track),
-                        out=d_inc[:, 1])
-            # the link density by the value tilt, in the increment of the
-            # allocation-induced measure
-            value_tilt = C[..., table.value_tilt]
-            dwh = dw + (theta * dt) * track
-            np.subtract(_rowdot(value_tilt, dwh), 0.5 * dt * _rowdot(value_tilt, value_tilt),
-                        out=d_inc[:, 2])
+            _rowdot(G, G, out=g_sq)
+            # tilt_sq = 0.5 dt |G|^2, tilt = G . dw - tilt_sq
             np.multiply(0.5 * dt, g_sq, out=d_inc[:, 3])
-        return dw
+            np.subtract(_rowdot(G, dw, out=g_dw), d_inc[:, 3], out=d_inc[:, 0])
+            np.multiply(0.5 * theta**2 * dt, _rowdot(track, track, out=track_sq), out=track_sq)
+            np.subtract(np.multiply(-theta, track_dw, out=d_inc[:, 1]), track_sq,
+                        out=d_inc[:, 1])
+            # the link density by the value tilt, in the increment
+            # dwh = dw + theta dt track of the allocation-induced measure
+            value_tilt = C[..., table.value_tilt]
+            dwh = np.add(dw, np.multiply(theta * dt, track, out=s.dwh), out=s.dwh)
+            np.multiply(0.5 * dt, _rowdot(value_tilt, value_tilt, out=vt_sq), out=vt_sq)
+            np.subtract(_rowdot(value_tilt, dwh, out=vt_dwh), vt_sq, out=d_inc[:, 2])
 
     def store(self, sl: slice, j0: int, X: np.ndarray, R: np.ndarray) -> None:
         """Keep what the lane stores of the states X, (c, paths, n), and the
@@ -413,9 +497,9 @@ def _partition(n_paths: int, steps: int, d: int) -> list[tuple[int, int]]:
 
 def _chunk_length(paths: int, d: int) -> int:
     """Steps per chunk of a block of paths: as many as keep the chunk's
-    (steps, paths, d) increments within CHUNK_BYTES, at least one.  Like the
-    partition, it depends only on the sizes."""
-    return max(1, CHUNK_BYTES // (paths * d * 8))
+    (steps, paths, d) increments within CHUNK_BYTES, at least
+    MIN_CHUNK_STEPS.  Like the partition, it depends only on the sizes."""
+    return max(MIN_CHUNK_STEPS, CHUNK_BYTES // (paths * d * 8))
 
 
 def _chunks(runs: list[tuple[int, int, _SegmentContext]], width: int):
@@ -448,9 +532,11 @@ def _run_block(model: ValidatedModel, shared: SimConfig, lanes: list[_Lane],
     one owner: the physical-measure lanes share one, and each tilted lane
     owns its own.  No control moves the physical state, so per chunk it
     advances alone, step by step, from one stacked product dW @ Lambda'; a
-    tilted lane's drift tilt needs its controls, so it is evaluated and its
-    state advanced a step at a time.  Each physical-measure lane is
-    evaluated once over the chunk's stacked states.  A chunk runs to its
+    tilted lane's drift tilt needs its controls, so they and its state are
+    stepped a step at a time.  Each lane's reward terms and density
+    increments, and a physical-measure lane's controls, are evaluated once
+    over the chunk's stacked states.  Every array a step
+    writes is one of the block's workspace (_Nodes).  A chunk runs to its
     end; then one test finds a non-finite state.  The block reads only
     shared state and writes only its own slice of the lanes' outputs, so
     blocks may run on any thread in any order.
@@ -458,7 +544,7 @@ def _run_block(model: ValidatedModel, shared: SimConfig, lanes: list[_Lane],
     first, count = block
     sl = slice(first, first + count)
     dt = shared.dt
-    width = _chunk_length(count, model.d)
+    width = min(_chunk_length(count, model.d), shared.steps)
     owners = ["physical" if lane.cfg.measure == "physical" else k
               for k, lane in enumerate(lanes)]
     tilted = [k for k, owner in enumerate(owners) if owner == k]
@@ -471,34 +557,41 @@ def _run_block(model: ValidatedModel, shared: SimConfig, lanes: list[_Lane],
         noise = _block_noise(shared.seed, first, count, shared.steps, model.d, shared.antithetic)
         sq_dt = np.sqrt(dt)
         nodes = _Nodes(model, set(owners), len(lanes), count, width,
-                       any(lane.densities for lane in lanes))
+                       any(lane.densities for lane in lanes),
+                       {lane.table.offset.shape[1] for lane in lanes})
         for lane in lanes:
             lane.start_block(sl, model.x0)
-        noise_term = np.empty((width, count, model.n))
+        noise_term = nodes.noise_term
+        rows = [nodes.step_arrays(i, i + 1) for i in range(width)]  # a tilted lane's steps
 
         for j0, j1, ctx in _chunks(runs, width):
             c = j1 - j0
             nodes.start(c)
+            chunk = nodes.step_arrays(0, c)
             # the chunk's increments, scaled from the strided noise slab into
-            # one contiguous (steps, paths, d) array that every lane reads; a
-            # new one each chunk, as one array per block made a lone
-            # tilted_gamma lane (1024 paths, d = 20, on the calling thread)
-            # take 30k page faults in place of 0.6k and 1.4 times as long
-            dW = np.multiply(noise[:, j0:j1].swapaxes(0, 1), sq_dt, order="C")
+            # one contiguous (steps, paths, d) array that every lane reads:
+            # the block's own, as a new array each chunk ran the two verify
+            # lanes (4000 x 252, d = 20) about 3% slower, on one worker and
+            # on two, now that no other per-step array comes and goes
+            dW = np.multiply(noise[:, j0:j1].swapaxes(0, 1), sq_dt, out=nodes.dW[:c])
             if physical:
                 P = nodes.x["physical"]
                 np.matmul(dW, ctx.lam_t, out=noise_term[:c])
                 for i in range(c):
                     ctx.advance(P[i], noise_term[i], dt, P[i + 1])
                 for k in physical:
-                    lanes[k].increments(model, ctx, slice(j0, j1), P[:c], dW, dt,
-                                        *nodes.terms_of(k, 0, c))
+                    lanes[k].step(model, ctx, slice(j0, j1), P[:c], dW, dt, chunk)
+                    lanes[k].increments(model, ctx, P[:c], dW, dt, *nodes.terms_of(k, 0, c),
+                                        chunk)
             for k in tilted:
                 X = nodes.x[k]
                 for i in range(c):
-                    dw = lanes[k].increments(model, ctx, slice(j0 + i, j0 + i + 1), X[i:i + 1],
-                                             dW[i:i + 1], dt, *nodes.terms_of(k, i, i + 1))
-                    ctx.advance(X[i], dw[0] @ ctx.lam_t, dt, X[i + 1])
+                    dw = lanes[k].step(model, ctx, slice(j0 + i, j0 + i + 1), X[i:i + 1],
+                                       dW[i:i + 1], dt, rows[i])
+                    ctx.advance(X[i], np.matmul(dw[0], ctx.lam_t, out=noise_term[0]), dt,
+                                X[i + 1])
+                lanes[k].increments(model, ctx, X[:c], chunk.dw, dt, *nodes.terms_of(k, 0, c),
+                                    chunk)
 
             R = nodes.add()
             if not (np.isfinite(R).all() and all(np.isfinite(X[1:c + 1]).all()

@@ -30,6 +30,7 @@ from benchkelly.valuefn import solve_value_coefficients, value_function
 from conftest import make_random_spec, make_scalar_spec, make_two_segment_spec, scaled_kelly_table
 import euler_reference
 from euler_reference import simulate_reference
+from numpy_allocations import numpy_allocations
 
 
 @pytest.fixture(scope="module")
@@ -726,12 +727,14 @@ def test_partition_is_cache_sized_and_aligned():
 
 
 def test_chunk_length_is_cache_sized(monkeypatch):
-    # an experiment block (1000 paths, d = 3) runs ten steps a chunk, a wide
-    # verify block (1024 or 928 paths, d = 20) one
+    # an experiment block (1000 paths, d = 3) runs ten steps a chunk; a wide
+    # verify block (1024 or 928 paths, d = 20), whose one step's increments
+    # nearly fill CHUNK_BYTES, runs MIN_CHUNK_STEPS
+    assert sim_mod.MIN_CHUNK_STEPS == 3
     assert sim_mod._chunk_length(1000, 3) == 10
-    assert sim_mod._chunk_length(1024, 20) == 1
-    assert sim_mod._chunk_length(928, 20) == 1
-    assert sim_mod._chunk_length(10**6, 40) == 1
+    assert sim_mod._chunk_length(1024, 20) == 3
+    assert sim_mod._chunk_length(928, 20) == 3
+    assert sim_mod._chunk_length(10**6, 40) == 3
     assert sim_mod._chunk_length(1, 1) == sim_mod.CHUNK_BYTES // 8
     # the length depends on the block's sizes alone
     assert list(inspect.signature(sim_mod._chunk_length).parameters) == ["paths", "d"]
@@ -772,6 +775,7 @@ def test_chunked_kernel_is_the_per_step_loop(monkeypatch, solved_wide, solved_tw
     monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
     monkeypatch.setattr(sim_mod, "MIN_BLOCK_PATHS", 8)
     monkeypatch.setattr(sim_mod, "CHUNK_BYTES", steps_per_chunk * 8 * vm.d * 8)
+    monkeypatch.setattr(sim_mod, "MIN_CHUNK_STEPS", 1)
     base = dict(n_paths=14, steps=13, dt=1 / 16, seed=4, antithetic=antithetic)
     assert sim_mod._partition(14, 13, vm.d) == [(0, 8), (8, 6)]
     assert vm.segment_indices(np.arange(13) / 16).tolist() == (
@@ -804,6 +808,59 @@ def test_chunked_kernel_is_the_per_step_loop(monkeypatch, solved_wide, solved_tw
     # a physical lane alone, with no tilted owner beside it
     solo = [SimConfig(strategy="optimal", keep=("densities",), **base)]
     _assert_bundles_equal(simulate_lanes(vm, vc, solo), simulate_reference(vm, vc, solo))
+
+
+@pytest.fixture(scope="module")
+def solved_bench_wide():
+    # the verify-wide bench's sizes: n = 10, m = 8, d = 20
+    rng = np.random.default_rng(61)
+    vm = validate_model(make_random_spec(rng, theta=1.0, n=10, m=8, d=20))
+    return vm, solve_value_coefficients(vm, steps_per_year=252)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_wide_bench_blocks_are_the_per_step_loop(monkeypatch, solved_bench_wide, workers):
+    # the bench's wide blocks, a full one of 1024 paths and a ragged 8-aligned
+    # one of 928, whose per-step arrays (80-230 KB) the blocks keep in their
+    # workspaces, in chunks of 3, 3 and 1 steps: a physical and a
+    # tilted_gamma lane, with densities and full paths, are the reference
+    # loop byte for byte
+    vm, vc = solved_bench_wide
+    monkeypatch.setattr(sim_mod, "NOISE_BUFFER_BYTES", 1)
+    monkeypatch.setattr(sim_mod, "WORKERS", workers)
+    base = dict(n_paths=1952, steps=7, dt=1 / 252, seed=61)
+    assert sim_mod._partition(1952, 7, vm.d) == [(0, 1024), (1024, 928)]
+    assert sim_mod._chunk_length(928, vm.d) == 3
+    cfgs = [SimConfig(**base), SimConfig(measure="tilted_gamma", **base)]
+    _assert_bundles_equal(simulate_lanes(vm, vc, cfgs), simulate_reference(vm, vc, cfgs))
+
+
+def test_a_block_makes_its_arrays_once(monkeypatch, solved_bench_wide):
+    # every per-step array lives in the block's workspace: a wide block (1024
+    # paths, d = 20, three-step chunks) of 2k steps makes fewer than k more
+    # arrays of at least a step's states' size (8 n bytes a path) than one
+    # of k steps, so fewer than one a step; a step loop with temporaries of
+    # its own made about forty a step for these three lanes.  A chunk's
+    # finiteness masks are bools, an eighth of that size a step, made once
+    # a chunk.  NumPy's memory handler belongs to the calling thread, where
+    # one worker runs the block.
+    vm, vc = solved_bench_wide
+    monkeypatch.setattr(sim_mod, "WORKERS", 1)
+    n_paths, k = 1024, 16
+
+    def state_sized(steps):
+        base = dict(n_paths=n_paths, steps=steps, dt=1 / 252, seed=2)
+        cfgs = [SimConfig(keep=("densities",), **base),
+                SimConfig(measure="tilted_gamma", keep=("densities",), **base),
+                SimConfig(strategy="kelly", measure="tilted_h", keep=("states", "log_excess"),
+                          **base)]
+        assert len(sim_mod._partition(n_paths, steps, vm.d)) == 1
+        with numpy_allocations() as sizes:
+            simulate_lanes(vm, vc, cfgs)
+        return sum(size >= 8 * n_paths * vm.n for size in sizes)
+
+    assert sim_mod._chunk_length(n_paths, vm.d) == 3
+    assert state_sized(2 * k) - state_sized(k) < k
 
 
 def _blowup_table(steps, center):
